@@ -42,7 +42,7 @@ from .harness import (
 )
 from .nn import TrainConfig, load_model, save_model
 from .query import print_query
-from .retrieval import Similarity, build_index, score
+from .retrieval import Similarity, build_index, question_vector, score
 from .tabular import (
     classify_table_type,
     extract_table_type_features,
@@ -212,6 +212,10 @@ def cmd_train(args) -> int:
 def cmd_retrieve(args) -> int:
     tables = _workspace_tables(Path(args.workspace))
     index = build_index(list(tables.values()))
+    if not question_vector(index, args.question):
+        raise TableQAError(
+            f"question has no indexed word to rank tables by: {args.question!r}"
+        )
     ranked = score(index, args.question, Similarity(args.sim))
     for rank, (tid, value) in enumerate(ranked[: args.k], start=1):
         print(f"{rank:2d}. {tid:<28s} {value:.6f}")
@@ -295,37 +299,60 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _answer(question, tables, entries, bundle, store, cfg, scope, row_mode,
-            similarity):
-    by_question = {e.question: e for e in entries}
-    entry = by_question.get(question)
-    golden = None
-    index = None
-    if scope is Scope.GOLDEN_TABLE:
-        if entry is None:
-            raise TableQAError(
-                "golden scope works only for manifest questions; use --scope all"
-            )
-        golden = tables[entry.table_id]
-    elif scope is Scope.INDIVIDUAL_SET and entry is not None:
-        split_tables = {tables[e.table_id].id: tables[e.table_id]
-                        for e in entries if e.split is entry.split}
-        index = build_index(list(split_tables.values()))
-    else:
-        index = build_index(list(tables.values()))
-    result = run_pipeline(question, tables, index, bundle, store, cfg,
-                          row_mode=row_mode, similarity=similarity,
-                          golden_table=golden,
-                          question_id=entry.qid if entry else None)
-    table = tables[result.table_id]
-    print(f"table: {result.table_id}")
-    print(f"query: {print_query(result.query)}")
-    for r, c in sorted(result.cells):
-        print(f"cell ({r},{c}) [{table.headers[c]}]: {table.rows[r][c]}")
-    if entry is not None:
-        flag = "match" if set(result.cells) == set(entry.gold_cells) \
-            and result.table_id == entry.table_id else "differs from gold"
-        print(f"gold: {flag}")
+class _AskSession:
+    """Answers the questions of one `ask` run.
+
+    Each retrieval index (all tables, or one split's tables for the
+    individual scope) is built the first time a question needs it and kept
+    for the rest of the session.
+    """
+
+    def __init__(self, tables, entries, bundle, store, cfg, scope, row_mode,
+                 similarity):
+        self.tables, self.entries = tables, entries
+        self.bundle, self.store, self.cfg = bundle, store, cfg
+        self.scope, self.row_mode, self.similarity = scope, row_mode, similarity
+        self.by_question = {e.question: e for e in entries}
+        self.indexes = {}   # None (all tables) or a Split -> TfIdfIndex
+
+    def index(self, split):
+        if split not in self.indexes:
+            if split is None:
+                chosen = self.tables
+            else:
+                chosen = {self.tables[e.table_id].id: self.tables[e.table_id]
+                          for e in self.entries if e.split is split}
+            self.indexes[split] = build_index(list(chosen.values()))
+        return self.indexes[split]
+
+    def answer(self, question):
+        tables, scope = self.tables, self.scope
+        entry = self.by_question.get(question)
+        golden = None
+        index = None
+        if scope is Scope.GOLDEN_TABLE:
+            if entry is None:
+                raise TableQAError(
+                    "golden scope works only for manifest questions; use --scope all"
+                )
+            golden = tables[entry.table_id]
+        elif scope is Scope.INDIVIDUAL_SET and entry is not None:
+            index = self.index(entry.split)
+        else:
+            index = self.index(None)
+        result = run_pipeline(question, tables, index, self.bundle, self.store,
+                              self.cfg, row_mode=self.row_mode,
+                              similarity=self.similarity, golden_table=golden,
+                              question_id=entry.qid if entry else None)
+        table = tables[result.table_id]
+        print(f"table: {result.table_id}")
+        print(f"query: {print_query(result.query)}")
+        for r, c in sorted(result.cells):
+            print(f"cell ({r},{c}) [{table.headers[c]}]: {table.rows[r][c]}")
+        if entry is not None:
+            flag = "match" if set(result.cells) == set(entry.gold_cells) \
+                and result.table_id == entry.table_id else "differs from gold"
+            print(f"gold: {flag}")
 
 
 def cmd_ask(args) -> int:
@@ -335,14 +362,12 @@ def cmd_ask(args) -> int:
     cfg = SimMatchConfig(threshold=args.threshold)
     entries = load_manifest(args.manifest, tables, store, cfg) \
         if args.manifest else []
-    bundle = _load_bundle(ws)
-    scope = Scope(args.scope)
-    row_mode = RowMode(args.row_mode)
-    similarity = Similarity(args.sim)
+    session = _AskSession(tables, entries, _load_bundle(ws), store, cfg,
+                          Scope(args.scope), RowMode(args.row_mode),
+                          Similarity(args.sim))
 
     if args.question:
-        _answer(args.question, tables, entries, bundle, store, cfg, scope,
-                row_mode, similarity)
+        session.answer(args.question)
     if args.repl:
         print("enter questions, one per line (blank line or EOF to quit)")
         for line in sys.stdin:
@@ -350,8 +375,7 @@ def cmd_ask(args) -> int:
             if not question:
                 break
             try:
-                _answer(question, tables, entries, bundle, store, cfg,
-                        scope, row_mode, similarity)
+                session.answer(question)
             except TableQAError as exc:
                 print(f"error: {exc}", file=sys.stderr)
     elif not args.question:
@@ -388,6 +412,16 @@ def cmd_pipeline_eval(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tableqa",
@@ -422,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--question", required=True)
     p.add_argument("--sim", default="inveuclidean",
                    choices=[s.value for s in Similarity])
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--k", type=_positive_int, default=5)
     p.set_defaults(fn=cmd_retrieve)
 
     p = sub.add_parser("eval", help="report metrics for one task")

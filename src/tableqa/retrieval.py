@@ -3,6 +3,11 @@
 Each table's token bag is the concatenation of its name, headers and all
 cells, tokenized with stop-word removal and stemming. IDF is computed over
 tables only; questions are vectorized against the table vocabulary.
+
+The index is one sparse table x stem matrix stored by stem (compressed
+sparse columns): scoring a question reads only the postings of the
+question's own stems and computes the similarity to every table as
+whole-array arithmetic.
 """
 
 from __future__ import annotations
@@ -11,6 +16,8 @@ import enum
 import math
 from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import NoTables
 from .tabular import Table
@@ -23,14 +30,42 @@ class Similarity(enum.Enum):
     INV_EUCLIDEAN = "inveuclidean"
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TfIdfIndex:
+    """Immutable table x stem TF-IDF matrix, shared freely across threads.
+
+    Row ``i`` is table ``table_ids[i]``; ids are sorted, so row order is
+    the ranking's tie-break. Column ``j`` is stem ``j`` of ``idf`` (in
+    insertion order, ``columns`` maps the stem back to ``j``). Its postings
+    are ``rows[indptr[j]:indptr[j + 1]]`` with ``weights`` alongside.
+    ``sq_norms`` and ``n_stems`` hold each table's squared norm and
+    distinct-stem count.
+    """
+
+    table_ids: tuple[str, ...]
     idf: dict[str, float]
-    table_vectors: dict[str, dict[str, float]]
+    columns: dict[str, int]
+    indptr: np.ndarray
+    rows: np.ndarray
+    weights: np.ndarray
+    sq_norms: np.ndarray
+    n_stems: np.ndarray
 
     @property
     def vocabulary(self) -> set[str]:
         return set(self.idf)
+
+    @property
+    def table_vectors(self) -> dict[str, dict[str, float]]:
+        """Per-table ``{stem: weight}`` dicts, rebuilt from the matrix on
+        every access; changing them does not change the index."""
+        vectors = {tid: {} for tid in self.table_ids}
+        for j, stem in enumerate(self.idf):
+            lo, hi = self.indptr[j], self.indptr[j + 1]
+            for row, w in zip(self.rows[lo:hi].tolist(),
+                              self.weights[lo:hi].tolist()):
+                vectors[self.table_ids[row]][stem] = w
+        return vectors
 
 
 def table_stems(table: Table) -> list[str]:
@@ -38,6 +73,11 @@ def table_stems(table: Table) -> list[str]:
     for row in table.rows:
         parts.extend(row)
     return list(tokenize(" ".join(parts), drop_stopwords=True).stems)
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def build_index(tables: list[Table]) -> TfIdfIndex:
@@ -50,11 +90,29 @@ def build_index(tables: list[Table]) -> TfIdfIndex:
     for counts in term_counts.values():
         df.update(counts.keys())
     idf = {stem: math.log(n / d) for stem, d in df.items()}
-    vectors = {
-        tid: {stem: tf * idf[stem] for stem, tf in counts.items()}
-        for tid, counts in term_counts.items()
-    }
-    return TfIdfIndex(idf=idf, table_vectors=vectors)
+    columns = {stem: j for j, stem in enumerate(idf)}
+    table_ids = tuple(sorted(term_counts))
+    rows, cols, weights, sq_norms, n_stems = [], [], [], [], []
+    for row, tid in enumerate(table_ids):
+        vector = [(columns[stem], tf * idf[stem])
+                  for stem, tf in term_counts[tid].items()]
+        # summed in the table's stem order, as a dict walk would
+        sq_norms.append(sum(w * w for _, w in vector))
+        n_stems.append(len(vector))
+        rows.extend([row] * len(vector))
+        cols.extend(col for col, _ in vector)
+        weights.extend(w for _, w in vector)
+    cols = np.asarray(cols, dtype=np.int64)
+    by_column = np.argsort(cols, kind="stable")   # rows stay ascending
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=len(idf)))))
+    return TfIdfIndex(
+        table_ids=table_ids, idf=idf, columns=columns,
+        indptr=_frozen(indptr),
+        rows=_frozen(np.asarray(rows, dtype=np.int64)[by_column]),
+        weights=_frozen(np.asarray(weights, dtype=np.float64)[by_column]),
+        sq_norms=_frozen(np.asarray(sq_norms, dtype=np.float64)),
+        n_stems=_frozen(np.asarray(n_stems, dtype=np.int64)),
+    )
 
 
 def question_vector(index: TfIdfIndex, question: str) -> dict[str, float]:
@@ -63,35 +121,51 @@ def question_vector(index: TfIdfIndex, question: str) -> dict[str, float]:
             if stem in index.idf}
 
 
-def _dot(a: dict[str, float], b: dict[str, float]) -> float:
-    if len(b) < len(a):
-        a, b = b, a
-    return sum(w * b[s] for s, w in a.items() if s in b)
-
-
-def _norm(v: dict[str, float]) -> float:
-    return math.sqrt(sum(w * w for w in v.values()))
-
-
-def _similarity(q: dict[str, float], t: dict[str, float], sim: Similarity) -> float:
+def _similarities(index: TfIdfIndex, q: dict[str, float],
+                  sim: Similarity) -> np.ndarray:
+    """Similarity of q to every table, indexed by row."""
+    n = len(index.table_ids)
+    postings = []
+    for stem, w in q.items():
+        j = index.columns[stem]
+        lo, hi = index.indptr[j], index.indptr[j + 1]
+        postings.append((w, index.rows[lo:hi], index.weights[lo:hi]))
+    if sim is Similarity.INV_EUCLIDEAN:
+        # |q - t|^2 = sum over q's stems of (q_s - t_s)^2, which has no
+        # cancellation and is exactly 0 where t equals q on them, plus
+        # t's mass off q's stems: |t|^2 minus the shared part, exactly 0
+        # when every stem of t is one of q's.
+        near = np.zeros(n)
+        shared_sq = np.zeros(n)
+        shared = np.zeros(n, dtype=np.int64)
+        for w, rows, tw in postings:
+            term = np.full(n, w * w)
+            term[rows] = (w - tw) ** 2
+            near += term
+            shared_sq[rows] += tw * tw
+            shared[rows] += 1
+        off = np.where(shared == index.n_stems, 0.0,
+                       np.maximum(index.sq_norms - shared_sq, 0.0))
+        return 1.0 / (1.0 + np.sqrt(near + off))
+    dot = np.zeros(n)
+    for w, rows, tw in postings:
+        dot[rows] += w * tw
     if sim is Similarity.DOT:
-        return _dot(q, t)
-    if sim is Similarity.COSINE:
-        nq, nt = _norm(q), _norm(t)
-        if nq == 0.0 or nt == 0.0:
-            return 0.0
-        return _dot(q, t) / (nq * nt)
-    support = set(q) | set(t)
-    dist = math.sqrt(sum((q.get(s, 0.0) - t.get(s, 0.0)) ** 2 for s in support))
-    return 1.0 / (1.0 + dist)
+        return dot
+    nq = math.sqrt(sum(w * w for w in q.values()))
+    if nq == 0.0:
+        return np.zeros(n)
+    nt = np.sqrt(index.sq_norms)
+    return np.divide(dot, nq * nt, out=np.zeros(n), where=nt != 0.0)
 
 
 def score(index: TfIdfIndex, question: str, sim: Similarity) -> list[tuple[str, float]]:
     """All tables ranked by descending similarity; ties broken by table id."""
-    q = question_vector(index, question)
-    scored = [(tid, _similarity(q, vec, sim))
-              for tid, vec in index.table_vectors.items()]
-    return sorted(scored, key=lambda pair: (-pair[1], pair[0]))
+    values = _similarities(index, question_vector(index, question), sim)
+    # a stable sort keeps tied tables in row order, which is id order
+    order = np.argsort(-values, kind="stable")
+    ids = index.table_ids
+    return [(ids[i], s) for i, s in zip(order.tolist(), values[order].tolist())]
 
 
 def precision_at_k(

@@ -9,6 +9,7 @@ external NLP dependency. The stop list ships as a text resource
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -201,9 +202,15 @@ _STEP4_SUFFIXES = (
     "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
 )
 
+# Longest suffix first; the sorts are stable, so equal lengths keep the
+# order listed above.
+_STEP2_RULES = tuple(sorted(_STEP2_RULES, key=lambda r: -len(r[0])))
+_STEP3_RULES = tuple(sorted(_STEP3_RULES, key=lambda r: -len(r[0])))
+_STEP4_SUFFIXES = tuple(sorted(_STEP4_SUFFIXES, key=len, reverse=True))
+
 
 def _apply_rules(word: str, rules, min_measure: int) -> str:
-    for suffix, replacement in sorted(rules, key=lambda r: -len(r[0])):
+    for suffix, replacement in rules:
         if word.endswith(suffix):
             stem = word[: len(word) - len(suffix)]
             if _measure(stem) > min_measure - 1:
@@ -213,7 +220,7 @@ def _apply_rules(word: str, rules, min_measure: int) -> str:
 
 
 def _step4(word: str) -> str:
-    for suffix in sorted(_STEP4_SUFFIXES, key=len, reverse=True):
+    for suffix in _STEP4_SUFFIXES:
         if word.endswith(suffix):
             stem = word[: len(word) - len(suffix)]
             if _measure(stem) > 1:
@@ -239,6 +246,23 @@ def _step5b(word: str) -> str:
     return word
 
 
+def _memoized(stem):
+    """Cache a pure word -> stem function for the life of the process.
+
+    The cache grows with the vocabulary seen. The result stays a plain
+    function (``__wrapped__`` is the uncached one), so tools that find
+    functions by type still see it.
+    """
+    cached = functools.lru_cache(maxsize=None)(stem)
+
+    @functools.wraps(stem)
+    def memoized(word: str) -> str:
+        return cached(word)
+
+    return memoized
+
+
+@_memoized
 def porter_stem(word: str) -> str:
     if len(word) <= 2:
         return word

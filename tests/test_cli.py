@@ -80,6 +80,22 @@ class TestRetrieve:
         out = capsys.readouterr().out
         assert out.splitlines()[0].split()[1] == "state-capitals"
 
+    def test_k_below_one_is_usage_error(self, cli_workspace):
+        with pytest.raises(SystemExit) as exc:
+            main(["retrieve", "--workspace", str(cli_workspace),
+                  "--question", "What is the capital of Louisiana?", "--k", "0"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("question", ["", "the of", "zyxxyq qqqzz"])
+    def test_question_without_indexed_stem_is_error(self, cli_workspace, capsys,
+                                                    question):
+        code = main(["retrieve", "--workspace", str(cli_workspace),
+                     "--question", question])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
 
 class TestAsk:
     def test_husband_question_golden_scope(self, cli_workspace, fixtures_dir,
@@ -135,6 +151,39 @@ class TestAsk:
                      "--scope", "golden"])
         assert code == 0
         assert "Austin" in capsys.readouterr().out
+
+    def test_repl_builds_index_once_and_answers_as_single_runs(
+            self, cli_workspace, fixtures_dir, capsys, monkeypatch):
+        import io
+
+        import tableqa.cli
+
+        fx = str(fixtures_dir)
+        argv = ["--workspace", str(cli_workspace),
+                "--embeddings", f"{fx}/pipeline.vec",
+                "--manifest", f"{fx}/manifest.txt", "--scope", "all"]
+        questions = ["What is the capital of Louisiana?",
+                     "Who is the husband of Whoopi Goldberg?",
+                     "What is the capital of Texas?"]
+        singles = []
+        for question in questions:
+            assert main(["ask", question, *argv]) == 0
+            singles.append(capsys.readouterr().out)
+
+        builds = []
+        real_build = tableqa.cli.build_index
+
+        def counting_build(tables):
+            builds.append(len(tables))
+            return real_build(tables)
+
+        monkeypatch.setattr(tableqa.cli, "build_index", counting_build)
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(questions) + "\n\n"))
+        assert main(["ask", "--repl", *argv]) == 0
+        out = capsys.readouterr().out
+        assert len(builds) == 1
+        header = "enter questions, one per line (blank line or EOF to quit)\n"
+        assert out == header + "".join(singles)
 
 
 class TestEval:

@@ -1,7 +1,10 @@
 import math
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tableqa.errors import NoTables
 from tableqa.retrieval import (
@@ -10,6 +13,7 @@ from tableqa.retrieval import (
     precision_at_k,
     question_vector,
     score,
+    table_stems,
 )
 from tableqa.tabular import Table
 
@@ -159,3 +163,107 @@ class TestDisjointCorpusProperty:
             rankings = {qid: [tid for tid, _ in score(index, q, sim)]
                         for qid, q in questions.items()}
             assert precision_at_k(rankings, gold, 1) == 1.0, sim
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-table dict walk that the matrix index replaced
+# ---------------------------------------------------------------------------
+
+def _dot(a: dict[str, float], b: dict[str, float]) -> float:
+    if len(b) < len(a):
+        a, b = b, a
+    return sum(w * b[s] for s, w in a.items() if s in b)
+
+
+def _norm(v: dict[str, float]) -> float:
+    return math.sqrt(sum(w * w for w in v.values()))
+
+
+def _similarity(q: dict[str, float], t: dict[str, float], sim: Similarity) -> float:
+    if sim is Similarity.DOT:
+        return _dot(q, t)
+    if sim is Similarity.COSINE:
+        nq, nt = _norm(q), _norm(t)
+        if nq == 0.0 or nt == 0.0:
+            return 0.0
+        return _dot(q, t) / (nq * nt)
+    support = set(q) | set(t)
+    dist = math.sqrt(sum((q.get(s, 0.0) - t.get(s, 0.0)) ** 2 for s in support))
+    return 1.0 / (1.0 + dist)
+
+
+def reference_vectors(tables) -> dict[str, dict[str, float]]:
+    term_counts = {t.id: Counter(table_stems(t)) for t in tables}
+    df = Counter()
+    for counts in term_counts.values():
+        df.update(counts.keys())
+    idf = {stem: math.log(len(tables) / d) for stem, d in df.items()}
+    return {tid: {stem: tf * idf[stem] for stem, tf in counts.items()}
+            for tid, counts in term_counts.items()}
+
+
+def reference_score(index, vectors, question, sim):
+    q = question_vector(index, question)
+    scored = [(tid, _similarity(q, vec, sim)) for tid, vec in vectors.items()]
+    return sorted(scored, key=lambda pair: (-pair[1], pair[0]))
+
+
+# Summation order differs from the dict walk, so scores may differ in the
+# last bits of a float64; a mathematical tie may then break either way.
+TOLERANCE = 1e-12
+
+
+def assert_matches_reference(index, vectors, question, exact_order):
+    for sim in Similarity:
+        got = score(index, question, sim)
+        want = reference_score(index, vectors, question, sim)
+        assert sorted(t for t, _ in got) == sorted(t for t, _ in want)
+        got_scores = dict(got)
+        for tid, value in want:
+            assert got_scores[tid] == pytest.approx(value, rel=TOLERANCE,
+                                                    abs=TOLERANCE), (sim, tid)
+        if exact_order:
+            assert [t for t, _ in got] == [t for t, _ in want], sim
+            continue
+        position = {tid: i for i, (tid, _) in enumerate(got)}
+        for i, (a, a_score) in enumerate(want):
+            for b, b_score in want[i + 1:]:
+                if a_score - b_score > TOLERANCE:
+                    assert position[a] < position[b], (sim, a, b)
+
+
+_WORDS = ["apple", "apples", "banana", "cherry", "run", "running", "runner",
+          "the", "of", "zebra", "t0", "t1"]
+
+
+@st.composite
+def corpora_and_questions(draw):
+    word = st.sampled_from(_WORDS)
+    tables = [
+        Table(id=f"t{i}", name=draw(word), headers=[draw(word)],
+              rows=[[w] for w in draw(st.lists(word, max_size=8))])
+        for i in range(draw(st.integers(1, 6)))
+    ]
+    bags = [[t.name, *t.headers, *(row[0] for row in t.rows)] for t in tables]
+    words = draw(st.one_of(
+        st.lists(st.sampled_from(_WORDS + ["unindexed"]), max_size=8),
+        st.sampled_from(bags).flatmap(st.permutations),
+    ))
+    return tables, " ".join(words)
+
+
+class TestMatchesDictReference:
+    @settings(max_examples=300, deadline=None)
+    @given(corpora_and_questions())
+    def test_generated_corpora(self, case):
+        tables, question = case
+        assert_matches_reference(build_index(tables), reference_vectors(tables),
+                                 question, exact_order=False)
+
+    def test_fixture_questions(self, corpus, manifest):
+        tables = list(corpus.values())
+        index, vectors = build_index(tables), reference_vectors(tables)
+        assert len(manifest) == 52
+        for entry in manifest:
+            assert_matches_reference(index, vectors, entry.question,
+                                     exact_order=True)

@@ -198,3 +198,12 @@ class TestPorterStemmer:
 
     def test_digit_tokens_pass_through(self):
         assert porter_stem("1946") == "1946"
+
+    def test_memoized_stems_equal_uncached(self, corpus, manifest):
+        texts = [e.question for e in manifest]
+        for table in corpus.values():
+            texts += [table.name, *table.headers, *(c for row in table.rows for c in row)]
+        words = {w for text in texts for w in tokenize(text)}
+        assert len(words) > 500
+        for word in sorted(words):
+            assert porter_stem(word) == porter_stem.__wrapped__(word), word

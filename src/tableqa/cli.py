@@ -205,7 +205,11 @@ def cmd_train(args) -> int:
         trainer = train_select_model if args.task == "select" else train_where_model
         model = trainer(entries, tables, store, bundle, _train_config(args))
         save_model(model, out)
-    print(f"trained {args.task} model -> {out}")
+    # the three MLP tasks report their last epoch loss; the table-type
+    # logistic regression keeps no loss history
+    history = getattr(model, "loss_history", None)
+    loss = f", final epoch loss {history[-1]:.6g}" if history else ""
+    print(f"trained {args.task} model -> {out}{loss}")
     return 0
 
 

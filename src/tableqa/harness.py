@@ -92,12 +92,23 @@ class ManifestEntry:
 def load_table_kinds(path) -> dict[str, TableKind]:
     kinds = {}
     with open(str(path), encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            table_id, value = line.split("\t")
-            kinds[table_id] = TableKind(value)
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise TableQAError(
+                    f"{path}:{lineno}: expected 'table_id<TAB>kind', "
+                    f"got {len(parts) - 1} tabs"
+                )
+            table_id, value = parts
+            try:
+                kinds[table_id] = TableKind(value)
+            except ValueError:
+                raise TableQAError(
+                    f"{path}:{lineno}: unknown table kind {value!r}"
+                ) from None
     return kinds
 
 

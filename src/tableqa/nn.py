@@ -10,6 +10,7 @@ bit-identical models.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,73 +169,156 @@ def predict_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
+#
+# One forward/backward implementation serves train, gradient_check and the
+# _forward_train/_backward entry points. train keeps every trainable array as
+# a view into one parameter vector, writes gradients into a second vector of
+# the same layout and batch statistics into a third, so an SGD step updates
+# all parameters and running statistics in a handful of numpy calls. The
+# float64 operations on each element are those of the plain formulation
+# (numpy's mean and var are add.reduce over the rows divided by the row
+# count), so trained models are bit-identical to it.
+
+_add_reduce = np.add.reduce
+
+
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views into ``flat`` with the given shapes."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[start:start + size].reshape(shape))
+        start += size
+    return views
+
+
+def _pack(arrays) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One flat copy of ``arrays`` and views into it shaped like them."""
+    flat = np.concatenate([a.reshape(-1) for a in arrays] or [np.empty(0)])
+    return flat, _views(flat, [a.shape for a in arrays])
+
+
+def _split_parameters(model: MlpModel, views):
+    """(weights, biases, gammas, betas) from a parameter-ordered list."""
+    n_layers = len(model.weights)
+    head, bn = views[:2 * n_layers], views[2 * n_layers:]
+    return head[0::2], head[1::2], bn[0::2], bn[1::2]
+
+
+def _pack_model(model: MlpModel) -> tuple[np.ndarray, np.ndarray]:
+    """Move the model's arrays into two flat vectors; the model keeps views.
+
+    Returns the trainable parameters, in ``parameter_arrays`` order, and the
+    running statistics: every layer's means, then every layer's variances.
+    """
+    bns = model.batchnorms
+    params, views = _pack([a for _, a in model.parameter_arrays()])
+    running, stats = _pack([bn.running_mean for bn in bns]
+                           + [bn.running_var for bn in bns])
+    model.weights, model.biases, gammas, betas = _split_parameters(model, views)
+    for bn, gamma, beta, mean, var in zip(bns, gammas, betas,
+                                          stats[:len(bns)], stats[len(bns):]):
+        bn.gamma, bn.beta, bn.running_mean, bn.running_var = gamma, beta, mean, var
+    return params, running
+
+
+def _blend_running(running, batch) -> None:
+    """running <- momentum * running + (1 - momentum) * batch; scales batch too."""
+    running *= _BN_MOMENTUM
+    batch *= 1 - _BN_MOMENTUM
+    running += batch
+
+
+def _forward(model: MlpModel, x: np.ndarray, means, variances):
+    """Training-mode forward pass; returns probs and the backprop cache.
+
+    Each batch-norm layer's batch mean and variance are written into
+    ``means[i]`` and ``variances[i]``.
+    """
+    m = x.shape[0]
+    use_bn = model.spec.use_batchnorm
+    layers = []
+    h = x
+    for i in range(model.n_hidden):
+        z = h @ model.weights[i]
+        z += model.biases[i]
+        if use_bn:
+            bn = model.batchnorms[i]
+            mu = np.divide(_add_reduce(z, 0), m, out=means[i])
+            centered = z - mu
+            var = np.divide(_add_reduce(np.square(centered), 0), m, out=variances[i])
+            inv_std = 1.0 / np.sqrt(var + _BN_EPS)
+            z_hat = centered * inv_std
+            z = bn.gamma * z_hat
+            z += bn.beta
+            layers.append((h, z, centered, inv_std, z_hat))
+        else:
+            layers.append((h, z, None, None, None))
+        h = np.maximum(z, 0.0)
+    logits = h @ model.weights[-1]
+    logits += model.biases[-1]
+    return softmax(logits), (layers, h)
+
+
+def _backprop(model: MlpModel, probs, onehot, cache, grads) -> None:
+    """Gradients of mean cross-entropy, written into ``grads``.
+
+    ``grads`` holds one array per trainable array, in
+    ``MlpModel.parameter_arrays`` order.
+    """
+    n = probs.shape[0]
+    layers, h_last = cache
+    g_w, g_b, g_gamma, g_beta = _split_parameters(model, grads)
+
+    d_logits = probs - onehot
+    d_logits /= n
+    np.matmul(h_last.T, d_logits, out=g_w[-1])
+    _add_reduce(d_logits, 0, out=g_b[-1])
+    d_h = d_logits @ model.weights[-1].T
+
+    for i in reversed(range(model.n_hidden)):
+        h_in, pre_relu, centered, inv_std, z_hat = layers[i]
+        d_z = d_h * (pre_relu > 0)
+        if centered is not None:
+            _add_reduce(d_z * z_hat, 0, out=g_gamma[i])
+            _add_reduce(d_z, 0, out=g_beta[i])
+            d_zhat = d_z * model.batchnorms[i].gamma
+            d_var = _add_reduce(d_zhat * centered, 0) * -0.5 * inv_std**3
+            d_mu = -_add_reduce(d_zhat, 0) * inv_std \
+                + d_var * (-2.0 / n) * _add_reduce(centered, 0)
+            d_z = d_zhat * inv_std + d_var * 2.0 * centered / n + d_mu / n
+        np.matmul(h_in.T, d_z, out=g_w[i])
+        _add_reduce(d_z, 0, out=g_b[i])
+        if i > 0:
+            d_h = d_z @ model.weights[i].T
+
 
 def _forward_train(model: MlpModel, x: np.ndarray, update_running: bool):
     """Training-mode forward pass; returns probs and the backprop cache."""
-    cache = {"inputs": [], "pre_bn": [], "bn": [], "pre_relu": []}
-    h = x
-    for i in range(model.n_hidden):
-        cache["inputs"].append(h)
-        z = h @ model.weights[i] + model.biases[i]
-        cache["pre_bn"].append(z)
-        if model.spec.use_batchnorm:
-            bn = model.batchnorms[i]
-            mu = z.mean(axis=0)
-            var = z.var(axis=0)
-            inv_std = 1.0 / np.sqrt(var + _BN_EPS)
-            z_hat = (z - mu) * inv_std
-            cache["bn"].append((mu, var, inv_std, z_hat))
-            if update_running:
-                bn.running_mean = _BN_MOMENTUM * bn.running_mean + (1 - _BN_MOMENTUM) * mu
-                bn.running_var = _BN_MOMENTUM * bn.running_var + (1 - _BN_MOMENTUM) * var
-            z = bn.gamma * z_hat + bn.beta
-        else:
-            cache["bn"].append(None)
-        cache["pre_relu"].append(z)
-        h = np.maximum(z, 0.0)
-    cache["inputs"].append(h)
-    logits = h @ model.weights[-1] + model.biases[-1]
-    return softmax(logits), cache
+    widths = model.spec.hidden if model.spec.use_batchnorm else ()
+    means = [np.empty(w) for w in widths]
+    variances = [np.empty(w) for w in widths]
+    probs, cache = _forward(model, x, means, variances)
+    if update_running:
+        for bn, mu, var in zip(model.batchnorms, means, variances):
+            _blend_running(bn.running_mean, mu)
+            _blend_running(bn.running_var, var)
+    return probs, cache
 
 
-def _cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
-    picked = probs[np.arange(len(labels)), labels]
-    return float(-np.mean(np.log(np.clip(picked, 1e-300, None))))
+def _gradients(model: MlpModel, probs, labels, cache) -> list[np.ndarray]:
+    """Gradients in ``MlpModel.parameter_arrays`` order, freshly allocated."""
+    onehot = np.eye(model.spec.output.n_classes)[labels]
+    grads = [np.empty_like(a) for _, a in model.parameter_arrays()]
+    _backprop(model, probs, onehot, cache, grads)
+    return grads
 
 
 def _backward(model: MlpModel, probs, labels, cache):
     """Gradients of mean cross-entropy wrt every trainable array."""
-    n = len(labels)
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
-    grads_bn = [None] * model.n_hidden
-
-    d_logits = probs.copy()
-    d_logits[np.arange(n), labels] -= 1.0
-    d_logits /= n
-
-    grads_w[-1] = cache["inputs"][-1].T @ d_logits
-    grads_b[-1] = d_logits.sum(axis=0)
-    d_h = d_logits @ model.weights[-1].T
-
-    for i in reversed(range(model.n_hidden)):
-        d_z = d_h * (cache["pre_relu"][i] > 0)
-        if model.spec.use_batchnorm:
-            mu, var, inv_std, z_hat = cache["bn"][i]
-            bn = model.batchnorms[i]
-            d_gamma = (d_z * z_hat).sum(axis=0)
-            d_beta = d_z.sum(axis=0)
-            z_centered = cache["pre_bn"][i] - mu
-            d_zhat = d_z * bn.gamma
-            d_var = (d_zhat * z_centered).sum(axis=0) * -0.5 * inv_std**3
-            d_mu = -(d_zhat.sum(axis=0)) * inv_std \
-                + d_var * (-2.0 / n) * z_centered.sum(axis=0)
-            d_z = d_zhat * inv_std + d_var * 2.0 * z_centered / n + d_mu / n
-            grads_bn[i] = (d_gamma, d_beta)
-        grads_w[i] = cache["inputs"][i].T @ d_z
-        grads_b[i] = d_z.sum(axis=0)
-        if i > 0:
-            d_h = d_z @ model.weights[i].T
+    grads_w, grads_b, g_gamma, g_beta = _split_parameters(
+        model, _gradients(model, probs, labels, cache))
+    grads_bn = list(zip(g_gamma, g_beta)) or [None] * model.n_hidden
     return grads_w, grads_b, grads_bn
 
 
@@ -256,29 +340,44 @@ def train(spec: MlpSpec, data, cfg: TrainConfig) -> MlpModel:
     _validate_data(spec, data)
     x_all = np.array([np.asarray(x, dtype=np.float64) for x, _ in data])
     y_all = np.array([int(y) for _, y in data])
+    n, size = len(data), cfg.batch_size
+    n_classes = spec.output.n_classes
+    onehot_all = np.eye(n_classes)[y_all]
+    # flat index of each example's label within its batch's probs
+    label_offsets = np.arange(n) % size * n_classes
+    starts = range(0, n, size)
 
     model = init_model(spec, cfg.seed)
+    params, running = _pack_model(model)
+    grads = np.empty_like(params)
+    grad_views = _views(grads, [a.shape for _, a in model.parameter_arrays()])
+    bns = model.batchnorms
+    batch_stats = np.empty_like(running)
+    stat_views = _views(batch_stats, [bn.running_mean.shape for bn in bns] * 2)
+    means, variances = stat_views[:len(bns)], stat_views[len(bns):]
+
+    x_epoch, onehot_epoch = np.empty_like(x_all), np.empty_like(onehot_all)
+    picks, picked = np.empty_like(y_all), np.empty(n)
     rng = np.random.default_rng(cfg.seed + 1)
-    n = len(data)
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
+        np.take(x_all, order, axis=0, out=x_epoch)
+        np.take(onehot_all, order, axis=0, out=onehot_epoch)
+        np.add(label_offsets, y_all[order], out=picks)
+        for start in starts:
+            stop = start + size
+            probs, cache = _forward(model, x_epoch[start:stop], means, variances)
+            np.take(probs, picks[start:stop], out=picked[start:stop])
+            _backprop(model, probs, onehot_epoch[start:stop], cache, grad_views)
+            grads *= cfg.learning_rate
+            params -= grads
+            _blend_running(running, batch_stats)
+        log_picked = np.log(np.clip(picked, 1e-300, None))
         epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            xb, yb = x_all[idx], y_all[idx]
-            probs, cache = _forward_train(model, xb, update_running=True)
-            epoch_loss += _cross_entropy(probs, yb)
-            n_batches += 1
-            grads_w, grads_b, grads_bn = _backward(model, probs, yb, cache)
-            for i in range(len(model.weights)):
-                model.weights[i] -= cfg.learning_rate * grads_w[i]
-                model.biases[i] -= cfg.learning_rate * grads_b[i]
-            for i, g in enumerate(grads_bn):
-                if g is not None:
-                    model.batchnorms[i].gamma -= cfg.learning_rate * g[0]
-                    model.batchnorms[i].beta -= cfg.learning_rate * g[1]
-        model.loss_history.append(epoch_loss / max(n_batches, 1))
+        for start in starts:
+            batch = log_picked[start:start + size]
+            epoch_loss += float(-(_add_reduce(batch) / batch.size))
+        model.loss_history.append(epoch_loss / len(starts))
     return model
 
 
@@ -304,24 +403,33 @@ def upsample_positives(data, factor: int, seed: int = 0):
 # Gradient verification
 # ---------------------------------------------------------------------------
 
-def _loss_on_batch(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
-    # training-mode forward without the backprop cache; log-sum-exp form
-    # keeps the finite-difference loop cheap and numerically stable
-    h = x
-    use_bn = model.spec.use_batchnorm
-    for i in range(model.n_hidden):
-        z = h @ model.weights[i] + model.biases[i]
-        if use_bn:
-            bn = model.batchnorms[i]
-            mu = z.mean(axis=0)
-            z = z - mu
-            var = np.mean(z * z, axis=0)
-            z = bn.gamma * (z / np.sqrt(var + _BN_EPS)) + bn.beta
-        h = np.maximum(z, 0.0)
-    logits = h @ model.weights[-1] + model.biases[-1]
-    shift = logits.max(axis=1)
-    lse = shift + np.log(np.exp(logits - shift[:, None]).sum(axis=1))
-    return float(np.mean(lse - logits[np.arange(len(y)), y]))
+def _hidden_activation(model: MlpModel, i: int, h: np.ndarray) -> np.ndarray:
+    # training-mode hidden layer i without the backprop cache
+    z = h @ model.weights[i]
+    z += model.biases[i]
+    if model.spec.use_batchnorm:
+        bn = model.batchnorms[i]
+        m = z.shape[0]
+        z -= _add_reduce(z, 0) / m
+        z /= np.sqrt(_add_reduce(np.square(z), 0) / m + _BN_EPS)
+        z *= bn.gamma
+        z += bn.beta
+    return np.maximum(z, 0.0)
+
+
+def _loss_on_batch(model: MlpModel, h: np.ndarray, y: np.ndarray,
+                   first: int = 0) -> float:
+    # mean cross-entropy of a training-mode forward pass that enters hidden
+    # layer ``first`` (the output layer when it is n_hidden) with input h;
+    # log-sum-exp form keeps the finite-difference loop numerically stable
+    for i in range(first, model.n_hidden):
+        h = _hidden_activation(model, i, h)
+    logits = h @ model.weights[-1]
+    logits += model.biases[-1]
+    shift = np.maximum.reduce(logits, 1)
+    lse = np.log(_add_reduce(np.exp(logits - shift[:, None]), 1))
+    lse += shift
+    return float(_add_reduce(lse - logits[np.arange(len(y)), y]) / len(y))
 
 
 def gradient_check(spec: MlpSpec, data, epsilon: float = 1e-5, seed: int = 0) -> float:
@@ -341,27 +449,25 @@ def gradient_check(spec: MlpSpec, data, epsilon: float = 1e-5, seed: int = 0) ->
     model = init_model(spec, seed)
 
     probs, cache = _forward_train(model, x, update_running=False)
-    grads_w, grads_b, grads_bn = _backward(model, probs, y, cache)
-    analytic = {}
-    for i in range(len(model.weights)):
-        analytic[f"W{i}"] = grads_w[i]
-        analytic[f"b{i}"] = grads_b[i]
-    for i, g in enumerate(grads_bn):
-        if g is not None:
-            analytic[f"bn{i}.gamma"] = g[0]
-            analytic[f"bn{i}.beta"] = g[1]
+    analytic = _gradients(model, probs, y, cache)
+    # W_i, b_i and bn_i belong to layer i; perturbing them leaves the
+    # activations entering layer i as they are, so those are computed once
+    layers = [i // 2 for i in range(2 * len(model.weights))] \
+        + [i // 2 for i in range(2 * len(model.batchnorms))]
 
     worst = 0.0
-    for name, array in model.parameter_arrays():
-        grad = analytic[name]
+    for (_, array), grad, layer in zip(model.parameter_arrays(), analytic, layers):
+        h = x
+        for i in range(layer):
+            h = _hidden_activation(model, i, h)
         flat = array.reshape(-1)
-        grad_flat = np.asarray(grad).reshape(-1)
+        grad_flat = grad.reshape(-1)
         for j in range(flat.size):
             original = flat[j]
             flat[j] = original + epsilon
-            loss_plus = _loss_on_batch(model, x, y)
+            loss_plus = _loss_on_batch(model, h, y, layer)
             flat[j] = original - epsilon
-            loss_minus = _loss_on_batch(model, x, y)
+            loss_minus = _loss_on_batch(model, h, y, layer)
             flat[j] = original
             numeric = (loss_plus - loss_minus) / (2 * epsilon)
             denom = max(abs(grad_flat[j]), abs(numeric))
@@ -378,6 +484,15 @@ def gradient_check(spec: MlpSpec, data, epsilon: float = 1e-5, seed: int = 0) ->
 _MAGIC = "tableqa-mlp v1"
 
 
+def _saved_arrays(model: MlpModel) -> list[tuple[str, np.ndarray]]:
+    """Every array a model file holds, named, in file order."""
+    return model.parameter_arrays() + [
+        (f"bn{i}.mean", bn.running_mean) for i, bn in enumerate(model.batchnorms)
+    ] + [
+        (f"bn{i}.var", bn.running_var) for i, bn in enumerate(model.batchnorms)
+    ]
+
+
 def dump_model(model: MlpModel) -> str:
     lines = [_MAGIC]
     hidden = ",".join(str(h) for h in model.spec.hidden)
@@ -385,12 +500,7 @@ def dump_model(model: MlpModel) -> str:
         f"spec {model.spec.input_dim} {hidden or '-'} "
         f"{model.spec.output.label} {int(model.spec.use_batchnorm)}"
     )
-    arrays = model.parameter_arrays() + [
-        (f"bn{i}.mean", bn.running_mean) for i, bn in enumerate(model.batchnorms)
-    ] + [
-        (f"bn{i}.var", bn.running_var) for i, bn in enumerate(model.batchnorms)
-    ]
-    for name, array in arrays:
+    for name, array in _saved_arrays(model):
         shape = ",".join(str(s) for s in array.shape)
         values = " ".join(repr(float(v)) for v in array.reshape(-1))
         lines.append(f"array {name} {shape} {values}")
@@ -403,46 +513,72 @@ def save_model(model: MlpModel, path) -> None:
         fh.write(dump_model(model))
 
 
-def parse_model(text: str) -> MlpModel:
+def _parse_spec(line: str, where: str) -> MlpSpec:
+    parts = line.split()
+    if len(parts) != 5 or parts[0] != "spec":
+        raise UntrainedModel(
+            f"{where}: expected 'spec <input_dim> <hidden> <head> <batchnorm>',"
+            f" got {line[:40]!r}"
+        )
+    try:
+        hidden = tuple(int(h) for h in parts[2].split(",")) if parts[2] != "-" else ()
+        if parts[4] not in ("0", "1"):
+            raise ValueError(f"batchnorm flag must be 0 or 1, got {parts[4]!r}")
+        return MlpSpec(input_dim=int(parts[1]), hidden=hidden,
+                       output=OutputHead.from_label(parts[3]),
+                       use_batchnorm=parts[4] == "1")
+    except ValueError as exc:
+        raise UntrainedModel(f"{where}: {exc}") from None
+
+
+def parse_model(text: str, source: str = "<model>") -> MlpModel:
+    """Model from ``dump_model`` text; errors name ``source:line``."""
     lines = text.splitlines()
     if not lines or lines[0] != _MAGIC:
-        raise UntrainedModel("not a tableqa-mlp v1 model file")
-    spec_parts = lines[1].split()
-    if spec_parts[0] != "spec":
-        raise UntrainedModel("missing spec line")
-    input_dim = int(spec_parts[1])
-    hidden = tuple(int(h) for h in spec_parts[2].split(",")) if spec_parts[2] != "-" else ()
-    output = OutputHead.from_label(spec_parts[3])
-    use_bn = bool(int(spec_parts[4]))
-    spec = MlpSpec(input_dim=input_dim, hidden=hidden, output=output,
-                   use_batchnorm=use_bn)
-
-    arrays = {}
-    for line in lines[2:]:
+        raise UntrainedModel(f"{source}:1: not a {_MAGIC} model file")
+    spec = _parse_spec(lines[1] if len(lines) > 1 else "", f"{source}:2")
+    model = init_model(spec, seed=0)
+    expected = dict(_saved_arrays(model))
+    seen = set()
+    for lineno, line in enumerate(lines[2:], start=3):
+        where = f"{source}:{lineno}"
         if line == "end":
             break
-        tag, name, shape_s, values_s = line.split(" ", 3)
-        if tag != "array":
-            raise UntrainedModel(f"unexpected line in model file: {line[:40]!r}")
-        shape = tuple(int(s) for s in shape_s.split(","))
-        arr = np.array([float(v) for v in values_s.split()], dtype=np.float64)
-        arrays[name] = arr.reshape(shape)
-
-    model = init_model(spec, seed=0)
-    for i in range(len(model.weights)):
-        model.weights[i] = arrays[f"W{i}"]
-        model.biases[i] = arrays[f"b{i}"]
-    for i in range(model.n_hidden):
-        if spec.use_batchnorm:
-            model.batchnorms[i] = BatchNormParams(
-                gamma=arrays[f"bn{i}.gamma"],
-                beta=arrays[f"bn{i}.beta"],
-                running_mean=arrays[f"bn{i}.mean"],
-                running_var=arrays[f"bn{i}.var"],
+        parts = line.split(" ", 3)
+        if len(parts) != 4 or parts[0] != "array":
+            raise UntrainedModel(
+                f"{where}: expected 'array <name> <shape> <values>', got {line[:40]!r}"
             )
+        _, name, shape_s, values_s = parts
+        if name not in expected or name in seen:
+            raise UntrainedModel(f"{where}: unexpected array {name!r}")
+        target = expected[name]
+        if shape_s != ",".join(str(d) for d in target.shape):
+            raise UntrainedModel(
+                f"{where}: array {name} has shape {shape_s}, expected "
+                + ",".join(str(d) for d in target.shape)
+            )
+        try:
+            values = np.array([float(v) for v in values_s.split()])
+        except ValueError as exc:
+            raise UntrainedModel(f"{where}: array {name}: {exc}") from None
+        if values.size != target.size:
+            raise UntrainedModel(
+                f"{where}: array {name} of shape {shape_s} needs {target.size} "
+                f"values, got {values.size}"
+            )
+        if not np.isfinite(values).all():
+            raise UntrainedModel(f"{where}: array {name} has a non-finite value")
+        target.reshape(-1)[:] = values
+        seen.add(name)
+    else:
+        raise UntrainedModel(f"{source}:{len(lines)}: missing 'end' line (truncated file?)")
+    missing = [name for name in expected if name not in seen]
+    if missing:
+        raise UntrainedModel(f"{source}:{lineno}: missing array {missing[0]}")
     return model
 
 
 def load_model(path) -> MlpModel:
     with open(str(path), encoding="utf-8") as fh:
-        return parse_model(fh.read())
+        return parse_model(fh.read(), str(path))

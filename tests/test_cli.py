@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -261,3 +262,83 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+
+def _with_value(line, value):
+    # an "array <name> <shape> <v0> <v1> ..." line with v0 replaced
+    fields = line.split(" ")
+    fields[3] = value
+    return " ".join(fields)
+
+
+def _corrupted(text, how):
+    lines = text.splitlines(keepends=True)
+    if how == "truncated":
+        return "".join(lines[:4]) + lines[4][:len(lines[4]) // 2]
+    if how in ("nan", "inf"):
+        return "".join(lines[:3] + [_with_value(lines[3], how)] + lines[4:])
+    if how == "spec":
+        return "".join(lines[:1] + ["spec 77 32,16,8 binary2\n"] + lines[2:])
+    assert how == "missing-array"
+    return "".join(lines[:4] + lines[5:])
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("how", ["truncated", "nan", "inf", "spec",
+                                     "missing-array"])
+    def test_bad_model_file_is_error_not_traceback(self, cli_workspace,
+                                                   fixtures_dir, tmp_path,
+                                                   capsys, how):
+        ws = tmp_path / "ws"
+        shutil.copytree(cli_workspace, ws)
+        model = ws / "models" / "where.model"
+        model.write_text(_corrupted(model.read_text(), how))
+        fx = str(fixtures_dir)
+        code = main(["ask", "Who is the husband of Whoopi Goldberg?",
+                     "--workspace", str(ws),
+                     "--embeddings", f"{fx}/pipeline.vec",
+                     "--manifest", f"{fx}/manifest.txt",
+                     "--scope", "golden"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}:")
+
+    def test_malformed_kinds_line_is_error(self, fixtures_dir, tmp_path, capsys):
+        kinds = tmp_path / "kinds.txt"
+        kinds.write_text("# id<TAB>kind\nstate-capitals\tentity-instance\textra\n")
+        code = main(["ingest", "--tables", f"{fixtures_dir}/tables",
+                     "--kinds", str(kinds), "--workspace", str(tmp_path / "ws")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {kinds}:2: ")
+
+    def test_unknown_kind_is_error(self, fixtures_dir, tmp_path, capsys):
+        kinds = tmp_path / "kinds.txt"
+        kinds.write_text("state-capitals\tcolumnar\n")
+        code = main(["ingest", "--tables", f"{fixtures_dir}/tables",
+                     "--kinds", str(kinds), "--workspace", str(tmp_path / "ws")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {kinds}:1: ")
+
+
+class TestTrainReport:
+    def test_mlp_tasks_report_final_epoch_loss(self, cli_workspace, fixtures_dir,
+                                               tmp_path, capsys):
+        out = tmp_path / "c.model"
+        assert main(["train", "--task", "column-type",
+                     "--workspace", str(cli_workspace),
+                     "--labels", f"{fixtures_dir}/column_labels.txt",
+                     "--epochs", "3", "--out", str(out)]) == 0
+        line = capsys.readouterr().out.strip()
+        assert line.startswith(f"trained column-type model -> {out}, final epoch loss ")
+        float(line.rsplit(" ", 1)[1])
+
+    def test_zero_epochs_report_no_loss(self, cli_workspace, fixtures_dir,
+                                        tmp_path, capsys):
+        out = tmp_path / "c.model"
+        assert main(["train", "--task", "column-type",
+                     "--workspace", str(cli_workspace),
+                     "--labels", f"{fixtures_dir}/column_labels.txt",
+                     "--epochs", "0", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.strip() == (
+            f"trained column-type model -> {out}")

@@ -2,14 +2,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from tableqa.errors import DimensionMismatch, EmptyData, LabelOutOfRange
+from tableqa import harness, typerec
+from tableqa.cli import main
+from tableqa.errors import (
+    DimensionMismatch,
+    EmptyData,
+    LabelOutOfRange,
+    UntrainedModel,
+)
 from tableqa.nn import (
+    MlpModel,
     MlpSpec,
     OutputHead,
     TrainConfig,
+    _BN_EPS,
+    _BN_MOMENTUM,
     _backward,
     _forward_train,
+    _validate_data,
     dump_model,
     forward,
     gradient_check,
@@ -274,3 +287,270 @@ class TestSerialization:
         loaded = load_model(tmp_path / "m.model")
         x = np.array([0.3, -1.2])
         assert np.array_equal(forward(model, x), forward(loaded, x))
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-array SGD step that train replaced, kept verbatim
+# (names prefixed) so the flat-buffer step can be held to its exact output.
+# ---------------------------------------------------------------------------
+
+def reference_forward_train(model: MlpModel, x: np.ndarray, update_running: bool):
+    """Training-mode forward pass; returns probs and the backprop cache."""
+    cache = {"inputs": [], "pre_bn": [], "bn": [], "pre_relu": []}
+    h = x
+    for i in range(model.n_hidden):
+        cache["inputs"].append(h)
+        z = h @ model.weights[i] + model.biases[i]
+        cache["pre_bn"].append(z)
+        if model.spec.use_batchnorm:
+            bn = model.batchnorms[i]
+            mu = z.mean(axis=0)
+            var = z.var(axis=0)
+            inv_std = 1.0 / np.sqrt(var + _BN_EPS)
+            z_hat = (z - mu) * inv_std
+            cache["bn"].append((mu, var, inv_std, z_hat))
+            if update_running:
+                bn.running_mean = _BN_MOMENTUM * bn.running_mean + (1 - _BN_MOMENTUM) * mu
+                bn.running_var = _BN_MOMENTUM * bn.running_var + (1 - _BN_MOMENTUM) * var
+            z = bn.gamma * z_hat + bn.beta
+        else:
+            cache["bn"].append(None)
+        cache["pre_relu"].append(z)
+        h = np.maximum(z, 0.0)
+    cache["inputs"].append(h)
+    logits = h @ model.weights[-1] + model.biases[-1]
+    return softmax(logits), cache
+
+
+def reference_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
+    picked = probs[np.arange(len(labels)), labels]
+    return float(-np.mean(np.log(np.clip(picked, 1e-300, None))))
+
+
+def reference_backward(model: MlpModel, probs, labels, cache):
+    """Gradients of mean cross-entropy wrt every trainable array."""
+    n = len(labels)
+    grads_w = [None] * len(model.weights)
+    grads_b = [None] * len(model.biases)
+    grads_bn = [None] * model.n_hidden
+
+    d_logits = probs.copy()
+    d_logits[np.arange(n), labels] -= 1.0
+    d_logits /= n
+
+    grads_w[-1] = cache["inputs"][-1].T @ d_logits
+    grads_b[-1] = d_logits.sum(axis=0)
+    d_h = d_logits @ model.weights[-1].T
+
+    for i in reversed(range(model.n_hidden)):
+        d_z = d_h * (cache["pre_relu"][i] > 0)
+        if model.spec.use_batchnorm:
+            mu, var, inv_std, z_hat = cache["bn"][i]
+            bn = model.batchnorms[i]
+            d_gamma = (d_z * z_hat).sum(axis=0)
+            d_beta = d_z.sum(axis=0)
+            z_centered = cache["pre_bn"][i] - mu
+            d_zhat = d_z * bn.gamma
+            d_var = (d_zhat * z_centered).sum(axis=0) * -0.5 * inv_std**3
+            d_mu = -(d_zhat.sum(axis=0)) * inv_std \
+                + d_var * (-2.0 / n) * z_centered.sum(axis=0)
+            d_z = d_zhat * inv_std + d_var * 2.0 * z_centered / n + d_mu / n
+            grads_bn[i] = (d_gamma, d_beta)
+        grads_w[i] = cache["inputs"][i].T @ d_z
+        grads_b[i] = d_z.sum(axis=0)
+        if i > 0:
+            d_h = d_z @ model.weights[i].T
+    return grads_w, grads_b, grads_bn
+
+
+def _validate_data(spec: MlpSpec, data):
+    if not data:
+        raise EmptyData("training data is empty")
+    n_classes = spec.output.n_classes
+    for x, y in data:
+        if len(x) != spec.input_dim:
+            raise DimensionMismatch(
+                f"example has dimension {len(x)}, expected {spec.input_dim}"
+            )
+        if not (0 <= int(y) < n_classes):
+            raise LabelOutOfRange(f"label {y} outside [0, {n_classes})")
+
+
+def reference_train(spec: MlpSpec, data, cfg: TrainConfig) -> MlpModel:
+    """Seeded mini-batch SGD on softmax cross-entropy."""
+    _validate_data(spec, data)
+    x_all = np.array([np.asarray(x, dtype=np.float64) for x, _ in data])
+    y_all = np.array([int(y) for _, y in data])
+
+    model = init_model(spec, cfg.seed)
+    rng = np.random.default_rng(cfg.seed + 1)
+    n = len(data)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        n_batches = 0
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            xb, yb = x_all[idx], y_all[idx]
+            probs, cache = reference_forward_train(model, xb, update_running=True)
+            epoch_loss += reference_cross_entropy(probs, yb)
+            n_batches += 1
+            grads_w, grads_b, grads_bn = reference_backward(model, probs, yb, cache)
+            for i in range(len(model.weights)):
+                model.weights[i] -= cfg.learning_rate * grads_w[i]
+                model.biases[i] -= cfg.learning_rate * grads_b[i]
+            for i, g in enumerate(grads_bn):
+                if g is not None:
+                    model.batchnorms[i].gamma -= cfg.learning_rate * g[0]
+                    model.batchnorms[i].beta -= cfg.learning_rate * g[1]
+        model.loss_history.append(epoch_loss / max(n_batches, 1))
+    return model
+
+
+def random_training_case(head, input_dim, hidden, use_bn, n, seed):
+    rng = np.random.default_rng(seed)
+    spec = MlpSpec(input_dim, hidden, head, use_batchnorm=use_bn)
+    data = [(rng.normal(scale=2.0, size=input_dim),
+             int(rng.integers(0, head.n_classes))) for _ in range(n)]
+    return spec, data
+
+
+class TestMatchesReferenceTraining:
+    @settings(max_examples=200, deadline=None)
+    @given(head=st.sampled_from([BIN, SOFT7]),
+           input_dim=st.integers(1, 6),
+           hidden=st.lists(st.integers(1, 6), min_size=1, max_size=3).map(tuple),
+           use_bn=st.booleans(),
+           n=st.integers(1, 20),
+           batch_size=st.integers(1, 24),
+           epochs=st.integers(0, 3),
+           learning_rate=st.sampled_from([0.01, 0.1, 0.5]),
+           seed=st.integers(0, 2**16))
+    # the last batch holds one example
+    @example(head=BIN, input_dim=3, hidden=(4, 3), use_bn=True, n=9,
+             batch_size=4, epochs=3, learning_rate=0.1, seed=1)
+    # one batch covers every example
+    @example(head=SOFT7, input_dim=2, hidden=(5, 4, 3), use_bn=True, n=6,
+             batch_size=8, epochs=2, learning_rate=0.5, seed=2)
+    @example(head=BIN, input_dim=4, hidden=(3,), use_bn=False, n=5,
+             batch_size=2, epochs=0, learning_rate=0.01, seed=3)
+    def test_generated_cases(self, head, input_dim, hidden, use_bn, n,
+                             batch_size, epochs, learning_rate, seed):
+        spec, data = random_training_case(head, input_dim, hidden, use_bn, n, seed)
+        cfg = TrainConfig(learning_rate=learning_rate, epochs=epochs, seed=seed,
+                          batch_size=batch_size)
+        model, expected = train(spec, data, cfg), reference_train(spec, data, cfg)
+        assert dump_model(model) == dump_model(expected)
+        assert model.loss_history == expected.loss_history
+
+    def test_seed7_fixture_models(self, cli_workspace, fixtures_dir, tmp_path,
+                                  monkeypatch):
+        # the fixture workspace was trained by train; retrain each MLP task
+        # through the CLI with the reference step and compare the files
+        monkeypatch.setattr(harness, "train", reference_train)
+        monkeypatch.setattr(typerec, "train", reference_train)
+        fx = str(fixtures_dir)
+        inputs = {
+            "column-type": ["--labels", f"{fx}/column_labels.txt"],
+            "select": ["--manifest", f"{fx}/manifest.txt",
+                       "--embeddings", f"{fx}/pipeline.vec"],
+            "where": ["--manifest", f"{fx}/manifest.txt",
+                      "--embeddings", f"{fx}/pipeline.vec"],
+        }
+        for task, args in inputs.items():
+            out = tmp_path / f"{task}.model"
+            assert main(["train", "--task", task, "--workspace", str(cli_workspace),
+                         "--seed", "7", "--out", str(out)] + args) == 0
+            expected = (cli_workspace / "models" / f"{task}.model").read_bytes()
+            assert out.read_bytes() == expected
+
+
+class TestGradientEntryPoints:
+    def test_update_running_blends_batch_statistics(self):
+        spec = MlpSpec(3, (4, 2), SOFT7)
+        model = init_model(spec, seed=0)
+        x = np.random.default_rng(1).normal(size=(5, 3))
+        _forward_train(model, x, update_running=True)
+        expected = init_model(spec, seed=0)
+        reference_forward_train(expected, x, update_running=True)
+        for got, want in zip(model.batchnorms, expected.batchnorms):
+            assert np.array_equal(got.running_mean, want.running_mean)
+            assert np.array_equal(got.running_var, want.running_var)
+
+    def test_backward_matches_reference(self):
+        for use_bn in (True, False):
+            spec = MlpSpec(4, (5, 3), BIN, use_batchnorm=use_bn)
+            model = init_model(spec, seed=3)
+            rng = np.random.default_rng(4)
+            x, y = rng.normal(size=(6, 4)), rng.integers(0, 2, size=6)
+            probs, cache = _forward_train(model, x, update_running=False)
+            ref_probs, ref_cache = reference_forward_train(model, x, False)
+            assert np.array_equal(probs, ref_probs)
+            got = _backward(model, probs, y, cache)
+            want = reference_backward(model, ref_probs, y, ref_cache)
+            for got_list, want_list in zip(got, want):
+                assert len(got_list) == len(want_list)
+                for g, w in zip(got_list, want_list):
+                    if w is None:
+                        assert g is None
+                    else:
+                        assert np.array_equal(np.asarray(g), np.asarray(w))
+
+
+class TestModelFileErrors:
+    def text(self):
+        data = blob_data(n_per_class=4)
+        return dump_model(train(MlpSpec(2, (3,), BIN), data,
+                                TrainConfig(epochs=2, seed=1)))
+
+    def parse_error(self, text):
+        with pytest.raises(UntrainedModel) as info:
+            parse_model(text, "m.model")
+        return str(info.value)
+
+    def test_truncated_values(self):
+        lines = self.text().splitlines()
+        lines[2] = lines[2].rsplit(" ", 1)[0]
+        assert self.parse_error("\n".join(lines)).startswith("m.model:3: array W0")
+
+    def test_truncated_file(self):
+        lines = self.text().splitlines()
+        message = self.parse_error("\n".join(lines[:5]) + "\n")
+        assert message.startswith("m.model:5: missing 'end'")
+
+    def test_missing_array(self):
+        lines = self.text().splitlines()
+        del lines[4]
+        assert "missing array W1" in self.parse_error("\n".join(lines))
+
+    def test_non_finite_values(self):
+        for bad in ("nan", "inf", "-inf"):
+            lines = self.text().splitlines()
+            parts = lines[3].split(" ")
+            parts[3] = bad
+            lines[3] = " ".join(parts)
+            message = self.parse_error("\n".join(lines))
+            assert message == "m.model:4: array b0 has a non-finite value"
+
+    @pytest.mark.parametrize("spec_line", [
+        "spec 2", "spec x 3 binary2 1", "spec 2 3 softmax9 1", "spec 2 3 binary2 2",
+        "spec 0 3 binary2 1", "array W0 2,3 0 0 0 0 0 0",
+    ])
+    def test_malformed_spec_line(self, spec_line):
+        lines = self.text().splitlines()
+        lines[1] = spec_line
+        assert self.parse_error("\n".join(lines)).startswith("m.model:2: ")
+
+    def test_wrong_shape_and_unknown_array(self):
+        lines = self.text().splitlines()
+        lines[2] = lines[2].replace("W0 2,3", "W0 3,2", 1)
+        assert "shape 3,2, expected 2,3" in self.parse_error("\n".join(lines))
+        lines = self.text().splitlines()
+        lines[2] = lines[2].replace("W0", "W9", 1)
+        assert "unexpected array 'W9'" in self.parse_error("\n".join(lines))
+
+    def test_load_model_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.model"
+        path.write_text("tableqa-mlp v1\n")
+        with pytest.raises(UntrainedModel, match=f"{path}:2: "):
+            load_model(path)

@@ -27,8 +27,8 @@ print(f"indexed {len(tables)} tables, vocabulary of {len(index.idf)} stems")
 for question in ["What is the capital of Louisiana?",
                  "Who is the husband of Whoopi Goldberg?",
                  "How many moons does Jupiter have?"]:
-    ranked = score(index, question, Similarity.COSINE)
-    top = ", ".join(f"{tid} ({s:.3f})" for tid, s in ranked[:3])
+    ranked = score(index, question, Similarity.COSINE, k=3)
+    top = ", ".join(f"{tid} ({s:.3f})" for tid, s in ranked)
     print(f"\n  {question}\n    cosine top-3: {top}")
 
 print("\nP@k over the manifest (adjusted counts manifest-declared alternates):")

@@ -176,6 +176,10 @@ def cmd_train(args) -> int:
         kinds = load_table_kinds(args.kinds)
         samples = [(extract_table_type_features(t), kinds[tid])
                    for tid, t in raw.items() if tid in kinds]
+        if not samples:
+            raise TableQAError(
+                f"{args.kinds}: names no table under {args.tables}"
+            )
         model = train_table_type_model(samples)
         save_table_type_model(model, out)
     elif args.task == "column-type":
@@ -220,8 +224,8 @@ def cmd_retrieve(args) -> int:
         raise TableQAError(
             f"question has no indexed word to rank tables by: {args.question!r}"
         )
-    ranked = score(index, args.question, Similarity(args.sim))
-    for rank, (tid, value) in enumerate(ranked[: args.k], start=1):
+    ranked = score(index, args.question, Similarity(args.sim), k=args.k)
+    for rank, (tid, value) in enumerate(ranked, start=1):
         print(f"{rank:2d}. {tid:<28s} {value:.6f}")
     return 0
 

@@ -59,7 +59,8 @@ def load_embeddings(path) -> EmbeddingStore:
     """Parse the plain-text `token f1 ... fd` format, one entry per line.
 
     The dimension is inferred from the first line; later lines with a
-    different arity or an unparsable float raise MalformedLine.
+    different arity, an unparsable float or a nan/inf component raise
+    MalformedLine.
     """
     store: EmbeddingStore | None = None
     with open(str(path), encoding="utf-8") as fh:
@@ -77,10 +78,12 @@ def load_embeddings(path) -> EmbeddingStore:
                     f"{path}:{lineno}: expected {store.dim} components, got {len(values)}"
                 )
             try:
-                vec = np.array([float(v) for v in values], dtype=np.float64)
+                floats = [float(v) for v in values]
             except ValueError as exc:
                 raise MalformedLine(f"{path}:{lineno}: {exc}") from None
-            store.vectors[token.lower()] = vec
+            if not all(map(math.isfinite, floats)):
+                raise MalformedLine(f"{path}:{lineno}: non-finite vector component")
+            store.vectors[token.lower()] = np.array(floats, dtype=np.float64)
     if store is None:
         raise EmptyFile(f"{path}: no embedding entries")
     return store

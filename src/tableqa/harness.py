@@ -363,7 +363,7 @@ def run_pipeline(
         table = golden_table
     else:
         try:
-            ranked = score(index, question, similarity)
+            ranked = score(index, question, similarity, k=1)
             table = tables[ranked[0][0]]
         except Exception as exc:
             raise PipelineStageError("source-selection", exc) from exc
@@ -513,7 +513,7 @@ def evaluate_retrieval(entries, tables, ks=(1, 3, 5, 10),
     report = {}
     for sim in similarities:
         rankings = {
-            e.qid: [tid for tid, _ in score(index, e.question, sim)]
+            e.qid: [tid for tid, _ in score(index, e.question, sim, k=max(ks))]
             for e in entries
         }
         p_at_k = {k: precision_at_k(rankings, gold, k) for k in ks}

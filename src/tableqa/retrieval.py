@@ -159,11 +159,25 @@ def _similarities(index: TfIdfIndex, q: dict[str, float],
     return np.divide(dot, nq * nt, out=np.zeros(n), where=nt != 0.0)
 
 
-def score(index: TfIdfIndex, question: str, sim: Similarity) -> list[tuple[str, float]]:
-    """All tables ranked by descending similarity; ties broken by table id."""
+def score(index: TfIdfIndex, question: str, sim: Similarity,
+          k: int | None = None) -> list[tuple[str, float]]:
+    """Tables ranked by descending similarity; ties broken by table id.
+
+    With ``k`` only the first ``k`` of that ranking are built, equal to
+    ``score(index, question, sim)[:k]``; the rest are never sorted.
+    """
+    if k is not None and k < 1:
+        raise ValueError(f"k must be positive: {k}")
     values = _similarities(index, question_vector(index, question), sim)
     # a stable sort keeps tied tables in row order, which is id order
-    order = np.argsort(-values, kind="stable")
+    if k is None or k >= len(values):
+        order = np.argsort(-values, kind="stable")
+    else:
+        # the rows scoring at least the k-th largest value, in row order,
+        # hold the top k and every table tied with the k-th
+        cut = len(values) - k
+        rows = np.flatnonzero(values >= np.partition(values, cut)[cut])
+        order = rows[np.argsort(-values[rows], kind="stable")[:k]]
     ids = index.table_ids
     return [(ids[i], s) for i, s in zip(order.tolist(), values[order].tolist())]
 

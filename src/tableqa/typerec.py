@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyQuestion, UntrainedModel
+from .errors import DimensionMismatch, EmptyQuestion, MalformedLine, UntrainedModel
 from .nn import MlpModel, MlpSpec, OutputHead, TrainConfig, predict_batch, train
 from .tabular import Table
 from .textproc import tokenize
@@ -167,12 +167,30 @@ def load_column_labels(path) -> list[tuple[str, int, ColumnType]]:
     """Parse the labels file: `table_id <TAB> column_index <TAB> type` per line."""
     out = []
     with open(str(path), encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            table_id, index, name = line.split("\t")
-            out.append((table_id, int(index), ColumnType.from_name(name)))
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise MalformedLine(
+                    f"{path}:{lineno}: expected 'table_id<TAB>column_index<TAB>type', "
+                    f"got {len(parts) - 1} tabs"
+                )
+            table_id, index, name = parts
+            try:
+                column = int(index)
+            except ValueError:
+                raise MalformedLine(
+                    f"{path}:{lineno}: column index is not an integer: {index!r}"
+                ) from None
+            try:
+                ctype = ColumnType.from_name(name)
+            except KeyError:
+                raise MalformedLine(
+                    f"{path}:{lineno}: unknown column type {name!r}"
+                ) from None
+            out.append((table_id, column, ctype))
     return out
 
 

@@ -342,3 +342,42 @@ class TestTrainReport:
                      "--epochs", "0", "--out", str(out)]) == 0
         assert capsys.readouterr().out.strip() == (
             f"trained column-type model -> {out}")
+
+
+class TestTrainingInputErrors:
+    def test_malformed_labels_line_is_error(self, cli_workspace, tmp_path, capsys):
+        labels = tmp_path / "labels.txt"
+        labels.write_text("state-capitals\tx\tentity\n")
+        code = main(["train", "--task", "column-type",
+                     "--workspace", str(cli_workspace), "--labels", str(labels),
+                     "--out", str(tmp_path / "c.model")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {labels}:1: ")
+
+    def test_kinds_naming_no_table_is_error(self, fixtures_dir, tmp_path, capsys):
+        kinds = tmp_path / "kinds.txt"
+        kinds.write_text("nosuchtable\tentity-instance\n")
+        code = main(["train", "--task", "table-type",
+                     "--workspace", str(tmp_path / "ws"),
+                     "--tables", f"{fixtures_dir}/tables", "--kinds", str(kinds)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {kinds}: ")
+
+
+class TestEmbeddingErrors:
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_component_is_error(self, cli_workspace, fixtures_dir,
+                                           tmp_path, capsys, value):
+        fx = str(fixtures_dir)
+        lines = (fixtures_dir / "pipeline.vec").read_text().splitlines(keepends=True)
+        token, first, *rest = lines[2].split(" ")
+        vec = tmp_path / "corrupt.vec"
+        vec.write_text("".join(lines[:2] + [" ".join([token, value, *rest])]
+                               + lines[3:]))
+        code = main(["ask", "Who is the husband of Whoopi Goldberg?",
+                     "--workspace", str(cli_workspace),
+                     "--embeddings", str(vec),
+                     "--manifest", f"{fx}/manifest.txt",
+                     "--scope", "golden"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {vec}:3: ")

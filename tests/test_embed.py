@@ -145,3 +145,18 @@ class TestConfig:
         cfg = SimMatchConfig()
         assert cfg.distance is DistanceKind.COSINE
         assert cfg.threshold == pytest.approx(0.45)
+
+
+class TestNonFiniteComponents:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_rejected_with_file_and_line(self, tmp_path, value):
+        p = tmp_path / "bad.vec"
+        p.write_text(f"a 1 0\nb 0 {value}\n")
+        with pytest.raises(MalformedLine) as exc:
+            load_embeddings(p)
+        assert str(exc.value).startswith(f"{p}:2: ")
+
+    def test_large_finite_components_load(self, tmp_path):
+        p = tmp_path / "big.vec"
+        p.write_text("a 1e308 1e308\n")
+        assert load_embeddings(p).lookup("a").tolist() == [1e308, 1e308]

@@ -267,3 +267,57 @@ class TestMatchesDictReference:
         for entry in manifest:
             assert_matches_reference(index, vectors, entry.question,
                                      exact_order=True)
+
+
+# ---------------------------------------------------------------------------
+# Top-k: score(..., k) is the full ranking cut to k
+# ---------------------------------------------------------------------------
+
+@st.composite
+def corpora_with_ties(draw):
+    # copies of drawn tables under later ids tie exactly with their original
+    tables, question = draw(corpora_and_questions())
+    copies = draw(st.lists(st.sampled_from(tables), max_size=4))
+    tables += [Table(id=f"u{i}", name=t.name, headers=list(t.headers),
+                     rows=[list(row) for row in t.rows])
+               for i, t in enumerate(copies)]
+    # "unindexed" is in no table, "the of" is all stop words
+    question = draw(st.sampled_from([question, "", "unindexed", "the of"]))
+    return tables, question
+
+
+def assert_top_k_is_prefix(index, question, ks):
+    for sim in Similarity:
+        full = score(index, question, sim)
+        for k in ks:
+            assert score(index, question, sim, k) == full[:k], (sim, k)
+
+
+class TestTopK:
+    @settings(max_examples=300, deadline=None)
+    @given(corpora_with_ties())
+    def test_generated_corpora(self, case):
+        tables, question = case
+        n = len(tables)
+        ks = [k for k in (1, 2, 3, n - 1, n, n + 5) if k >= 1]
+        assert_top_k_is_prefix(build_index(tables), question, ks)
+
+    def test_ties_at_the_cut_break_by_table_id(self):
+        tables = [Table(id=tid, name="fruit", headers=["col"], rows=[["apple"]])
+                  for tid in ("d", "b", "c", "a")]
+        index = build_index(tables + [make_table("e", ["zebra"])])
+        assert len({s for _, s in score(index, "apple", Similarity.DOT, 4)}) == 1
+        for sim in Similarity:
+            assert [t for t, _ in score(index, "apple", sim, 2)] == ["a", "b"]
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        index = build_index(disjoint_corpus(3))
+        with pytest.raises(ValueError):
+            score(index, "zuzu0x0", Similarity.COSINE, k)
+
+    def test_fixture_questions(self, corpus, manifest):
+        index = build_index(list(corpus.values()))
+        assert len(manifest) == 52
+        for entry in manifest:
+            assert_top_k_is_prefix(index, entry.question, (1, 5))

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from tableqa.errors import EmptyQuestion, UntrainedModel
+from tableqa.errors import EmptyQuestion, MalformedLine, UntrainedModel
 from tableqa.nn import TrainConfig, init_model
 from tableqa.typerec import (
     COLUMN_TYPE_SPEC,
@@ -14,6 +14,7 @@ from tableqa.typerec import (
     classify_column_type,
     classify_question,
     extract_column_type_features,
+    load_column_labels,
     train_column_type_model,
 )
 
@@ -193,3 +194,22 @@ class TestQuestionTyping:
                 continue
             assert isinstance(qtype, QuestionType)
             assert onehot.sum() == 1.0
+
+
+class TestLoadColumnLabels:
+    def test_fixture_labels_load(self, fixtures_dir):
+        labels = load_column_labels(fixtures_dir / "column_labels.txt")
+        assert labels[0] == ("us-presidents", 0, ColumnType.TEXT)
+
+    @pytest.mark.parametrize("line", [
+        "state-capitals\t0",                 # one tab
+        "state-capitals\t0\tText\textra",    # three tabs
+        "state-capitals\tx\tText",           # non-integer column index
+        "state-capitals\t0\tentity",         # unknown column type
+    ])
+    def test_malformed_line_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "labels.txt"
+        path.write_text(f"# comment\nus-presidents\t0\tText\n{line}\n")
+        with pytest.raises(MalformedLine) as exc:
+            load_column_labels(path)
+        assert str(exc.value).startswith(f"{path}:3: ")

@@ -212,6 +212,12 @@ def candidate_word_indices(aux: AuxSignals) -> list[int]:
     return [i for i, tok in enumerate(aux.question_tokens) if tok not in STOPWORDS]
 
 
+def where_candidates(table: Table, aux: AuxSignals) -> list[tuple[int, int]]:
+    """(column, question-token index) pairs the WHERE classifier scores."""
+    words = candidate_word_indices(aux)
+    return [(c, w) for c in range(table.n_columns) for w in words]
+
+
 # ---------------------------------------------------------------------------
 # Featurizers
 # ---------------------------------------------------------------------------
@@ -371,11 +377,7 @@ def predict_where(
     """
     if model is None:
         raise UntrainedModel("no WHERE model supplied")
-    candidates = [
-        (c, w)
-        for c in range(table.n_columns)
-        for w in candidate_word_indices(aux)
-    ]
+    candidates = where_candidates(table, aux)
     if not candidates:
         return set()
     features = np.stack([

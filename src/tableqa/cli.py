@@ -85,6 +85,23 @@ def _load_bundle(ws: Path) -> ModelBundle:
     return bundle
 
 
+def _labeled_columns(ws: Path, labels_path):
+    """(cells, type) per column-labels entry, each checked against the
+    workspace's tables."""
+    tables = _workspace_tables(ws)
+    out = []
+    for tid, idx, ctype in load_column_labels(labels_path):
+        entry = f"{labels_path}: entry {tid} {idx} {ctype.name.lower()}"
+        if tid not in tables:
+            raise TableQAError(f"{entry}: no table {tid!r} in the workspace")
+        if idx >= tables[tid].n_columns:
+            raise TableQAError(
+                f"{entry}: table {tid!r} has {tables[tid].n_columns} columns"
+            )
+        out.append((tables[tid].column(idx), ctype))
+    return out
+
+
 def _write_table(table, path: Path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -185,10 +202,8 @@ def cmd_train(args) -> int:
     elif args.task == "column-type":
         if not args.labels:
             raise TableQAError("train --task column-type needs --labels")
-        tables = _workspace_tables(ws)
-        labels = load_column_labels(args.labels)
-        samples = [(extract_column_type_features(tables[tid].column(idx)), ctype)
-                   for tid, idx, ctype in labels]
+        samples = [(extract_column_type_features(cells), ctype)
+                   for cells, ctype in _labeled_columns(ws, args.labels)]
         model = train_column_type_model(samples, _train_config(args))
         save_model(model, out)
     else:
@@ -254,15 +269,12 @@ def cmd_eval(args) -> int:
     if args.task == "column-type":
         if not args.labels:
             raise TableQAError("eval --task column-type needs --labels")
-        tables = _workspace_tables(ws)
         model = load_model(_model_path(ws, "column-type"))
-        labels = load_column_labels(args.labels)
-        held = [x for i, x in enumerate(labels) if i % 4 == 0]
+        held = _labeled_columns(ws, args.labels)[::4]
         hits = sum(
-            classify_column_type(
-                extract_column_type_features(tables[tid].column(idx)), model
-            )[0] is ctype
-            for tid, idx, ctype in held
+            classify_column_type(extract_column_type_features(cells), model)[0]
+            is ctype
+            for cells, ctype in held
         )
         report = {"task": "column-type", "held_out_columns": len(held),
                   "accuracy": hits / len(held)}

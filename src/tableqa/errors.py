@@ -98,6 +98,10 @@ class NonNumericComparison(TableQAError):
     """A > or < conjunct hit a cell that does not parse as a number."""
 
 
+class TableMismatch(TableQAError, ValueError):
+    """A query's FROM names another table than the one it runs against."""
+
+
 class OutOfBounds(TableQAError):
     """A row or column index is outside the table's bounds."""
 

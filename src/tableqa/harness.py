@@ -6,15 +6,15 @@ The manifest is line-oriented text, one question per line:
         <TAB> cells(r:c,...) <TAB> question <TAB> gold query
 
 Every entry is validated on load: the gold query must parse and execute
-on the gold table to exactly the stated cells. Pipeline evaluation fans
-questions out concurrently over immutable models and indexes; stage
+on the gold table to exactly the stated cells. Pipeline evaluation runs
+every question through each (scope, row mode) cell in turn; stage
 failures never abort a sweep, they score zero and are listed.
 """
 
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,11 +23,11 @@ from .clauses import (
     AuxSignals,
     HeuristicTagger,
     build_aux,
-    candidate_word_indices,
     featurize_select,
     featurize_where,
     predict_select,
     predict_where,
+    where_candidates,
 )
 from .embed import EmbeddingStore, SimMatchConfig
 from .errors import AllZero, TableQAError, ValidationFailure
@@ -145,7 +145,7 @@ def ingest_corpus(
                 extract_table_type_features(table), table_type_model
             )
         else:
-            raise ValueError(f"no kind label or model for table {tid!r}")
+            raise TableQAError(f"no kind label or model for table {tid!r}")
         table.kind = kind
         out[tid] = transpose_key_value(table) if kind is TableKind.KEY_VALUE else table
     return out
@@ -228,6 +228,15 @@ def metrics_from_confusion(tp: int, fp: int, fn: int, tn: int) -> ConfusionMetri
     )
 
 
+def _confusion(flags) -> ConfusionMetrics:
+    """Metrics over (predicted, gold) membership flag pairs."""
+    counts = Counter(flags)
+    return metrics_from_confusion(
+        tp=counts[True, True], fp=counts[True, False],
+        fn=counts[False, True], tn=counts[False, False],
+    )
+
+
 def cell_prf(predicted: set, gold: set) -> tuple[float, float, float]:
     overlap = len(set(predicted) & set(gold))
     precision = overlap / len(predicted) if predicted else 0.0
@@ -272,17 +281,21 @@ def _aux_for(entry_question, table, bundle, question_id=None) -> AuxSignals:
                      bundle.tagger, question_id)
 
 
-def build_select_samples(entries, tables, store, bundle):
-    """(25-dim vector, in-SELECT label) per (question, column)."""
-    samples = []
+def _gold_walk(entries, tables, bundle):
+    """(entry, table, aux signals, gold SELECT columns) per entry."""
     for entry in entries:
         table = tables[entry.table_id]
         aux = _aux_for(entry.question, table, bundle, entry.qid)
-        gold = gold_select_indices(entry, table)
-        for c in range(table.n_columns):
-            vec = featurize_select(entry.question, table, c, aux, store)
-            samples.append((vec, int(c in gold)))
-    return samples
+        yield entry, table, aux, gold_select_indices(entry, table)
+
+
+def build_select_samples(entries, tables, store, bundle):
+    """(25-dim vector, in-SELECT label) per (question, column)."""
+    return [
+        (featurize_select(entry.question, table, c, aux, store), int(c in gold))
+        for entry, table, aux, gold in _gold_walk(entries, tables, bundle)
+        for c in range(table.n_columns)
+    ]
 
 
 def build_where_samples(entries, tables, store, bundle):
@@ -292,17 +305,12 @@ def build_where_samples(entries, tables, store, bundle):
     training from SELECT prediction errors.
     """
     samples = []
-    for entry in entries:
-        table = tables[entry.table_id]
-        aux = _aux_for(entry.question, table, bundle, entry.qid)
-        gold_select = gold_select_indices(entry, table)
+    for entry, table, aux, gold_select in _gold_walk(entries, tables, bundle):
         gold_pairs = gold_where_pairs(entry, table)
-        for c in range(table.n_columns):
-            for w in candidate_word_indices(aux):
-                vec = featurize_where(entry.question, table, c, w,
-                                      gold_select, aux, store)
-                label = int((c, aux.question_tokens[w]) in gold_pairs)
-                samples.append((vec, label))
+        for c, w in where_candidates(table, aux):
+            vec = featurize_where(entry.question, table, c, w,
+                                  gold_select, aux, store)
+            samples.append((vec, int((c, aux.question_tokens[w]) in gold_pairs)))
     return samples
 
 
@@ -467,34 +475,26 @@ def sweep_pipeline(
     cfg: SimMatchConfig = SimMatchConfig(),
     scopes=tuple(Scope),
     row_modes=tuple(RowMode),
-    max_workers: int = 4,
 ) -> dict[tuple[Scope, RowMode], SweepCell]:
     """Evaluate every (scope, row mode) combination over the entries.
 
-    Questions fan out over a thread pool; models, indexes and the store are
-    immutable, so the only synchronization point is result aggregation.
+    Questions run one after another, cell by cell. The individual scope
+    ranks each question's tables against an index of its own split; the
+    other scopes share one index over all tables.
     """
-    all_index = build_index(list(tables.values()))
-    split_indexes = {}
+    indexes = {None: build_index(list(tables.values()))}   # None: all tables
     for split in {e.split for e in entries}:
-        split_tables = [tables[e.table_id]
-                        for e in entries if e.split is split]
-        unique = {t.id: t for t in split_tables}
-        split_indexes[split] = build_index(list(unique.values()))
+        unique = {e.table_id: tables[e.table_id] for e in entries if e.split is split}
+        indexes[split] = build_index(list(unique.values()))
 
     grid = {}
     for scope in scopes:
         for row_mode in row_modes:
-            def job(entry, scope=scope, row_mode=row_mode):
-                if scope is Scope.INDIVIDUAL_SET:
-                    index = split_indexes[entry.split]
-                else:
-                    index = all_index
-                return _entry_outcome(entry, tables, index, bundle, store,
-                                      cfg, row_mode, scope)
-
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                outcomes = list(pool.map(job, entries))
+            outcomes = []
+            for entry in entries:
+                index = indexes[entry.split if scope is Scope.INDIVIDUAL_SET else None]
+                outcomes.append(_entry_outcome(entry, tables, index, bundle, store,
+                                               cfg, row_mode, scope))
             grid[(scope, row_mode)] = SweepCell(scope, row_mode, outcomes)
     return grid
 
@@ -526,40 +526,23 @@ def evaluate_retrieval(entries, tables, ks=(1, 3, 5, 10),
 
 
 def evaluate_select(entries, tables, store, bundle) -> ConfusionMetrics:
-    tp = fp = fn = tn = 0
-    for entry in entries:
-        table = tables[entry.table_id]
-        aux = _aux_for(entry.question, table, bundle, entry.qid)
-        gold = gold_select_indices(entry, table)
+    flags = []
+    for entry, table, aux, gold in _gold_walk(entries, tables, bundle):
         predicted = predict_select(entry.question, table, bundle.select_model,
                                    aux, store)
-        for c in range(table.n_columns):
-            hit, truth = c in predicted, c in gold
-            tp += hit and truth
-            fp += hit and not truth
-            fn += truth and not hit
-            tn += not hit and not truth
-    return metrics_from_confusion(tp, fp, fn, tn)
+        flags += [(c in predicted, c in gold) for c in range(table.n_columns)]
+    return _confusion(flags)
 
 
 def evaluate_where(entries, tables, store, bundle) -> ConfusionMetrics:
-    tp = fp = fn = tn = 0
-    for entry in entries:
-        table = tables[entry.table_id]
-        aux = _aux_for(entry.question, table, bundle, entry.qid)
-        gold_select = gold_select_indices(entry, table)
+    flags = []
+    for entry, table, aux, gold_select in _gold_walk(entries, tables, bundle):
         gold_pairs = gold_where_pairs(entry, table)
         predicted = predict_where(entry.question, table, bundle.where_model,
                                   aux, gold_select, store)
-        for c in range(table.n_columns):
-            for w in candidate_word_indices(aux):
-                pair = (c, aux.question_tokens[w])
-                hit, truth = pair in predicted, pair in gold_pairs
-                tp += hit and truth
-                fp += hit and not truth
-                fn += truth and not hit
-                tn += not hit and not truth
-    return metrics_from_confusion(tp, fp, fn, tn)
+        pairs = [(c, aux.question_tokens[w]) for c, w in where_candidates(table, aux)]
+        flags += [(pair in predicted, pair in gold_pairs) for pair in pairs]
+    return _confusion(flags)
 
 
 def evaluate_table_type(raw_tables, kinds, model) -> float:

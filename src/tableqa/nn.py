@@ -493,54 +493,20 @@ def _saved_arrays(model: MlpModel) -> list[tuple[str, np.ndarray]]:
     ]
 
 
-def dump_model(model: MlpModel) -> str:
-    lines = [_MAGIC]
-    hidden = ",".join(str(h) for h in model.spec.hidden)
-    lines.append(
-        f"spec {model.spec.input_dim} {hidden or '-'} "
-        f"{model.spec.output.label} {int(model.spec.use_batchnorm)}"
-    )
-    for name, array in _saved_arrays(model):
-        shape = ",".join(str(s) for s in array.shape)
-        values = " ".join(repr(float(v)) for v in array.reshape(-1))
-        lines.append(f"array {name} {shape} {values}")
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+def format_arrays(arrays) -> list[str]:
+    """An `array <name> <shape> <values>` line per named array, then `end`."""
+    return [
+        f"array {name} {','.join(str(s) for s in array.shape)} "
+        + " ".join(repr(float(v)) for v in array.reshape(-1))
+        for name, array in arrays
+    ] + ["end"]
 
 
-def save_model(model: MlpModel, path) -> None:
-    with open(str(path), "w", encoding="utf-8") as fh:
-        fh.write(dump_model(model))
-
-
-def _parse_spec(line: str, where: str) -> MlpSpec:
-    parts = line.split()
-    if len(parts) != 5 or parts[0] != "spec":
-        raise UntrainedModel(
-            f"{where}: expected 'spec <input_dim> <hidden> <head> <batchnorm>',"
-            f" got {line[:40]!r}"
-        )
-    try:
-        hidden = tuple(int(h) for h in parts[2].split(",")) if parts[2] != "-" else ()
-        if parts[4] not in ("0", "1"):
-            raise ValueError(f"batchnorm flag must be 0 or 1, got {parts[4]!r}")
-        return MlpSpec(input_dim=int(parts[1]), hidden=hidden,
-                       output=OutputHead.from_label(parts[3]),
-                       use_batchnorm=parts[4] == "1")
-    except ValueError as exc:
-        raise UntrainedModel(f"{where}: {exc}") from None
-
-
-def parse_model(text: str, source: str = "<model>") -> MlpModel:
-    """Model from ``dump_model`` text; errors name ``source:line``."""
-    lines = text.splitlines()
-    if not lines or lines[0] != _MAGIC:
-        raise UntrainedModel(f"{source}:1: not a {_MAGIC} model file")
-    spec = _parse_spec(lines[1] if len(lines) > 1 else "", f"{source}:2")
-    model = init_model(spec, seed=0)
-    expected = dict(_saved_arrays(model))
+def parse_arrays(lines: list[str], start: int, expected: dict, source: str) -> None:
+    """Fill ``expected`` (name -> array) in place from the ``format_arrays``
+    lines at ``lines[start:]``; errors name ``source:line``."""
     seen = set()
-    for lineno, line in enumerate(lines[2:], start=3):
+    for lineno, line in enumerate(lines[start:], start=start + 1):
         where = f"{source}:{lineno}"
         if line == "end":
             break
@@ -576,6 +542,50 @@ def parse_model(text: str, source: str = "<model>") -> MlpModel:
     missing = [name for name in expected if name not in seen]
     if missing:
         raise UntrainedModel(f"{source}:{lineno}: missing array {missing[0]}")
+
+
+def dump_model(model: MlpModel) -> str:
+    hidden = ",".join(str(h) for h in model.spec.hidden)
+    lines = [
+        _MAGIC,
+        f"spec {model.spec.input_dim} {hidden or '-'} "
+        f"{model.spec.output.label} {int(model.spec.use_batchnorm)}",
+        *format_arrays(_saved_arrays(model)),
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def save_model(model: MlpModel, path) -> None:
+    with open(str(path), "w", encoding="utf-8") as fh:
+        fh.write(dump_model(model))
+
+
+def _parse_spec(line: str, where: str) -> MlpSpec:
+    parts = line.split()
+    if len(parts) != 5 or parts[0] != "spec":
+        raise UntrainedModel(
+            f"{where}: expected 'spec <input_dim> <hidden> <head> <batchnorm>',"
+            f" got {line[:40]!r}"
+        )
+    try:
+        hidden = tuple(int(h) for h in parts[2].split(",")) if parts[2] != "-" else ()
+        if parts[4] not in ("0", "1"):
+            raise ValueError(f"batchnorm flag must be 0 or 1, got {parts[4]!r}")
+        return MlpSpec(input_dim=int(parts[1]), hidden=hidden,
+                       output=OutputHead.from_label(parts[3]),
+                       use_batchnorm=parts[4] == "1")
+    except ValueError as exc:
+        raise UntrainedModel(f"{where}: {exc}") from None
+
+
+def parse_model(text: str, source: str = "<model>") -> MlpModel:
+    """Model from ``dump_model`` text; errors name ``source:line``."""
+    lines = text.splitlines()
+    if not lines or lines[0] != _MAGIC:
+        raise UntrainedModel(f"{source}:1: not a {_MAGIC} model file")
+    spec = _parse_spec(lines[1] if len(lines) > 1 else "", f"{source}:2")
+    model = init_model(spec, seed=0)
+    parse_arrays(lines, 2, dict(_saved_arrays(model)), source)
     return model
 
 

@@ -25,11 +25,12 @@ from .errors import (
     NonNumericComparison,
     OutOfBounds,
     QuerySyntaxError,
+    TableMismatch,
     UnknownColumn,
     UnsupportedConstruct,
 )
 from .tabular import Table
-from .textproc import tokenize
+from .textproc import parse_number, tokenize
 
 CellSet = set  # of (row index, column index) pairs
 
@@ -285,16 +286,6 @@ def _column_index(table: Table, name: str) -> int:
         ) from None
 
 
-def _parse_number(text: str) -> float | None:
-    cleaned = text.strip().replace(",", "")
-    if not any(c.isdigit() for c in cleaned):
-        return None
-    try:
-        return float(cleaned)
-    except ValueError:
-        return None
-
-
 def _condition_holds(cond: Condition, cell: str, store, cfg) -> bool:
     if cond.operator is Operator.SIM_MATCH:
         return sim_match(store, cfg, cell, cond.keyword)
@@ -302,8 +293,8 @@ def _condition_holds(cond: Condition, cell: str, store, cfg) -> bool:
         return cond.keyword.lower() in cell.lower()
     if cond.operator is Operator.EQUALS:
         return cell.strip() == cond.keyword.strip()
-    cell_num = _parse_number(cell)
-    bound = _parse_number(cond.keyword)
+    cell_num = parse_number(cell)
+    bound = parse_number(cond.keyword)
     if cell_num is None or bound is None:
         raise NonNumericComparison(
             f"cannot compare {cell!r} {cond.operator.value} {cond.keyword!r}"
@@ -319,7 +310,7 @@ def execute(
 ) -> CellSet:
     """Cells at (surviving rows x SELECT columns), row indices original."""
     if q.from_table != table.id:
-        raise ValueError(f"query targets {q.from_table!r}, table is {table.id!r}")
+        raise TableMismatch(f"query targets {q.from_table!r}, table is {table.id!r}")
     select_idx = [_column_index(table, name) for name in q.select]
     cond_idx = [(_column_index(table, c.column), c) for c in q.where]
 
@@ -332,7 +323,7 @@ def execute(
     if q.order_by is not None:
         order_idx = _column_index(table, q.order_by[0])
         cells = {r: table.rows[r][order_idx] for r in rows}
-        numbers = {r: _parse_number(v) for r, v in cells.items()}
+        numbers = {r: parse_number(v) for r, v in cells.items()}
         descending = q.order_by[1] == "DESC"
         if rows and all(v is not None for v in numbers.values()):
             rows = sorted(rows, key=lambda r: numbers[r], reverse=descending)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DuplicateKeys, MalformedFile, NotKeyValue, UntrainedModel
+from .nn import format_arrays, parse_arrays
 
 
 class TableKind(enum.Enum):
@@ -31,18 +32,13 @@ class TableFormat(enum.Enum):
 
 @dataclass
 class Table:
-    """Rectangular grid of string cells with a header row.
-
-    ``column_types`` is filled in by the column-typing stage; it stays None
-    until then.
-    """
+    """Rectangular grid of string cells with a header row."""
 
     id: str
     name: str
     headers: list[str]
     rows: list[list[str]]
     kind: TableKind = TableKind.UNKNOWN
-    column_types: list | None = None
 
     def __post_init__(self):
         if not self.headers:
@@ -225,39 +221,32 @@ def train_table_type_model(
     return TableTypeModel(weights=w, bias=b, mean=mean, scale=scale)
 
 
-_TT_MAGIC = "tableqa-tabletype v1"
+_TT_MAGIC = "tableqa-tabletype v2"
 
 
 def save_table_type_model(model: TableTypeModel, path) -> None:
-    """Versioned text format mirroring the MLP model files."""
+    """The MLP files' `array` lines: weights, mean and scale of shape 5,
+    bias of shape 1."""
     if model.weights is None:
         raise UntrainedModel("refusing to save an untrained table-type model")
-    lines = [_TT_MAGIC]
-    for name, arr in (("weights", model.weights), ("mean", model.mean),
-                      ("scale", model.scale)):
-        lines.append(f"array {name} " + " ".join(repr(float(v)) for v in arr))
-    lines.append(f"bias {model.bias!r}")
-    lines.append("end")
+    lines = [_TT_MAGIC, *format_arrays([
+        ("weights", model.weights), ("mean", model.mean),
+        ("scale", model.scale), ("bias", np.array([model.bias])),
+    ])]
     with open(str(path), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_table_type_model(path) -> TableTypeModel:
+    """Model from ``save_table_type_model``; errors name ``file:line``."""
     with open(str(path), encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != _TT_MAGIC:
-        raise UntrainedModel(f"{path}: not a {_TT_MAGIC} file")
-    arrays = {}
-    bias = 0.0
-    for line in lines[1:]:
-        if line == "end":
-            break
-        if line.startswith("array "):
-            _, name, values = line.split(" ", 2)
-            arrays[name] = np.array([float(v) for v in values.split()])
-        elif line.startswith("bias "):
-            bias = float(line.split(" ", 1)[1])
-    return TableTypeModel(weights=arrays["weights"], bias=bias,
+        raise UntrainedModel(f"{path}:1: not a {_TT_MAGIC} model file")
+    arrays = {name: np.zeros(FEATURE_DIM) for name in ("weights", "mean", "scale")}
+    arrays["bias"] = np.zeros(1)
+    parse_arrays(lines, 1, arrays, str(path))
+    return TableTypeModel(weights=arrays["weights"], bias=float(arrays["bias"][0]),
                           mean=arrays["mean"], scale=arrays["scale"])
 
 
@@ -293,5 +282,4 @@ def transpose_key_value(table: Table) -> Table:
         headers=keys,
         rows=value_rows,
         kind=TableKind.ENTITY_INSTANCE,
-        column_types=None,
     )

@@ -54,6 +54,15 @@ def tokenize(text: str, drop_stopwords: bool = False) -> TokenList:
     return TokenList(tokens=tuple(parts), stems=tuple(porter_stem(p) for p in parts))
 
 
+def parse_number(text: str) -> float | None:
+    """``text`` as a float, commas dropped; None unless it has a digit and parses."""
+    cleaned = text.strip().replace(",", "")
+    try:
+        return float(cleaned) if any(c.isdigit() for c in cleaned) else None
+    except ValueError:
+        return None
+
+
 def edit_distance(a: str, b: str) -> int:
     """Levenshtein distance with unit-cost insert, delete, substitute."""
     if len(a) < len(b):

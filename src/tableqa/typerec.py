@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DimensionMismatch, EmptyQuestion, MalformedLine, UntrainedModel
 from .nn import MlpModel, MlpSpec, OutputHead, TrainConfig, predict_batch, train
 from .tabular import Table
-from .textproc import tokenize
+from .textproc import parse_number, tokenize
 
 
 class ColumnType(enum.Enum):
@@ -78,17 +78,6 @@ class ColumnTypeFeatures:
         ], dtype=np.float64)
 
 
-def _parses_as_number(cell: str) -> bool:
-    text = cell.strip().replace(",", "")
-    if not any(c.isdigit() for c in text):
-        return False
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
-
-
 def _only_digits(cell: str) -> bool:
     text = cell.strip()
     return bool(text) and any(c.isdigit() for c in text) \
@@ -108,7 +97,7 @@ def extract_column_type_features(column: list[str]) -> ColumnTypeFeatures:
     for cell in cells:
         tokens = set(tokenize(cell).tokens)
         lowered = cell.lower()
-        counts[0] += _parses_as_number(cell)
+        counts[0] += parse_number(cell) is not None
         counts[1] += _only_digits(cell)
         counts[2] += bool(_CURRENCY_CHARS & set(cell)) or bool(_CURRENCY_TOKENS & tokens)
         counts[3] += "%" in cell
@@ -146,15 +135,6 @@ def column_type_distributions(table: Table, model: MlpModel) -> np.ndarray:
     return out
 
 
-def annotate_column_types(table: Table, model: MlpModel) -> Table:
-    """Fill table.column_types in place; returns the same table."""
-    table.column_types = [
-        classify_column_type(extract_column_type_features(table.column(c)), model)[0]
-        for c in range(table.n_columns)
-    ]
-    return table
-
-
 def train_column_type_model(
     samples: list[tuple[ColumnTypeFeatures, ColumnType]],
     cfg: TrainConfig = TrainConfig(),
@@ -184,6 +164,8 @@ def load_column_labels(path) -> list[tuple[str, int, ColumnType]]:
                 raise MalformedLine(
                     f"{path}:{lineno}: column index is not an integer: {index!r}"
                 ) from None
+            if column < 0:
+                raise MalformedLine(f"{path}:{lineno}: negative column index {column}")
             try:
                 ctype = ColumnType.from_name(name)
             except KeyError:

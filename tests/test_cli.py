@@ -381,3 +381,80 @@ class TestEmbeddingErrors:
                      "--scope", "golden"])
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {vec}:3: ")
+
+
+def _corrupted_table_type(text, how):
+    lines = text.splitlines(keepends=True)
+    if how == "truncated":
+        return "".join(lines[:2])
+    if how == "bias-nan":
+        return "".join(lines[:4] + ["array bias 1 nan\n"] + lines[5:])
+    if how == "missing-array":
+        return "".join(lines[:1] + lines[2:])
+    assert how == "v1"
+    return "".join(["tableqa-tabletype v1\n"] + lines[1:])
+
+
+class TestTableTypeModelErrors:
+    @pytest.mark.parametrize("how, line", [("truncated", 2), ("bias-nan", 5),
+                                           ("missing-array", 5), ("v1", 1)])
+    def test_corrupt_model_is_error_not_traceback(self, cli_workspace,
+                                                  fixtures_dir, tmp_path,
+                                                  capsys, how, line):
+        model = tmp_path / "table-type.model"
+        saved = (cli_workspace / "models" / "table-type.model").read_text()
+        model.write_text(_corrupted_table_type(saved, how))
+        code = main(["ingest", "--tables", f"{fixtures_dir}/tables",
+                     "--table-type-model", str(model),
+                     "--workspace", str(tmp_path / "ws")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {model}:{line}: ")
+
+    def test_v1_file_is_named_as_not_v2(self, cli_workspace, fixtures_dir,
+                                        tmp_path, capsys):
+        model = tmp_path / "models" / "table-type.model"
+        model.parent.mkdir()
+        saved = (cli_workspace / "models" / "table-type.model").read_text()
+        model.write_text(_corrupted_table_type(saved, "v1"))
+        assert main(["eval", "--task", "table-type", "--workspace", str(tmp_path),
+              "--tables", f"{fixtures_dir}/tables",
+              "--kinds", f"{fixtures_dir}/table_types.txt"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {model}:1: not a tableqa-tabletype v2 model file\n")
+
+
+class TestIngestErrors:
+    def test_kinds_leaving_out_a_table_is_error(self, fixtures_dir, tmp_path,
+                                                capsys):
+        kinds = tmp_path / "kinds.txt"
+        head = (fixtures_dir / "table_types.txt").read_text().splitlines()[:3]
+        kinds.write_text("\n".join(head) + "\n")
+        code = main(["ingest", "--tables", f"{fixtures_dir}/tables",
+                     "--kinds", str(kinds), "--workspace", str(tmp_path / "ws")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: no kind label or model for table 'albert-einstein'\n")
+
+
+class TestColumnLabelEntries:
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("line, message", [
+        ("nosuchtable\t0\tText",
+         ": entry nosuchtable 0 text: no table 'nosuchtable' in the workspace"),
+        ("state-capitals\t9\tText",
+         ": entry state-capitals 9 text: table 'state-capitals' has 3 columns"),
+        ("state-capitals\t3\tText",
+         ": entry state-capitals 3 text: table 'state-capitals' has 3 columns"),
+        ("state-capitals\t-1\tText", ":1: negative column index -1"),
+    ])
+    def test_entry_outside_workspace_is_error(self, cli_workspace, tmp_path,
+                                              capsys, command, line, message):
+        labels = tmp_path / "labels.txt"
+        labels.write_text(line + "\n")
+        args = [command, "--task", "column-type",
+                "--workspace", str(cli_workspace), "--labels", str(labels)]
+        if command == "train":
+            args += ["--out", str(tmp_path / "c.model")]
+        code = main(args)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {labels}{message}\n"

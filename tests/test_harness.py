@@ -1,5 +1,12 @@
 import pytest
 
+from tableqa.clauses import (
+    candidate_word_indices,
+    featurize_select,
+    featurize_where,
+    predict_select,
+    predict_where,
+)
 from tableqa.errors import AllZero, ValidationFailure
 from tableqa.harness import (
     ModelBundle,
@@ -7,8 +14,13 @@ from tableqa.harness import (
     RowMode,
     Scope,
     Split,
+    _aux_for,
+    build_select_samples,
+    build_where_samples,
     cell_prf,
     evaluate_retrieval,
+    evaluate_select,
+    evaluate_where,
     gold_select_indices,
     gold_where_pairs,
     load_manifest,
@@ -16,6 +28,7 @@ from tableqa.harness import (
     run_pipeline,
     sweep_pipeline,
 )
+from tableqa.nn import load_model
 from tableqa.retrieval import Similarity
 from tableqa.tabular import TableKind
 
@@ -201,7 +214,6 @@ class TestPipelineWithOracles:
         grid = sweep_pipeline(
             manifest[:10], corpus, bundle, pipeline_store,
             scopes=(Scope.GOLDEN_TABLE,), row_modes=(RowMode.WORD_MATCH,),
-            max_workers=1,
         )
         cell = grid[(Scope.GOLDEN_TABLE, RowMode.WORD_MATCH)]
         assert len(cell.outcomes) == 10
@@ -255,3 +267,114 @@ class TestRetrievalEvaluation:
         report = evaluate_retrieval(manifest, corpus)
         best = max(report[sim]["p_at_k"][1] for sim in Similarity)
         assert best >= 0.6
+
+
+# The per-clause loops that the shared gold walk, ``where_candidates`` and
+# the confusion counter replaced, verbatim.
+
+def reference_build_select_samples(entries, tables, store, bundle):
+    """(25-dim vector, in-SELECT label) per (question, column)."""
+    samples = []
+    for entry in entries:
+        table = tables[entry.table_id]
+        aux = _aux_for(entry.question, table, bundle, entry.qid)
+        gold = gold_select_indices(entry, table)
+        for c in range(table.n_columns):
+            vec = featurize_select(entry.question, table, c, aux, store)
+            samples.append((vec, int(c in gold)))
+    return samples
+
+
+def reference_build_where_samples(entries, tables, store, bundle):
+    """(77-dim vector, in-WHERE label) per (question, column, word).
+
+    The in-SELECT flag comes from the gold SELECT clause, isolating WHERE
+    training from SELECT prediction errors.
+    """
+    samples = []
+    for entry in entries:
+        table = tables[entry.table_id]
+        aux = _aux_for(entry.question, table, bundle, entry.qid)
+        gold_select = gold_select_indices(entry, table)
+        gold_pairs = gold_where_pairs(entry, table)
+        for c in range(table.n_columns):
+            for w in candidate_word_indices(aux):
+                vec = featurize_where(entry.question, table, c, w,
+                                      gold_select, aux, store)
+                label = int((c, aux.question_tokens[w]) in gold_pairs)
+                samples.append((vec, label))
+    return samples
+
+
+def reference_evaluate_select(entries, tables, store, bundle):
+    tp = fp = fn = tn = 0
+    for entry in entries:
+        table = tables[entry.table_id]
+        aux = _aux_for(entry.question, table, bundle, entry.qid)
+        gold = gold_select_indices(entry, table)
+        predicted = predict_select(entry.question, table, bundle.select_model,
+                                   aux, store)
+        for c in range(table.n_columns):
+            hit, truth = c in predicted, c in gold
+            tp += hit and truth
+            fp += hit and not truth
+            fn += truth and not hit
+            tn += not hit and not truth
+    return metrics_from_confusion(tp, fp, fn, tn)
+
+
+def reference_evaluate_where(entries, tables, store, bundle):
+    tp = fp = fn = tn = 0
+    for entry in entries:
+        table = tables[entry.table_id]
+        aux = _aux_for(entry.question, table, bundle, entry.qid)
+        gold_select = gold_select_indices(entry, table)
+        gold_pairs = gold_where_pairs(entry, table)
+        predicted = predict_where(entry.question, table, bundle.where_model,
+                                  aux, gold_select, store)
+        for c in range(table.n_columns):
+            for w in candidate_word_indices(aux):
+                pair = (c, aux.question_tokens[w])
+                hit, truth = pair in predicted, pair in gold_pairs
+                tp += hit and truth
+                fp += hit and not truth
+                fn += truth and not hit
+                tn += not hit and not truth
+    return metrics_from_confusion(tp, fp, fn, tn)
+
+
+@pytest.fixture(scope="module")
+def trained_bundle(cli_workspace):
+    models = cli_workspace / "models"
+    return ModelBundle(select_model=load_model(models / "select.model"),
+                       where_model=load_model(models / "where.model"),
+                       coltype_model=load_model(models / "column-type.model"))
+
+
+class TestMatchesReferenceLoops:
+    @pytest.mark.parametrize("build, reference", [
+        (build_select_samples, reference_build_select_samples),
+        (build_where_samples, reference_build_where_samples),
+    ])
+    def test_samples_equal_in_order(self, manifest, corpus, pipeline_store,
+                                    trained_bundle, build, reference):
+        got = build(manifest, corpus, pipeline_store, trained_bundle)
+        want = reference(manifest, corpus, pipeline_store, trained_bundle)
+        assert len(got) == len(want)
+        assert [label for _, label in got] == [label for _, label in want]
+        for (vec, _), (ref, _) in zip(got, want):
+            assert vec.dtype == ref.dtype
+            assert vec.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("evaluate, reference", [
+        (evaluate_select, reference_evaluate_select),
+        (evaluate_where, reference_evaluate_where),
+    ])
+    def test_confusion_metrics_equal(self, manifest, corpus, pipeline_store,
+                                     trained_bundle, evaluate, reference):
+        for split in Split:
+            entries = [e for e in manifest if e.split is split]
+            got = evaluate(entries, corpus, pipeline_store, trained_bundle)
+            assert got == reference(entries, corpus, pipeline_store,
+                                    trained_bundle)
+            assert got.fp + got.fn > 0    # the models are not perfect here

@@ -7,6 +7,8 @@ from tableqa.errors import (
     NonNumericComparison,
     OutOfBounds,
     QuerySyntaxError,
+    TableMismatch,
+    TableQAError,
     UnknownColumn,
     UnsupportedConstruct,
 )
@@ -215,6 +217,13 @@ class TestExecute:
         q = parse_query('SELECT "President" FROM "other"')
         with pytest.raises(ValueError):
             execute(q, t, store)
+
+    def test_wrong_table_is_a_tableqa_error(self, store):
+        q = parse_query('SELECT "President" FROM "other"')
+        with pytest.raises(TableMismatch) as exc:
+            execute(q, presidents(), store)
+        assert isinstance(exc.value, TableQAError)
+        assert str(exc.value) == "query targets 'other', table is 'presidents'"
 
     def test_embedding_stage_in_where(self, store):
         t = Table(id="kv", name="kv", headers=["Key", "Value"],

@@ -4,7 +4,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from tableqa.errors import DuplicateKeys, MalformedFile, NotKeyValue, UntrainedModel
+from tableqa.errors import (
+    DuplicateKeys,
+    MalformedFile,
+    NotKeyValue,
+    TableQAError,
+    UntrainedModel,
+)
 from tableqa.tabular import (
     Table,
     TableFormat,
@@ -14,6 +20,8 @@ from tableqa.tabular import (
     classify_table_type,
     extract_table_type_features,
     load_table,
+    load_table_type_model,
+    save_table_type_model,
     train_table_type_model,
     transpose_grid,
     transpose_key_value,
@@ -162,6 +170,80 @@ class TestClassifier:
         m2 = train_table_type_model(samples)
         assert np.array_equal(m1.weights, m2.weights)
         assert m1.bias == m2.bias
+
+
+class TestTableTypeModelFile:
+    @pytest.fixture(scope="class")
+    def model(self):
+        return train_table_type_model(synthetic_corpus(random.Random(5)))
+
+    def test_round_trip_is_exact(self, model, tmp_path):
+        path = tmp_path / "tt.model"
+        save_table_type_model(model, path)
+        loaded = load_table_type_model(path)
+        for name in ("weights", "mean", "scale"):
+            assert getattr(loaded, name).tobytes() == getattr(model, name).tobytes()
+        assert loaded.bias == model.bias
+        assert type(loaded.bias) is float
+
+    def test_saves_are_byte_identical(self, model, tmp_path):
+        save_table_type_model(model, tmp_path / "a.model")
+        save_table_type_model(model, tmp_path / "b.model")
+        first = (tmp_path / "a.model").read_bytes()
+        assert first == (tmp_path / "b.model").read_bytes()
+        assert first.decode().splitlines()[0] == "tableqa-tabletype v2"
+        shapes = [line.split(" ")[1:3] for line in first.decode().splitlines()[1:-1]]
+        assert shapes == [["weights", "5"], ["mean", "5"], ["scale", "5"],
+                          ["bias", "1"]]
+
+    def test_untrained_model_not_saved(self, tmp_path):
+        with pytest.raises(UntrainedModel):
+            save_table_type_model(TableTypeModel(), tmp_path / "tt.model")
+
+    @pytest.mark.parametrize("how, line", [
+        ("truncated", 2), ("cut-line", 3), ("missing-array", 5), ("bad-float", 2),
+        ("nan", 5), ("inf", 3), ("shape", 4), ("unknown-array", 5), ("v1", 1),
+        ("empty", 1),
+    ])
+    def test_corrupt_file_names_file_and_line(self, model, tmp_path, how, line):
+        path = tmp_path / "tt.model"
+        save_table_type_model(model, path)
+        path.write_text(corrupt_table_type_file(path.read_text(), how))
+        with pytest.raises(TableQAError) as exc:
+            load_table_type_model(path)
+        assert str(exc.value).startswith(f"{path}:{line}: ")
+
+
+def corrupt_table_type_file(text, how):
+    """A damaged copy of a saved table-type model file."""
+    lines = text.splitlines(keepends=True)
+    if how == "truncated":        # cut after two lines
+        return "".join(lines[:2])
+    if how == "cut-line":         # cut inside the mean line
+        return "".join(lines[:2]) + lines[2][:len(lines[2]) // 2]
+    if how == "missing-array":
+        return "".join(lines[:2] + lines[3:])
+    if how == "bad-float":
+        return "".join(lines[:1] + [lines[1].replace(" 5 ", " 5 x", 1)] + lines[2:])
+    if how == "nan":
+        return "".join(lines[:4] + ["array bias 1 nan\n"] + lines[5:])
+    if how == "inf":
+        fields = lines[2].split(" ")
+        fields[4] = "-inf"
+        return "".join(lines[:2] + [" ".join(fields)] + lines[3:])
+    if how == "shape":
+        return "".join(lines[:3] + [lines[3].replace(" 5 ", " 1,5 ", 1)] + lines[4:])
+    if how == "unknown-array":
+        return "".join(lines[:4] + ["array offset 1 0.0\n"] + lines[4:])
+    if how == "v1":
+        # the unchecked format this file replaced
+        return ("tableqa-tabletype v1\n"
+                "array weights 0.1 0.2 0.3 0.4 0.5\n"
+                "array mean 0.0 0.0 0.0 0.0 0.0\n"
+                "array scale 1.0 1.0 1.0 1.0 1.0\n"
+                "bias -0.5\nend\n")
+    assert how == "empty"
+    return ""
 
 
 class TestTranspose:

@@ -2,6 +2,8 @@ import random
 from functools import lru_cache
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tableqa.errors import BothEmpty
 from tableqa.textproc import (
@@ -9,6 +11,7 @@ from tableqa.textproc import (
     TokenList,
     edit_distance,
     normalized_edit_distance,
+    parse_number,
     porter_stem,
     tokenize,
 )
@@ -207,3 +210,56 @@ class TestPorterStemmer:
         assert len(words) > 500
         for word in sorted(words):
             assert porter_stem(word) == porter_stem.__wrapped__(word), word
+
+
+# The two number parsers that parse_number replaced, verbatim: query's
+# comparison/ORDER BY parser and typerec's numeric-cell feature.
+
+def reference_parse_number(text: str) -> float | None:
+    cleaned = text.strip().replace(",", "")
+    if not any(c.isdigit() for c in cleaned):
+        return None
+    try:
+        return float(cleaned)
+    except ValueError:
+        return None
+
+
+def reference_parses_as_number(cell: str) -> bool:
+    text = cell.strip().replace(",", "")
+    if not any(c.isdigit() for c in text):
+        return False
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+_NUMBER_PIECES = st.one_of(
+    st.sampled_from(["0", "1", "7", "42", "1946", "3.5", ".", ",", "+", "-", "e",
+                     "E", "e-", "nan", "NaN", "inf", "-inf", "Infinity", " ", "\t",
+                     "_", "%", "$", "x", "\u0663", "\u00b2"]),
+    st.text(alphabet="0123456789,.+-eE ", max_size=4),
+)
+
+
+class TestParseNumber:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(_NUMBER_PIECES, max_size=6).map("".join))
+    @example("1,234.5")
+    @example(" -1e3 ")
+    @example("1e")
+    @example("nan")
+    @example("inf1")
+    @example(",,")
+    def test_matches_both_replaced_parsers(self, text):
+        got = parse_number(text)
+        assert repr(got) == repr(reference_parse_number(text))
+        assert (got is not None) == reference_parses_as_number(text)
+
+    def test_examples(self):
+        assert parse_number(" 1,234.5 ") == 1234.5
+        assert parse_number("-3e2") == -300.0
+        assert parse_number("inf") is None
+        assert parse_number("12 apples") is None

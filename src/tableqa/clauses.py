@@ -141,7 +141,7 @@ class SidecarTagger:
     def __init__(self, path):
         self.by_question = {}
         with open(str(path), encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 if not line or line.startswith("#"):
                     continue
@@ -151,10 +151,14 @@ class SidecarTagger:
                     parts = record.rsplit("/", 3)
                     if len(parts) != 4:
                         raise SidecarMismatch(
-                            f"bad sidecar record {record!r} for question {qid!r}"
+                            f"{path}:{lineno}: bad sidecar record {record!r} "
+                            f"for question {qid!r}"
                         )
                     _, pos, ner, dep = parts
-                    tags.append(TokenTags(pos=pos, ner=ner, dep=dep))
+                    try:
+                        tags.append(TokenTags(pos=pos, ner=ner, dep=dep))
+                    except ValueError as exc:
+                        raise SidecarMismatch(f"{path}:{lineno}: {exc}") from None
                 self.by_question[qid] = tags
 
     def tag(self, question: str, question_id: str | None = None) -> list[TokenTags]:

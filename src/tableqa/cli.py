@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -36,6 +37,7 @@ from .harness import (
     load_manifest,
     load_table_kinds,
     run_pipeline,
+    split_index,
     sweep_pipeline,
     train_select_model,
     train_where_model,
@@ -44,7 +46,6 @@ from .nn import TrainConfig, load_model, save_model
 from .query import print_query
 from .retrieval import Similarity, build_index, question_vector, score
 from .tabular import (
-    classify_table_type,
     extract_table_type_features,
     load_table_type_model,
     save_table_type_model,
@@ -115,23 +116,17 @@ def _split_entries(entries, split: str):
     return [e for e in entries if e.split is Split(split)]
 
 
-def _emit(report: dict, fmt: str, out=None):
-    out = out if out is not None else sys.stdout
-    if fmt == "json":
-        json.dump(report, out, indent=2, default=str)
-        out.write("\n")
-        return
-    _emit_text(report, out)
-
-
-def _save_report(ws: Path, name: str, report: dict) -> Path:
+def _report(ws: Path, name: str, report: dict, fmt: str) -> None:
+    """Write ``report`` as JSON to ``ws/reports/<name>.json`` and print it
+    in ``fmt``."""
+    text = json.dumps(report, indent=2, default=str) + "\n"
     reports = ws / "reports"
     reports.mkdir(parents=True, exist_ok=True)
-    path = reports / f"{name}.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, default=str)
-        fh.write("\n")
-    return path
+    (reports / f"{name}.json").write_text(text, encoding="utf-8")
+    if fmt == "json":
+        sys.stdout.write(text)
+    else:
+        _emit_text(report, sys.stdout)
 
 
 def _emit_text(report: dict, out, indent: int = 0):
@@ -254,16 +249,10 @@ def cmd_eval(args) -> int:
         raw = load_corpus(args.tables)
         kinds = load_table_kinds(args.kinds)
         model = load_table_type_model(_model_path(ws, "table-type"))
-        accuracy = evaluate_table_type(raw, kinds, model)
-        wrong = sorted(
-            tid for tid, t in raw.items() if tid in kinds
-            and classify_table_type(extract_table_type_features(t), model)
-            is not kinds[tid]
-        )
+        accuracy, wrong = evaluate_table_type(raw, kinds, model)
         report = {"task": "table-type", "tables": len(raw),
                   "accuracy": accuracy, "misclassified": wrong}
-        _save_report(ws, "table-type", report)
-        _emit(report, fmt)
+        _report(ws, "table-type", report, fmt)
         return 0
 
     if args.task == "column-type":
@@ -278,8 +267,7 @@ def cmd_eval(args) -> int:
         )
         report = {"task": "column-type", "held_out_columns": len(held),
                   "accuracy": hits / len(held)}
-        _save_report(ws, "column-type", report)
-        _emit(report, fmt)
+        _report(ws, "column-type", report, fmt)
         return 0
 
     if not (args.manifest and args.embeddings):
@@ -302,8 +290,7 @@ def cmd_eval(args) -> int:
         }
         report = {"task": "retrieval", "split": args.split,
                   "questions": len(entries), **payload}
-        _save_report(ws, f"retrieval-{args.split}", report)
-        _emit(report, fmt)
+        _report(ws, f"retrieval-{args.split}", report, fmt)
         return 0
 
     bundle = _load_bundle(ws)
@@ -314,8 +301,7 @@ def cmd_eval(args) -> int:
         "confusion": {"tp": m.tp, "fp": m.fp, "fn": m.fn, "tn": m.tn},
         "accuracy": m.accuracy, "precision": m.precision, "recall": m.recall,
     }
-    _save_report(ws, f"{args.task}-{args.split}", report)
-    _emit(report, fmt)
+    _report(ws, f"{args.task}-{args.split}", report, fmt)
     return 0
 
 
@@ -337,12 +323,7 @@ class _AskSession:
 
     def index(self, split):
         if split not in self.indexes:
-            if split is None:
-                chosen = self.tables
-            else:
-                chosen = {self.tables[e.table_id].id: self.tables[e.table_id]
-                          for e in self.entries if e.split is split}
-            self.indexes[split] = build_index(list(chosen.values()))
+            self.indexes[split] = split_index(self.entries, self.tables, split)
         return self.indexes[split]
 
     def answer(self, question):
@@ -423,8 +404,7 @@ def cmd_pipeline_eval(args) -> int:
                                      for o in cell.failures],
             }
     report = {"split": args.split, "questions": len(entries), **payload}
-    _save_report(ws, f"pipeline-{args.split}", report)
-    _emit(report, args.format)
+    _report(ws, f"pipeline-{args.split}", report, args.format)
     return 0
 
 
@@ -432,13 +412,29 @@ def cmd_pipeline_eval(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _positive_int(text: str) -> int:
+def _int_at_least(minimum: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}: {value}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
+
+
+def _positive_float(text: str) -> float:
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1: {value}")
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive: {value}")
     return value
 
 
@@ -460,9 +456,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", required=True, choices=TASKS)
     p.add_argument("--workspace", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=300)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--epochs", type=_non_negative_int, default=300)
+    p.add_argument("--lr", type=_positive_float, default=0.01)
+    p.add_argument("--batch-size", type=_positive_int, default=32)
     p.add_argument("--out", help="model file (default workspace/models/<task>.model)")
     p.add_argument("--tables", help="raw tables dir (table-type task)")
     p.add_argument("--kinds", help="table kind labels (table-type task)")
@@ -505,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sim", default="inveuclidean",
                    choices=[s.value for s in Similarity],
                    help="retrieval similarity for non-golden scopes")
-    p.add_argument("--threshold", type=float, default=0.45,
+    p.add_argument("--threshold", type=_positive_float, default=0.45,
                    help="embedding distance threshold for ~")
     p.add_argument("--repl", action="store_true",
                    help="keep a read-eval loop open on stdin")

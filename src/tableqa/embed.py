@@ -48,9 +48,6 @@ class EmbeddingStore:
     def lookup(self, token: str) -> np.ndarray | None:
         return self.vectors.get(token.lower())
 
-    def __contains__(self, token: str) -> bool:
-        return token.lower() in self.vectors
-
     def __len__(self) -> int:
         return len(self.vectors)
 

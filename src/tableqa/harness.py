@@ -262,18 +262,12 @@ def gold_where_pairs(entry: ManifestEntry, table: Table) -> set[tuple[int, str]]
 
 @dataclass
 class ModelBundle:
-    """Trained models plus the pluggable pieces the pipeline needs.
-
-    ``select_fn`` / ``where_fn`` override the classifier predictions when
-    set; tests use them to run the pipeline under oracle stubs.
-    """
+    """Trained models plus the pluggable tagger the pipeline needs."""
 
     select_model: MlpModel | None = None
     where_model: MlpModel | None = None
     coltype_model: MlpModel | None = None
     tagger: object = field(default_factory=HeuristicTagger)
-    select_fn: object = None
-    where_fn: object = None
 
 
 def _aux_for(entry_question, table, bundle, question_id=None) -> AuxSignals:
@@ -382,20 +376,14 @@ def run_pipeline(
         raise PipelineStageError("featurization", exc) from exc
 
     try:
-        if bundle.select_fn is not None:
-            select_cols = set(bundle.select_fn(question, table, aux))
-        else:
-            select_cols = predict_select(question, table, bundle.select_model,
-                                         aux, store)
+        select_cols = predict_select(question, table, bundle.select_model,
+                                     aux, store)
     except Exception as exc:
         raise PipelineStageError("select-clause", exc) from exc
 
     try:
-        if bundle.where_fn is not None:
-            pairs = set(bundle.where_fn(question, table, aux, select_cols))
-        else:
-            pairs = predict_where(question, table, bundle.where_model, aux,
-                                  select_cols, store)
+        pairs = predict_where(question, table, bundle.where_model, aux,
+                              select_cols, store)
     except Exception as exc:
         raise PipelineStageError("where-clause", exc) from exc
 
@@ -467,6 +455,15 @@ def _entry_outcome(entry, tables, index, bundle, store, cfg, row_mode,
     return QuestionOutcome(entry.qid, p, r, f)
 
 
+def split_index(entries, tables: dict[str, Table],
+                split: Split | None) -> TfIdfIndex:
+    """Index over every table (``split`` None) or over the gold tables of
+    the entries in ``split``."""
+    if split is not None:
+        tables = {e.table_id: tables[e.table_id] for e in entries if e.split is split}
+    return build_index(list(tables.values()))
+
+
 def sweep_pipeline(
     entries: list[ManifestEntry],
     tables: dict[str, Table],
@@ -482,10 +479,8 @@ def sweep_pipeline(
     ranks each question's tables against an index of its own split; the
     other scopes share one index over all tables.
     """
-    indexes = {None: build_index(list(tables.values()))}   # None: all tables
-    for split in {e.split for e in entries}:
-        unique = {e.table_id: tables[e.table_id] for e in entries if e.split is split}
-        indexes[split] = build_index(list(unique.values()))
+    indexes = {split: split_index(entries, tables, split)
+               for split in {None} | {e.split for e in entries}}
 
     grid = {}
     for scope in scopes:
@@ -545,13 +540,14 @@ def evaluate_where(entries, tables, store, bundle) -> ConfusionMetrics:
     return _confusion(flags)
 
 
-def evaluate_table_type(raw_tables, kinds, model) -> float:
-    hits = 0
-    total = 0
-    for tid, table in raw_tables.items():
-        if tid not in kinds:
-            continue
-        predicted = classify_table_type(extract_table_type_features(table), model)
-        hits += predicted is kinds[tid]
-        total += 1
-    return hits / total if total else 0.0
+def evaluate_table_type(raw_tables, kinds, model) -> tuple[float, list[str]]:
+    """Accuracy over the labelled tables and the sorted ids of the
+    misclassified ones."""
+    labelled = [tid for tid in raw_tables if tid in kinds]
+    wrong = sorted(
+        tid for tid in labelled
+        if classify_table_type(extract_table_type_features(raw_tables[tid]), model)
+        is not kinds[tid]
+    )
+    total = len(labelled)
+    return ((total - len(wrong)) / total if total else 0.0), wrong

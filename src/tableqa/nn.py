@@ -68,8 +68,9 @@ class TrainConfig:
     batch_size: int = 32
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(
+                f"learning_rate must be finite and positive: {self.learning_rate}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
@@ -170,14 +171,13 @@ def predict_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
 # Training
 # ---------------------------------------------------------------------------
 #
-# One forward/backward implementation serves train, gradient_check and the
-# _forward_train/_backward entry points. train keeps every trainable array as
-# a view into one parameter vector, writes gradients into a second vector of
-# the same layout and batch statistics into a third, so an SGD step updates
-# all parameters and running statistics in a handful of numpy calls. The
-# float64 operations on each element are those of the plain formulation
-# (numpy's mean and var are add.reduce over the rows divided by the row
-# count), so trained models are bit-identical to it.
+# One forward/backward implementation serves train and gradient_check. train
+# keeps every trainable array as a view into one parameter vector, writes
+# gradients into a second vector of the same layout and batch statistics into
+# a third, so an SGD step updates all parameters and running statistics in a
+# handful of numpy calls. The float64 operations on each element are those of
+# the plain formulation (numpy's mean and var are add.reduce over the rows
+# divided by the row count), so trained models are bit-identical to it.
 
 _add_reduce = np.add.reduce
 
@@ -291,35 +291,6 @@ def _backprop(model: MlpModel, probs, onehot, cache, grads) -> None:
         _add_reduce(d_z, 0, out=g_b[i])
         if i > 0:
             d_h = d_z @ model.weights[i].T
-
-
-def _forward_train(model: MlpModel, x: np.ndarray, update_running: bool):
-    """Training-mode forward pass; returns probs and the backprop cache."""
-    widths = model.spec.hidden if model.spec.use_batchnorm else ()
-    means = [np.empty(w) for w in widths]
-    variances = [np.empty(w) for w in widths]
-    probs, cache = _forward(model, x, means, variances)
-    if update_running:
-        for bn, mu, var in zip(model.batchnorms, means, variances):
-            _blend_running(bn.running_mean, mu)
-            _blend_running(bn.running_var, var)
-    return probs, cache
-
-
-def _gradients(model: MlpModel, probs, labels, cache) -> list[np.ndarray]:
-    """Gradients in ``MlpModel.parameter_arrays`` order, freshly allocated."""
-    onehot = np.eye(model.spec.output.n_classes)[labels]
-    grads = [np.empty_like(a) for _, a in model.parameter_arrays()]
-    _backprop(model, probs, onehot, cache, grads)
-    return grads
-
-
-def _backward(model: MlpModel, probs, labels, cache):
-    """Gradients of mean cross-entropy wrt every trainable array."""
-    grads_w, grads_b, g_gamma, g_beta = _split_parameters(
-        model, _gradients(model, probs, labels, cache))
-    grads_bn = list(zip(g_gamma, g_beta)) or [None] * model.n_hidden
-    return grads_w, grads_b, grads_bn
 
 
 def _validate_data(spec: MlpSpec, data):
@@ -448,8 +419,11 @@ def gradient_check(spec: MlpSpec, data, epsilon: float = 1e-5, seed: int = 0) ->
     y = np.array([int(t) for _, t in data])
     model = init_model(spec, seed)
 
-    probs, cache = _forward_train(model, x, update_running=False)
-    analytic = _gradients(model, probs, y, cache)
+    widths = spec.hidden if spec.use_batchnorm else ()
+    probs, cache = _forward(model, x, [np.empty(w) for w in widths],
+                            [np.empty(w) for w in widths])
+    analytic = [np.empty_like(a) for _, a in model.parameter_arrays()]
+    _backprop(model, probs, np.eye(spec.output.n_classes)[y], cache, analytic)
     # W_i, b_i and bn_i belong to layer i; perturbing them leaves the
     # activations entering layer i as they are, so those are computed once
     layers = [i // 2 for i in range(2 * len(model.weights))] \

@@ -51,22 +51,6 @@ class TfIdfIndex:
     sq_norms: np.ndarray
     n_stems: np.ndarray
 
-    @property
-    def vocabulary(self) -> set[str]:
-        return set(self.idf)
-
-    @property
-    def table_vectors(self) -> dict[str, dict[str, float]]:
-        """Per-table ``{stem: weight}`` dicts, rebuilt from the matrix on
-        every access; changing them does not change the index."""
-        vectors = {tid: {} for tid in self.table_ids}
-        for j, stem in enumerate(self.idf):
-            lo, hi = self.indptr[j], self.indptr[j + 1]
-            for row, w in zip(self.rows[lo:hi].tolist(),
-                              self.weights[lo:hi].tolist()):
-                vectors[self.table_ids[row]][stem] = w
-        return vectors
-
 
 def table_stems(table: Table) -> list[str]:
     parts = [table.name] + list(table.headers)

@@ -246,6 +246,12 @@ def load_table_type_model(path) -> TableTypeModel:
     arrays = {name: np.zeros(FEATURE_DIM) for name in ("weights", "mean", "scale")}
     arrays["bias"] = np.zeros(1)
     parse_arrays(lines, 1, arrays, str(path))
+    if not arrays["scale"].all():
+        # standardizing by a zero scale makes every logit nan, which labels
+        # every table entity-instance without a word
+        lineno = next(i for i, line in enumerate(lines, start=1)
+                      if line.startswith("array scale "))
+        raise UntrainedModel(f"{path}:{lineno}: array scale has a zero entry")
     return TableTypeModel(weights=arrays["weights"], bias=float(arrays["bias"][0]),
                           mean=arrays["mean"], scale=arrays["scale"])
 
@@ -276,10 +282,9 @@ def transpose_key_value(table: Table) -> Table:
         if key in seen:
             raise DuplicateKeys(f"table {table.id!r}: duplicate key cell {key!r}")
         seen.add(key)
-    value_rows = [[row[c] for row in table.rows] for c in range(1, table.n_columns)]
     return replace(
         table,
         headers=keys,
-        rows=value_rows,
+        rows=transpose_grid(table.rows)[1:],
         kind=TableKind.ENTITY_INSTANCE,
     )

@@ -34,12 +34,6 @@ class TokenList:
     tokens: tuple[str, ...]
     stems: tuple[str, ...]
 
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __iter__(self):
-        return iter(self.tokens)
-
 
 def tokenize(text: str, drop_stopwords: bool = False) -> TokenList:
     """Lowercase, split on non-alphanumeric runs, optionally drop stop words, stem.

@@ -12,6 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from tableqa import harness
 from tableqa.clauses import (
     SELECT_FEATURE_DIM,
     WHERE_FEATURE_DIM,
@@ -104,14 +105,17 @@ class TestGradientCorrectness:
 
 class TestManifestRoundTrip:
     def test_every_entry_lossless_under_oracle_stubs(
-        self, manifest, corpus, pipeline_store, trained_coltype_model
+        self, manifest, corpus, pipeline_store, trained_coltype_model,
+        monkeypatch
     ):
         by_question = {e.question: e for e in manifest}
-        bundle = ModelBundle(
-            coltype_model=trained_coltype_model,
-            select_fn=lambda q, t, aux: gold_select_indices(by_question[q], t),
-            where_fn=lambda q, t, aux, sel: gold_where_pairs(by_question[q], t),
-        )
+        monkeypatch.setattr(
+            harness, "predict_select",
+            lambda q, t, model, aux, store: gold_select_indices(by_question[q], t))
+        monkeypatch.setattr(
+            harness, "predict_where",
+            lambda q, t, model, aux, sel, store: gold_where_pairs(by_question[q], t))
+        bundle = ModelBundle(coltype_model=trained_coltype_model)
         start = time.perf_counter()
         for entry in manifest:
             query = parse_query(entry.gold_query)

@@ -108,6 +108,20 @@ class TestSidecarTagger:
         with pytest.raises(SidecarMismatch):
             tag_tokens("Who", SidecarTagger(p), question_id="q2")
 
+    @pytest.mark.parametrize("record, message", [
+        ("is/VERB/NONE", "bad sidecar record 'is/VERB/NONE' for question 'q2'"),
+        ("is/XYZ/NONE/root", "unknown POS tag 'XYZ'"),
+        ("is/VERB/ALIEN/root", "unknown NER tag 'ALIEN'"),
+        ("is/VERB/NONE/nosuchrel", "unknown dependency tag 'nosuchrel'"),
+    ], ids=["malformed", "pos", "ner", "dep"])
+    def test_bad_record_names_file_and_line(self, tmp_path, record, message):
+        p = tmp_path / "tags.tsv"
+        p.write_text("# qid<TAB>tags\nq1\tWho/PRON/NONE/dep\n"
+                     f"q2\tWho/PRON/NONE/dep {record}\n")
+        with pytest.raises(SidecarMismatch) as exc:
+            SidecarTagger(p)
+        assert str(exc.value) == f"{p}:3: {message}"
+
 
 def state_capital_table():
     return Table(

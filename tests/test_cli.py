@@ -157,7 +157,7 @@ class TestAsk:
             self, cli_workspace, fixtures_dir, capsys, monkeypatch):
         import io
 
-        import tableqa.cli
+        import tableqa.harness
 
         fx = str(fixtures_dir)
         argv = ["--workspace", str(cli_workspace),
@@ -172,13 +172,13 @@ class TestAsk:
             singles.append(capsys.readouterr().out)
 
         builds = []
-        real_build = tableqa.cli.build_index
+        real_build = tableqa.harness.build_index
 
         def counting_build(tables):
             builds.append(len(tables))
             return real_build(tables)
 
-        monkeypatch.setattr(tableqa.cli, "build_index", counting_build)
+        monkeypatch.setattr(tableqa.harness, "build_index", counting_build)
         monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(questions) + "\n\n"))
         assert main(["ask", "--repl", *argv]) == 0
         out = capsys.readouterr().out
@@ -200,6 +200,43 @@ class TestEval:
         assert payload["task"] == "select"
         assert set(payload["confusion"]) == {"tp", "fp", "fn", "tn"}
         assert 0.0 <= payload["accuracy"] <= 1.0
+
+    def test_table_type_classifies_each_labelled_table_once(
+            self, cli_workspace, fixtures_dir, capsys, monkeypatch):
+        from tableqa.harness import load_corpus, load_table_kinds
+        from tableqa.tabular import (
+            TableTypeModel,
+            classify_table_type,
+            extract_table_type_features,
+            load_table_type_model,
+        )
+
+        fx = str(fixtures_dir)
+        raw = load_corpus(f"{fx}/tables")
+        kinds = load_table_kinds(f"{fx}/table_types.txt")
+        model = load_table_type_model(cli_workspace / "models" / "table-type.model")
+        wrong = sorted(tid for tid, t in raw.items() if tid in kinds and
+                       classify_table_type(extract_table_type_features(t), model)
+                       is not kinds[tid])
+
+        calls = []
+        real_logit = TableTypeModel.logit
+
+        def counting_logit(self, features):
+            calls.append(features)
+            return real_logit(self, features)
+
+        monkeypatch.setattr(TableTypeModel, "logit", counting_logit)
+        code = main(["eval", "--task", "table-type",
+                     "--workspace", str(cli_workspace),
+                     "--tables", f"{fx}/tables", "--kinds",
+                     f"{fx}/table_types.txt", "--format", "json"])
+        assert code == 0
+        assert len(calls) == sum(tid in kinds for tid in raw) == 58
+        out = capsys.readouterr().out
+        assert json.loads(out)["misclassified"] == wrong
+        saved = cli_workspace / "reports" / "table-type.json"
+        assert saved.read_text() == out
 
     def test_table_type_text(self, cli_workspace, fixtures_dir, capsys):
         fx = str(fixtures_dir)
@@ -262,6 +299,27 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    # argparse rejects each value before any file is read
+    @pytest.mark.parametrize("argv", [
+        ["ask", "q?", "--threshold", "nan"],
+        ["ask", "q?", "--threshold", "inf"],
+        ["ask", "q?", "--threshold", "0"],
+        ["ask", "q?", "--threshold", "-1"],
+        ["train", "--task", "select", "--epochs", "-1"],
+        ["train", "--task", "select", "--lr", "0"],
+        ["train", "--task", "select", "--lr", "nan"],
+        ["train", "--task", "select", "--lr", "inf"],
+        ["train", "--task", "select", "--batch-size", "0"],
+    ], ids=lambda argv: " ".join(argv[-2:]))
+    def test_out_of_range_numeric_flag_exits_2(self, tmp_path, capsys, argv):
+        ws = ["--workspace", str(tmp_path / "ws")]
+        if argv[0] == "ask":
+            ws += ["--embeddings", str(tmp_path / "none.vec")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ws)
+        assert exc.value.code == 2
+        assert f"argument {argv[-2]}: " in capsys.readouterr().err
 
 
 
@@ -391,13 +449,18 @@ def _corrupted_table_type(text, how):
         return "".join(lines[:4] + ["array bias 1 nan\n"] + lines[5:])
     if how == "missing-array":
         return "".join(lines[:1] + lines[2:])
+    if how == "scale-zero":
+        return "".join(lines[:3] + [_with_value(lines[3], "0.0")] + lines[4:])
     assert how == "v1"
     return "".join(["tableqa-tabletype v1\n"] + lines[1:])
 
 
 class TestTableTypeModelErrors:
+    # a zero scale entry would make every logit nan and label every table
+    # entity-instance
     @pytest.mark.parametrize("how, line", [("truncated", 2), ("bias-nan", 5),
-                                           ("missing-array", 5), ("v1", 1)])
+                                           ("missing-array", 5), ("v1", 1),
+                                           ("scale-zero", 4)])
     def test_corrupt_model_is_error_not_traceback(self, cli_workspace,
                                                   fixtures_dir, tmp_path,
                                                   capsys, how, line):

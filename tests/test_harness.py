@@ -1,5 +1,6 @@
 import pytest
 
+from tableqa import harness
 from tableqa.clauses import (
     candidate_word_indices,
     featurize_select,
@@ -140,26 +141,26 @@ class TestCellPrf:
         assert cell_prf(set(), {(0, 0)}) == (0.0, 0.0, 0.0)
 
 
-def oracle_bundle(manifest, corpus, coltype_model):
-    """Stub classifiers that answer with the gold SELECT/WHERE sets."""
-    from tableqa.harness import ModelBundle
-
+def use_oracles(monkeypatch, manifest):
+    """Replace the pipeline's SELECT/WHERE classifiers with stubs that
+    answer with the gold SELECT/WHERE sets."""
     by_question = {e.question: e for e in manifest}
 
-    def select_fn(question, table, aux):
+    def select_oracle(question, table, model, aux, store):
         return gold_select_indices(by_question[question], table)
 
-    def where_fn(question, table, aux, select_pred):
+    def where_oracle(question, table, model, aux, select_cols, store):
         return gold_where_pairs(by_question[question], table)
 
-    return ModelBundle(coltype_model=coltype_model,
-                       select_fn=select_fn, where_fn=where_fn)
+    monkeypatch.setattr(harness, "predict_select", select_oracle)
+    monkeypatch.setattr(harness, "predict_where", where_oracle)
 
 
 class TestPipelineWithOracles:
     def test_lossless_on_every_entry(self, manifest, corpus, pipeline_store,
-                                     trained_coltype_model):
-        bundle = oracle_bundle(manifest, corpus, trained_coltype_model)
+                                     trained_coltype_model, monkeypatch):
+        use_oracles(monkeypatch, manifest)
+        bundle = ModelBundle(coltype_model=trained_coltype_model)
         for entry in manifest:
             result = run_pipeline(
                 entry.question, corpus, None, bundle, pipeline_store,
@@ -172,8 +173,10 @@ class TestPipelineWithOracles:
 
     def test_constructed_query_carries_clauses(self, manifest, corpus,
                                                pipeline_store,
-                                               trained_coltype_model):
-        bundle = oracle_bundle(manifest, corpus, trained_coltype_model)
+                                               trained_coltype_model,
+                                               monkeypatch):
+        use_oracles(monkeypatch, manifest)
+        bundle = ModelBundle(coltype_model=trained_coltype_model)
         entry = next(e for e in manifest if e.qid == "q01")
         result = run_pipeline(
             entry.question, corpus, None, bundle, pipeline_store,
@@ -184,12 +187,12 @@ class TestPipelineWithOracles:
         assert result.query.where[0].keyword == "louisiana"
 
     def test_stage_error_annotated(self, manifest, corpus, pipeline_store,
-                                   trained_coltype_model):
-        def broken(question, table, aux):
+                                   trained_coltype_model, monkeypatch):
+        def broken(question, table, model, aux, store):
             raise RuntimeError("boom")
 
-        bundle = ModelBundle(coltype_model=trained_coltype_model,
-                             select_fn=broken)
+        monkeypatch.setattr(harness, "predict_select", broken)
+        bundle = ModelBundle(coltype_model=trained_coltype_model)
         entry = manifest[0]
         with pytest.raises(PipelineStageError) as exc:
             run_pipeline(entry.question, corpus, None, bundle, pipeline_store,
@@ -199,18 +202,20 @@ class TestPipelineWithOracles:
 
     def test_sweep_records_failures_without_aborting(self, manifest, corpus,
                                                      pipeline_store,
-                                                     trained_coltype_model):
+                                                     trained_coltype_model,
+                                                     monkeypatch):
         calls = {"n": 0}
 
-        def flaky(question, table, aux):
+        def flaky(question, table, model, aux, store):
             calls["n"] += 1
             if calls["n"] % 7 == 0:
                 raise RuntimeError("intermittent")
             entry = next(e for e in manifest if e.question == question)
             return gold_select_indices(entry, table)
 
-        bundle = oracle_bundle(manifest, corpus, trained_coltype_model)
-        bundle.select_fn = flaky
+        use_oracles(monkeypatch, manifest)
+        monkeypatch.setattr(harness, "predict_select", flaky)
+        bundle = ModelBundle(coltype_model=trained_coltype_model)
         grid = sweep_pipeline(
             manifest[:10], corpus, bundle, pipeline_store,
             scopes=(Scope.GOLDEN_TABLE,), row_modes=(RowMode.WORD_MATCH,),

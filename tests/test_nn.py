@@ -20,8 +20,8 @@ from tableqa.nn import (
     TrainConfig,
     _BN_EPS,
     _BN_MOMENTUM,
-    _backward,
-    _forward_train,
+    _backprop,
+    _forward,
     _validate_data,
     dump_model,
     forward,
@@ -48,6 +48,18 @@ def blob_data(n_per_class=40, seed=4):
         xs.extend(pts)
         ys.extend([label] * n_per_class)
     return [(x, y) for x, y in zip(xs, ys)]
+
+
+def train_mode_gradients(model, x, y):
+    """One training-mode _forward/_backprop pass: probs, the batch-norm
+    layers' batch means and variances, and the gradients in
+    ``parameter_arrays`` order."""
+    widths = model.spec.hidden if model.spec.use_batchnorm else ()
+    means, variances = [np.empty(w) for w in widths], [np.empty(w) for w in widths]
+    probs, cache = _forward(model, x, means, variances)
+    grads = [np.empty_like(a) for _, a in model.parameter_arrays()]
+    _backprop(model, probs, np.eye(model.spec.output.n_classes)[y], cache, grads)
+    return probs, means, variances, grads
 
 
 def accuracy(model, data):
@@ -172,6 +184,12 @@ class TestTrain:
         with pytest.raises(DimensionMismatch):
             train(MlpSpec(2, (2,), BIN), [(np.zeros(3), 0)], TrainConfig())
 
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, 0.0, -0.1])
+    def test_learning_rate_must_be_finite_and_positive(self, lr):
+        # a nan or inf step trains an all-nan model that load_model rejects
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=lr)
+
 
 class TestGradientCheck:
     def batch(self, dim, n_classes, n=3, seed=0):
@@ -211,10 +229,9 @@ class TestGradientCheck:
         model.biases[0] = np.zeros(2)
         x = np.array([[1.0, 1.0]])
         y = np.array([0])
-        probs, cache = _forward_train(model, x, update_running=False)
-        grads_w, grads_b, _ = _backward(model, probs, y, cache)
-        assert np.all(np.abs(grads_w[0]) < 1e-12)
-        assert np.all(np.abs(grads_b[0]) < 1e-12)
+        _, _, _, (grad_w0, grad_b0) = train_mode_gradients(model, x, y)
+        assert np.all(np.abs(grad_w0) < 1e-12)
+        assert np.all(np.abs(grad_b0) < 1e-12)
 
     def test_constant_input_rows_scale_first_layer_gradient(self):
         spec = MlpSpec(2, (3,), BIN, use_batchnorm=False)
@@ -222,10 +239,9 @@ class TestGradientCheck:
         const = np.array([2.0, -0.5])
         x = np.tile(const, (4, 1))
         y = np.array([0, 1, 0, 1])
-        probs, cache = _forward_train(model, x, update_running=False)
-        grads_w, _, _ = _backward(model, probs, y, cache)
+        grad_w0 = train_mode_gradients(model, x, y)[3][0]
         # dW0 rows are the input components times a shared row vector
-        assert np.allclose(grads_w[0][0] / const[0], grads_w[0][1] / const[1])
+        assert np.allclose(grad_w0[0] / const[0], grad_w0[1] / const[1])
 
 
 class TestUpsample:
@@ -466,35 +482,29 @@ class TestMatchesReferenceTraining:
 
 
 class TestGradientEntryPoints:
-    def test_update_running_blends_batch_statistics(self):
-        spec = MlpSpec(3, (4, 2), SOFT7)
-        model = init_model(spec, seed=0)
-        x = np.random.default_rng(1).normal(size=(5, 3))
-        _forward_train(model, x, update_running=True)
-        expected = init_model(spec, seed=0)
-        reference_forward_train(expected, x, update_running=True)
-        for got, want in zip(model.batchnorms, expected.batchnorms):
-            assert np.array_equal(got.running_mean, want.running_mean)
-            assert np.array_equal(got.running_var, want.running_var)
-
     def test_backward_matches_reference(self):
         for use_bn in (True, False):
             spec = MlpSpec(4, (5, 3), BIN, use_batchnorm=use_bn)
             model = init_model(spec, seed=3)
             rng = np.random.default_rng(4)
             x, y = rng.normal(size=(6, 4)), rng.integers(0, 2, size=6)
-            probs, cache = _forward_train(model, x, update_running=False)
+            probs, means, variances, got = train_mode_gradients(model, x, y)
             ref_probs, ref_cache = reference_forward_train(model, x, False)
             assert np.array_equal(probs, ref_probs)
-            got = _backward(model, probs, y, cache)
-            want = reference_backward(model, ref_probs, y, ref_cache)
-            for got_list, want_list in zip(got, want):
-                assert len(got_list) == len(want_list)
-                for g, w in zip(got_list, want_list):
-                    if w is None:
-                        assert g is None
-                    else:
-                        assert np.array_equal(np.asarray(g), np.asarray(w))
+            # the batch statistics the running blend consumes
+            ref_stats = [bn[:2] for bn in ref_cache["bn"] if bn is not None]
+            assert len(means) == len(variances) == len(ref_stats)
+            for mu, var, (ref_mu, ref_var) in zip(means, variances, ref_stats):
+                assert np.array_equal(mu, ref_mu)
+                assert np.array_equal(var, ref_var)
+            grads_w, grads_b, grads_bn = reference_backward(model, ref_probs, y,
+                                                            ref_cache)
+            # parameter_arrays order: W0, b0, W1, b1, ..., bn0.gamma, bn0.beta, ...
+            want = [g for pair in zip(grads_w, grads_b) for g in pair] \
+                + [g for pair in grads_bn if pair is not None for g in pair]
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
 
 
 class TestModelFileErrors:

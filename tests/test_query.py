@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tableqa.embed import EmbeddingStore, SimMatchConfig, load_embeddings
 from tableqa.errors import (
@@ -151,6 +153,30 @@ class TestPrintRoundTrip:
                 limit=rng.randrange(1, 5) if rng.random() < 0.5 else None,
             )
             assert parse_query(print_query(q)) == q
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_generated_queries_round_trip(self, data):
+        # names and keywords may hold quotes of either kind, grammar
+        # keywords, operator symbols, parentheses and spaces
+        text = st.one_of(
+            st.text(alphabet=st.sampled_from(list("aZ9 _-.'\"~=<>,()")),
+                    max_size=8),
+            st.sampled_from(["SELECT", "FROM", "WHERE", "AND", "OR", "ORDER",
+                             "BY", "LIMIT", "DESC", "LIKE", "EXTERNAL", "it's",
+                             'say "hi"', "6' 3''", ""]),
+        )
+        q = StructuredQuery(
+            select=tuple(data.draw(st.lists(text, min_size=1, max_size=3))),
+            from_table=data.draw(text),
+            where=tuple(data.draw(st.lists(
+                st.builds(Condition, text, text, st.sampled_from(Operator)),
+                max_size=3))),
+            order_by=data.draw(st.none() | st.tuples(
+                text, st.sampled_from(["ASC", "DESC"]))),
+            limit=data.draw(st.none() | st.integers(1, 10**6)),
+        )
+        assert parse_query(print_query(q)) == q
 
 
 class TestExecute:

@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tableqa.errors import (
     DuplicateKeys,
@@ -301,6 +303,24 @@ class TestTranspose:
             width = len(rows[0])
             rows = [row[:width] + ["pad"] * (width - len(row)) for row in rows]
             assert transpose_grid(transpose_grid(rows)) == rows
+
+    @settings(max_examples=200, deadline=None)
+    @given(keys=st.lists(st.text(max_size=6), min_size=1, max_size=6, unique=True),
+           n_value_cols=st.integers(1, 4), data=st.data())
+    def test_generated_key_value_tables(self, keys, n_value_cols, data):
+        rows = [[key] + data.draw(st.lists(st.text(max_size=6),
+                                           min_size=n_value_cols,
+                                           max_size=n_value_cols))
+                for key in keys]
+        t = Table(id="kv", name="kv",
+                  headers=["Key"] + [f"V{c}" for c in range(n_value_cols)],
+                  rows=rows, kind=TableKind.KEY_VALUE)
+        out = transpose_key_value(t)
+        assert out.headers == keys
+        assert out.n_rows == n_value_cols
+        for i, row in enumerate(out.rows):
+            assert row == [rows[j][i + 1] for j in range(len(keys))]
+        assert out.kind is TableKind.ENTITY_INSTANCE
 
     def test_cell_multiset_and_rectangularity_preserved(self):
         rng = random.Random(5)

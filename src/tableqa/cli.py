@@ -260,6 +260,8 @@ def cmd_eval(args) -> int:
             raise TableQAError("eval --task column-type needs --labels")
         model = load_model(_model_path(ws, "column-type"))
         held = _labeled_columns(ws, args.labels)[::4]
+        if not held:
+            raise TableQAError(f"{args.labels}: no labelled columns")
         hits = sum(
             classify_column_type(extract_column_type_features(cells), model)[0]
             is ctype
@@ -318,7 +320,9 @@ class _AskSession:
         self.tables, self.entries = tables, entries
         self.bundle, self.store, self.cfg = bundle, store, cfg
         self.scope, self.row_mode, self.similarity = scope, row_mode, similarity
-        self.by_question = {e.question: e for e in entries}
+        self.by_question = {}   # question text -> its manifest entries
+        for e in entries:
+            self.by_question.setdefault(e.question, []).append(e)
         self.indexes = {}   # None (all tables) or a Split -> TfIdfIndex
 
     def index(self, split):
@@ -328,7 +332,13 @@ class _AskSession:
 
     def answer(self, question):
         tables, scope = self.tables, self.scope
-        entry = self.by_question.get(question)
+        matches = self.by_question.get(question, [])
+        if len(matches) > 1:
+            qids = ", ".join(e.qid for e in matches)
+            raise TableQAError(
+                f"question matches manifest entries {qids}: {question!r}"
+            )
+        entry = matches[0] if matches else None
         golden = None
         index = None
         if scope is Scope.GOLDEN_TABLE:
@@ -455,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit one model")
     p.add_argument("--task", required=True, choices=TASKS)
     p.add_argument("--workspace", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--epochs", type=_non_negative_int, default=300)
     p.add_argument("--lr", type=_positive_float, default=0.01)
     p.add_argument("--batch-size", type=_positive_int, default=32)

@@ -6,9 +6,16 @@ The manifest is line-oriented text, one question per line:
         <TAB> cells(r:c,...) <TAB> question <TAB> gold query
 
 Every entry is validated on load: the gold query must parse and execute
-on the gold table to exactly the stated cells. Pipeline evaluation runs
-every question through each (scope, row mode) cell in turn; stage
-failures never abort a sweep, they score zero and are listed.
+on the gold table to exactly the stated cells.
+
+The pipeline is three stage functions: ``select_source`` (question and
+index to table), ``predict_clauses`` (question and table to SELECT
+columns and WHERE pairs) and ``answer_cells`` (row selection for one row
+mode, intersected with the SELECT columns); ``run_pipeline`` composes
+them. Pipeline evaluation takes each question through every (scope, row
+mode) cell, running each stage once per distinct input and sharing the
+result between the cells that reach it. Stage failures never abort a
+sweep, they score zero and are listed in every cell that used the stage.
 """
 
 from __future__ import annotations
@@ -344,6 +351,53 @@ class PipelineStageError(TableQAError):
         self.cause = cause
 
 
+def select_source(question: str, tables: dict[str, Table], index: TfIdfIndex,
+                  similarity: Similarity = Similarity.INV_EUCLIDEAN) -> Table:
+    """Source selection: the index's top-ranked table for the question."""
+    try:
+        ranked = score(index, question, similarity, k=1)
+        return tables[ranked[0][0]]
+    except Exception as exc:
+        raise PipelineStageError("source-selection", exc) from exc
+
+
+def predict_clauses(question: str, table: Table, bundle: ModelBundle,
+                    store: EmbeddingStore, question_id: str | None = None
+                    ) -> tuple[set[int], set[tuple[int, str]]]:
+    """Clause prediction: featurize the question against ``table``, then
+    predict the SELECT columns and the WHERE (column, keyword) pairs."""
+    try:
+        aux = _aux_for(question, table, bundle, question_id)
+    except Exception as exc:
+        raise PipelineStageError("featurization", exc) from exc
+
+    try:
+        select_cols = predict_select(question, table, bundle.select_model,
+                                     aux, store)
+    except Exception as exc:
+        raise PipelineStageError("select-clause", exc) from exc
+
+    try:
+        pairs = predict_where(question, table, bundle.where_model, aux,
+                              select_cols, store)
+    except Exception as exc:
+        raise PipelineStageError("where-clause", exc) from exc
+    return select_cols, pairs
+
+
+def answer_cells(table: Table, select_cols, pairs, row_mode: RowMode,
+                 store: EmbeddingStore) -> frozenset:
+    """Row selection under ``row_mode``, intersected with the SELECT columns."""
+    try:
+        if row_mode is RowMode.WORD_MATCH:
+            rows = select_rows_word_match(table, pairs)
+        else:
+            rows = select_rows_embedding(table, pairs, store)
+        return frozenset(intersect_cells(table, rows, select_cols))
+    except Exception as exc:
+        raise PipelineStageError("row-selection", exc) from exc
+
+
 def run_pipeline(
     question: str,
     tables: dict[str, Table],
@@ -361,41 +415,11 @@ def run_pipeline(
     Returns both the constructed query and the answer cells. Errors carry
     their stage name; additive error accounting happens in the sweep.
     """
-    if golden_table is not None:
-        table = golden_table
-    else:
-        try:
-            ranked = score(index, question, similarity, k=1)
-            table = tables[ranked[0][0]]
-        except Exception as exc:
-            raise PipelineStageError("source-selection", exc) from exc
-
-    try:
-        aux = _aux_for(question, table, bundle, question_id)
-    except Exception as exc:
-        raise PipelineStageError("featurization", exc) from exc
-
-    try:
-        select_cols = predict_select(question, table, bundle.select_model,
-                                     aux, store)
-    except Exception as exc:
-        raise PipelineStageError("select-clause", exc) from exc
-
-    try:
-        pairs = predict_where(question, table, bundle.where_model, aux,
-                              select_cols, store)
-    except Exception as exc:
-        raise PipelineStageError("where-clause", exc) from exc
-
-    try:
-        if row_mode is RowMode.WORD_MATCH:
-            rows = select_rows_word_match(table, pairs)
-        else:
-            rows = select_rows_embedding(table, pairs, store)
-        cells = intersect_cells(table, rows, select_cols)
-    except Exception as exc:
-        raise PipelineStageError("row-selection", exc) from exc
-
+    table = golden_table if golden_table is not None \
+        else select_source(question, tables, index, similarity)
+    select_cols, pairs = predict_clauses(question, table, bundle, store,
+                                         question_id)
+    cells = answer_cells(table, select_cols, pairs, row_mode, store)
     query = StructuredQuery(
         select=tuple(table.headers[c] for c in sorted(select_cols)),
         from_table=table.id,
@@ -405,8 +429,7 @@ def run_pipeline(
             for c, kw in sorted(pairs)
         ),
     )
-    return PipelineResult(query=query, table_id=table.id,
-                          cells=frozenset(cells))
+    return PipelineResult(query=query, table_id=table.id, cells=cells)
 
 
 @dataclass
@@ -438,21 +461,49 @@ class SweepCell:
         return [o for o in self.outcomes if o.error is not None]
 
 
-def _entry_outcome(entry, tables, index, bundle, store, cfg, row_mode,
-                   scope) -> QuestionOutcome:
-    golden = tables[entry.table_id] if scope is Scope.GOLDEN_TABLE else None
-    try:
-        result = run_pipeline(
-            entry.question, tables, index, bundle, store, cfg,
-            row_mode=row_mode, golden_table=golden, question_id=entry.qid,
-        )
-    except PipelineStageError as exc:
-        return QuestionOutcome(entry.qid, 0.0, 0.0, 0.0, error=str(exc))
-    if result.table_id != entry.table_id:
-        # wrong source table: no chance of recovering the gold cells
-        return QuestionOutcome(entry.qid, 0.0, 0.0, 0.0)
-    p, r, f = cell_prf(set(result.cells), set(entry.gold_cells))
-    return QuestionOutcome(entry.qid, p, r, f)
+def _once(memo: dict, key, stage, *args):
+    """``stage(*args)``, run at most once per ``key``: a later call returns
+    the stored result, or raises the stored stage error again."""
+    if key not in memo:
+        try:
+            memo[key] = stage(*args)
+        except PipelineStageError as exc:
+            memo[key] = exc
+    if isinstance(memo[key], PipelineStageError):
+        raise memo[key]
+    return memo[key]
+
+
+def _entry_outcomes(entry, tables, indexes, bundle, store, scopes, row_modes):
+    """((scope, row mode), outcome) per grid cell for one entry.
+
+    Each stage runs once per distinct input: retrieval once per index,
+    clause prediction once per table reached, row selection once per
+    (table, row mode). A stage error reaches every cell that uses it.
+    """
+    sources, clauses, answers = {}, {}, {}
+    for scope in scopes:
+        for row_mode in row_modes:
+            try:
+                if scope is Scope.GOLDEN_TABLE:
+                    table = tables[entry.table_id]
+                else:
+                    split = entry.split if scope is Scope.INDIVIDUAL_SET else None
+                    table = _once(sources, split, select_source,
+                                  entry.question, tables, indexes[split])
+                select_cols, pairs = _once(clauses, table.id, predict_clauses,
+                                           entry.question, table, bundle,
+                                           store, entry.qid)
+                cells = _once(answers, (table.id, row_mode), answer_cells,
+                              table, select_cols, pairs, row_mode, store)
+            except PipelineStageError as exc:
+                outcome = QuestionOutcome(entry.qid, 0.0, 0.0, 0.0, error=str(exc))
+            else:
+                # a wrong source table has no chance of recovering the gold cells
+                prf = (cell_prf(set(cells), set(entry.gold_cells))
+                       if table.id == entry.table_id else (0.0, 0.0, 0.0))
+                outcome = QuestionOutcome(entry.qid, *prf)
+            yield (scope, row_mode), outcome
 
 
 def split_index(entries, tables: dict[str, Table],
@@ -475,22 +526,21 @@ def sweep_pipeline(
 ) -> dict[tuple[Scope, RowMode], SweepCell]:
     """Evaluate every (scope, row mode) combination over the entries.
 
-    Questions run one after another, cell by cell. The individual scope
-    ranks each question's tables against an index of its own split; the
-    other scopes share one index over all tables.
+    The entries run one after another, each through every cell; the cells
+    of one entry share its stage results (see ``_entry_outcomes``), so
+    every cell's outcome equals its own ``run_pipeline`` call's. The
+    individual scope ranks each question's tables against an index of its
+    own split; the other scopes share one index over all tables.
     """
     indexes = {split: split_index(entries, tables, split)
                for split in {None} | {e.split for e in entries}}
 
-    grid = {}
-    for scope in scopes:
-        for row_mode in row_modes:
-            outcomes = []
-            for entry in entries:
-                index = indexes[entry.split if scope is Scope.INDIVIDUAL_SET else None]
-                outcomes.append(_entry_outcome(entry, tables, index, bundle, store,
-                                               cfg, row_mode, scope))
-            grid[(scope, row_mode)] = SweepCell(scope, row_mode, outcomes)
+    grid = {(scope, row_mode): SweepCell(scope, row_mode, [])
+            for scope in scopes for row_mode in row_modes}
+    for entry in entries:
+        for key, outcome in _entry_outcomes(entry, tables, indexes, bundle,
+                                            store, scopes, row_modes):
+            grid[key].outcomes.append(outcome)
     return grid
 
 

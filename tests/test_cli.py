@@ -186,6 +186,36 @@ class TestAsk:
         header = "enter questions, one per line (blank line or EOF to quit)\n"
         assert out == header + "".join(singles)
 
+    def test_question_matching_two_entries_is_error(
+            self, cli_workspace, fixtures_dir, tmp_path, capsys, monkeypatch):
+        import io
+
+        fx = str(fixtures_dir)
+        lines = (fixtures_dir / "manifest.txt").read_text().splitlines()
+        louisiana = next(line for line in lines if line.startswith("q01\t"))
+        texas = next(line for line in lines if line.startswith("q02\t"))
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("\n".join([louisiana, "q01b" + louisiana[3:], texas])
+                            + "\n")
+        argv = ["--workspace", str(cli_workspace),
+                "--embeddings", f"{fx}/pipeline.vec",
+                "--manifest", str(manifest), "--scope", "golden"]
+        message = ("error: question matches manifest entries q01, q01b: "
+                   "'What is the capital of Louisiana?'\n")
+
+        assert main(["ask", "What is the capital of Louisiana?", *argv]) == 1
+        assert capsys.readouterr().err == message
+
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            "What is the capital of Louisiana?\n"
+            "What is the capital of Texas?\n\n"))
+        assert main(["ask", "--repl", *argv]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == message
+        assert "Baton Rouge" not in captured.out
+        assert "Austin" in captured.out
+        assert "gold: match" in captured.out
+
 
 class TestEval:
     def test_select_json(self, cli_workspace, fixtures_dir, capsys):
@@ -237,6 +267,17 @@ class TestEval:
         assert json.loads(out)["misclassified"] == wrong
         saved = cli_workspace / "reports" / "table-type.json"
         assert saved.read_text() == out
+
+    @pytest.mark.parametrize("text", ["", "# comments only\n\n"],
+                             ids=["empty", "comments-only"])
+    def test_column_type_without_labelled_columns_is_error(
+            self, cli_workspace, tmp_path, capsys, text):
+        labels = tmp_path / "labels.txt"
+        labels.write_text(text)
+        code = main(["eval", "--task", "column-type",
+                     "--workspace", str(cli_workspace), "--labels", str(labels)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {labels}: no labelled columns\n"
 
     def test_table_type_text(self, cli_workspace, fixtures_dir, capsys):
         fx = str(fixtures_dir)
@@ -320,6 +361,25 @@ class TestUsageErrors:
             main(argv + ws)
         assert exc.value.code == 2
         assert f"argument {argv[-2]}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("task", ["table-type", "column-type", "select",
+                                      "where"])
+    def test_negative_seed_exits_2(self, cli_workspace, fixtures_dir, tmp_path,
+                                   capsys, task):
+        # every input the task needs is given, so only the seed is wrong
+        fx = str(fixtures_dir)
+        inputs = {
+            "table-type": ["--tables", f"{fx}/tables",
+                           "--kinds", f"{fx}/table_types.txt"],
+            "column-type": ["--labels", f"{fx}/column_labels.txt"],
+        }.get(task, ["--manifest", f"{fx}/manifest.txt",
+                     "--embeddings", f"{fx}/pipeline.vec"])
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--task", task, "--workspace", str(cli_workspace),
+                  "--seed", "-1", "--out", str(tmp_path / "m.model"), *inputs])
+        assert exc.value.code == 2
+        assert "argument --seed: must be at least 0: -1" in capsys.readouterr().err
+        assert not (tmp_path / "m.model").exists()
 
 
 

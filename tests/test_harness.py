@@ -1,6 +1,8 @@
+import zlib
+
 import pytest
 
-from tableqa import harness
+from tableqa import clauses, harness
 from tableqa.clauses import (
     candidate_word_indices,
     featurize_select,
@@ -8,13 +10,16 @@ from tableqa.clauses import (
     predict_select,
     predict_where,
 )
+from tableqa.embed import SimMatchConfig
 from tableqa.errors import AllZero, ValidationFailure
 from tableqa.harness import (
     ModelBundle,
     PipelineStageError,
+    QuestionOutcome,
     RowMode,
     Scope,
     Split,
+    SweepCell,
     _aux_for,
     build_select_samples,
     build_where_samples,
@@ -27,6 +32,7 @@ from tableqa.harness import (
     load_manifest,
     metrics_from_confusion,
     run_pipeline,
+    split_index,
     sweep_pipeline,
 )
 from tableqa.nn import load_model
@@ -383,3 +389,160 @@ class TestMatchesReferenceLoops:
             assert got == reference(entries, corpus, pipeline_store,
                                     trained_bundle)
             assert got.fp + got.fn > 0    # the models are not perfect here
+
+
+# The sweep before its cells shared stage results, verbatim: one
+# run_pipeline call per (scope, row mode, entry).
+
+def reference_entry_outcome(entry, tables, index, bundle, store, cfg, row_mode,
+                            scope) -> QuestionOutcome:
+    golden = tables[entry.table_id] if scope is Scope.GOLDEN_TABLE else None
+    try:
+        result = run_pipeline(
+            entry.question, tables, index, bundle, store, cfg,
+            row_mode=row_mode, golden_table=golden, question_id=entry.qid,
+        )
+    except PipelineStageError as exc:
+        return QuestionOutcome(entry.qid, 0.0, 0.0, 0.0, error=str(exc))
+    if result.table_id != entry.table_id:
+        # wrong source table: no chance of recovering the gold cells
+        return QuestionOutcome(entry.qid, 0.0, 0.0, 0.0)
+    p, r, f = cell_prf(set(result.cells), set(entry.gold_cells))
+    return QuestionOutcome(entry.qid, p, r, f)
+
+
+def reference_sweep_pipeline(entries, tables, bundle, store,
+                             cfg=SimMatchConfig(), scopes=tuple(Scope),
+                             row_modes=tuple(RowMode)):
+    indexes = {split: split_index(entries, tables, split)
+               for split in {None} | {e.split for e in entries}}
+
+    grid = {}
+    for scope in scopes:
+        for row_mode in row_modes:
+            outcomes = []
+            for entry in entries:
+                index = indexes[entry.split if scope is Scope.INDIVIDUAL_SET else None]
+                outcomes.append(reference_entry_outcome(entry, tables, index, bundle,
+                                                        store, cfg, row_mode, scope))
+            grid[(scope, row_mode)] = SweepCell(scope, row_mode, outcomes)
+    return grid
+
+
+def _hashed(*parts) -> int:
+    return zlib.crc32("|".join(parts).encode("utf-8"))
+
+
+def fail_select_on_some_pairs(monkeypatch):
+    """predict_select raises for a fixed subset of (question, table) pairs,
+    on every call for that pair."""
+    def flaky(question, table, model, aux, store):
+        if _hashed(question, table.id) % 7 == 0:
+            raise RuntimeError(f"no SELECT for {table.id}")
+        return predict_select(question, table, model, aux, store)
+
+    monkeypatch.setattr(harness, "predict_select", flaky)
+
+
+def fail_retrieval_on_some_questions(monkeypatch):
+    """Scoring raises for a fixed subset of questions, whichever index."""
+    real_score = harness.score
+
+    def flaky(index, question, *args, **kwargs):
+        if _hashed(question) % 5 == 0:
+            raise RuntimeError("index unavailable")
+        return real_score(index, question, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "score", flaky)
+
+
+def fail_embedding_rows_on_some_tables(monkeypatch):
+    """Embedding row selection raises for a fixed subset of tables."""
+    real = harness.select_rows_embedding
+
+    def flaky(table, pairs, store):
+        if _hashed(table.id) % 4 == 0:
+            raise RuntimeError("no embedding rows")
+        return real(table, pairs, store)
+
+    monkeypatch.setattr(harness, "select_rows_embedding", flaky)
+
+
+class TestMatchesReferenceSweep:
+    @pytest.mark.parametrize("break_stage, stage", [
+        (None, None),
+        (fail_select_on_some_pairs, "select-clause"),
+        (fail_retrieval_on_some_questions, "source-selection"),
+        (fail_embedding_rows_on_some_tables, "row-selection"),
+    ], ids=["trained", "select-fails", "retrieval-fails", "rows-fail"])
+    def test_grid_equals_cell_by_cell_runs(self, manifest, corpus,
+                                           pipeline_store, trained_bundle,
+                                           monkeypatch, break_stage, stage):
+        if break_stage is not None:
+            break_stage(monkeypatch)
+        got = sweep_pipeline(manifest, corpus, trained_bundle, pipeline_store)
+        want = reference_sweep_pipeline(manifest, corpus, trained_bundle,
+                                        pipeline_store)
+        assert list(got) == list(want)
+        assert got == want
+        errors = [o.error for cell in got.values() for o in cell.failures]
+        if stage is None:
+            assert not errors
+            assert any(cell.macro[2] > 0 for cell in got.values())
+        else:
+            assert errors
+            assert all(e.startswith(f"[{stage}] ") for e in errors)
+
+    def test_single_cell_failing_on_nth_call(self, manifest, corpus,
+                                             pipeline_store, trained_bundle,
+                                             monkeypatch):
+        # one cell calls predict_select once per entry on both paths, so a
+        # failure on every 7th call lands on the same entries
+        def flaky_from_zero():
+            calls = {"n": 0}
+
+            def flaky(question, table, model, aux, store):
+                calls["n"] += 1
+                if calls["n"] % 7 == 0:
+                    raise RuntimeError("intermittent")
+                return predict_select(question, table, model, aux, store)
+            return flaky
+
+        cells = dict(scopes=(Scope.ALL_SETS,), row_modes=(RowMode.EMBEDDING,))
+        monkeypatch.setattr(harness, "predict_select", flaky_from_zero())
+        got = sweep_pipeline(manifest, corpus, trained_bundle, pipeline_store,
+                             **cells)
+        monkeypatch.setattr(harness, "predict_select", flaky_from_zero())
+        want = reference_sweep_pipeline(manifest, corpus, trained_bundle,
+                                        pipeline_store, **cells)
+        assert got == want
+        failures = got[(Scope.ALL_SETS, RowMode.EMBEDDING)].failures
+        assert len(failures) == len(manifest) // 7
+
+    def test_clauses_predicted_once_per_question_and_table(
+            self, manifest, corpus, pipeline_store, trained_bundle,
+            monkeypatch):
+        calls = []
+
+        def counting(predict, name):
+            def wrapper(question, table, *args):
+                calls.append((name, question, table.id))
+                return predict(question, table, *args)
+            return wrapper
+
+        monkeypatch.setattr(harness, "predict_select",
+                            counting(clauses.predict_select, "select"))
+        monkeypatch.setattr(harness, "predict_where",
+                            counting(clauses.predict_where, "where"))
+
+        sweep_pipeline(manifest, corpus, trained_bundle, pipeline_store)
+        shared = list(calls)
+        calls.clear()
+        reference_sweep_pipeline(manifest, corpus, trained_bundle, pipeline_store)
+
+        for name in ("select", "where"):
+            once = [c for c in shared if c[0] == name]
+            per_cell = [c for c in calls if c[0] == name]
+            assert len(per_cell) == 6 * len(manifest) == 312
+            assert len(once) == len(set(once)) == len(set(per_cell)) == 108
+            assert set(once) == set(per_cell)

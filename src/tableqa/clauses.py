@@ -8,6 +8,12 @@ pluggable provider: a built-in heuristic tagger keeps the package
 dependency-free, and a sidecar file format accepts tags from any external
 toolchain. The tag inventories are fixed text resources so the one-hot
 blocks always have dimensions 12, 6 and 37.
+
+Neither featurizer tokenizes: ``build_aux`` tokenizes the question once
+(tokens with stop words, and tokens and stems without them), and the
+table side reads the table's own token views (``Table.cell_tokens``,
+``column_tokens``, ``column_vocab``, ``header_stems`` and
+``column_type_features``), built on the table's first use.
 """
 
 from __future__ import annotations
@@ -23,7 +29,12 @@ from .errors import SidecarMismatch, UntrainedModel
 from .nn import MlpModel, MlpSpec, OutputHead, predict_batch
 from .tabular import Table
 from .textproc import STOPWORDS, edit_distance, normalized_edit_distance, tokenize
-from .typerec import N_COLUMN_TYPES, N_QUESTION_TYPES, classify_question
+from .typerec import (
+    N_COLUMN_TYPES,
+    N_QUESTION_TYPES,
+    classify_question,
+    column_type_distributions,
+)
 
 SELECT_FEATURE_DIM = 25
 WHERE_FEATURE_DIM = 77
@@ -190,6 +201,8 @@ class AuxSignals:
     coltype_dists: np.ndarray           # (n_columns, 7)
     tags: list[TokenTags]               # aligned with question tokens
     question_tokens: tuple[str, ...]    # stop words kept
+    content_tokens: tuple[str, ...]     # stop words dropped
+    content_stems: tuple[str, ...]      # stems of content_tokens
 
 
 def build_aux(
@@ -199,15 +212,18 @@ def build_aux(
     tagger=None,
     question_id: str | None = None,
 ) -> AuxSignals:
-    from .typerec import column_type_distributions
-
     tagger = tagger or HeuristicTagger()
     _, onehot = classify_question(question)
+    tokenized = tokenize(question)
+    content = [(t, s) for t, s in zip(tokenized.tokens, tokenized.stems)
+               if t not in STOPWORDS]
     return AuxSignals(
         qtype_onehot=onehot,
         coltype_dists=column_type_distributions(table, coltype_model),
         tags=tag_tokens(question, tagger, question_id),
-        question_tokens=tokenize(question).tokens,
+        question_tokens=tokenized.tokens,
+        content_tokens=tuple(t for t, _ in content),
+        content_stems=tuple(s for _, s in content),
     )
 
 
@@ -226,18 +242,24 @@ def where_candidates(table: Table, aux: AuxSignals) -> list[tuple[int, int]]:
 # Featurizers
 # ---------------------------------------------------------------------------
 
-def _column_text(table: Table, column_index: int) -> str:
-    return " ".join(table.column(column_index))
-
-
 def _proximity_block(
-    question: str, column_text: str, store: EmbeddingStore
+    table: Table, column_index: int, aux: AuxSignals, store: EmbeddingStore
 ) -> np.ndarray:
-    """avg, avg-sans-stopwords, max, max-sans-stopwords of token cosines."""
+    """avg, avg-sans-stopwords, max, max-sans-stopwords of token cosines.
+
+    Out-of-vocabulary tokens are dropped before the pair loop; they have
+    no cosine, so the remaining pairs give the same floats in the same
+    (column token, question token) order.
+    """
+    def known(tokens):
+        return [t for t in tokens if store.lookup(t) is not None]
+
+    c_all = known(table.column_tokens[column_index])
+    q_all = known(aux.question_tokens)
+    c_content = [t for t in c_all if t not in STOPWORDS]
+    q_content = known(aux.content_tokens)
     out = np.zeros(4)
-    for slot, drop in ((0, False), (2, True)):
-        q_tokens = tokenize(question, drop_stopwords=drop).tokens
-        c_tokens = tokenize(column_text, drop_stopwords=drop).tokens
+    for slot, c_tokens, q_tokens in ((0, c_all, q_all), (2, c_content, q_content)):
         sims = [
             s for ct in c_tokens for qt in q_tokens
             if (s := proximity(store, ct, qt)) is not None
@@ -249,11 +271,11 @@ def _proximity_block(
     return np.array([out[0], out[2], out[1], out[3]])
 
 
-def _header_distance_block(question: str, header: str) -> np.ndarray:
-    h_stems = tokenize(header, drop_stopwords=True).stems
-    q_stems = tokenize(question, drop_stopwords=True).stems
+def _header_distance_block(table: Table, column_index: int,
+                           aux: AuxSignals) -> np.ndarray:
     distances = sorted(
-        edit_distance(h, q) for h in h_stems for q in q_stems
+        edit_distance(h, q)
+        for h in table.header_stems[column_index] for q in aux.content_stems
     )
     if not distances:
         return np.zeros(2)
@@ -273,10 +295,10 @@ def featurize_select(
     question type(11) | header edit distance(2)."""
     parts = [
         np.array([float(table.n_columns)]),
-        _proximity_block(question, _column_text(table, column_index), store),
+        _proximity_block(table, column_index, aux, store),
         aux.coltype_dists[column_index],
         aux.qtype_onehot,
-        _header_distance_block(question, table.headers[column_index]),
+        _header_distance_block(table, column_index, aux),
     ]
     vec = np.concatenate(parts)
     assert vec.shape == (SELECT_FEATURE_DIM,)
@@ -284,12 +306,24 @@ def featurize_select(
 
 
 def _min_word_column_distance(word: str, table: Table, column_index: int) -> float:
+    """Least normalized edit distance from ``word`` to a token of the column
+    (1.0 for a column without tokens).
+
+    The column's distinct tokens are visited nearest length first. A
+    token is skipped when its length gap over the longer length, a lower
+    bound on its distance, already reaches the best distance found.
+    """
+    vocab = table.column_vocab[column_index]
+    n = len(word)
+    if word in vocab.get(n, ()):
+        return 0.0
     best = 1.0
-    for cell in table.column(column_index):
-        for token in tokenize(cell).tokens:
+    for length in sorted(vocab, key=lambda m: abs(m - n)):
+        bound = abs(length - n) / max(length, n)
+        for token in vocab[length]:
+            if bound >= best:
+                break
             best = min(best, normalized_edit_distance(word, token))
-            if best == 0.0:
-                return 0.0
     return best
 
 

@@ -315,10 +315,10 @@ class _AskSession:
     for the rest of the session.
     """
 
-    def __init__(self, tables, entries, bundle, store, cfg, scope, row_mode,
+    def __init__(self, tables, entries, bundle, store, scope, row_mode,
                  similarity):
         self.tables, self.entries = tables, entries
-        self.bundle, self.store, self.cfg = bundle, store, cfg
+        self.bundle, self.store = bundle, store
         self.scope, self.row_mode, self.similarity = scope, row_mode, similarity
         self.by_question = {}   # question text -> its manifest entries
         for e in entries:
@@ -352,7 +352,7 @@ class _AskSession:
         else:
             index = self.index(None)
         result = run_pipeline(question, tables, index, self.bundle, self.store,
-                              self.cfg, row_mode=self.row_mode,
+                              row_mode=self.row_mode,
                               similarity=self.similarity, golden_table=golden,
                               question_id=entry.qid if entry else None)
         table = tables[result.table_id]
@@ -373,7 +373,7 @@ def cmd_ask(args) -> int:
     cfg = SimMatchConfig(threshold=args.threshold)
     entries = load_manifest(args.manifest, tables, store, cfg) \
         if args.manifest else []
-    session = _AskSession(tables, entries, _load_bundle(ws), store, cfg,
+    session = _AskSession(tables, entries, _load_bundle(ws), store,
                           Scope(args.scope), RowMode(args.row_mode),
                           Similarity(args.sim))
 
@@ -512,7 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=[s.value for s in Similarity],
                    help="retrieval similarity for non-golden scopes")
     p.add_argument("--threshold", type=_positive_float, default=0.45,
-                   help="embedding distance threshold for ~")
+                   help="embedding distance threshold for ~ when validating "
+                        "the manifest's gold queries")
     p.add_argument("--repl", action="store_true",
                    help="keep a read-eval loop open on stdin")
     p.set_defaults(fn=cmd_ask)

@@ -126,8 +126,9 @@ def sim_match(store: EmbeddingStore, cfg: SimMatchConfig, cell: str, keyword: st
         return True
     if keyword_norm and keyword_norm in cell_norm:
         return True
+    keyword_tokens = tokenize(keyword).tokens
     for cell_token in tokenize(cell).tokens:
-        for keyword_token in tokenize(keyword).tokens:
+        for keyword_token in keyword_tokens:
             dist = token_distance(store, cfg, cell_token, keyword_token)
             if dist is not None and dist <= cfg.threshold:
                 return True

@@ -158,6 +158,18 @@ def ingest_corpus(
     return out
 
 
+def _parse_cells(text: str) -> frozenset:
+    """The manifest's ``r:c,...`` cells field as (row, column) pairs."""
+    cells = set()
+    for pair in text.split(","):
+        row, _, column = pair.partition(":")
+        try:
+            cells.add((int(row), int(column)))
+        except ValueError:
+            raise ValueError(f"bad cell {pair!r}, expected row:column") from None
+    return frozenset(cells)
+
+
 def load_manifest(
     path,
     tables: dict[str, Table],
@@ -165,7 +177,8 @@ def load_manifest(
     cfg: SimMatchConfig = SimMatchConfig(),
 ) -> list[ManifestEntry]:
     """Parse and validate the manifest; entries failing their gold-query
-    round trip are collected into one ValidationFailure."""
+    round trip are collected into one ValidationFailure, each cause
+    prefixed with ``path:line``."""
     entries = []
     failures = []
     with open(str(path), encoding="utf-8") as fh:
@@ -173,34 +186,28 @@ def load_manifest(
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
+            where = f"{path}:{lineno}"
             parts = line.split("\t")
             if len(parts) != 7:
-                failures.append((f"line {lineno}", f"expected 7 fields, got {len(parts)}"))
+                failures.append((f"line {lineno}",
+                                 f"{where}: expected 7 fields, got {len(parts)}"))
                 continue
             qid, split, table_id, alts, cells_s, question, query_text = parts
             try:
-                cells = frozenset(
-                    (int(r), int(c))
-                    for r, c in (pair.split(":") for pair in cells_s.split(","))
-                )
+                cells = _parse_cells(cells_s)
                 entry = ManifestEntry(
                     qid=qid, question=question, table_id=table_id,
                     alternates=tuple(a for a in alts.split(",") if a and a != "-"),
                     gold_query=query_text, gold_cells=cells, split=Split(split),
                 )
                 if table_id not in tables:
-                    raise ValidationFailure([(qid, f"unknown table {table_id!r}")])
+                    raise ValueError(f"unknown table {table_id!r}")
                 got = execute(parse_query(query_text), tables[table_id], store, cfg)
                 if got != set(cells):
-                    raise ValidationFailure(
-                        [(qid, f"gold query yields {sorted(got)}, manifest says "
-                               f"{sorted(cells)}")]
-                    )
-            except ValidationFailure as exc:
-                failures.extend(exc.failures)
-                continue
+                    raise ValueError(f"gold query yields {sorted(got)}, manifest "
+                                     f"says {sorted(cells)}")
             except (TableQAError, ValueError) as exc:
-                failures.append((qid, str(exc)))
+                failures.append((qid, f"{where}: {exc}"))
                 continue
             entries.append(entry)
     if failures:
@@ -404,7 +411,6 @@ def run_pipeline(
     index: TfIdfIndex | None,
     bundle: ModelBundle,
     store: EmbeddingStore,
-    cfg: SimMatchConfig = SimMatchConfig(),
     row_mode: RowMode = RowMode.WORD_MATCH,
     similarity: Similarity = Similarity.INV_EUCLIDEAN,
     golden_table: Table | None = None,
@@ -520,7 +526,6 @@ def sweep_pipeline(
     tables: dict[str, Table],
     bundle: ModelBundle,
     store: EmbeddingStore,
-    cfg: SimMatchConfig = SimMatchConfig(),
     scopes=tuple(Scope),
     row_modes=tuple(RowMode),
 ) -> dict[tuple[Scope, RowMode], SweepCell]:

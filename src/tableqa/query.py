@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedConstruct,
 )
 from .tabular import Table
-from .textproc import parse_number, tokenize
+from .textproc import parse_number
 
 CellSet = set  # of (row index, column index) pairs
 
@@ -352,8 +352,9 @@ def select_rows_word_match(table: Table, pairs) -> set[int]:
     scores = {r: 0 for r in all_rows}
     for column_index, keyword in pairs:
         target = keyword.lower()
+        cells = table.cell_tokens[column_index]
         for r in all_rows:
-            if target in tokenize(table.rows[r][column_index]).tokens:
+            if target in cells[r].tokens:
                 scores[r] += 1
     if not scores:
         return all_rows
@@ -377,9 +378,10 @@ def select_rows_embedding(table: Table, pairs, store: EmbeddingStore) -> set[int
         kw_vec = store.lookup(keyword)
         if kw_vec is None:
             continue
+        cells = table.cell_tokens[column_index]
         for r in all_rows:
             best = None
-            for token in tokenize(table.rows[r][column_index]).tokens:
+            for token in cells[r].tokens:
                 vec = store.lookup(token)
                 if vec is None:
                     continue

@@ -12,11 +12,17 @@ from __future__ import annotations
 import csv
 import enum
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DuplicateKeys, MalformedFile, NotKeyValue, UntrainedModel
 from .nn import format_arrays, parse_arrays
+from .textproc import TokenList, tokenize
+
+if TYPE_CHECKING:
+    from .typerec import ColumnTypeFeatures
 
 
 class TableKind(enum.Enum):
@@ -60,6 +66,56 @@ class Table:
 
     def column(self, index: int) -> list[str]:
         return [row[index] for row in self.rows]
+
+    # Token views. Each is built on first use and kept on the object,
+    # outside the dataclass fields, so ``dataclasses.replace`` (the
+    # key-value transpose) makes a table without them. They hold nothing
+    # that depends on a model or an embedding store, and assume the cells
+    # and headers no longer change once read.
+
+    @cached_property
+    def cell_tokens(self) -> tuple[tuple[TokenList, ...], ...]:
+        """``tokenize(cell)`` per column, then per row."""
+        return tuple(
+            tuple(tokenize(row[c]) for row in self.rows)
+            for c in range(self.n_columns)
+        )
+
+    @cached_property
+    def column_tokens(self) -> tuple[tuple[str, ...], ...]:
+        """Per column, its cells' tokens in row order, stop words kept;
+        what ``tokenize`` gives for the cells joined by spaces."""
+        return tuple(
+            tuple(t for cell in column for t in cell.tokens)
+            for column in self.cell_tokens
+        )
+
+    @cached_property
+    def column_vocab(self) -> tuple[dict[int, list[str]], ...]:
+        """Per column, its distinct tokens keyed by length, in order of
+        first occurrence within a length."""
+        out = []
+        for tokens in self.column_tokens:
+            by_length: dict[int, list[str]] = {}
+            for t in dict.fromkeys(tokens):
+                by_length.setdefault(len(t), []).append(t)
+            out.append(by_length)
+        return tuple(out)
+
+    @cached_property
+    def header_stems(self) -> tuple[tuple[str, ...], ...]:
+        """Per column, the stems of its header's tokens, stop words dropped."""
+        return tuple(tokenize(h, drop_stopwords=True).stems for h in self.headers)
+
+    @cached_property
+    def column_type_features(self) -> tuple[ColumnTypeFeatures, ...]:
+        """Per column, ``typerec.extract_column_type_features`` of its cells."""
+        from .typerec import extract_column_type_features
+
+        return tuple(
+            extract_column_type_features(self.column(c), self.cell_tokens[c])
+            for c in range(self.n_columns)
+        )
 
 
 def load_table(path, fmt: TableFormat, table_id: str | None = None) -> Table:

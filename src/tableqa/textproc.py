@@ -58,22 +58,37 @@ def parse_number(text: str) -> float | None:
 
 
 def edit_distance(a: str, b: str) -> int:
-    """Levenshtein distance with unit-cost insert, delete, substitute."""
+    """Levenshtein distance with unit-cost insert, delete, substitute.
+
+    Bit-parallel (Myers 1999, in Hyyrö's 2001 form for edit distance):
+    bit ``i`` of the vertical delta vectors ``pv``/``mv`` is +1/-1 between
+    rows ``i`` and ``i + 1`` of the DP column for the shorter string, and
+    each character of the longer string advances the whole column in a
+    few integer operations. Python ints make it exact for any length.
+    """
     if len(a) < len(b):
         a, b = b, a
     if not b:
         return len(a)
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            current.append(min(
-                previous[j] + 1,
-                current[j - 1] + 1,
-                previous[j - 1] + (ca != cb),
-            ))
-        previous = current
-    return previous[-1]
+    peq: dict[str, int] = {}
+    for i, cb in enumerate(b):
+        peq[cb] = peq.get(cb, 0) | (1 << i)
+    last = 1 << (len(b) - 1)
+    pv, mv = (1 << len(b)) - 1, 0
+    distance = len(b)
+    for ca in a:
+        eq = peq.get(ca, 0)
+        d0 = (((eq & pv) + pv) ^ pv) | eq | mv
+        ph = mv | ~(d0 | pv)
+        mh = pv & d0
+        if ph & last:
+            distance += 1
+        elif mh & last:
+            distance -= 1
+        ph = (ph << 1) | 1
+        pv = (mh << 1) | ~(d0 | ph)
+        mv = ph & d0
+    return distance
 
 
 def normalized_edit_distance(a: str, b: str) -> float:

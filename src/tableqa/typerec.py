@@ -10,6 +10,7 @@ documented as a table in the README.
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from .errors import DimensionMismatch, EmptyQuestion, MalformedLine, UntrainedModel
 from .nn import MlpModel, MlpSpec, OutputHead, TrainConfig, predict_batch, train
 from .tabular import Table
-from .textproc import parse_number, tokenize
+from .textproc import TokenList, parse_number, tokenize
 
 
 class ColumnType(enum.Enum):
@@ -88,23 +89,29 @@ def _is_year_token(token: str) -> bool:
     return token.isdigit() and 1500 <= int(token) <= 2020
 
 
-def extract_column_type_features(column: list[str]) -> ColumnTypeFeatures:
-    cells = [c for c in column if c.strip()]
+def extract_column_type_features(
+    column: list[str], tokens: Sequence[TokenList] | None = None
+) -> ColumnTypeFeatures:
+    """Features of ``column``; ``tokens``, when given, is ``tokenize(cell)``
+    per cell (a table's ``cell_tokens`` entry), read instead of
+    tokenizing again."""
+    if tokens is None:
+        tokens = [tokenize(cell) if cell.strip() else None for cell in column]
+    cells = [(c, set(t.tokens)) for c, t in zip(column, tokens) if c.strip()]
     if not cells:
         return ColumnTypeFeatures(*([0.0] * COLUMN_TYPE_FEATURE_DIM))
     n = len(cells)
     counts = [0] * COLUMN_TYPE_FEATURE_DIM
-    for cell in cells:
-        tokens = set(tokenize(cell).tokens)
+    for cell, words in cells:
         lowered = cell.lower()
         counts[0] += parse_number(cell) is not None
         counts[1] += _only_digits(cell)
-        counts[2] += bool(_CURRENCY_CHARS & set(cell)) or bool(_CURRENCY_TOKENS & tokens)
+        counts[2] += bool(_CURRENCY_CHARS & set(cell)) or bool(_CURRENCY_TOKENS & words)
         counts[3] += "%" in cell
-        counts[4] += bool(_BOOLEAN_TOKENS & tokens)
-        counts[5] += any(_is_year_token(t) for t in tokens)
-        counts[6] += bool(_MONTH_TOKENS & tokens)
-        counts[7] += bool(_WEEKDAY_TOKENS & tokens)
+        counts[4] += bool(_BOOLEAN_TOKENS & words)
+        counts[5] += any(_is_year_token(t) for t in words)
+        counts[6] += bool(_MONTH_TOKENS & words)
+        counts[7] += bool(_WEEKDAY_TOKENS & words)
         counts[8] += "http" in lowered
     return ColumnTypeFeatures(*(c / n for c in counts))
 
@@ -128,10 +135,8 @@ def classify_column_type(
 def column_type_distributions(table: Table, model: MlpModel) -> np.ndarray:
     """Per-column 7-way type distributions for a whole table, row-major."""
     out = np.zeros((table.n_columns, N_COLUMN_TYPES))
-    for c in range(table.n_columns):
-        _, out[c] = classify_column_type(
-            extract_column_type_features(table.column(c)), model
-        )
+    for c, features in enumerate(table.column_type_features):
+        _, out[c] = classify_column_type(features, model)
     return out
 
 

@@ -1,7 +1,10 @@
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tableqa.clauses import (
     DEP_TAGS,
@@ -21,12 +24,19 @@ from tableqa.clauses import (
     predict_where,
     tag_tokens,
 )
-from tableqa.embed import load_embeddings
+from tableqa.embed import EmbeddingStore, load_embeddings, proximity
 from tableqa.errors import SidecarMismatch, UntrainedModel
+from tableqa.harness import gold_select_indices
 from tableqa.nn import init_model
 from tableqa.tabular import Table
-from tableqa.textproc import tokenize
-from tableqa.typerec import COLUMN_TYPE_SPEC, classify_question
+from tableqa.textproc import edit_distance, normalized_edit_distance, tokenize
+from tableqa.typerec import (
+    COLUMN_TYPE_SPEC,
+    N_COLUMN_TYPES,
+    classify_column_type,
+    classify_question,
+    extract_column_type_features,
+)
 
 
 @pytest.fixture(scope="module")
@@ -312,3 +322,187 @@ class TestPrediction:
             predict_select(q, t, None, aux, store)
         with pytest.raises(UntrainedModel):
             predict_where(q, t, None, aux, set(), store)
+
+
+# ---------------------------------------------------------------------------
+# Reference featurizer: the feature bodies as they were before the table
+# token views, tokenizing the question and every cell on each call
+# ---------------------------------------------------------------------------
+
+def reference_column_type_distributions(table, model):
+    out = np.zeros((table.n_columns, N_COLUMN_TYPES))
+    for c in range(table.n_columns):
+        _, out[c] = classify_column_type(
+            extract_column_type_features(table.column(c)), model
+        )
+    return out
+
+
+def reference_proximity_block(question, column_text, store):
+    out = np.zeros(4)
+    for slot, drop in ((0, False), (2, True)):
+        q_tokens = tokenize(question, drop_stopwords=drop).tokens
+        c_tokens = tokenize(column_text, drop_stopwords=drop).tokens
+        sims = [
+            s for ct in c_tokens for qt in q_tokens
+            if (s := proximity(store, ct, qt)) is not None
+        ]
+        if sims:
+            out[slot] = float(np.mean(sims))
+            out[slot + 1] = float(np.max(sims))
+    return np.array([out[0], out[2], out[1], out[3]])
+
+
+def reference_header_distance_block(question, header):
+    h_stems = tokenize(header, drop_stopwords=True).stems
+    q_stems = tokenize(question, drop_stopwords=True).stems
+    distances = sorted(
+        edit_distance(h, q) for h in h_stems for q in q_stems
+    )
+    if not distances:
+        return np.zeros(2)
+    lowest = distances[0]
+    second = distances[1] if len(distances) > 1 else lowest
+    return np.array([float(lowest), float(second)])
+
+
+def reference_min_word_column_distance(word, table, column_index):
+    best = 1.0
+    for cell in table.column(column_index):
+        for token in tokenize(cell).tokens:
+            best = min(best, normalized_edit_distance(word, token))
+            if best == 0.0:
+                return 0.0
+    return best
+
+
+def reference_select(question, table, c, coltype, store):
+    _, qtype = classify_question(question)
+    return np.concatenate([
+        np.array([float(table.n_columns)]),
+        reference_proximity_block(question, " ".join(table.column(c)), store),
+        coltype[c],
+        qtype,
+        reference_header_distance_block(question, table.headers[c]),
+    ])
+
+
+def reference_where(question, table, c, w, select_columns, coltype, tags):
+    _, qtype = classify_question(question)
+    word = tokenize(question).tokens[w]
+    non_empty = [cell for cell in table.column(c) if cell.strip()]
+    avg_len = float(np.mean([len(cell) for cell in non_empty])) if non_empty else 0.0
+
+    def onehot(tag, inventory):
+        return np.eye(len(inventory))[inventory.index(tag)]
+
+    return np.concatenate([
+        np.array([
+            reference_min_word_column_distance(word, table, c),
+            avg_len,
+            float(table.n_rows),
+            1.0 if c in select_columns else 0.0,
+        ]),
+        coltype[c],
+        qtype,
+        onehot(tags[w].pos, POS_TAGS),
+        onehot(tags[w].ner, NER_TAGS),
+        onehot(tags[w].dep, DEP_TAGS),
+    ])
+
+
+def assert_matches_reference(question, table, model, store, select_columns):
+    """Every SELECT and WHERE vector of ``question`` against ``table`` is
+    byte-equal to the reference featurizer's, on a fresh copy of the
+    table and on one whose views are already built."""
+    for t in (replace(table), table):
+        aux = build_aux(question, t, model)
+        assert aux.question_tokens == tokenize(question).tokens
+        content = tokenize(question, drop_stopwords=True)
+        assert (aux.content_tokens, aux.content_stems) == (content.tokens,
+                                                           content.stems)
+        coltype = reference_column_type_distributions(t, model)
+        assert aux.coltype_dists.tobytes() == coltype.tobytes()
+        for c in range(t.n_columns):
+            got = featurize_select(question, t, c, aux, store)
+            want = reference_select(question, t, c, coltype, store)
+            assert got.tobytes() == want.tobytes(), (question, t.id, c)
+            for w in candidate_word_indices(aux):
+                got = featurize_where(question, t, c, w, select_columns, aux, store)
+                want = reference_where(question, t, c, w, select_columns,
+                                       coltype, aux.tags)
+                assert got.tobytes() == want.tobytes(), (question, t.id, c, w)
+
+
+class TestMatchesReferenceFeaturizer:
+    @pytest.mark.parametrize("store_name", ["pipeline.vec", "toy.vec"])
+    def test_every_fixture_question_on_its_gold_table(
+        self, manifest, corpus, fixtures_dir, trained_coltype_model, store_name
+    ):
+        store = load_embeddings(fixtures_dir / store_name)
+        for entry in manifest:
+            table = corpus[entry.table_id]
+            assert_matches_reference(entry.question, table,
+                                     trained_coltype_model, store,
+                                     gold_select_indices(entry, table))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_tables(self, store, coltype_model, data):
+        # in-vocabulary words (one with a zero vector), stop words (some
+        # in the vocabulary), digits, near-misses of different lengths,
+        # empty and multi-token cells
+        rng = np.random.default_rng(5)
+        store = EmbeddingStore(dim=store.dim, vectors={
+            **store.vectors,
+            **{w: rng.normal(size=store.dim) for w in ("the", "is", "1946")},
+        })
+        words = ["spouse", "husband", "president", "capital", "zero", "the",
+                 "of", "is", "1946", "capitol", "spouses", "pres", "Baton Rouge",
+                 "", "  ", "$349.99", "yes", "June 14, 1946", "presidency"]
+        word = st.sampled_from(words)
+        n_cols = data.draw(st.integers(1, 4))
+        rows = data.draw(st.lists(st.lists(word, min_size=n_cols, max_size=n_cols),
+                                  min_size=1, max_size=5))
+        headers = data.draw(st.lists(word, min_size=n_cols, max_size=n_cols))
+        question = " ".join(data.draw(st.lists(word, min_size=1, max_size=6)))
+        if not tokenize(question).tokens:
+            question += " capital"
+        table = Table(id="r", name="r", headers=headers, rows=rows)
+        assert_matches_reference(question, table, coltype_model, store, {0})
+
+
+def _random_store(words, seed):
+    rng = np.random.default_rng(seed)
+    return EmbeddingStore(dim=4, vectors={w: rng.normal(size=4) for w in words})
+
+
+class TestViewsHoldNoStoreOrModel:
+    QUESTION = "Who is the husband of the president?"
+
+    def table(self):
+        return Table(id="s", name="s", headers=["spouse", "title"],
+                     rows=[["husband of Ted", "president"],
+                           ["wife", "capital city"]])
+
+    def test_two_stores(self, coltype_model):
+        shared = self.table()
+        words = tokenize(self.QUESTION).tokens + sum(shared.column_tokens, ())
+        stores = [_random_store(words, 1), _random_store(words, 2)]
+        aux = build_aux(self.QUESTION, shared, coltype_model)
+        got = [featurize_select(self.QUESTION, shared, 0, aux, s) for s in stores]
+        for vec, s in zip(got, stores):
+            fresh = self.table()
+            want = featurize_select(self.QUESTION, fresh, 0,
+                                    build_aux(self.QUESTION, fresh, coltype_model), s)
+            assert vec.tobytes() == want.tobytes()
+        assert not np.array_equal(got[0][1:5], got[1][1:5])
+
+    def test_two_column_type_models(self, coltype_model, trained_coltype_model):
+        models = [coltype_model, trained_coltype_model]
+        shared = self.table()
+        got = [build_aux(self.QUESTION, shared, m).coltype_dists for m in models]
+        for dists, m in zip(got, models):
+            want = build_aux(self.QUESTION, self.table(), m).coltype_dists
+            assert dists.tobytes() == want.tobytes()
+        assert not np.array_equal(got[0], got[1])

@@ -439,6 +439,25 @@ class TestMalformedInputs:
         assert capsys.readouterr().err.startswith(f"error: {kinds}:1: ")
 
 
+    def test_malformed_manifest_cell_names_file_and_line(self, cli_workspace,
+                                                         fixtures_dir, tmp_path,
+                                                         capsys):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(
+            "# qid split table alternates cells question query\n"
+            "q1\ttrain\tstate-capitals\t-\t0:1:2\tCapital of Texas?\t"
+            "SELECT \"Capital\" FROM \"state-capitals\"\n"
+        )
+        code = main(["ask", "Capital of Texas?", "--workspace", str(cli_workspace),
+                     "--embeddings", f"{fixtures_dir}/pipeline.vec",
+                     "--manifest", str(manifest), "--scope", "golden"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: manifest validation failed: q1: {manifest}:2: "
+            "bad cell '0:1:2', expected row:column\n"
+        )
+
+
 class TestTrainReport:
     def test_mlp_tasks_report_final_epoch_loss(self, cli_workspace, fixtures_dir,
                                                tmp_path, capsys):

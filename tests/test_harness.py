@@ -103,6 +103,46 @@ class TestManifest:
             load_manifest(p, corpus, pipeline_store)
 
 
+_GOLD = "SELECT \"Capital\" FROM \"state-capitals\" WHERE \"State\" ~ 'texas'"
+
+
+class TestManifestErrorsNameTheLine:
+    @pytest.mark.parametrize("cells, message", [
+        ("0:1:2", "bad cell '0:1:2', expected row:column"),
+        ("1:1,x:1", "bad cell 'x:1', expected row:column"),
+        ("1", "bad cell '1', expected row:column"),
+        ("", "bad cell '', expected row:column"),
+        ("0:1", "gold query yields [(1, 1)], manifest says [(0, 1)]"),
+    ], ids=["three-parts", "not-a-number", "no-colon", "empty", "wrong-cells"])
+    def test_cause_is_prefixed_with_path_and_line(self, tmp_path, corpus,
+                                                  pipeline_store, cells, message):
+        p = tmp_path / "bad.txt"
+        p.write_text(
+            "# qid split table alternates cells question query\n"
+            f"q1\ttrain\tstate-capitals\t-\t{cells}\tCapital of Texas?\t{_GOLD}\n"
+        )
+        with pytest.raises(ValidationFailure) as exc:
+            load_manifest(p, corpus, pipeline_store)
+        assert exc.value.failures == [("q1", f"{p}:2: {message}")]
+
+    def test_every_failing_line_is_named(self, tmp_path, corpus, pipeline_store):
+        p = tmp_path / "bad.txt"
+        p.write_text(
+            f"q1\ttrain\tstate-capitals\t-\t1:1\tCapital of Texas?\t{_GOLD}\n"
+            "q2\ttrain\tnope\t-\t0:0\tq?\tSELECT \"a\" FROM \"nope\"\n"
+            "\n"
+            "only\tthree\tfields\n"
+            "q4\tsometimes\tstate-capitals\t-\t1:1\tCapital of Texas?\t{_GOLD}\n"
+        )
+        with pytest.raises(ValidationFailure) as exc:
+            load_manifest(p, corpus, pipeline_store)
+        assert exc.value.failures == [
+            ("q2", f"{p}:2: unknown table 'nope'"),
+            ("line 4", f"{p}:4: expected 7 fields, got 3"),
+            ("q4", f"{p}:5: 'sometimes' is not a valid Split"),
+        ]
+
+
 class TestConfusionMetrics:
     def test_select_clause_train_row(self):
         m = metrics_from_confusion(tp=182, fp=209, fn=30, tn=1001)
@@ -399,7 +439,7 @@ def reference_entry_outcome(entry, tables, index, bundle, store, cfg, row_mode,
     golden = tables[entry.table_id] if scope is Scope.GOLDEN_TABLE else None
     try:
         result = run_pipeline(
-            entry.question, tables, index, bundle, store, cfg,
+            entry.question, tables, index, bundle, store,
             row_mode=row_mode, golden_table=golden, question_id=entry.qid,
         )
     except PipelineStageError as exc:

@@ -295,6 +295,27 @@ class TestTranspose:
         with pytest.raises(DuplicateKeys):
             transpose_key_value(t)
 
+    def test_transposed_table_builds_its_own_views(self):
+        t = Table(
+            id="laptops", name="laptops",
+            headers=["Feature", "1", "2"],
+            rows=[["product", "acer", "dell"], ["ram", "4 gb", "8 gb"]],
+            kind=TableKind.KEY_VALUE,
+        )
+        views = ("cell_tokens", "column_tokens", "column_vocab",
+                 "header_stems", "column_type_features")
+        source = {name: getattr(t, name) for name in views}
+        out = transpose_key_value(t)
+        assert not set(views) & set(vars(out))
+        assert [[cell.tokens for cell in column] for column in out.cell_tokens] \
+            == [[("acer",), ("dell",)], [("4", "gb"), ("8", "gb")]]
+        assert out.column_tokens == (("acer", "dell"), ("4", "gb", "8", "gb"))
+        assert out.column_vocab == ({4: ["acer", "dell"]}, {1: ["4", "8"], 2: ["gb"]})
+        assert out.header_stems == (("product",), ("ram",))
+        assert len(out.column_type_features) == 2
+        assert out.column_type_features[1].numeric == 0.0
+        assert {name: getattr(t, name) for name in views} == source
+
     def test_grid_transpose_is_involution(self):
         rng = random.Random(99)
         for _ in range(50):

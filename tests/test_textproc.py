@@ -31,6 +31,34 @@ def brute_force_distance(a, b):
     return go(len(a), len(b))
 
 
+def reference_edit_distance(a: str, b: str) -> int:
+    """The row-by-row DP that ``edit_distance`` replaced, kept as its oracle."""
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return len(a)
+    previous = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        current = [i]
+        for j, cb in enumerate(b, start=1):
+            current.append(min(
+                previous[j] + 1,
+                current[j - 1] + 1,
+                previous[j - 1] + (ca != cb),
+            ))
+        previous = current
+    return previous[-1]
+
+
+# short alphabets make long strings share characters, so the bit vectors
+# see runs of matches and mismatches across the 64-bit boundary
+_EDIT_TEXT = st.one_of(
+    st.text(max_size=12),
+    st.text(alphabet="ab", max_size=150),
+    st.text(alphabet="abcdé", min_size=60, max_size=140),
+)
+
+
 class TestTokenize:
     def test_question_with_stopwords_dropped(self):
         tl = tokenize("What is NAIRU?", drop_stopwords=True)
@@ -110,6 +138,17 @@ class TestEditDistance:
         for _ in range(200):
             a, b, c = rng.choice(words), rng.choice(words), rng.choice(words)
             assert edit_distance(a, c) <= edit_distance(a, b) + edit_distance(b, c)
+
+
+    @settings(max_examples=400, deadline=None)
+    @given(_EDIT_TEXT, _EDIT_TEXT)
+    @example("", "")
+    @example("", "a" * 70)
+    @example("population", "populated")
+    @example("a" * 64 + "b", "b" + "a" * 64)
+    @example("ab" * 40, "ba" * 41)
+    def test_equals_the_dp_reference(self, a, b):
+        assert edit_distance(a, b) == reference_edit_distance(a, b)
 
 
 class TestNormalizedEditDistance:

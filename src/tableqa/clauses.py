@@ -10,10 +10,12 @@ toolchain. The tag inventories are fixed text resources so the one-hot
 blocks always have dimensions 12, 6 and 37.
 
 Neither featurizer tokenizes: ``build_aux`` tokenizes the question once
-(tokens with stop words, and tokens and stems without them), and the
-table side reads the table's own token views (``Table.cell_tokens``,
-``column_tokens``, ``column_vocab``, ``header_stems`` and
-``column_type_features``), built on the table's first use.
+(tokens with stop words, and tokens and stems without them) and hands
+the tokens to the question classifier and the tagger alignment check;
+the table side reads the table's own views (``Table.cell_tokens``,
+``column_tokens``, ``column_vocab``, ``mean_cell_length``,
+``header_stems`` and ``column_type_features``), built on the table's
+first use.
 """
 
 from __future__ import annotations
@@ -178,10 +180,15 @@ class SidecarTagger:
         return self.by_question[question_id]
 
 
-def tag_tokens(question: str, provider, question_id: str | None = None) -> list[TokenTags]:
-    """Provider tags aligned with tokenize(question) (stop words kept)."""
+def tag_tokens(question: str, provider, question_id: str | None = None,
+               tokens: tuple[str, ...] | None = None) -> list[TokenTags]:
+    """Provider tags aligned with tokenize(question) (stop words kept);
+    ``tokens``, when given, is ``tokenize(question).tokens``, read instead
+    of tokenizing again."""
     tags = provider.tag(question, question_id)
-    n_tokens = len(tokenize(question).tokens)
+    if tokens is None:
+        tokens = tokenize(question).tokens
+    n_tokens = len(tokens)
     if len(tags) != n_tokens:
         raise SidecarMismatch(
             f"provider produced {len(tags)} tags for {n_tokens} tokens"
@@ -213,14 +220,14 @@ def build_aux(
     question_id: str | None = None,
 ) -> AuxSignals:
     tagger = tagger or HeuristicTagger()
-    _, onehot = classify_question(question)
     tokenized = tokenize(question)
+    _, onehot = classify_question(question, tokenized.tokens)
     content = [(t, s) for t, s in zip(tokenized.tokens, tokenized.stems)
                if t not in STOPWORDS]
     return AuxSignals(
         qtype_onehot=onehot,
         coltype_dists=column_type_distributions(table, coltype_model),
-        tags=tag_tokens(question, tagger, question_id),
+        tags=tag_tokens(question, tagger, question_id, tokenized.tokens),
         question_tokens=tokenized.tokens,
         content_tokens=tuple(t for t, _ in content),
         content_stems=tuple(s for _, s in content),
@@ -351,12 +358,10 @@ def featurize_where(
     """
     word = aux.question_tokens[word_index]
     tags = aux.tags[word_index]
-    non_empty = [c for c in table.column(column_index) if c.strip()]
-    avg_len = float(np.mean([len(c) for c in non_empty])) if non_empty else 0.0
     parts = [
         np.array([
             _min_word_column_distance(word, table, column_index),
-            avg_len,
+            table.mean_cell_length[column_index],
             float(table.n_rows),
             1.0 if column_index in select_columns else 0.0,
         ]),

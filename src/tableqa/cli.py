@@ -36,11 +36,13 @@ from .harness import (
     load_corpus,
     load_manifest,
     load_table_kinds,
+    parse_manifest,
     run_pipeline,
     split_index,
     sweep_pipeline,
     train_select_model,
     train_where_model,
+    validate_manifest,
 )
 from .nn import TrainConfig, load_model, save_model
 from .query import print_query
@@ -61,11 +63,12 @@ from .typerec import (
 TASKS = ("table-type", "column-type", "select", "where")
 
 
-def _workspace_tables(ws: Path):
+def _workspace_tables(ws: Path, ids=None):
+    """The workspace's tables; with ``ids``, only the ones they name."""
     tables_dir = ws / "tables"
     if not tables_dir.is_dir():
         raise TableQAError(f"workspace has no tables directory: {tables_dir}")
-    return load_corpus(tables_dir)
+    return load_corpus(tables_dir, ids)
 
 
 def _model_path(ws: Path, task: str) -> Path:
@@ -88,10 +91,11 @@ def _load_bundle(ws: Path) -> ModelBundle:
 
 def _labeled_columns(ws: Path, labels_path):
     """(cells, type) per column-labels entry, each checked against the
-    workspace's tables."""
-    tables = _workspace_tables(ws)
+    workspace's tables; only the tables the labels name are read."""
+    labels = load_column_labels(labels_path)
+    tables = _workspace_tables(ws, {tid for tid, _, _ in labels})
     out = []
-    for tid, idx, ctype in load_column_labels(labels_path):
+    for tid, idx, ctype in labels:
         entry = f"{labels_path}: entry {tid} {idx} {ctype.name.lower()}"
         if tid not in tables:
             raise TableQAError(f"{entry}: no table {tid!r} in the workspace")
@@ -206,16 +210,19 @@ def cmd_train(args) -> int:
             raise TableQAError(
                 f"train --task {args.task} needs --manifest and --embeddings"
             )
-        tables = _workspace_tables(ws)
+        # every entry is validated, so the tables of all splits are read,
+        # and no other table
+        lines = parse_manifest(args.manifest)
+        tables = _workspace_tables(
+            ws, {line.entry.table_id for line in lines if line.entry is not None}
+        )
         store = load_embeddings(args.embeddings)
         bundle = _load_bundle(ws)
         if bundle.coltype_model is None:
             raise TableQAError(
                 "train the column-type model first (its distribution is a feature)"
             )
-        entries = _split_entries(
-            load_manifest(args.manifest, tables, store), "train"
-        )
+        entries = _split_entries(validate_manifest(lines, tables, store), "train")
         trainer = train_select_model if args.task == "select" else train_where_model
         model = trainer(entries, tables, store, bundle, _train_config(args))
         save_model(model, out)

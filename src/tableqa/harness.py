@@ -21,8 +21,10 @@ sweep, they score zero and are listed in every cell that used the stage.
 from __future__ import annotations
 
 import enum
+import os
 from collections import Counter
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -119,19 +121,28 @@ def load_table_kinds(path) -> dict[str, TableKind]:
     return kinds
 
 
-def load_corpus(tables_dir) -> dict[str, Table]:
-    """Raw tables from a directory, one file per table, id = filename stem."""
-    from pathlib import Path
+def load_corpus(tables_dir, ids=None) -> dict[str, Table]:
+    """Raw tables from a directory, one file per table, id = filename stem.
 
+    Files are read in name order, so of a ``.csv`` and a ``.tsv`` with one
+    stem the later-sorted file wins. With ``ids``, only the files whose
+    stem is in ``ids`` are read; an id is matched against the directory
+    listing and never joined into a path, so an id absent from the
+    directory, such as ``../x``, is simply missing from the result.
+    """
+    formats = {"csv": TableFormat.CSV, "tsv": TableFormat.TSV}
+    # file paths, and the errors naming them, spelled as pathlib joins them
+    base = str(Path(str(tables_dir)))
+    root = "" if base == "." else base
+    with os.scandir(base) as listing:
+        names = sorted(entry.name for entry in listing)
     tables = {}
-    for path in sorted(Path(str(tables_dir)).iterdir()):
-        if path.suffix == ".csv":
-            fmt = TableFormat.CSV
-        elif path.suffix == ".tsv":
-            fmt = TableFormat.TSV
-        else:
+    for name in names:
+        stem, _, suffix = name.rpartition(".")
+        fmt = formats.get(suffix)
+        if not stem or fmt is None or (ids is not None and stem not in ids):
             continue
-        t = load_table(path, fmt)
+        t = load_table(os.path.join(root, name), fmt)
         tables[t.id] = t
     return tables
 
@@ -170,17 +181,19 @@ def _parse_cells(text: str) -> frozenset:
     return frozenset(cells)
 
 
-def load_manifest(
-    path,
-    tables: dict[str, Table],
-    store: EmbeddingStore,
-    cfg: SimMatchConfig = SimMatchConfig(),
-) -> list[ManifestEntry]:
-    """Parse and validate the manifest; entries failing their gold-query
-    round trip are collected into one ValidationFailure, each cause
-    prefixed with ``path:line``."""
-    entries = []
-    failures = []
+@dataclass(frozen=True)
+class ManifestLine:
+    """One manifest line that is not blank or a comment: its entry, or the
+    reason it has none (``failure`` is ``(qid or "line N", cause)``)."""
+
+    where: str                             # path:line
+    entry: ManifestEntry | None
+    failure: tuple[str, str] | None = None
+
+
+def parse_manifest(path) -> list[ManifestLine]:
+    """The manifest's lines, parsed but not checked against any table."""
+    lines = []
     with open(str(path), encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -189,30 +202,67 @@ def load_manifest(
             where = f"{path}:{lineno}"
             parts = line.split("\t")
             if len(parts) != 7:
-                failures.append((f"line {lineno}",
-                                 f"{where}: expected 7 fields, got {len(parts)}"))
+                lines.append(ManifestLine(where, None, (
+                    f"line {lineno}", f"{where}: expected 7 fields, got {len(parts)}")))
                 continue
             qid, split, table_id, alts, cells_s, question, query_text = parts
             try:
-                cells = _parse_cells(cells_s)
                 entry = ManifestEntry(
                     qid=qid, question=question, table_id=table_id,
                     alternates=tuple(a for a in alts.split(",") if a and a != "-"),
-                    gold_query=query_text, gold_cells=cells, split=Split(split),
+                    gold_query=query_text, gold_cells=_parse_cells(cells_s),
+                    split=Split(split),
                 )
-                if table_id not in tables:
-                    raise ValueError(f"unknown table {table_id!r}")
-                got = execute(parse_query(query_text), tables[table_id], store, cfg)
-                if got != set(cells):
-                    raise ValueError(f"gold query yields {sorted(got)}, manifest "
-                                     f"says {sorted(cells)}")
-            except (TableQAError, ValueError) as exc:
-                failures.append((qid, f"{where}: {exc}"))
+            except ValueError as exc:
+                lines.append(ManifestLine(where, None, (qid, f"{where}: {exc}")))
                 continue
-            entries.append(entry)
+            lines.append(ManifestLine(where, entry))
+    return lines
+
+
+def validate_manifest(
+    lines: list[ManifestLine],
+    tables: dict[str, Table],
+    store: EmbeddingStore,
+    cfg: SimMatchConfig = SimMatchConfig(),
+) -> list[ManifestEntry]:
+    """The entries of ``parse_manifest`` whose gold query executes on their
+    gold table to exactly the stated cells. Lines that failed to parse or
+    to validate are collected, in file order, into one ValidationFailure,
+    each cause prefixed with ``path:line``."""
+    entries = []
+    failures = []
+    for line in lines:
+        entry = line.entry
+        if entry is None:
+            failures.append(line.failure)
+            continue
+        try:
+            if entry.table_id not in tables:
+                raise ValueError(f"unknown table {entry.table_id!r}")
+            got = execute(parse_query(entry.gold_query), tables[entry.table_id],
+                          store, cfg)
+            if got != set(entry.gold_cells):
+                raise ValueError(f"gold query yields {sorted(got)}, manifest "
+                                 f"says {sorted(entry.gold_cells)}")
+        except (TableQAError, ValueError) as exc:
+            failures.append((entry.qid, f"{line.where}: {exc}"))
+            continue
+        entries.append(entry)
     if failures:
         raise ValidationFailure(failures)
     return entries
+
+
+def load_manifest(
+    path,
+    tables: dict[str, Table],
+    store: EmbeddingStore,
+    cfg: SimMatchConfig = SimMatchConfig(),
+) -> list[ManifestEntry]:
+    """Parse and validate the manifest (``parse_manifest`` then
+    ``validate_manifest``)."""
+    return validate_manifest(parse_manifest(path), tables, store, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ class Table:
     def column(self, index: int) -> list[str]:
         return [row[index] for row in self.rows]
 
-    # Token views. Each is built on first use and kept on the object,
+    # Cell views. Each is built on first use and kept on the object,
     # outside the dataclass fields, so ``dataclasses.replace`` (the
     # key-value transpose) makes a table without them. They hold nothing
     # that depends on a model or an embedding store, and assume the cells
@@ -100,6 +100,16 @@ class Table:
             for t in dict.fromkeys(tokens):
                 by_length.setdefault(len(t), []).append(t)
             out.append(by_length)
+        return tuple(out)
+
+    @cached_property
+    def mean_cell_length(self) -> tuple[float, ...]:
+        """Per column, the mean length of its non-empty cells (0.0 when
+        every cell is empty)."""
+        out = []
+        for c in range(self.n_columns):
+            lengths = [len(cell) for cell in self.column(c) if cell.strip()]
+            out.append(float(np.mean(lengths)) if lengths else 0.0)
         return tuple(out)
 
     @cached_property
@@ -175,11 +185,17 @@ def _is_url_column(cells: list[str]) -> bool:
     return bool(non_empty) and all("http" in c for c in non_empty)
 
 
-def _population_variance(values: list[float]) -> float:
-    if not values:
-        return 0.0
-    arr = np.asarray(values, dtype=np.float64)
-    return float(np.mean((arr - arr.mean()) ** 2))
+def _row_variances(grid: np.ndarray) -> np.ndarray:
+    """Population variance of each row of a C-contiguous 2-D array with at
+    least one column.
+
+    ``np.add.reduce`` along the contiguous last axis sums each row as
+    ``np.mean`` sums a 1-D array (pairwise), so every variance is the
+    float ``np.mean((row - row.mean()) ** 2)`` gives.
+    """
+    n = grid.shape[1]
+    deviations = grid - (np.add.reduce(grid, axis=1) / n)[:, None]
+    return np.add.reduce(deviations * deviations, axis=1) / n
 
 
 def extract_table_type_features(table: Table) -> TableTypeFeatures:
@@ -188,7 +204,7 @@ def extract_table_type_features(table: Table) -> TableTypeFeatures:
     Both variance features are per-column population variances averaged
     across columns: word counts are normalized by the column's max token
     count; digit presence is a 0/1 indicator per cell. Empty cells count as
-    zero tokens and as digit-free.
+    zero tokens and as digit-free. A table without rows has zero variances.
     """
     columns = [table.column(i) for i in range(table.n_columns)]
     n_columns = table.n_columns
@@ -197,27 +213,28 @@ def extract_table_type_features(table: Table) -> TableTypeFeatures:
     has_kp = int(any("key" in h.lower() or "property" in h.lower()
                      for h in table.headers))
 
-    len_variances = []
-    digit_variances = []
-    for cells in columns:
-        counts = [len(cell.split()) for cell in cells]
-        max_count = max(counts, default=0)
-        if max_count > 0:
-            len_variances.append(_population_variance([c / max_count for c in counts]))
-        else:
-            len_variances.append(0.0)
-        digit_variances.append(_population_variance(
-            [float(any(ch.isdigit() for ch in cell)) for cell in cells]
-        ))
+    word_variance = digit_variance = 0.0
+    if table.n_rows:
+        # one (columns x rows) grid per feature, stacked: word counts
+        # normalized by their column's largest count (an all-zero column
+        # stays zero), then 0/1 digit presence
+        counts = np.array([[len(cell.split()) for cell in cells]
+                           for cells in columns], dtype=np.float64)
+        largest = counts.max(axis=1, keepdims=True)
+        digits = [[float(any(map(str.isdigit, cell))) for cell in cells]
+                  for cells in columns]
+        grid = np.concatenate([counts / np.where(largest > 0, largest, 1.0),
+                               digits])
+        variances = _row_variances(grid)
+        word_variance = float(np.add.reduce(variances[:n_columns]) / n_columns)
+        digit_variance = float(np.add.reduce(variances[n_columns:]) / n_columns)
 
     return TableTypeFeatures(
         n_columns=n_columns,
         n_columns_sans_url=n_sans_url,
         has_key_or_property_header=has_kp,
-        norm_word_len_variance=float(np.mean(len_variances)) if len_variances else 0.0,
-        norm_digit_presence_variance=(
-            float(np.mean(digit_variances)) if digit_variances else 0.0
-        ),
+        norm_word_len_variance=word_variance,
+        norm_digit_presence_variance=digit_variance,
     )
 
 

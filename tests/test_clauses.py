@@ -54,6 +54,35 @@ def make_aux(question, table, coltype_model):
     return build_aux(question, table, coltype_model)
 
 
+class TestBuildAuxTokenizesOnce:
+    def test_one_tokenize_call_with_warm_views(self, corpus,
+                                               trained_coltype_model,
+                                               monkeypatch):
+        from tableqa import clauses, typerec
+
+        question = "What is the capital of Texas?"
+        table = corpus["state-capitals"]
+        want = build_aux(question, table, trained_coltype_model)
+        calls = []
+
+        def counting(text, *args, **kwargs):
+            calls.append(text)
+            return tokenize(text, *args, **kwargs)
+
+        monkeypatch.setattr(clauses, "tokenize", counting)
+        monkeypatch.setattr(typerec, "tokenize", counting)
+        got = build_aux(question, table, trained_coltype_model)
+        assert calls == [question]
+        assert got.qtype_onehot.tobytes() == want.qtype_onehot.tobytes()
+        assert got.tags == want.tags
+
+    def test_given_tokens_are_read(self):
+        assert classify_question("zzz", ("who", "is"))[0] \
+            is classify_question("who is")[0]
+        with pytest.raises(SidecarMismatch):
+            tag_tokens("Who is", HeuristicTagger(), tokens=("who",))
+
+
 class TestHeuristicTagger:
     def test_digit_token(self):
         tags = tag_tokens("5", HeuristicTagger())

@@ -600,3 +600,84 @@ class TestColumnLabelEntries:
         code = main(args)
         assert code == 1
         assert capsys.readouterr().err == f"error: {labels}{message}\n"
+
+
+class TestTrainReadsOnlyNamedTables:
+    """`train --task column-type` reads the tables its labels name, and
+    `train --task select|where` the tables the manifest names."""
+
+    @staticmethod
+    def _train(ws, fx, task, out):
+        inputs = (["--labels", f"{fx}/column_labels.txt"] if task == "column-type"
+                  else ["--manifest", f"{fx}/manifest.txt",
+                        "--embeddings", f"{fx}/pipeline.vec"])
+        return main(["train", "--task", task, "--workspace", str(ws),
+                     "--seed", "7", "--epochs", "3", "--out", str(out)] + inputs)
+
+    @pytest.mark.parametrize("task", ["column-type", "select", "where"])
+    def test_unnamed_table_leaves_the_model_unchanged(self, cli_workspace,
+                                                      fixtures_dir, tmp_path,
+                                                      task):
+        ws = tmp_path / "ws"
+        shutil.copytree(cli_workspace, ws)
+        assert self._train(ws, fixtures_dir, task, tmp_path / "clean.model") == 0
+        extra = ws / "tables" / "zz-unnamed.csv"
+        models = {}
+        for how, text in (("well-formed", "a,b\n1,2\n"),
+                          ("malformed", "a,b\nonly one cell\n")):
+            extra.write_text(text)
+            models[how] = tmp_path / f"{how}.model"
+            assert self._train(ws, fixtures_dir, task, models[how]) == 0
+        clean = (tmp_path / "clean.model").read_bytes()
+        assert all(path.read_bytes() == clean for path in models.values())
+
+    def _one_question(self, tmp_path, table_id):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(
+            f"q1\ttrain\t{table_id}\t-\t1:1\tCapital of Texas?\t"
+            f"SELECT \"Capital\" FROM \"{table_id}\" WHERE \"State\" ~ 'texas'\n")
+        return manifest
+
+    @pytest.mark.parametrize("task", ["select", "where"])
+    @pytest.mark.parametrize("table_id", ["state-capitals", "../state-capitals"])
+    def test_missing_manifest_table_is_unknown(self, cli_workspace, fixtures_dir,
+                                               tmp_path, capsys, task, table_id):
+        ws = tmp_path / "ws"
+        shutil.copytree(cli_workspace, ws)
+        # the table sits one directory above tables/, where "../" would reach
+        (ws / "tables" / "state-capitals.csv").rename(ws / "state-capitals.csv")
+        manifest = self._one_question(tmp_path, table_id)
+        code = main(["train", "--task", task, "--workspace", str(ws),
+                     "--manifest", str(manifest),
+                     "--embeddings", f"{fixtures_dir}/pipeline.vec",
+                     "--out", str(tmp_path / "m.model")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: manifest validation failed: q1: {manifest}:1: "
+            f"unknown table {table_id!r}\n")
+
+    def test_labels_table_outside_the_tables_directory_is_unknown(
+            self, cli_workspace, tmp_path, capsys):
+        ws = tmp_path / "ws"
+        shutil.copytree(cli_workspace, ws)
+        shutil.copy(ws / "tables" / "state-capitals.csv", ws / "outside.csv")
+        labels = tmp_path / "labels.txt"
+        labels.write_text("../outside\t0\tText\n")
+        code = main(["train", "--task", "column-type", "--workspace", str(ws),
+                     "--labels", str(labels), "--out", str(tmp_path / "c.model")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {labels}: entry ../outside 0 text: no table '../outside' "
+            "in the workspace\n")
+
+    @pytest.mark.parametrize("task", ["column-type", "select", "where"])
+    def test_malformed_named_table_is_error(self, cli_workspace, fixtures_dir,
+                                            tmp_path, capsys, task):
+        ws = tmp_path / "ws"
+        shutil.copytree(cli_workspace, ws)
+        table = ws / "tables" / "state-capitals.csv"
+        table.write_text("State,Capital,Population\nTexas,Austin\n")
+        code = self._train(ws, fixtures_dir, task, tmp_path / "m.model")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {table}: row 1 has 2 cells, expected 3\n")

@@ -1,4 +1,5 @@
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +12,7 @@ from tableqa.clauses import (
     predict_where,
 )
 from tableqa.embed import SimMatchConfig
-from tableqa.errors import AllZero, ValidationFailure
+from tableqa.errors import AllZero, MalformedFile, ValidationFailure
 from tableqa.harness import (
     ModelBundle,
     PipelineStageError,
@@ -29,6 +30,7 @@ from tableqa.harness import (
     evaluate_where,
     gold_select_indices,
     gold_where_pairs,
+    load_corpus,
     load_manifest,
     metrics_from_confusion,
     run_pipeline,
@@ -57,6 +59,55 @@ class TestCorpusLoading:
         laptops = corpus["laptop-compare"]
         assert laptops.headers[0] == "product"
         assert laptops.n_rows == 5
+
+
+class TestLoadCorpusIds:
+    @staticmethod
+    def _tables_dir(tmp_path):
+        tables = tmp_path / "tables"
+        tables.mkdir()
+        (tables / "a.csv").write_text("x,y\n1,2\n")
+        (tables / "b.tsv").write_text("p\tq\n3\t4\n")
+        (tables / "bad.csv").write_text("x,y\nonly one\n")
+        (tmp_path / "outside.csv").write_text("o\nv\n")
+        return tables
+
+    def test_reads_only_the_named_tables(self, tmp_path):
+        tables = self._tables_dir(tmp_path)
+        got = load_corpus(tables, {"a", "b", "absent"})
+        assert sorted(got) == ["a", "b"]
+        assert got["b"].headers == ["p", "q"]
+        with pytest.raises(MalformedFile, match="bad.csv: row 1 has 1 cells"):
+            load_corpus(tables)
+        with pytest.raises(MalformedFile):
+            load_corpus(tables, {"bad"})
+
+    def test_an_id_is_never_joined_into_a_path(self, tmp_path):
+        tables = self._tables_dir(tmp_path)
+        assert load_corpus(tables, {"../outside", str(tmp_path / "outside"),
+                                    "a.csv", ""}) == {}
+
+    @pytest.mark.parametrize("ids", [None, {"a"}])
+    def test_later_sorted_file_wins_a_shared_stem(self, tmp_path, ids):
+        (tmp_path / "a.csv").write_text("from-csv\n")
+        (tmp_path / "a.tsv").write_text("from-tsv\n")
+        assert load_corpus(tmp_path, ids)["a"].headers == ["from-tsv"]
+
+    def test_only_csv_and_tsv_names_with_a_stem(self, tmp_path):
+        for name in (".csv", "upper.CSV", "notes.txt", "plain"):
+            (tmp_path / name).write_text("x\n1\n")
+        (tmp_path / "..csv").write_text("x\n1\n")
+        assert list(load_corpus(tmp_path)) == ["."]
+
+    @pytest.mark.parametrize("spelling", ["tables/", "./tables", "tables//", "."])
+    def test_paths_spelled_as_pathlib_joins_them(self, tmp_path, monkeypatch,
+                                                 spelling):
+        tables = self._tables_dir(tmp_path)
+        monkeypatch.chdir(tables if spelling == "." else tmp_path)
+        expected = Path(spelling) / "bad.csv"
+        with pytest.raises(MalformedFile) as exc:
+            load_corpus(spelling)
+        assert str(exc.value).startswith(f"{expected}: row 1 ")
 
     def test_entity_instance_untouched(self, raw_corpus, corpus):
         assert corpus["state-capitals"].rows == raw_corpus["state-capitals"].rows

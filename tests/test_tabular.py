@@ -125,6 +125,103 @@ class TestFeatures:
         assert f.norm_word_len_variance == pytest.approx(0.25)
         assert f.norm_digit_presence_variance == 0.0
 
+    def test_zero_row_table_variances_zero(self):
+        t = Table(id="z", name="z", headers=["a", "Key"], rows=[])
+        f = extract_table_type_features(t)
+        assert f == TableTypeFeatures(2, 2, 1, 0.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# The table-kind features before they were computed with array ops, one
+# np.mean per column; the array version must give the same floats.
+# ---------------------------------------------------------------------------
+
+def reference_population_variance(values):
+    if not values:
+        return 0.0
+    arr = np.asarray(values, dtype=np.float64)
+    return float(np.mean((arr - arr.mean()) ** 2))
+
+
+def reference_table_type_features(table):
+    columns = [table.column(i) for i in range(table.n_columns)]
+    n_sans_url = sum(
+        1 for cells in columns
+        if not ([c for c in cells if c.strip()]
+                and all("http" in c for c in cells if c.strip()))
+    )
+    has_kp = int(any("key" in h.lower() or "property" in h.lower()
+                     for h in table.headers))
+    len_variances = []
+    digit_variances = []
+    for cells in columns:
+        counts = [len(cell.split()) for cell in cells]
+        max_count = max(counts, default=0)
+        if max_count > 0:
+            len_variances.append(
+                reference_population_variance([c / max_count for c in counts]))
+        else:
+            len_variances.append(0.0)
+        digit_variances.append(reference_population_variance(
+            [float(any(ch.isdigit() for ch in cell)) for cell in cells]
+        ))
+    return TableTypeFeatures(
+        n_columns=table.n_columns,
+        n_columns_sans_url=n_sans_url,
+        has_key_or_property_header=has_kp,
+        norm_word_len_variance=float(np.mean(len_variances)),
+        norm_digit_presence_variance=float(np.mean(digit_variances)),
+    )
+
+
+def assert_features_match_reference(table):
+    got = extract_table_type_features(table)
+    want = reference_table_type_features(table)
+    assert got == want, table.id
+    assert got.as_vector().tobytes() == want.as_vector().tobytes(), table.id
+
+
+# empty and blank cells, URLs, digits (ASCII, Arabic-Indic and superscript,
+# all of which ``str.isdigit`` accepts), and one to several words
+_CELLS = ["", "  ", "http://x.org/a", "see https://y", "1946", "a1 b", "x²",
+          "٣ apples", "one", "two words", "three little words",
+          "a b c d e f g h i j", "June 14, 1946"]
+
+
+class TestFeaturesMatchReference:
+    def test_fixture_tables(self, raw_corpus):
+        for table in raw_corpus.values():
+            assert_features_match_reference(table)
+
+    # 8 rows and fewer, 9 to 128, and over 128: where numpy's pairwise
+    # summation changes its path
+    @settings(max_examples=150, deadline=None)
+    @given(n_rows=st.one_of(st.integers(0, 8), st.integers(9, 128),
+                            st.integers(129, 300)),
+           columns=st.lists(st.tuples(st.sampled_from(["mixed", "url", "empty",
+                                                       "constant"]),
+                                      st.integers(0, 2 ** 32 - 1)),
+                            min_size=1, max_size=5),
+           headers=st.lists(st.sampled_from(["name", "Key", "PROPERTY", "born",
+                                             "value", ""]),
+                            min_size=5, max_size=5))
+    def test_random_tables(self, n_rows, columns, headers):
+        grid = []
+        for pattern, seed in columns:
+            rng = random.Random(seed)
+            if pattern == "url":
+                pool = ["http://x.org/a", "see https://y", ""]
+            elif pattern == "empty":
+                pool = ["", "  "]
+            elif pattern == "constant":
+                pool = [rng.choice(_CELLS)]
+            else:
+                pool = _CELLS
+            grid.append([rng.choice(pool) for _ in range(n_rows)])
+        rows = [list(row) for row in zip(*grid)] if n_rows else []
+        table = Table(id="h", name="h", headers=headers[:len(columns)], rows=rows)
+        assert_features_match_reference(table)
+
 
 def synthetic_corpus(rng, n_per_kind=30):
     """Separable two-kind corpus exercising the five features."""
@@ -246,6 +343,13 @@ def corrupt_table_type_file(text, how):
                 "bias -0.5\nend\n")
     assert how == "empty"
     return ""
+
+
+class TestCellViews:
+    def test_mean_cell_length_skips_blank_cells(self):
+        t = Table(id="m", name="m", headers=["a", "b", "c"],
+                  rows=[["ab", "", "x y"], ["abcd", "  ", "abcd"], ["", " ", " "]])
+        assert t.mean_cell_length == (3.0, 0.0, 3.5)
 
 
 class TestTranspose:

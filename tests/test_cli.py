@@ -631,13 +631,6 @@ class TestTrainReadsOnlyNamedTables:
         clean = (tmp_path / "clean.model").read_bytes()
         assert all(path.read_bytes() == clean for path in models.values())
 
-    def _one_question(self, tmp_path, table_id):
-        manifest = tmp_path / "manifest.txt"
-        manifest.write_text(
-            f"q1\ttrain\t{table_id}\t-\t1:1\tCapital of Texas?\t"
-            f"SELECT \"Capital\" FROM \"{table_id}\" WHERE \"State\" ~ 'texas'\n")
-        return manifest
-
     @pytest.mark.parametrize("task", ["select", "where"])
     @pytest.mark.parametrize("table_id", ["state-capitals", "../state-capitals"])
     def test_missing_manifest_table_is_unknown(self, cli_workspace, fixtures_dir,
@@ -646,7 +639,10 @@ class TestTrainReadsOnlyNamedTables:
         shutil.copytree(cli_workspace, ws)
         # the table sits one directory above tables/, where "../" would reach
         (ws / "tables" / "state-capitals.csv").rename(ws / "state-capitals.csv")
-        manifest = self._one_question(tmp_path, table_id)
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(
+            f"q1\ttrain\t{table_id}\t-\t1:1\tCapital of Texas?\t"
+            f"SELECT \"Capital\" FROM \"{table_id}\" WHERE \"State\" ~ 'texas'\n")
         code = main(["train", "--task", task, "--workspace", str(ws),
                      "--manifest", str(manifest),
                      "--embeddings", f"{fixtures_dir}/pipeline.vec",

@@ -60,6 +60,9 @@ class TestCorpusLoading:
         assert laptops.headers[0] == "product"
         assert laptops.n_rows == 5
 
+    def test_entity_instance_untouched(self, raw_corpus, corpus):
+        assert corpus["state-capitals"].rows == raw_corpus["state-capitals"].rows
+
 
 class TestLoadCorpusIds:
     @staticmethod
@@ -108,9 +111,6 @@ class TestLoadCorpusIds:
         with pytest.raises(MalformedFile) as exc:
             load_corpus(spelling)
         assert str(exc.value).startswith(f"{expected}: row 1 ")
-
-    def test_entity_instance_untouched(self, raw_corpus, corpus):
-        assert corpus["state-capitals"].rows == raw_corpus["state-capitals"].rows
 
 
 class TestManifest:

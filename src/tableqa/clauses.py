@@ -180,14 +180,11 @@ class SidecarTagger:
         return self.by_question[question_id]
 
 
-def tag_tokens(question: str, provider, question_id: str | None = None,
-               tokens: tuple[str, ...] | None = None) -> list[TokenTags]:
-    """Provider tags aligned with tokenize(question) (stop words kept);
-    ``tokens``, when given, is ``tokenize(question).tokens``, read instead
-    of tokenizing again."""
+def tag_tokens(question: str, tokens: tuple[str, ...], provider,
+               question_id: str | None = None) -> list[TokenTags]:
+    """Provider tags aligned with ``tokens``, the question's
+    ``tokenize(question).tokens`` (stop words kept)."""
     tags = provider.tag(question, question_id)
-    if tokens is None:
-        tokens = tokenize(question).tokens
     n_tokens = len(tokens)
     if len(tags) != n_tokens:
         raise SidecarMismatch(
@@ -216,18 +213,17 @@ def build_aux(
     question: str,
     table: Table,
     coltype_model: MlpModel,
-    tagger=None,
+    tagger,
     question_id: str | None = None,
 ) -> AuxSignals:
-    tagger = tagger or HeuristicTagger()
     tokenized = tokenize(question)
-    _, onehot = classify_question(question, tokenized.tokens)
+    _, onehot = classify_question(tokenized.tokens)
     content = [(t, s) for t, s in zip(tokenized.tokens, tokenized.stems)
                if t not in STOPWORDS]
     return AuxSignals(
         qtype_onehot=onehot,
         coltype_dists=column_type_distributions(table, coltype_model),
-        tags=tag_tokens(question, tagger, question_id, tokenized.tokens),
+        tags=tag_tokens(question, tokenized.tokens, tagger, question_id),
         question_tokens=tokenized.tokens,
         content_tokens=tuple(t for t, _ in content),
         content_stems=tuple(s for _, s in content),
@@ -292,7 +288,6 @@ def _header_distance_block(table: Table, column_index: int,
 
 
 def featurize_select(
-    question: str,
     table: Table,
     column_index: int,
     aux: AuxSignals,
@@ -341,7 +336,6 @@ def _onehot(tag: str, inventory: tuple[str, ...]) -> np.ndarray:
 
 
 def featurize_where(
-    question: str,
     table: Table,
     column_index: int,
     word_index: int,
@@ -381,7 +375,6 @@ def featurize_where(
 # ---------------------------------------------------------------------------
 
 def predict_select(
-    question: str,
     table: Table,
     model: MlpModel,
     aux: AuxSignals,
@@ -395,7 +388,7 @@ def predict_select(
     if model is None:
         raise UntrainedModel("no SELECT model supplied")
     features = np.stack([
-        featurize_select(question, table, c, aux, store)
+        featurize_select(table, c, aux, store)
         for c in range(table.n_columns)
     ])
     probs = predict_batch(model, features)
@@ -406,7 +399,6 @@ def predict_select(
 
 
 def predict_where(
-    question: str,
     table: Table,
     model: MlpModel,
     aux: AuxSignals,
@@ -424,7 +416,7 @@ def predict_where(
     if not candidates:
         return set()
     features = np.stack([
-        featurize_where(question, table, c, w, select_pred, aux, store)
+        featurize_where(table, c, w, select_pred, aux, store)
         for c, w in candidates
     ])
     probs = predict_batch(model, features)

@@ -8,7 +8,7 @@ A workspace directory accumulates the pipeline's artifacts:
       models/           trained model files, one per task
       reports/          JSON copies of every eval / pipeline-eval report
 
-Exit codes: 0 on success, 1 on validation or data errors, 2 on usage
+Exit codes: 0 on success, 1 on validation, data or file errors, 2 on usage
 errors.
 """
 
@@ -543,7 +543,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except TableQAError as exc:
+    except (TableQAError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,7 +7,6 @@ failing both, if any token pair sits within a fixed embedding distance.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -17,21 +16,14 @@ from .errors import EmptyFile, MalformedLine
 from .textproc import tokenize
 
 
-class DistanceKind(enum.Enum):
-    COSINE = "cosine"
-    EUCLIDEAN = "euclidean"
-
-
 @dataclass(frozen=True)
 class SimMatchConfig:
     """Match threshold for the embedding fallback stage of ~.
 
-    ``threshold`` is a maximum distance: cosine distance (1 - cosine
-    similarity) by default.
+    ``threshold`` is a maximum cosine distance (1 - cosine similarity).
     """
 
     threshold: float = 0.45
-    distance: DistanceKind = DistanceKind.COSINE
 
     def __post_init__(self):
         if not (math.isfinite(self.threshold) and self.threshold > 0):
@@ -100,25 +92,13 @@ def proximity(store: EmbeddingStore, a: str, b: str) -> float | None:
     return float(va @ vb / (na * nb))
 
 
-def token_distance(store: EmbeddingStore, cfg: SimMatchConfig, a: str, b: str) -> float | None:
-    """Distance between two tokens under the configured metric, None if undefined."""
-    if cfg.distance is DistanceKind.COSINE:
-        sim = proximity(store, a, b)
-        return None if sim is None else 1.0 - sim
-    va = store.lookup(a)
-    vb = store.lookup(b)
-    if va is None or vb is None:
-        return None
-    return float(np.linalg.norm(va - vb))
-
-
 def sim_match(store: EmbeddingStore, cfg: SimMatchConfig, cell: str, keyword: str) -> bool:
     """Three-stage cell/keyword match: equality, substring, embedding distance.
 
     Stage 1 compares lowercased trimmed strings. Stage 2 is LIKE-style
     containment of the keyword in the cell. Stage 3 tokenizes both sides
     and fires when any (cell token, keyword token) pair is within
-    cfg.threshold; out-of-vocabulary pairs never match.
+    cfg.threshold cosine distance; out-of-vocabulary pairs never match.
     """
     cell_norm = cell.strip().lower()
     keyword_norm = keyword.strip().lower()
@@ -129,7 +109,7 @@ def sim_match(store: EmbeddingStore, cfg: SimMatchConfig, cell: str, keyword: st
     keyword_tokens = tokenize(keyword).tokens
     for cell_token in tokenize(cell).tokens:
         for keyword_token in keyword_tokens:
-            dist = token_distance(store, cfg, cell_token, keyword_token)
-            if dist is not None and dist <= cfg.threshold:
+            sim = proximity(store, cell_token, keyword_token)
+            if sim is not None and 1.0 - sim <= cfg.threshold:
                 return True
     return False

@@ -350,7 +350,7 @@ def _gold_walk(entries, tables, bundle):
 def build_select_samples(entries, tables, store, bundle):
     """(25-dim vector, in-SELECT label) per (question, column)."""
     return [
-        (featurize_select(entry.question, table, c, aux, store), int(c in gold))
+        (featurize_select(table, c, aux, store), int(c in gold))
         for entry, table, aux, gold in _gold_walk(entries, tables, bundle)
         for c in range(table.n_columns)
     ]
@@ -366,25 +366,26 @@ def build_where_samples(entries, tables, store, bundle):
     for entry, table, aux, gold_select in _gold_walk(entries, tables, bundle):
         gold_pairs = gold_where_pairs(entry, table)
         for c, w in where_candidates(table, aux):
-            vec = featurize_where(entry.question, table, c, w,
-                                  gold_select, aux, store)
+            vec = featurize_where(table, c, w, gold_select, aux, store)
             samples.append((vec, int((c, aux.question_tokens[w]) in gold_pairs)))
     return samples
 
 
+# positive (in-clause) examples are repeated this many times before SGD
+UPSAMPLE_FACTOR = 6
+
+
 def train_select_model(entries, tables, store, bundle,
-                       cfg: TrainConfig = TrainConfig(),
-                       upsample_factor: int = 6) -> MlpModel:
+                       cfg: TrainConfig = TrainConfig()) -> MlpModel:
     samples = build_select_samples(entries, tables, store, bundle)
-    balanced = upsample_positives(samples, upsample_factor, seed=cfg.seed)
+    balanced = upsample_positives(samples, UPSAMPLE_FACTOR, seed=cfg.seed)
     return train(SELECT_SPEC, balanced, cfg)
 
 
 def train_where_model(entries, tables, store, bundle,
-                      cfg: TrainConfig = TrainConfig(),
-                      upsample_factor: int = 6) -> MlpModel:
+                      cfg: TrainConfig = TrainConfig()) -> MlpModel:
     samples = build_where_samples(entries, tables, store, bundle)
-    balanced = upsample_positives(samples, upsample_factor, seed=cfg.seed)
+    balanced = upsample_positives(samples, UPSAMPLE_FACTOR, seed=cfg.seed)
     return train(WHERE_SPEC, balanced, cfg)
 
 
@@ -429,14 +430,12 @@ def predict_clauses(question: str, table: Table, bundle: ModelBundle,
         raise PipelineStageError("featurization", exc) from exc
 
     try:
-        select_cols = predict_select(question, table, bundle.select_model,
-                                     aux, store)
+        select_cols = predict_select(table, bundle.select_model, aux, store)
     except Exception as exc:
         raise PipelineStageError("select-clause", exc) from exc
 
     try:
-        pairs = predict_where(question, table, bundle.where_model, aux,
-                              select_cols, store)
+        pairs = predict_where(table, bundle.where_model, aux, select_cols, store)
     except Exception as exc:
         raise PipelineStageError("where-clause", exc) from exc
     return select_cols, pairs
@@ -603,22 +602,26 @@ def sweep_pipeline(
 # Per-task evaluation
 # ---------------------------------------------------------------------------
 
-def evaluate_retrieval(entries, tables, ks=(1, 3, 5, 10),
-                       similarities=tuple(Similarity)):
-    """P@k per similarity over the given entries; adjusted P@k (counting
-    manifest-declared alternates) reported when any entry lists them."""
+RETRIEVAL_KS = (1, 3, 5, 10)
+
+
+def evaluate_retrieval(entries, tables):
+    """P@k for each k of ``RETRIEVAL_KS`` per similarity over the given
+    entries; adjusted P@k (counting manifest-declared alternates) reported
+    when any entry lists them."""
     index = build_index(list(tables.values()))
     gold = {e.qid: e.table_id for e in entries}
     alternates = {e.qid: set(e.alternates) for e in entries if e.alternates}
     report = {}
-    for sim in similarities:
+    for sim in Similarity:
         rankings = {
-            e.qid: [tid for tid, _ in score(index, e.question, sim, k=max(ks))]
+            e.qid: [tid for tid, _ in score(index, e.question, sim,
+                                            k=max(RETRIEVAL_KS))]
             for e in entries
         }
-        p_at_k = {k: precision_at_k(rankings, gold, k) for k in ks}
+        p_at_k = {k: precision_at_k(rankings, gold, k) for k in RETRIEVAL_KS}
         adjusted = (
-            {k: precision_at_k(rankings, gold, k, alternates) for k in ks}
+            {k: precision_at_k(rankings, gold, k, alternates) for k in RETRIEVAL_KS}
             if alternates else None
         )
         report[sim] = {"p_at_k": p_at_k, "adjusted_p_at_k": adjusted}
@@ -628,8 +631,7 @@ def evaluate_retrieval(entries, tables, ks=(1, 3, 5, 10),
 def evaluate_select(entries, tables, store, bundle) -> ConfusionMetrics:
     flags = []
     for entry, table, aux, gold in _gold_walk(entries, tables, bundle):
-        predicted = predict_select(entry.question, table, bundle.select_model,
-                                   aux, store)
+        predicted = predict_select(table, bundle.select_model, aux, store)
         flags += [(c in predicted, c in gold) for c in range(table.n_columns)]
     return _confusion(flags)
 
@@ -638,8 +640,8 @@ def evaluate_where(entries, tables, store, bundle) -> ConfusionMetrics:
     flags = []
     for entry, table, aux, gold_select in _gold_walk(entries, tables, bundle):
         gold_pairs = gold_where_pairs(entry, table)
-        predicted = predict_where(entry.question, table, bundle.where_model,
-                                  aux, gold_select, store)
+        predicted = predict_where(table, bundle.where_model, aux, gold_select,
+                                  store)
         pairs = [(c, aux.question_tokens[w]) for c, w in where_candidates(table, aux)]
         flags += [(pair in predicted, pair in gold_pairs) for pair in pairs]
     return _confusion(flags)

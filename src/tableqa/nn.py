@@ -47,7 +47,6 @@ class MlpSpec:
     input_dim: int
     hidden: tuple[int, ...]
     output: OutputHead
-    use_batchnorm: bool = True
 
     def __post_init__(self):
         if self.input_dim < 1 or any(h < 1 for h in self.hidden):
@@ -90,7 +89,7 @@ class MlpModel:
     spec: MlpSpec
     weights: list[np.ndarray]       # one (fan_in, fan_out) matrix per layer
     biases: list[np.ndarray]
-    batchnorms: list[BatchNormParams]  # one per hidden layer when enabled
+    batchnorms: list[BatchNormParams]  # one per hidden layer
     loss_history: list[float] = field(default_factory=list)
 
     @property
@@ -117,13 +116,11 @@ def init_model(spec: MlpSpec, seed: int) -> MlpModel:
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
-    batchnorms = []
-    if spec.use_batchnorm:
-        for h in spec.hidden:
-            batchnorms.append(BatchNormParams(
-                gamma=np.ones(h), beta=np.zeros(h),
-                running_mean=np.zeros(h), running_var=np.ones(h),
-            ))
+    batchnorms = [
+        BatchNormParams(gamma=np.ones(h), beta=np.zeros(h),
+                        running_mean=np.zeros(h), running_var=np.ones(h))
+        for h in spec.hidden
+    ]
     return MlpModel(spec=spec, weights=weights, biases=biases, batchnorms=batchnorms)
 
 
@@ -133,38 +130,20 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return exps / exps.sum(axis=-1, keepdims=True)
 
 
-def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Inference-mode forward pass for a single input vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.spec.input_dim,):
+def predict_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    """Inference probabilities for a (batch, input_dim) matrix."""
+    h = np.asarray(x, dtype=np.float64)
+    if h.ndim != 2 or h.shape[1] != model.spec.input_dim:
         raise DimensionMismatch(
-            f"expected input of shape ({model.spec.input_dim},), got {x.shape}"
+            f"expected (n, {model.spec.input_dim}), got {h.shape}"
         )
-    probs = _forward_batch_inference(model, x[None, :])
-    return probs[0]
-
-
-def _forward_batch_inference(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    h = x
-    for i in range(model.n_hidden):
+    for i, bn in enumerate(model.batchnorms):
         z = h @ model.weights[i] + model.biases[i]
-        if model.spec.use_batchnorm:
-            bn = model.batchnorms[i]
-            z = bn.gamma * (z - bn.running_mean) / np.sqrt(bn.running_var + _BN_EPS) \
-                + bn.beta
+        z = bn.gamma * (z - bn.running_mean) / np.sqrt(bn.running_var + _BN_EPS) \
+            + bn.beta
         h = np.maximum(z, 0.0)
     logits = h @ model.weights[-1] + model.biases[-1]
     return softmax(logits)
-
-
-def predict_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Inference probabilities for a (batch, input_dim) matrix."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.spec.input_dim:
-        raise DimensionMismatch(
-            f"expected (n, {model.spec.input_dim}), got {x.shape}"
-        )
-    return _forward_batch_inference(model, x)
 
 
 # ---------------------------------------------------------------------------
@@ -236,24 +215,19 @@ def _forward(model: MlpModel, x: np.ndarray, means, variances):
     ``means[i]`` and ``variances[i]``.
     """
     m = x.shape[0]
-    use_bn = model.spec.use_batchnorm
     layers = []
     h = x
-    for i in range(model.n_hidden):
+    for i, bn in enumerate(model.batchnorms):
         z = h @ model.weights[i]
         z += model.biases[i]
-        if use_bn:
-            bn = model.batchnorms[i]
-            mu = np.divide(_add_reduce(z, 0), m, out=means[i])
-            centered = z - mu
-            var = np.divide(_add_reduce(np.square(centered), 0), m, out=variances[i])
-            inv_std = 1.0 / np.sqrt(var + _BN_EPS)
-            z_hat = centered * inv_std
-            z = bn.gamma * z_hat
-            z += bn.beta
-            layers.append((h, z, centered, inv_std, z_hat))
-        else:
-            layers.append((h, z, None, None, None))
+        mu = np.divide(_add_reduce(z, 0), m, out=means[i])
+        centered = z - mu
+        var = np.divide(_add_reduce(np.square(centered), 0), m, out=variances[i])
+        inv_std = 1.0 / np.sqrt(var + _BN_EPS)
+        z_hat = centered * inv_std
+        z = bn.gamma * z_hat
+        z += bn.beta
+        layers.append((h, z, centered, inv_std, z_hat))
         h = np.maximum(z, 0.0)
     logits = h @ model.weights[-1]
     logits += model.biases[-1]
@@ -279,14 +253,13 @@ def _backprop(model: MlpModel, probs, onehot, cache, grads) -> None:
     for i in reversed(range(model.n_hidden)):
         h_in, pre_relu, centered, inv_std, z_hat = layers[i]
         d_z = d_h * (pre_relu > 0)
-        if centered is not None:
-            _add_reduce(d_z * z_hat, 0, out=g_gamma[i])
-            _add_reduce(d_z, 0, out=g_beta[i])
-            d_zhat = d_z * model.batchnorms[i].gamma
-            d_var = _add_reduce(d_zhat * centered, 0) * -0.5 * inv_std**3
-            d_mu = -_add_reduce(d_zhat, 0) * inv_std \
-                + d_var * (-2.0 / n) * _add_reduce(centered, 0)
-            d_z = d_zhat * inv_std + d_var * 2.0 * centered / n + d_mu / n
+        _add_reduce(d_z * z_hat, 0, out=g_gamma[i])
+        _add_reduce(d_z, 0, out=g_beta[i])
+        d_zhat = d_z * model.batchnorms[i].gamma
+        d_var = _add_reduce(d_zhat * centered, 0) * -0.5 * inv_std**3
+        d_mu = -_add_reduce(d_zhat, 0) * inv_std \
+            + d_var * (-2.0 / n) * _add_reduce(centered, 0)
+        d_z = d_zhat * inv_std + d_var * 2.0 * centered / n + d_mu / n
         np.matmul(h_in.T, d_z, out=g_w[i])
         _add_reduce(d_z, 0, out=g_b[i])
         if i > 0:
@@ -378,13 +351,12 @@ def _hidden_activation(model: MlpModel, i: int, h: np.ndarray) -> np.ndarray:
     # training-mode hidden layer i without the backprop cache
     z = h @ model.weights[i]
     z += model.biases[i]
-    if model.spec.use_batchnorm:
-        bn = model.batchnorms[i]
-        m = z.shape[0]
-        z -= _add_reduce(z, 0) / m
-        z /= np.sqrt(_add_reduce(np.square(z), 0) / m + _BN_EPS)
-        z *= bn.gamma
-        z += bn.beta
+    bn = model.batchnorms[i]
+    m = z.shape[0]
+    z -= _add_reduce(z, 0) / m
+    z /= np.sqrt(_add_reduce(np.square(z), 0) / m + _BN_EPS)
+    z *= bn.gamma
+    z += bn.beta
     return np.maximum(z, 0.0)
 
 
@@ -419,9 +391,8 @@ def gradient_check(spec: MlpSpec, data, epsilon: float = 1e-5, seed: int = 0) ->
     y = np.array([int(t) for _, t in data])
     model = init_model(spec, seed)
 
-    widths = spec.hidden if spec.use_batchnorm else ()
-    probs, cache = _forward(model, x, [np.empty(w) for w in widths],
-                            [np.empty(w) for w in widths])
+    probs, cache = _forward(model, x, [np.empty(w) for w in spec.hidden],
+                            [np.empty(w) for w in spec.hidden])
     analytic = [np.empty_like(a) for _, a in model.parameter_arrays()]
     _backprop(model, probs, np.eye(spec.output.n_classes)[y], cache, analytic)
     # W_i, b_i and bn_i belong to layer i; perturbing them leaves the
@@ -523,7 +494,7 @@ def dump_model(model: MlpModel) -> str:
     lines = [
         _MAGIC,
         f"spec {model.spec.input_dim} {hidden or '-'} "
-        f"{model.spec.output.label} {int(model.spec.use_batchnorm)}",
+        f"{model.spec.output.label} 1",
         *format_arrays(_saved_arrays(model)),
     ]
     return "\n".join(lines) + "\n"
@@ -543,11 +514,10 @@ def _parse_spec(line: str, where: str) -> MlpSpec:
         )
     try:
         hidden = tuple(int(h) for h in parts[2].split(",")) if parts[2] != "-" else ()
-        if parts[4] not in ("0", "1"):
-            raise ValueError(f"batchnorm flag must be 0 or 1, got {parts[4]!r}")
+        if parts[4] != "1":
+            raise ValueError(f"batchnorm flag must be 1, got {parts[4]!r}")
         return MlpSpec(input_dim=int(parts[1]), hidden=hidden,
-                       output=OutputHead.from_label(parts[3]),
-                       use_batchnorm=parts[4] == "1")
+                       output=OutputHead.from_label(parts[3]))
     except ValueError as exc:
         raise UntrainedModel(f"{where}: {exc}") from None
 

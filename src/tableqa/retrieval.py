@@ -153,15 +153,13 @@ def score(index: TfIdfIndex, question: str, sim: Similarity,
     if k is not None and k < 1:
         raise ValueError(f"k must be positive: {k}")
     values = _similarities(index, question_vector(index, question), sim)
-    # a stable sort keeps tied tables in row order, which is id order
-    if k is None or k >= len(values):
-        order = np.argsort(-values, kind="stable")
-    else:
-        # the rows scoring at least the k-th largest value, in row order,
-        # hold the top k and every table tied with the k-th
-        cut = len(values) - k
-        rows = np.flatnonzero(values >= np.partition(values, cut)[cut])
-        order = rows[np.argsort(-values[rows], kind="stable")[:k]]
+    k = len(values) if k is None else min(k, len(values))
+    # the rows scoring at least the k-th largest value, in row order, hold
+    # the top k and every table tied with the k-th; a stable sort keeps
+    # tied tables in row order, which is id order
+    cut = len(values) - k
+    rows = np.flatnonzero(values >= np.partition(values, cut)[cut])
+    order = rows[np.argsort(-values[rows], kind="stable")[:k]]
     ids = index.table_ids
     return [(ids[i], s) for i, s in zip(order.tolist(), values[order].tolist())]
 

@@ -213,17 +213,13 @@ def _has_bigram(tokens: tuple[str, ...], first: str, second: str) -> bool:
     return any(a == first and b == second for a, b in zip(tokens, tokens[1:]))
 
 
-def classify_question(
-    question: str, tokens: tuple[str, ...] | None = None
-) -> tuple[QuestionType, np.ndarray]:
-    """Deterministic rule cascade; returns the type and its one-hot encoding.
+def classify_question(tokens: tuple[str, ...]) -> tuple[QuestionType, np.ndarray]:
+    """Deterministic rule cascade over a question's ``tokenize(...).tokens``;
+    returns the type and its one-hot encoding.
 
     Rules fire in a fixed priority order, so every question maps to exactly
-    one of the eleven types. ``tokens``, when given, is
-    ``tokenize(question).tokens``, read instead of tokenizing again.
+    one of the eleven types.
     """
-    if tokens is None:
-        tokens = tokenize(question).tokens
     if not tokens:
         raise EmptyQuestion("cannot classify an empty question")
     token_set = set(tokens)

@@ -1,6 +1,7 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from tableqa.embed import SimMatchConfig, load_embeddings
 from tableqa.harness import (
@@ -82,3 +83,35 @@ def cli_workspace(tmp_path_factory, fixtures_dir):
                  "--manifest", f"{fx}/manifest.txt",
                  "--embeddings", f"{fx}/pipeline.vec", "--seed", "7"]) == 0
     return ws
+
+
+_MUTATION_CHARS = st.one_of(st.sampled_from(list("0123456789 \n\t-+.,eE_naif")),
+                            st.characters(codec="utf-8"))
+
+
+@pytest.fixture(scope="session")
+def mutate():
+    """``mutate(data, text)``: ``text`` truncated, or with one character
+    substituted, deleted or inserted, drawn through hypothesis ``data``.
+
+    Positions favour the first lines and the start of each line, where a
+    model file keeps its magic, spec and array names.
+    """
+    def mutate(data, text):
+        line_starts = [0] + [i + 1 for i, c in enumerate(text) if c == "\n"]
+        i = data.draw(st.one_of(
+            st.integers(0, min(len(text), 120)),
+            st.integers(0, len(text)),
+            st.builds(lambda start, off: min(start + off, len(text)),
+                      st.sampled_from(line_starts), st.integers(0, 16)),
+        ))
+        how = data.draw(st.sampled_from(["truncate", "substitute", "delete", "insert"]))
+        if how == "truncate":
+            return text[:i]
+        if how == "insert":
+            return text[:i] + data.draw(_MUTATION_CHARS) + text[i:]
+        i = min(i, len(text) - 1)
+        if how == "delete":
+            return text[:i] + text[i + 1:]
+        return text[:i] + data.draw(_MUTATION_CHARS) + text[i + 1:]
+    return mutate

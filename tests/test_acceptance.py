@@ -16,6 +16,7 @@ from tableqa import harness
 from tableqa.clauses import (
     SELECT_FEATURE_DIM,
     WHERE_FEATURE_DIM,
+    HeuristicTagger,
     build_aux,
     candidate_word_indices,
     featurize_select,
@@ -48,6 +49,7 @@ from tableqa.tabular import (
     transpose_grid,
     transpose_key_value,
 )
+from tableqa.textproc import tokenize
 from tableqa.typerec import (
     COLUMN_TYPE_SPEC,
     classify_column_type,
@@ -108,13 +110,16 @@ class TestManifestRoundTrip:
         self, manifest, corpus, pipeline_store, trained_coltype_model,
         monkeypatch
     ):
-        by_question = {e.question: e for e in manifest}
+        by_tokens = {tokenize(e.question).tokens: e for e in manifest}
+        assert len(by_tokens) == len(manifest)
         monkeypatch.setattr(
             harness, "predict_select",
-            lambda q, t, model, aux, store: gold_select_indices(by_question[q], t))
+            lambda t, model, aux, store:
+                gold_select_indices(by_tokens[aux.question_tokens], t))
         monkeypatch.setattr(
             harness, "predict_where",
-            lambda q, t, model, aux, sel, store: gold_where_pairs(by_question[q], t))
+            lambda t, model, aux, sel, store:
+                gold_where_pairs(by_tokens[aux.question_tokens], t))
         bundle = ModelBundle(coltype_model=trained_coltype_model)
         start = time.perf_counter()
         for entry in manifest:
@@ -267,14 +272,13 @@ class TestFeatureLayoutContracts:
             question = "What is the " + " ".join(
                 rng.choice(words) for _ in range(rng.randrange(1, 4))
             )
-            aux = build_aux(question, table, coltype_model)
+            aux = build_aux(question, table, coltype_model, HeuristicTagger())
             for c in range(n_cols):
-                svec = featurize_select(question, table, c, aux, pipeline_store)
+                svec = featurize_select(table, c, aux, pipeline_store)
                 assert svec.shape == (SELECT_FEATURE_DIM,)
                 assert svec[12:23].sum() <= 1.0 + 1e-12
                 for w in candidate_word_indices(aux):
-                    wvec = featurize_where(question, table, c, w, {0}, aux,
-                                           pipeline_store)
+                    wvec = featurize_where(table, c, w, {0}, aux, pipeline_store)
                     assert wvec.shape == (WHERE_FEATURE_DIM,)
                     for block in (wvec[11:22], wvec[22:34], wvec[34:40],
                                   wvec[40:77]):

@@ -33,6 +33,7 @@ from tableqa.textproc import edit_distance, normalized_edit_distance, tokenize
 from tableqa.typerec import (
     COLUMN_TYPE_SPEC,
     N_COLUMN_TYPES,
+    QuestionType,
     classify_column_type,
     classify_question,
     extract_column_type_features,
@@ -50,8 +51,12 @@ def coltype_model():
     return init_model(COLUMN_TYPE_SPEC, seed=0)
 
 
+def tags_of(question, provider, question_id=None):
+    return tag_tokens(question, tokenize(question).tokens, provider, question_id)
+
+
 def make_aux(question, table, coltype_model):
-    return build_aux(question, table, coltype_model)
+    return build_aux(question, table, coltype_model, HeuristicTagger())
 
 
 class TestBuildAuxTokenizesOnce:
@@ -62,7 +67,7 @@ class TestBuildAuxTokenizesOnce:
 
         question = "What is the capital of Texas?"
         table = corpus["state-capitals"]
-        want = build_aux(question, table, trained_coltype_model)
+        want = build_aux(question, table, trained_coltype_model, HeuristicTagger())
         calls = []
 
         def counting(text, *args, **kwargs):
@@ -71,27 +76,26 @@ class TestBuildAuxTokenizesOnce:
 
         monkeypatch.setattr(clauses, "tokenize", counting)
         monkeypatch.setattr(typerec, "tokenize", counting)
-        got = build_aux(question, table, trained_coltype_model)
+        got = build_aux(question, table, trained_coltype_model, HeuristicTagger())
         assert calls == [question]
         assert got.qtype_onehot.tobytes() == want.qtype_onehot.tobytes()
         assert got.tags == want.tags
 
     def test_given_tokens_are_read(self):
-        assert classify_question("zzz", ("who", "is"))[0] \
-            is classify_question("who is")[0]
+        assert classify_question(("who", "is"))[0] is QuestionType.HUMAN
         with pytest.raises(SidecarMismatch):
-            tag_tokens("Who is", HeuristicTagger(), tokens=("who",))
+            tag_tokens("Who is", ("who",), HeuristicTagger())
 
 
 class TestHeuristicTagger:
     def test_digit_token(self):
-        tags = tag_tokens("5", HeuristicTagger())
+        tags = tags_of("5", HeuristicTagger())
         assert tags[0].pos == "NUM"
         assert tags[0].ner == "QUANTITY"
 
     def test_proper_noun_person(self):
         question = "Who is the husband of Whoopi Goldberg"
-        tags = tag_tokens(question, HeuristicTagger())
+        tags = tags_of(question, HeuristicTagger())
         tokens = tokenize(question).tokens
         goldberg = tags[tokens.index("goldberg")]
         assert goldberg.pos == "PROPN"
@@ -99,14 +103,14 @@ class TestHeuristicTagger:
 
     def test_gazetteer_location(self):
         question = "What is the capital of Louisiana"
-        tags = tag_tokens(question, HeuristicTagger())
+        tags = tags_of(question, HeuristicTagger())
         tokens = tokenize(question).tokens
         louisiana = tags[tokens.index("louisiana")]
         assert louisiana.pos == "PROPN"
         assert louisiana.ner == "LOCATION"
 
     def test_wh_word_and_root_verb(self):
-        tags = tag_tokens("Who is the husband", HeuristicTagger())
+        tags = tags_of("Who is the husband", HeuristicTagger())
         assert tags[0].pos == "PRON"
         assert tags[1].pos == "VERB"
         assert tags[1].dep == "root"
@@ -114,7 +118,7 @@ class TestHeuristicTagger:
 
     def test_alignment_with_tokenizer(self):
         for q in ["What is NAIRU?", "6' 3''", "How many feet are in a mile?"]:
-            assert len(tag_tokens(q, HeuristicTagger())) == len(tokenize(q).tokens)
+            assert len(tags_of(q, HeuristicTagger())) == len(tokenize(q).tokens)
 
     def test_tag_inventories_fixed(self):
         assert len(POS_TAGS) == 12
@@ -131,7 +135,7 @@ class TestSidecarTagger:
         p = tmp_path / "tags.tsv"
         p.write_text("q1\tWho/PRON/NONE/dep is/VERB/NONE/root\n")
         tagger = SidecarTagger(p)
-        tags = tag_tokens("Who is", tagger, question_id="q1")
+        tags = tags_of("Who is", tagger, question_id="q1")
         assert tags[0].pos == "PRON"
         assert tags[1].dep == "root"
 
@@ -139,13 +143,13 @@ class TestSidecarTagger:
         p = tmp_path / "tags.tsv"
         p.write_text("q1\tWho/PRON/NONE/dep\n")
         with pytest.raises(SidecarMismatch):
-            tag_tokens("Who is the husband", SidecarTagger(p), question_id="q1")
+            tags_of("Who is the husband", SidecarTagger(p), question_id="q1")
 
     def test_missing_question(self, tmp_path):
         p = tmp_path / "tags.tsv"
         p.write_text("q1\tWho/PRON/NONE/dep\n")
         with pytest.raises(SidecarMismatch):
-            tag_tokens("Who", SidecarTagger(p), question_id="q2")
+            tags_of("Who", SidecarTagger(p), question_id="q2")
 
     @pytest.mark.parametrize("record, message", [
         ("is/VERB/NONE", "bad sidecar record 'is/VERB/NONE' for question 'q2'"),
@@ -176,7 +180,7 @@ class TestFeaturizeSelect:
     def test_single_column_table_count_feature(self, store, coltype_model):
         t = Table(id="one", name="one", headers=["Only"], rows=[["x"]])
         aux = make_aux("What is x?", t, coltype_model)
-        vec = featurize_select("What is x?", t, 0, aux, store)
+        vec = featurize_select(t, 0, aux, store)
         assert vec.shape == (SELECT_FEATURE_DIM,)
         assert vec[0] == 1.0
 
@@ -190,7 +194,7 @@ class TestFeaturizeSelect:
         )
         q = "What is NAIRU?"
         aux = make_aux(q, t, coltype_model)
-        vec = featurize_select(q, t, 0, aux, store)
+        vec = featurize_select(t, 0, aux, store)
         assert vec[23] == 0.0
         assert vec[24] > 0.0
 
@@ -198,14 +202,14 @@ class TestFeaturizeSelect:
         t = Table(id="m", name="m", headers=["Capital"], rows=[["x"]])
         q = "capital?"
         aux = make_aux(q, t, coltype_model)
-        vec = featurize_select(q, t, 0, aux, store)
+        vec = featurize_select(t, 0, aux, store)
         assert vec[23] == vec[24] == 0.0
 
     def test_out_of_vocabulary_column_zero_proximity(self, store, coltype_model):
         t = Table(id="oov", name="oov", headers=["Col"], rows=[["qqq zzz"]])
         q = "president?"
         aux = make_aux(q, t, coltype_model)
-        vec = featurize_select(q, t, 0, aux, store)
+        vec = featurize_select(t, 0, aux, store)
         assert np.array_equal(vec[1:5], np.zeros(4))
 
     def test_proximity_picks_up_fixture_geometry(self, store, coltype_model):
@@ -213,16 +217,16 @@ class TestFeaturizeSelect:
                   rows=[["spouse", "capital"]])
         q = "husband"
         aux = make_aux(q, t, coltype_model)
-        spouse_vec = featurize_select(q, t, 0, aux, store)
-        capital_vec = featurize_select(q, t, 1, aux, store)
+        spouse_vec = featurize_select(t, 0, aux, store)
+        capital_vec = featurize_select(t, 1, aux, store)
         assert spouse_vec[3] > capital_vec[3]
 
     def test_question_type_block_is_onehot(self, store, coltype_model):
         t = state_capital_table()
         q = "Who is the governor?"
         aux = make_aux(q, t, coltype_model)
-        vec = featurize_select(q, t, 0, aux, store)
-        _, onehot = classify_question(q)
+        vec = featurize_select(t, 0, aux, store)
+        _, onehot = classify_question(tokenize(q).tokens)
         assert np.array_equal(vec[12:23], onehot)
 
 
@@ -232,7 +236,7 @@ class TestFeaturizeWhere:
         q = "What is the capital of Louisiana?"
         aux = make_aux(q, t, coltype_model)
         word_index = aux.question_tokens.index("louisiana")
-        vec = featurize_where(q, t, 0, word_index, {1}, aux, store)
+        vec = featurize_where(t, 0, word_index, {1}, aux, store)
         assert vec.shape == (WHERE_FEATURE_DIM,)
         assert vec[0] == 0.0   # "louisiana" appears verbatim in the column
         assert vec[2] == 3.0   # row count
@@ -243,8 +247,8 @@ class TestFeaturizeWhere:
         q = "What is the capital of Texas?"
         aux = make_aux(q, t, coltype_model)
         w = aux.question_tokens.index("texas")
-        with_flag = featurize_where(q, t, 1, w, {1}, aux, store)
-        without_flag = featurize_where(q, t, 1, w, set(), aux, store)
+        with_flag = featurize_where(t, 1, w, {1}, aux, store)
+        without_flag = featurize_where(t, 1, w, set(), aux, store)
         assert with_flag[3] == 1.0
         assert without_flag[3] == 0.0
         assert np.array_equal(with_flag[:3], without_flag[:3])
@@ -254,7 +258,7 @@ class TestFeaturizeWhere:
         q = "Who is the husband?"
         aux = make_aux(q, t, coltype_model)
         w = aux.question_tokens.index("husband")
-        vec = featurize_where(q, t, 0, w, set(), aux, store)
+        vec = featurize_where(t, 0, w, set(), aux, store)
         assert vec[2] == 1.0
 
     def test_onehot_blocks_sum_to_at_most_one(self, store, coltype_model):
@@ -272,11 +276,11 @@ class TestFeaturizeWhere:
             q = "What is the " + " ".join(rng.choice(words) for _ in range(3))
             aux = make_aux(q, t, coltype_model)
             for c in range(n_cols):
-                svec = featurize_select(q, t, c, aux, store)
+                svec = featurize_select(t, c, aux, store)
                 assert svec.shape == (SELECT_FEATURE_DIM,)
                 assert svec[12:23].sum() <= 1.0 + 1e-12
                 for w in candidate_word_indices(aux):
-                    wvec = featurize_where(q, t, c, w, {0}, aux, store)
+                    wvec = featurize_where(t, c, w, {0}, aux, store)
                     assert wvec.shape == (WHERE_FEATURE_DIM,)
                     assert wvec[11:22].sum() <= 1.0 + 1e-12
                     assert wvec[22:34].sum() <= 1.0 + 1e-12
@@ -291,12 +295,12 @@ class TestFeaturizeWhere:
                    rows=[["Louisiana", "pelican", "Baton Rouge"]])
         aux1 = make_aux(q, t1, coltype_model)
         aux2 = make_aux(q, t2, coltype_model)
-        s1 = featurize_select(q, t1, 0, aux1, store)
-        s2 = featurize_select(q, t2, 0, aux2, store)
+        s1 = featurize_select(t1, 0, aux1, store)
+        s2 = featurize_select(t2, 0, aux2, store)
         assert np.array_equal(s1, s2)
         w = aux1.question_tokens.index("louisiana")
-        w1 = featurize_where(q, t1, 0, w, set(), aux1, store)
-        w2 = featurize_where(q, t2, 0, w, set(), aux2, store)
+        w1 = featurize_where(t1, 0, w, set(), aux1, store)
+        w2 = featurize_where(t2, 0, w, set(), aux2, store)
         assert np.array_equal(w1, w2)
 
 
@@ -310,7 +314,7 @@ class TestPrediction:
         model = init_model(SELECT_SPEC, seed=0)
         # force the all-negative degenerate case via a huge negative-class bias
         model.biases[-1] = np.array([50.0, -50.0])
-        picked = predict_select(q, t, model, aux, store)
+        picked = predict_select(t, model, aux, store)
         assert len(picked) == 1
 
     def test_select_all_positive_degenerate(self, store, coltype_model):
@@ -321,7 +325,7 @@ class TestPrediction:
         aux = make_aux(q, t, coltype_model)
         model = init_model(SELECT_SPEC, seed=0)
         model.biases[-1] = np.array([-50.0, 50.0])
-        picked = predict_select(q, t, model, aux, store)
+        picked = predict_select(t, model, aux, store)
         assert picked == {0, 1}
 
     def test_single_column_always_selected(self, store, coltype_model):
@@ -331,7 +335,7 @@ class TestPrediction:
         q = "What is x?"
         aux = make_aux(q, t, coltype_model)
         model = init_model(SELECT_SPEC, seed=3)
-        assert predict_select(q, t, model, aux, store) == {0}
+        assert predict_select(t, model, aux, store) == {0}
 
     def test_where_empty_for_stopword_only_question(self, store, coltype_model):
         from tableqa.clauses import WHERE_SPEC
@@ -341,16 +345,16 @@ class TestPrediction:
         aux = make_aux(q, t, coltype_model)
         model = init_model(WHERE_SPEC, seed=0)
         model.biases[-1] = np.array([-50.0, 50.0])  # even all-positive yields none
-        assert predict_where(q, t, model, aux, set(), store) == set()
+        assert predict_where(t, model, aux, set(), store) == set()
 
     def test_untrained_model_rejected(self, store, coltype_model):
         t = state_capital_table()
         q = "What is the capital?"
         aux = make_aux(q, t, coltype_model)
         with pytest.raises(UntrainedModel):
-            predict_select(q, t, None, aux, store)
+            predict_select(t, None, aux, store)
         with pytest.raises(UntrainedModel):
-            predict_where(q, t, None, aux, set(), store)
+            predict_where(t, None, aux, set(), store)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +410,7 @@ def reference_min_word_column_distance(word, table, column_index):
 
 
 def reference_select(question, table, c, coltype, store):
-    _, qtype = classify_question(question)
+    _, qtype = classify_question(tokenize(question).tokens)
     return np.concatenate([
         np.array([float(table.n_columns)]),
         reference_proximity_block(question, " ".join(table.column(c)), store),
@@ -417,7 +421,7 @@ def reference_select(question, table, c, coltype, store):
 
 
 def reference_where(question, table, c, w, select_columns, coltype, tags):
-    _, qtype = classify_question(question)
+    _, qtype = classify_question(tokenize(question).tokens)
     word = tokenize(question).tokens[w]
     non_empty = [cell for cell in table.column(c) if cell.strip()]
     avg_len = float(np.mean([len(cell) for cell in non_empty])) if non_empty else 0.0
@@ -445,7 +449,7 @@ def assert_matches_reference(question, table, model, store, select_columns):
     byte-equal to the reference featurizer's, on a fresh copy of the
     table and on one whose views are already built."""
     for t in (replace(table), table):
-        aux = build_aux(question, t, model)
+        aux = make_aux(question, t, model)
         assert aux.question_tokens == tokenize(question).tokens
         content = tokenize(question, drop_stopwords=True)
         assert (aux.content_tokens, aux.content_stems) == (content.tokens,
@@ -453,11 +457,11 @@ def assert_matches_reference(question, table, model, store, select_columns):
         coltype = reference_column_type_distributions(t, model)
         assert aux.coltype_dists.tobytes() == coltype.tobytes()
         for c in range(t.n_columns):
-            got = featurize_select(question, t, c, aux, store)
+            got = featurize_select(t, c, aux, store)
             want = reference_select(question, t, c, coltype, store)
             assert got.tobytes() == want.tobytes(), (question, t.id, c)
             for w in candidate_word_indices(aux):
-                got = featurize_where(question, t, c, w, select_columns, aux, store)
+                got = featurize_where(t, c, w, select_columns, aux, store)
                 want = reference_where(question, t, c, w, select_columns,
                                        coltype, aux.tags)
                 assert got.tobytes() == want.tobytes(), (question, t.id, c, w)
@@ -518,20 +522,20 @@ class TestViewsHoldNoStoreOrModel:
         shared = self.table()
         words = tokenize(self.QUESTION).tokens + sum(shared.column_tokens, ())
         stores = [_random_store(words, 1), _random_store(words, 2)]
-        aux = build_aux(self.QUESTION, shared, coltype_model)
-        got = [featurize_select(self.QUESTION, shared, 0, aux, s) for s in stores]
+        aux = make_aux(self.QUESTION, shared, coltype_model)
+        got = [featurize_select(shared, 0, aux, s) for s in stores]
         for vec, s in zip(got, stores):
             fresh = self.table()
-            want = featurize_select(self.QUESTION, fresh, 0,
-                                    build_aux(self.QUESTION, fresh, coltype_model), s)
+            want = featurize_select(fresh, 0,
+                                    make_aux(self.QUESTION, fresh, coltype_model), s)
             assert vec.tobytes() == want.tobytes()
         assert not np.array_equal(got[0][1:5], got[1][1:5])
 
     def test_two_column_type_models(self, coltype_model, trained_coltype_model):
         models = [coltype_model, trained_coltype_model]
         shared = self.table()
-        got = [build_aux(self.QUESTION, shared, m).coltype_dists for m in models]
+        got = [make_aux(self.QUESTION, shared, m).coltype_dists for m in models]
         for dists, m in zip(got, models):
-            want = build_aux(self.QUESTION, self.table(), m).coltype_dists
+            want = make_aux(self.QUESTION, self.table(), m).coltype_dists
             assert dists.tobytes() == want.tobytes()
         assert not np.array_equal(got[0], got[1])

@@ -422,6 +422,35 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {model}:")
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--task", "select", "--workspace", "{ws}", "--manifest", "{bad}",
+         "--embeddings", "{fx}/pipeline.vec"],
+        ["ask", "Who is the husband of Whoopi Goldberg?", "--workspace", "{ws}",
+         "--embeddings", "{bad}"],
+        ["pipeline-eval", "--workspace", "{ws}", "--manifest", "{bad}",
+         "--embeddings", "{fx}/pipeline.vec"],
+        ["eval", "--task", "column-type", "--workspace", "{ws}", "--labels", "{bad}"],
+        ["ingest", "--tables", "{bad}", "--kinds", "{fx}/table_types.txt",
+         "--workspace", "{tmp}/ws"],
+        ["ingest", "--tables", "{tmp}/tables", "--kinds", "{fx}/table_types.txt",
+         "--workspace", "{tmp}/ws"],
+    ], ids=["train-manifest", "ask-embeddings", "pipeline-eval-manifest",
+            "eval-labels", "ingest-tables", "ingest-directory-named-csv"])
+    def test_unreadable_input_is_error_not_traceback(self, cli_workspace,
+                                                     fixtures_dir, tmp_path,
+                                                     capsys, argv):
+        # a path that does not exist, or a directory where a table file is
+        # expected
+        (tmp_path / "tables" / "sub.csv").mkdir(parents=True)
+        bad = tmp_path / "missing.txt"
+        code = main([arg.format(ws=cli_workspace, fx=fixtures_dir, tmp=tmp_path,
+                                bad=bad) for arg in argv])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        culprit = bad if "{bad}" in argv else tmp_path / "tables" / "sub.csv"
+        assert str(culprit) in err
+
     def test_malformed_kinds_line_is_error(self, fixtures_dir, tmp_path, capsys):
         kinds = tmp_path / "kinds.txt"
         kinds.write_text("# id<TAB>kind\nstate-capitals\tentity-instance\textra\n")

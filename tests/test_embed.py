@@ -1,17 +1,15 @@
-import math
+import dataclasses
 import random
 
 import numpy as np
 import pytest
 
 from tableqa.embed import (
-    DistanceKind,
     EmbeddingStore,
     SimMatchConfig,
     load_embeddings,
     proximity,
     sim_match,
-    token_distance,
 )
 from tableqa.errors import EmptyFile, MalformedLine
 
@@ -88,14 +86,13 @@ class TestProximity:
 
 class TestTokenDistance:
     def test_cosine_distance(self, toy):
-        cfg = SimMatchConfig()
-        d = token_distance(toy, cfg, "spouse", "husband")
-        assert d == pytest.approx(1.0 - proximity(toy, "spouse", "husband"))
-
-    def test_euclidean_distance(self, toy):
-        cfg = SimMatchConfig(threshold=1.0, distance=DistanceKind.EUCLIDEAN)
-        d = token_distance(toy, cfg, "president", "capital")
-        assert d == pytest.approx(math.sqrt(2.0))
+        # the embedding stage fires when 1 - cosine similarity is within
+        # the threshold, and not for any threshold below it
+        d = 1.0 - proximity(toy, "spouse", "husband")
+        assert 0.0 < d < 0.45
+        assert sim_match(toy, SimMatchConfig(threshold=d), "spouse", "husband")
+        assert not sim_match(toy, SimMatchConfig(threshold=d * (1 - 1e-9)),
+                             "spouse", "husband")
 
 
 class TestSimMatch:
@@ -142,9 +139,9 @@ class TestConfig:
             SimMatchConfig(threshold=float("inf"))
 
     def test_default_is_cosine(self):
-        cfg = SimMatchConfig()
-        assert cfg.distance is DistanceKind.COSINE
-        assert cfg.threshold == pytest.approx(0.45)
+        # the threshold is a cosine distance; there is no other metric
+        assert [f.name for f in dataclasses.fields(SimMatchConfig)] == ["threshold"]
+        assert SimMatchConfig().threshold == pytest.approx(0.45)
 
 
 class TestNonFiniteComponents:

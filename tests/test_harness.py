@@ -40,6 +40,7 @@ from tableqa.harness import (
 from tableqa.nn import load_model
 from tableqa.retrieval import Similarity
 from tableqa.tabular import TableKind
+from tableqa.textproc import tokenize
 
 
 class TestCorpusLoading:
@@ -238,16 +239,24 @@ class TestCellPrf:
         assert cell_prf(set(), {(0, 0)}) == (0.0, 0.0, 0.0)
 
 
+def entry_by_tokens(manifest):
+    """Manifest entry per question, keyed by the question's tokens (what
+    the clause predictors see of it, in ``aux.question_tokens``)."""
+    by_tokens = {tokenize(e.question).tokens: e for e in manifest}
+    assert len(by_tokens) == len(manifest)
+    return by_tokens
+
+
 def use_oracles(monkeypatch, manifest):
     """Replace the pipeline's SELECT/WHERE classifiers with stubs that
     answer with the gold SELECT/WHERE sets."""
-    by_question = {e.question: e for e in manifest}
+    by_tokens = entry_by_tokens(manifest)
 
-    def select_oracle(question, table, model, aux, store):
-        return gold_select_indices(by_question[question], table)
+    def select_oracle(table, model, aux, store):
+        return gold_select_indices(by_tokens[aux.question_tokens], table)
 
-    def where_oracle(question, table, model, aux, select_cols, store):
-        return gold_where_pairs(by_question[question], table)
+    def where_oracle(table, model, aux, select_cols, store):
+        return gold_where_pairs(by_tokens[aux.question_tokens], table)
 
     monkeypatch.setattr(harness, "predict_select", select_oracle)
     monkeypatch.setattr(harness, "predict_where", where_oracle)
@@ -285,7 +294,7 @@ class TestPipelineWithOracles:
 
     def test_stage_error_annotated(self, manifest, corpus, pipeline_store,
                                    trained_coltype_model, monkeypatch):
-        def broken(question, table, model, aux, store):
+        def broken(table, model, aux, store):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(harness, "predict_select", broken)
@@ -302,13 +311,13 @@ class TestPipelineWithOracles:
                                                      trained_coltype_model,
                                                      monkeypatch):
         calls = {"n": 0}
+        by_tokens = entry_by_tokens(manifest)
 
-        def flaky(question, table, model, aux, store):
+        def flaky(table, model, aux, store):
             calls["n"] += 1
             if calls["n"] % 7 == 0:
                 raise RuntimeError("intermittent")
-            entry = next(e for e in manifest if e.question == question)
-            return gold_select_indices(entry, table)
+            return gold_select_indices(by_tokens[aux.question_tokens], table)
 
         use_oracles(monkeypatch, manifest)
         monkeypatch.setattr(harness, "predict_select", flaky)
@@ -333,18 +342,18 @@ class TestWhereFlagConsistency:
         # and the full 77-dim vector are identical on both paths
         import numpy as np
 
-        from tableqa.clauses import build_aux, featurize_where
+        from tableqa.clauses import HeuristicTagger, build_aux, featurize_where
 
         entry = next(e for e in manifest if e.qid == "q01")
         table = corpus[entry.table_id]
-        aux = build_aux(entry.question, table, trained_coltype_model)
+        aux = build_aux(entry.question, table, trained_coltype_model,
+                        HeuristicTagger())
         gold = gold_select_indices(entry, table)
         for c in range(table.n_columns):
             for w, tok in enumerate(aux.question_tokens):
-                training = featurize_where(entry.question, table, c, w,
-                                           gold, aux, pipeline_store)
-                inference = featurize_where(entry.question, table, c, w,
-                                            set(gold), aux, pipeline_store)
+                training = featurize_where(table, c, w, gold, aux, pipeline_store)
+                inference = featurize_where(table, c, w, set(gold), aux,
+                                            pipeline_store)
                 assert np.array_equal(training, inference)
 
 
@@ -382,7 +391,7 @@ def reference_build_select_samples(entries, tables, store, bundle):
         aux = _aux_for(entry.question, table, bundle, entry.qid)
         gold = gold_select_indices(entry, table)
         for c in range(table.n_columns):
-            vec = featurize_select(entry.question, table, c, aux, store)
+            vec = featurize_select(table, c, aux, store)
             samples.append((vec, int(c in gold)))
     return samples
 
@@ -401,8 +410,7 @@ def reference_build_where_samples(entries, tables, store, bundle):
         gold_pairs = gold_where_pairs(entry, table)
         for c in range(table.n_columns):
             for w in candidate_word_indices(aux):
-                vec = featurize_where(entry.question, table, c, w,
-                                      gold_select, aux, store)
+                vec = featurize_where(table, c, w, gold_select, aux, store)
                 label = int((c, aux.question_tokens[w]) in gold_pairs)
                 samples.append((vec, label))
     return samples
@@ -414,8 +422,7 @@ def reference_evaluate_select(entries, tables, store, bundle):
         table = tables[entry.table_id]
         aux = _aux_for(entry.question, table, bundle, entry.qid)
         gold = gold_select_indices(entry, table)
-        predicted = predict_select(entry.question, table, bundle.select_model,
-                                   aux, store)
+        predicted = predict_select(table, bundle.select_model, aux, store)
         for c in range(table.n_columns):
             hit, truth = c in predicted, c in gold
             tp += hit and truth
@@ -432,8 +439,8 @@ def reference_evaluate_where(entries, tables, store, bundle):
         aux = _aux_for(entry.question, table, bundle, entry.qid)
         gold_select = gold_select_indices(entry, table)
         gold_pairs = gold_where_pairs(entry, table)
-        predicted = predict_where(entry.question, table, bundle.where_model,
-                                  aux, gold_select, store)
+        predicted = predict_where(table, bundle.where_model, aux, gold_select,
+                                  store)
         for c in range(table.n_columns):
             for w in candidate_word_indices(aux):
                 pair = (c, aux.question_tokens[w])
@@ -527,10 +534,10 @@ def _hashed(*parts) -> int:
 def fail_select_on_some_pairs(monkeypatch):
     """predict_select raises for a fixed subset of (question, table) pairs,
     on every call for that pair."""
-    def flaky(question, table, model, aux, store):
-        if _hashed(question, table.id) % 7 == 0:
+    def flaky(table, model, aux, store):
+        if _hashed(*aux.question_tokens, table.id) % 7 == 0:
             raise RuntimeError(f"no SELECT for {table.id}")
-        return predict_select(question, table, model, aux, store)
+        return predict_select(table, model, aux, store)
 
     monkeypatch.setattr(harness, "predict_select", flaky)
 
@@ -592,11 +599,11 @@ class TestMatchesReferenceSweep:
         def flaky_from_zero():
             calls = {"n": 0}
 
-            def flaky(question, table, model, aux, store):
+            def flaky(table, model, aux, store):
                 calls["n"] += 1
                 if calls["n"] % 7 == 0:
                     raise RuntimeError("intermittent")
-                return predict_select(question, table, model, aux, store)
+                return predict_select(table, model, aux, store)
             return flaky
 
         cells = dict(scopes=(Scope.ALL_SETS,), row_modes=(RowMode.EMBEDDING,))
@@ -616,9 +623,9 @@ class TestMatchesReferenceSweep:
         calls = []
 
         def counting(predict, name):
-            def wrapper(question, table, *args):
-                calls.append((name, question, table.id))
-                return predict(question, table, *args)
+            def wrapper(table, model, aux, *args):
+                calls.append((name, aux.question_tokens, table.id))
+                return predict(table, model, aux, *args)
             return wrapper
 
         monkeypatch.setattr(harness, "predict_select",

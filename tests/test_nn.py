@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from tableqa.nn import (
     _forward,
     _validate_data,
     dump_model,
-    forward,
     gradient_check,
     init_model,
     load_model,
@@ -54,12 +54,17 @@ def train_mode_gradients(model, x, y):
     """One training-mode _forward/_backprop pass: probs, the batch-norm
     layers' batch means and variances, and the gradients in
     ``parameter_arrays`` order."""
-    widths = model.spec.hidden if model.spec.use_batchnorm else ()
+    widths = model.spec.hidden
     means, variances = [np.empty(w) for w in widths], [np.empty(w) for w in widths]
     probs, cache = _forward(model, x, means, variances)
     grads = [np.empty_like(a) for _, a in model.parameter_arrays()]
     _backprop(model, probs, np.eye(model.spec.output.n_classes)[y], cache, grads)
     return probs, means, variances, grads
+
+
+def forward(model, x):
+    """Inference probabilities for one input vector."""
+    return predict_batch(model, np.asarray(x)[None, :])[0]
 
 
 def accuracy(model, data):
@@ -79,7 +84,7 @@ class TestForward:
         assert np.allclose(out, np.full(7, 1 / 7))
 
     def test_single_linear_layer_identity_weights(self):
-        spec = MlpSpec(input_dim=2, hidden=(), output=BIN, use_batchnorm=False)
+        spec = MlpSpec(input_dim=2, hidden=(), output=BIN)
         model = init_model(spec, seed=0)
         model.weights[0] = np.eye(2)
         model.biases[0] = np.zeros(2)
@@ -87,21 +92,23 @@ class TestForward:
         assert np.allclose(out, [0.5, 0.5])
 
     def test_hand_computed_two_two_two(self):
-        spec = MlpSpec(input_dim=2, hidden=(2,), output=BIN, use_batchnorm=False)
+        spec = MlpSpec(input_dim=2, hidden=(2,), output=BIN)
         model = init_model(spec, seed=0)
         model.weights[0] = np.array([[1.0, -1.0], [0.5, 2.0]])
         model.biases[0] = np.array([0.1, -0.2])
         model.weights[1] = np.array([[0.3, -0.3], [0.2, 0.1]])
         model.biases[1] = np.array([0.0, 0.5])
-        # by hand: z0 = [2.1, 2.8] -> relu unchanged
-        # logits = [0.63 + 0.56, -0.63 + 0.28 + 0.5] = [1.19, 0.15]
-        e0, e1 = math.exp(1.19), math.exp(0.15)
+        # by hand: z0 = [2.1, 2.8]; a fresh batch norm (running mean 0,
+        # variance 1, gamma 1, beta 0) scales it by s, relu leaves it
+        # logits = [(0.63 + 0.56) s, (-0.63 + 0.28) s + 0.5]
+        s = 1.0 / math.sqrt(1.0 + 1e-5)
+        e0, e1 = math.exp(1.19 * s), math.exp(-0.35 * s + 0.5)
         expected = [e0 / (e0 + e1), e1 / (e0 + e1)]
         out = forward(model, np.array([1.0, 2.0]))
         assert np.allclose(out, expected, atol=1e-12)
 
     def test_hand_computed_with_batchnorm_running_stats(self):
-        spec = MlpSpec(input_dim=2, hidden=(2,), output=BIN, use_batchnorm=True)
+        spec = MlpSpec(input_dim=2, hidden=(2,), output=BIN)
         model = init_model(spec, seed=0)
         model.weights[0] = np.array([[1.0, -1.0], [0.5, 2.0]])
         model.biases[0] = np.array([0.1, -0.2])
@@ -125,7 +132,7 @@ class TestForward:
     def test_dimension_mismatch(self):
         model = init_model(MlpSpec(2, (2,), BIN), seed=0)
         with pytest.raises(DimensionMismatch):
-            forward(model, np.zeros(3))
+            predict_batch(model, np.zeros((1, 3)))
 
     def test_softmax_normalized_on_random_vectors(self):
         rng = np.random.default_rng(12)
@@ -166,7 +173,7 @@ class TestTrain:
         data = blob_data(n_per_class=20)
         cfg = TrainConfig(learning_rate=0.01, epochs=60, seed=3,
                           batch_size=len(data))
-        model = train(MlpSpec(2, (6,), BIN, use_batchnorm=False), data, cfg)
+        model = train(MlpSpec(2, (6,), BIN), data, cfg)
         losses = model.loss_history
         assert len(losses) == 60
         for before, after in zip(losses, losses[1:]):
@@ -212,18 +219,13 @@ class TestGradientCheck:
         err = gradient_check(spec, self.batch(25, 2), epsilon=1e-5, seed=4)
         assert err < 1e-4
 
-    def test_no_batchnorm_variant(self):
-        spec = MlpSpec(5, (4,), BIN, use_batchnorm=False)
-        err = gradient_check(spec, self.batch(5, 2), epsilon=1e-5, seed=2)
-        assert err < 1e-4
-
     def test_epsilon_validated(self):
         with pytest.raises(ValueError):
             gradient_check(MlpSpec(2, (2,), BIN), self.batch(2, 2), epsilon=0.5)
 
     def test_zero_loss_point_has_vanishing_gradients(self):
         # logits pinned far into the correct class: loss ~ 0, gradients ~ 0
-        spec = MlpSpec(2, (), BIN, use_batchnorm=False)
+        spec = MlpSpec(2, (), BIN)
         model = init_model(spec, seed=0)
         model.weights[0] = np.array([[40.0, -40.0], [40.0, -40.0]])
         model.biases[0] = np.zeros(2)
@@ -233,15 +235,19 @@ class TestGradientCheck:
         assert np.all(np.abs(grad_w0) < 1e-12)
         assert np.all(np.abs(grad_b0) < 1e-12)
 
-    def test_constant_input_rows_scale_first_layer_gradient(self):
-        spec = MlpSpec(2, (3,), BIN, use_batchnorm=False)
+    def test_constant_input_rows_give_no_first_layer_gradient(self):
+        spec = MlpSpec(2, (3,), BIN)
         model = init_model(spec, seed=5)
+        model.batchnorms[0].beta[:] = 1.0     # every hidden unit passes relu
         const = np.array([2.0, -0.5])
         x = np.tile(const, (4, 1))
         y = np.array([0, 1, 0, 1])
-        grad_w0 = train_mode_gradients(model, x, y)[3][0]
-        # dW0 rows are the input components times a shared row vector
-        assert np.allclose(grad_w0[0] / const[0], grad_w0[1] / const[1])
+        grad_w0, grad_b0, _, _, _, grad_beta0 = train_mode_gradients(model, x, y)[3]
+        # the gradient reaches the batch norm, whose batch mean absorbs any
+        # change the first layer could make to identical rows
+        assert np.abs(grad_beta0).max() > 1e-3
+        assert np.abs(grad_w0).max() < 1e-12
+        assert np.abs(grad_b0).max() < 1e-12
 
 
 class TestUpsample:
@@ -318,19 +324,16 @@ def reference_forward_train(model: MlpModel, x: np.ndarray, update_running: bool
         cache["inputs"].append(h)
         z = h @ model.weights[i] + model.biases[i]
         cache["pre_bn"].append(z)
-        if model.spec.use_batchnorm:
-            bn = model.batchnorms[i]
-            mu = z.mean(axis=0)
-            var = z.var(axis=0)
-            inv_std = 1.0 / np.sqrt(var + _BN_EPS)
-            z_hat = (z - mu) * inv_std
-            cache["bn"].append((mu, var, inv_std, z_hat))
-            if update_running:
-                bn.running_mean = _BN_MOMENTUM * bn.running_mean + (1 - _BN_MOMENTUM) * mu
-                bn.running_var = _BN_MOMENTUM * bn.running_var + (1 - _BN_MOMENTUM) * var
-            z = bn.gamma * z_hat + bn.beta
-        else:
-            cache["bn"].append(None)
+        bn = model.batchnorms[i]
+        mu = z.mean(axis=0)
+        var = z.var(axis=0)
+        inv_std = 1.0 / np.sqrt(var + _BN_EPS)
+        z_hat = (z - mu) * inv_std
+        cache["bn"].append((mu, var, inv_std, z_hat))
+        if update_running:
+            bn.running_mean = _BN_MOMENTUM * bn.running_mean + (1 - _BN_MOMENTUM) * mu
+            bn.running_var = _BN_MOMENTUM * bn.running_var + (1 - _BN_MOMENTUM) * var
+        z = bn.gamma * z_hat + bn.beta
         cache["pre_relu"].append(z)
         h = np.maximum(z, 0.0)
     cache["inputs"].append(h)
@@ -360,18 +363,17 @@ def reference_backward(model: MlpModel, probs, labels, cache):
 
     for i in reversed(range(model.n_hidden)):
         d_z = d_h * (cache["pre_relu"][i] > 0)
-        if model.spec.use_batchnorm:
-            mu, var, inv_std, z_hat = cache["bn"][i]
-            bn = model.batchnorms[i]
-            d_gamma = (d_z * z_hat).sum(axis=0)
-            d_beta = d_z.sum(axis=0)
-            z_centered = cache["pre_bn"][i] - mu
-            d_zhat = d_z * bn.gamma
-            d_var = (d_zhat * z_centered).sum(axis=0) * -0.5 * inv_std**3
-            d_mu = -(d_zhat.sum(axis=0)) * inv_std \
-                + d_var * (-2.0 / n) * z_centered.sum(axis=0)
-            d_z = d_zhat * inv_std + d_var * 2.0 * z_centered / n + d_mu / n
-            grads_bn[i] = (d_gamma, d_beta)
+        mu, var, inv_std, z_hat = cache["bn"][i]
+        bn = model.batchnorms[i]
+        d_gamma = (d_z * z_hat).sum(axis=0)
+        d_beta = d_z.sum(axis=0)
+        z_centered = cache["pre_bn"][i] - mu
+        d_zhat = d_z * bn.gamma
+        d_var = (d_zhat * z_centered).sum(axis=0) * -0.5 * inv_std**3
+        d_mu = -(d_zhat.sum(axis=0)) * inv_std \
+            + d_var * (-2.0 / n) * z_centered.sum(axis=0)
+        d_z = d_zhat * inv_std + d_var * 2.0 * z_centered / n + d_mu / n
+        grads_bn[i] = (d_gamma, d_beta)
         grads_w[i] = cache["inputs"][i].T @ d_z
         grads_b[i] = d_z.sum(axis=0)
         if i > 0:
@@ -416,16 +418,15 @@ def reference_train(spec: MlpSpec, data, cfg: TrainConfig) -> MlpModel:
                 model.weights[i] -= cfg.learning_rate * grads_w[i]
                 model.biases[i] -= cfg.learning_rate * grads_b[i]
             for i, g in enumerate(grads_bn):
-                if g is not None:
-                    model.batchnorms[i].gamma -= cfg.learning_rate * g[0]
-                    model.batchnorms[i].beta -= cfg.learning_rate * g[1]
+                model.batchnorms[i].gamma -= cfg.learning_rate * g[0]
+                model.batchnorms[i].beta -= cfg.learning_rate * g[1]
         model.loss_history.append(epoch_loss / max(n_batches, 1))
     return model
 
 
-def random_training_case(head, input_dim, hidden, use_bn, n, seed):
+def random_training_case(head, input_dim, hidden, n, seed):
     rng = np.random.default_rng(seed)
-    spec = MlpSpec(input_dim, hidden, head, use_batchnorm=use_bn)
+    spec = MlpSpec(input_dim, hidden, head)
     data = [(rng.normal(scale=2.0, size=input_dim),
              int(rng.integers(0, head.n_classes))) for _ in range(n)]
     return spec, data
@@ -436,23 +437,22 @@ class TestMatchesReferenceTraining:
     @given(head=st.sampled_from([BIN, SOFT7]),
            input_dim=st.integers(1, 6),
            hidden=st.lists(st.integers(1, 6), min_size=1, max_size=3).map(tuple),
-           use_bn=st.booleans(),
            n=st.integers(1, 20),
            batch_size=st.integers(1, 24),
            epochs=st.integers(0, 3),
            learning_rate=st.sampled_from([0.01, 0.1, 0.5]),
            seed=st.integers(0, 2**16))
     # the last batch holds one example
-    @example(head=BIN, input_dim=3, hidden=(4, 3), use_bn=True, n=9,
+    @example(head=BIN, input_dim=3, hidden=(4, 3), n=9,
              batch_size=4, epochs=3, learning_rate=0.1, seed=1)
     # one batch covers every example
-    @example(head=SOFT7, input_dim=2, hidden=(5, 4, 3), use_bn=True, n=6,
+    @example(head=SOFT7, input_dim=2, hidden=(5, 4, 3), n=6,
              batch_size=8, epochs=2, learning_rate=0.5, seed=2)
-    @example(head=BIN, input_dim=4, hidden=(3,), use_bn=False, n=5,
+    @example(head=BIN, input_dim=4, hidden=(3,), n=5,
              batch_size=2, epochs=0, learning_rate=0.01, seed=3)
-    def test_generated_cases(self, head, input_dim, hidden, use_bn, n,
+    def test_generated_cases(self, head, input_dim, hidden, n,
                              batch_size, epochs, learning_rate, seed):
-        spec, data = random_training_case(head, input_dim, hidden, use_bn, n, seed)
+        spec, data = random_training_case(head, input_dim, hidden, n, seed)
         cfg = TrainConfig(learning_rate=learning_rate, epochs=epochs, seed=seed,
                           batch_size=batch_size)
         model, expected = train(spec, data, cfg), reference_train(spec, data, cfg)
@@ -483,28 +483,26 @@ class TestMatchesReferenceTraining:
 
 class TestGradientEntryPoints:
     def test_backward_matches_reference(self):
-        for use_bn in (True, False):
-            spec = MlpSpec(4, (5, 3), BIN, use_batchnorm=use_bn)
-            model = init_model(spec, seed=3)
-            rng = np.random.default_rng(4)
-            x, y = rng.normal(size=(6, 4)), rng.integers(0, 2, size=6)
-            probs, means, variances, got = train_mode_gradients(model, x, y)
-            ref_probs, ref_cache = reference_forward_train(model, x, False)
-            assert np.array_equal(probs, ref_probs)
-            # the batch statistics the running blend consumes
-            ref_stats = [bn[:2] for bn in ref_cache["bn"] if bn is not None]
-            assert len(means) == len(variances) == len(ref_stats)
-            for mu, var, (ref_mu, ref_var) in zip(means, variances, ref_stats):
-                assert np.array_equal(mu, ref_mu)
-                assert np.array_equal(var, ref_var)
-            grads_w, grads_b, grads_bn = reference_backward(model, ref_probs, y,
-                                                            ref_cache)
-            # parameter_arrays order: W0, b0, W1, b1, ..., bn0.gamma, bn0.beta, ...
-            want = [g for pair in zip(grads_w, grads_b) for g in pair] \
-                + [g for pair in grads_bn if pair is not None for g in pair]
-            assert len(got) == len(want)
-            for g, w in zip(got, want):
-                assert np.array_equal(g, w)
+        model = init_model(MlpSpec(4, (5, 3), BIN), seed=3)
+        rng = np.random.default_rng(4)
+        x, y = rng.normal(size=(6, 4)), rng.integers(0, 2, size=6)
+        probs, means, variances, got = train_mode_gradients(model, x, y)
+        ref_probs, ref_cache = reference_forward_train(model, x, False)
+        assert np.array_equal(probs, ref_probs)
+        # the batch statistics the running blend consumes
+        ref_stats = [bn[:2] for bn in ref_cache["bn"]]
+        assert len(means) == len(variances) == len(ref_stats)
+        for mu, var, (ref_mu, ref_var) in zip(means, variances, ref_stats):
+            assert np.array_equal(mu, ref_mu)
+            assert np.array_equal(var, ref_var)
+        grads_w, grads_b, grads_bn = reference_backward(model, ref_probs, y,
+                                                        ref_cache)
+        # parameter_arrays order: W0, b0, W1, b1, ..., bn0.gamma, bn0.beta, ...
+        want = [g for pair in zip(grads_w, grads_b) for g in pair] \
+            + [g for pair in grads_bn for g in pair]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 class TestModelFileErrors:
@@ -558,6 +556,27 @@ class TestModelFileErrors:
         lines = self.text().splitlines()
         lines[2] = lines[2].replace("W0", "W9", 1)
         assert "unexpected array 'W9'" in self.parse_error("\n".join(lines))
+
+    def test_batchnorm_flag_zero_rejected(self):
+        lines = self.text().splitlines()
+        assert lines[1] == "spec 2 3 binary2 1"
+        lines[1] = "spec 2 3 binary2 0"
+        message = self.parse_error("\n".join(lines))
+        assert message == "m.model:2: batchnorm flag must be 1, got '0'"
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_file_loads_or_names_its_line(self, cli_workspace, tmp_path_factory,
+                                                  mutate, data):
+        # the seed-7 fixture SELECT model: truncated, or one character
+        # substituted, deleted or inserted
+        text = (cli_workspace / "models" / "select.model").read_text(encoding="utf-8")
+        path = tmp_path_factory.getbasetemp() / "mutated-select.model"
+        path.write_text(mutate(data, text), encoding="utf-8")
+        try:
+            load_model(path)
+        except UntrainedModel as exc:
+            assert re.match(re.escape(f"{path}:") + r"\d+: ", str(exc)), str(exc)
 
     def test_load_model_names_the_file(self, tmp_path):
         path = tmp_path / "bad.model"

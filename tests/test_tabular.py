@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -311,6 +312,20 @@ class TestTableTypeModelFile:
         with pytest.raises(TableQAError) as exc:
             load_table_type_model(path)
         assert str(exc.value).startswith(f"{path}:{line}: ")
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_file_loads_or_names_its_line(self, model, tmp_path_factory,
+                                                  mutate, data):
+        # truncated, or one character substituted, deleted or inserted
+        path = tmp_path_factory.getbasetemp() / "mutated-table-type.model"
+        save_table_type_model(model, path)
+        path.write_text(mutate(data, path.read_text(encoding="utf-8")),
+                        encoding="utf-8")
+        try:
+            load_table_type_model(path)
+        except UntrainedModel as exc:
+            assert re.match(re.escape(f"{path}:") + r"\d+: ", str(exc)), str(exc)
 
 
 def corrupt_table_type_file(text, how):

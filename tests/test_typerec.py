@@ -5,6 +5,7 @@ import pytest
 
 from tableqa.errors import EmptyQuestion, MalformedLine, UntrainedModel
 from tableqa.nn import TrainConfig, init_model
+from tableqa.textproc import tokenize
 from tableqa.typerec import (
     COLUMN_TYPE_SPEC,
     ColumnType,
@@ -144,6 +145,10 @@ class TestColumnClassifier:
             classify_column_type(ColumnTypeFeatures(*([0.0] * 9)), None)
 
 
+def classify(question):
+    return classify_question(tokenize(question).tokens)
+
+
 class TestQuestionTyping:
     CASES = {
         "Is the store open?": QuestionType.YESNO,
@@ -168,19 +173,19 @@ class TestQuestionTyping:
 
     def test_rule_table(self):
         for question, expected in self.CASES.items():
-            qtype, _ = classify_question(question)
+            qtype, _ = classify(question)
             assert qtype is expected, question
 
     def test_onehot_has_exactly_one_hot(self):
         for question in self.CASES:
-            qtype, onehot = classify_question(question)
+            qtype, onehot = classify(question)
             assert onehot.shape == (N_QUESTION_TYPES,)
             assert onehot.sum() == 1.0
             assert onehot[qtype.value] == 1.0
 
     def test_empty_question_rejected(self):
         with pytest.raises(EmptyQuestion):
-            classify_question("  ?!  ")
+            classify("  ?!  ")
 
     def test_every_question_maps_to_one_type(self):
         rng = random.Random(0)
@@ -189,7 +194,7 @@ class TestQuestionTyping:
         for _ in range(200):
             q = " ".join(rng.choice(words) for _ in range(rng.randrange(1, 7)))
             try:
-                qtype, onehot = classify_question(q)
+                qtype, onehot = classify(q)
             except EmptyQuestion:
                 continue
             assert isinstance(qtype, QuestionType)

@@ -20,17 +20,23 @@ first use.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
-from .embed import EmbeddingStore, proximity
+from .embed import EmbeddingStore, cosine
 from .errors import SidecarMismatch, UntrainedModel
 from .nn import MlpModel, MlpSpec, OutputHead, predict_batch
 from .tabular import Table
-from .textproc import STOPWORDS, edit_distance, normalized_edit_distance, tokenize
+from .textproc import (
+    STOPWORDS,
+    edit_distance,
+    normalized_edit_distance,
+    read_lines,
+    token_starts,
+    tokenize,
+)
 from .typerec import (
     N_COLUMN_TYPES,
     N_QUESTION_TYPES,
@@ -76,8 +82,6 @@ class TokenTags:
 # Tag providers
 # ---------------------------------------------------------------------------
 
-_SURFACE_SPLIT = re.compile(r"[^a-zA-Z0-9]+")
-
 _WH_PRON = {"who", "whom", "what", "where", "when", "why", "how"}
 _WH_DET = {"whose", "which"}
 _DATE_TOKENS = {
@@ -107,21 +111,20 @@ _LOCATION_GAZETTEER = {
 
 
 class HeuristicTagger:
-    """Rule-based token tagger; one TokenTags per surface token.
+    """Rule-based token tagger; one TokenTags per ``tokenize`` token.
 
     Wh-words map to PRON or DET; digit tokens to NUM/QUANTITY; month and
-    weekday words to DATETIME; capitalized non-initial tokens to PROPN with
-    a gazetteer deciding LOCATION vs PERSON; a small verb list to VERB.
+    weekday words to DATETIME; non-initial tokens that start with a capital
+    in the question to PROPN with a gazetteer deciding LOCATION vs PERSON;
+    a small verb list to VERB.
     Everything else is NOUN with no entity. The first verb gets the root
     relation; every other token gets the unspecified-dependency tag.
     """
 
     def tag(self, question: str, question_id: str | None = None) -> list[TokenTags]:
-        surfaces = [s for s in _SURFACE_SPLIT.split(question) if s]
         tags = []
         root_seen = False
-        for i, surface in enumerate(surfaces):
-            lower = surface.lower()
+        for i, (lower, start) in enumerate(token_starts(question)):
             pos, ner = "NOUN", "NONE"
             if lower in _WH_PRON:
                 pos = "PRON"
@@ -133,7 +136,7 @@ class HeuristicTagger:
                 pos, ner = "PROPN", "DATETIME"
             elif lower in _VERB_TOKENS:
                 pos = "VERB"
-            elif i > 0 and surface[0].isupper():
+            elif i > 0 and question[start].isupper():
                 pos = "PROPN"
                 ner = "LOCATION" if lower in _LOCATION_GAZETTEER else "PERSON"
             dep = "dep"
@@ -153,26 +156,25 @@ class SidecarTagger:
 
     def __init__(self, path):
         self.by_question = {}
-        with open(str(path), encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line or line.startswith("#"):
-                    continue
-                qid, _, rest = line.partition("\t")
-                tags = []
-                for record in rest.split():
-                    parts = record.rsplit("/", 3)
-                    if len(parts) != 4:
-                        raise SidecarMismatch(
-                            f"{path}:{lineno}: bad sidecar record {record!r} "
-                            f"for question {qid!r}"
-                        )
-                    _, pos, ner, dep = parts
-                    try:
-                        tags.append(TokenTags(pos=pos, ner=ner, dep=dep))
-                    except ValueError as exc:
-                        raise SidecarMismatch(f"{path}:{lineno}: {exc}") from None
-                self.by_question[qid] = tags
+        for lineno, line in enumerate(read_lines(path), start=1):
+            line = line.rstrip("\n")
+            if not line or line.startswith("#"):
+                continue
+            qid, _, rest = line.partition("\t")
+            tags = []
+            for record in rest.split():
+                parts = record.rsplit("/", 3)
+                if len(parts) != 4:
+                    raise SidecarMismatch(
+                        f"{path}:{lineno}: bad sidecar record {record!r} "
+                        f"for question {qid!r}"
+                    )
+                _, pos, ner, dep = parts
+                try:
+                    tags.append(TokenTags(pos=pos, ner=ner, dep=dep))
+                except ValueError as exc:
+                    raise SidecarMismatch(f"{path}:{lineno}: {exc}") from None
+            self.by_question[qid] = tags
 
     def tag(self, question: str, question_id: str | None = None) -> list[TokenTags]:
         if question_id not in self.by_question:
@@ -250,22 +252,20 @@ def _proximity_block(
 ) -> np.ndarray:
     """avg, avg-sans-stopwords, max, max-sans-stopwords of token cosines.
 
-    Out-of-vocabulary tokens are dropped before the pair loop; they have
-    no cosine, so the remaining pairs give the same floats in the same
-    (column token, question token) order.
+    Out-of-vocabulary tokens are dropped before the pair loop, and each
+    token is looked up once; they have no cosine, so the remaining pairs
+    give the same floats in the same (column token, question token) order.
     """
-    def known(tokens):
-        return [t for t in tokens if store.lookup(t) is not None]
-
-    c_all = known(table.column_tokens[column_index])
-    q_all = known(aux.question_tokens)
+    rows = store.rows
+    c_all = [t for t in table.column_tokens[column_index] if t in rows]
     c_content = [t for t in c_all if t not in STOPWORDS]
-    q_content = known(aux.content_tokens)
     out = np.zeros(4)
-    for slot, c_tokens, q_tokens in ((0, c_all, q_all), (2, c_content, q_content)):
+    for slot, c_tokens, q_tokens in ((0, c_all, aux.question_tokens),
+                                     (2, c_content, aux.content_tokens)):
+        q_rows = store.known_rows(q_tokens)
         sims = [
-            s for ct in c_tokens for qt in q_tokens
-            if (s := proximity(store, ct, qt)) is not None
+            s for i in [rows[t] for t in c_tokens] for j in q_rows
+            if (s := cosine(store, i, j)) is not None
         ]
         if sims:
             out[slot] = float(np.mean(sims))

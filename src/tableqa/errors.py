@@ -5,6 +5,12 @@ class TableQAError(Exception):
     """Base class for all errors raised by this package."""
 
 
+# --- input files ---
+
+class NotText(TableQAError):
+    """An input file holds bytes that are not UTF-8 text."""
+
+
 # --- table ingestion and transformation ---
 
 class MalformedFile(TableQAError):

@@ -62,6 +62,7 @@ from .tabular import (
     load_table,
     transpose_key_value,
 )
+from .textproc import read_lines
 
 from .clauses import SELECT_SPEC, WHERE_SPEC
 
@@ -100,24 +101,23 @@ class ManifestEntry:
 
 def load_table_kinds(path) -> dict[str, TableKind]:
     kinds = {}
-    with open(str(path), encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise TableQAError(
-                    f"{path}:{lineno}: expected 'table_id<TAB>kind', "
-                    f"got {len(parts) - 1} tabs"
-                )
-            table_id, value = parts
-            try:
-                kinds[table_id] = TableKind(value)
-            except ValueError:
-                raise TableQAError(
-                    f"{path}:{lineno}: unknown table kind {value!r}"
-                ) from None
+    for lineno, line in enumerate(read_lines(path), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise TableQAError(
+                f"{path}:{lineno}: expected 'table_id<TAB>kind', "
+                f"got {len(parts) - 1} tabs"
+            )
+        table_id, value = parts
+        try:
+            kinds[table_id] = TableKind(value)
+        except ValueError:
+            raise TableQAError(
+                f"{path}:{lineno}: unknown table kind {value!r}"
+            ) from None
     return kinds
 
 
@@ -194,29 +194,28 @@ class ManifestLine:
 def parse_manifest(path) -> list[ManifestLine]:
     """The manifest's lines, parsed but not checked against any table."""
     lines = []
-    with open(str(path), encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            where = f"{path}:{lineno}"
-            parts = line.split("\t")
-            if len(parts) != 7:
-                lines.append(ManifestLine(where, None, (
-                    f"line {lineno}", f"{where}: expected 7 fields, got {len(parts)}")))
-                continue
-            qid, split, table_id, alts, cells_s, question, query_text = parts
-            try:
-                entry = ManifestEntry(
-                    qid=qid, question=question, table_id=table_id,
-                    alternates=tuple(a for a in alts.split(",") if a and a != "-"),
-                    gold_query=query_text, gold_cells=_parse_cells(cells_s),
-                    split=Split(split),
-                )
-            except ValueError as exc:
-                lines.append(ManifestLine(where, None, (qid, f"{where}: {exc}")))
-                continue
-            lines.append(ManifestLine(where, entry))
+    for lineno, line in enumerate(read_lines(path), start=1):
+        line = line.rstrip("\n")
+        if not line or line.startswith("#"):
+            continue
+        where = f"{path}:{lineno}"
+        parts = line.split("\t")
+        if len(parts) != 7:
+            lines.append(ManifestLine(where, None, (
+                f"line {lineno}", f"{where}: expected 7 fields, got {len(parts)}")))
+            continue
+        qid, split, table_id, alts, cells_s, question, query_text = parts
+        try:
+            entry = ManifestEntry(
+                qid=qid, question=question, table_id=table_id,
+                alternates=tuple(a for a in alts.split(",") if a and a != "-"),
+                gold_query=query_text, gold_cells=_parse_cells(cells_s),
+                split=Split(split),
+            )
+        except ValueError as exc:
+            lines.append(ManifestLine(where, None, (qid, f"{where}: {exc}")))
+            continue
+        lines.append(ManifestLine(where, entry))
     return lines
 
 

@@ -21,6 +21,7 @@ from .errors import (
     LabelOutOfRange,
     UntrainedModel,
 )
+from .textproc import read_lines
 
 _BN_EPS = 1e-5
 _BN_MOMENTUM = 0.9
@@ -534,5 +535,4 @@ def parse_model(text: str, source: str = "<model>") -> MlpModel:
 
 
 def load_model(path) -> MlpModel:
-    with open(str(path), encoding="utf-8") as fh:
-        return parse_model(fh.read(), str(path))
+    return parse_model("".join(read_lines(path)), str(path))

@@ -381,11 +381,8 @@ def select_rows_embedding(table: Table, pairs, store: EmbeddingStore) -> set[int
         cells = table.cell_tokens[column_index]
         for r in all_rows:
             best = None
-            for token in cells[r].tokens:
-                vec = store.lookup(token)
-                if vec is None:
-                    continue
-                d = float(np.linalg.norm(vec - kw_vec))
+            for row in store.known_rows(cells[r].tokens):
+                d = float(np.linalg.norm(store.matrix[row] - kw_vec))
                 best = d if best is None else min(best, d)
             if best is not None:
                 prev = assignments.get(r)

@@ -7,21 +7,28 @@ tables only; questions are vectorized against the table vocabulary.
 The index is one sparse table x stem matrix stored by stem (compressed
 sparse columns): scoring a question reads only the postings of the
 question's own stems and computes the similarity to every table as
-whole-array arithmetic.
+whole-array arithmetic. It is built with array operations too: the
+tables' words become integer ids in one pass, each distinct word is
+stemmed once, and one ``np.unique`` over (stem, table) keys yields term
+frequencies, document frequencies and postings. Only the idf logarithms
+and the per-table squared norms are taken in Python, one stem at a time,
+so every float is the one a per-table dictionary walk gives.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
-from collections import Counter
+from array import array
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoTables
 from .tabular import Table
-from .textproc import tokenize
+from .textproc import STOPWORDS, porter_stem, tokenize, words
 
 
 class Similarity(enum.Enum):
@@ -52,11 +59,15 @@ class TfIdfIndex:
     n_stems: np.ndarray
 
 
-def table_stems(table: Table) -> list[str]:
+def _table_text(table: Table) -> str:
     parts = [table.name] + list(table.headers)
     for row in table.rows:
         parts.extend(row)
-    return list(tokenize(" ".join(parts), drop_stopwords=True).stems)
+    return " ".join(parts)
+
+
+def table_stems(table: Table) -> list[str]:
+    return list(tokenize(_table_text(table), drop_stopwords=True).stems)
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -65,37 +76,67 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 
 def build_index(tables: list[Table]) -> TfIdfIndex:
-    """Weight = tf within the table x idf = ln(N / df) over all tables."""
+    """Weight = tf within the table x idf = ln(N / df) over all tables.
+
+    One pass over the tables turns each table's words (``table_stems``
+    before stemming) into int32 word ids, and each distinct word is
+    stemmed once. Term frequencies, document frequencies and postings then
+    come from one ``np.unique`` over (stem, row) keys.
+    """
     if not tables:
         raise NoTables("cannot build an index over zero tables")
-    term_counts = {t.id: Counter(table_stems(t)) for t in tables}
-    n = len(tables)
-    df = Counter()
-    for counts in term_counts.values():
-        df.update(counts.keys())
-    idf = {stem: math.log(n / d) for stem, d in df.items()}
-    columns = {stem: j for j, stem in enumerate(idf)}
-    table_ids = tuple(sorted(term_counts))
-    rows, cols, weights, sq_norms, n_stems = [], [], [], [], []
-    for row, tid in enumerate(table_ids):
-        vector = [(columns[stem], tf * idf[stem])
-                  for stem, tf in term_counts[tid].items()]
-        # summed in the table's stem order, as a dict walk would
-        sq_norms.append(sum(w * w for _, w in vector))
-        n_stems.append(len(vector))
-        rows.extend([row] * len(vector))
-        cols.extend(col for col, _ in vector)
-        weights.extend(w for _, w in vector)
-    cols = np.asarray(cols, dtype=np.int64)
-    by_column = np.argsort(cols, kind="stable")   # rows stay ascending
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=len(idf)))))
+    by_id = {t.id: t for t in tables}   # a repeated id keeps its last table
+    table_ids = tuple(sorted(by_id))
+    n_rows = len(table_ids)
+    row_of = {tid: row for row, tid in enumerate(table_ids)}
+    word_ids = defaultdict(itertools.count().__next__)
+    occurrences = array("i")            # word ids, table after table
+    lengths = []
+    for table in by_id.values():
+        before = len(occurrences)
+        occurrences.extend(map(word_ids.__getitem__, words(_table_text(table))))
+        lengths.append(len(occurrences) - before)
+    # stop words get no column; stems are numbered in order of first
+    # occurrence, as the columns are
+    stem_ids = defaultdict(itertools.count().__next__)
+    stem_of_word = np.array([-1 if w in STOPWORDS else stem_ids[porter_stem(w)]
+                             for w in word_ids], dtype=np.int64)
+    columns = dict(stem_ids)
+    del word_ids, stem_ids
+    stems = stem_of_word[np.frombuffer(occurrences, dtype=np.int32)]
+    del occurrences
+    table_rows = np.repeat(np.array([row_of[tid] for tid in by_id], dtype=np.int64),
+                           lengths)
+    content = stems >= 0
+    keys = stems[content] * n_rows + table_rows[content]
+    del stems, table_rows, content
+    # sorted keys are the postings in column-major, row-ascending order;
+    # ``first`` is the position of each posting's first occurrence
+    keys, first, tf = np.unique(keys, return_index=True, return_counts=True)
+    cols, rows = np.divmod(keys, n_rows)
+    del keys
+    df = np.bincount(cols, minlength=len(columns))
+    # ln(N / df) one stem at a time: np.log may round differently
+    idf = dict(zip(columns, map(math.log, (len(tables) / df).tolist())))
+    weights = tf * np.fromiter(idf.values(), dtype=np.float64, count=len(idf))[cols]
+    del tf
+    n_stems = np.bincount(rows, minlength=n_rows)
+    # each table's squared weights in its stems' first-occurrence order,
+    # summed one at a time as a dict walk would (numpy sums pairwise)
+    squares = (weights * weights)[np.argsort(first)].tolist()
+    del first
+    sq_norms = np.zeros(n_rows)
+    start = 0
+    for tid in by_id:
+        row = row_of[tid]
+        stop = start + int(n_stems[row])
+        sq_norms[row] = sum(squares[start:stop])
+        start = stop
     return TfIdfIndex(
         table_ids=table_ids, idf=idf, columns=columns,
-        indptr=_frozen(indptr),
-        rows=_frozen(np.asarray(rows, dtype=np.int64)[by_column]),
-        weights=_frozen(np.asarray(weights, dtype=np.float64)[by_column]),
-        sq_norms=_frozen(np.asarray(sq_norms, dtype=np.float64)),
-        n_stems=_frozen(np.asarray(n_stems, dtype=np.int64)),
+        indptr=_frozen(np.concatenate(([0], np.cumsum(df)))),
+        rows=_frozen(rows), weights=_frozen(weights),
+        sq_norms=_frozen(sq_norms), n_stems=_frozen(n_stems),
     )
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DuplicateKeys, MalformedFile, NotKeyValue, UntrainedModel
 from .nn import format_arrays, parse_arrays
-from .textproc import TokenList, tokenize
+from .textproc import TokenList, read_lines, tokenize
 
 if TYPE_CHECKING:
     from .typerec import ColumnTypeFeatures
@@ -136,8 +136,7 @@ def load_table(path, fmt: TableFormat, table_id: str | None = None) -> Table:
     MalformedFile.
     """
     path = str(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        records = list(csv.reader(fh, delimiter=fmt.value))
+    records = list(csv.reader(read_lines(path, newline=""), delimiter=fmt.value))
     if not records:
         raise MalformedFile(f"{path}: empty file")
     headers = records[0]
@@ -312,8 +311,7 @@ def save_table_type_model(model: TableTypeModel, path) -> None:
 
 def load_table_type_model(path) -> TableTypeModel:
     """Model from ``save_table_type_model``; errors name ``file:line``."""
-    with open(str(path), encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = "".join(read_lines(path)).splitlines()
     if not lines or lines[0] != _TT_MAGIC:
         raise UntrainedModel(f"{path}:1: not a {_TT_MAGIC} model file")
     arrays = {name: np.zeros(FEATURE_DIM) for name in ("weights", "mean", "scale")}

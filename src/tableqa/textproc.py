@@ -4,7 +4,9 @@ Tokenization lowercases and splits on maximal runs of non-alphanumeric
 characters, optionally removes stop words, and stems with an in-repo
 Porter stemmer so results are reproducible byte-for-byte with no
 external NLP dependency. The stop list ships as a text resource
-(``data/stopwords.txt``, one word per line).
+(``data/stopwords.txt``, one word per line). Every input file is read
+through ``read_lines``, which turns bytes that are not UTF-8 into an
+error naming the file and line.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import BothEmpty
+from .errors import BothEmpty, NotText
 
-_TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
+_WORD = re.compile(r"[a-z0-9]+")
+_NEWLINE = re.compile(r"\r\n?|\n")
 
 
 def _load_stopwords() -> frozenset[str]:
@@ -25,6 +28,30 @@ def _load_stopwords() -> frozenset[str]:
 
 
 STOPWORDS = _load_stopwords()
+
+
+def read_lines(path, newline: str | None = None):
+    """The lines of the UTF-8 text file ``path``, as ``open(path,
+    newline=newline)`` yields them; every input file is read through here.
+
+    Bytes that are not UTF-8 raise NotText naming ``path:line``.
+    """
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield from fh
+    except UnicodeDecodeError:
+        raise NotText(_not_utf8(path)) from None
+
+
+def _not_utf8(path) -> str:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(_NEWLINE.findall(data[:exc.start].decode("utf-8"))) + 1
+        return f"{path}:{line}: not UTF-8 text (byte 0x{data[exc.start]:02x})"
+    return f"{path}: not UTF-8 text"    # the file changed while it was read
 
 
 @dataclass(frozen=True)
@@ -42,10 +69,28 @@ def tokenize(text: str, drop_stopwords: bool = False) -> TokenList:
     collides with a content word is still dropped. Digits are retained:
     cells like "1946" survive as tokens.
     """
-    parts = [p for p in _TOKEN_SPLIT.split(text.lower()) if p]
+    parts = words(text, drop_stopwords)
+    return TokenList(tokens=tuple(parts), stems=tuple(porter_stem(p) for p in parts))
+
+
+def token_starts(text: str) -> list[tuple[str, int]]:
+    """``tokenize(text).tokens``, each with the index in ``text`` of the
+    character it starts at (a character may lowercase to several)."""
+    if text.isascii():
+        lowered, origin = text.lower(), range(len(text))
+    else:
+        chars = [c.lower() for c in text]
+        lowered = "".join(chars)
+        origin = [i for i, low in enumerate(chars) for _ in low]
+    return [(m.group(), origin[m.start()]) for m in _WORD.finditer(lowered)]
+
+
+def words(text: str, drop_stopwords: bool = False) -> list[str]:
+    """``tokenize(text, drop_stopwords).tokens`` as a list, without stemming."""
+    parts = _WORD.findall(text.lower())
     if drop_stopwords:
         parts = [p for p in parts if p not in STOPWORDS]
-    return TokenList(tokens=tuple(parts), stems=tuple(porter_stem(p) for p in parts))
+    return parts
 
 
 def parse_number(text: str) -> float | None:

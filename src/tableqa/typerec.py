@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DimensionMismatch, EmptyQuestion, MalformedLine, UntrainedModel
 from .nn import MlpModel, MlpSpec, OutputHead, TrainConfig, predict_batch, train
 from .tabular import Table
-from .textproc import TokenList, parse_number, tokenize
+from .textproc import TokenList, parse_number, read_lines, tokenize
 
 
 class ColumnType(enum.Enum):
@@ -151,33 +151,32 @@ def train_column_type_model(
 def load_column_labels(path) -> list[tuple[str, int, ColumnType]]:
     """Parse the labels file: `table_id <TAB> column_index <TAB> type` per line."""
     out = []
-    with open(str(path), encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise MalformedLine(
-                    f"{path}:{lineno}: expected 'table_id<TAB>column_index<TAB>type', "
-                    f"got {len(parts) - 1} tabs"
-                )
-            table_id, index, name = parts
-            try:
-                column = int(index)
-            except ValueError:
-                raise MalformedLine(
-                    f"{path}:{lineno}: column index is not an integer: {index!r}"
-                ) from None
-            if column < 0:
-                raise MalformedLine(f"{path}:{lineno}: negative column index {column}")
-            try:
-                ctype = ColumnType.from_name(name)
-            except KeyError:
-                raise MalformedLine(
-                    f"{path}:{lineno}: unknown column type {name!r}"
-                ) from None
-            out.append((table_id, column, ctype))
+    for lineno, line in enumerate(read_lines(path), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise MalformedLine(
+                f"{path}:{lineno}: expected 'table_id<TAB>column_index<TAB>type', "
+                f"got {len(parts) - 1} tabs"
+            )
+        table_id, index, name = parts
+        try:
+            column = int(index)
+        except ValueError:
+            raise MalformedLine(
+                f"{path}:{lineno}: column index is not an integer: {index!r}"
+            ) from None
+        if column < 0:
+            raise MalformedLine(f"{path}:{lineno}: negative column index {column}")
+        try:
+            ctype = ColumnType.from_name(name)
+        except KeyError:
+            raise MalformedLine(
+                f"{path}:{lineno}: unknown column type {name!r}"
+            ) from None
+        out.append((table_id, column, ctype))
     return out
 
 

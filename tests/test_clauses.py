@@ -1,9 +1,10 @@
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tableqa.clauses import (
@@ -24,8 +25,8 @@ from tableqa.clauses import (
     predict_where,
     tag_tokens,
 )
-from tableqa.embed import EmbeddingStore, load_embeddings, proximity
-from tableqa.errors import SidecarMismatch, UntrainedModel
+from tableqa.embed import load_embeddings, proximity
+from tableqa.errors import NotText, SidecarMismatch, UntrainedModel
 from tableqa.harness import gold_select_indices
 from tableqa.nn import init_model
 from tableqa.tabular import Table
@@ -49,6 +50,24 @@ def store(fixtures_dir):
 def coltype_model():
     # untrained but deterministic: enough for layout and invariance checks
     return init_model(COLUMN_TYPE_SPEC, seed=0)
+
+
+def write_store(path, vectors):
+    """The store loaded from ``vectors`` written as a ``.vec`` file."""
+    path.write_text("".join(
+        f"{token} {' '.join(repr(float(x)) for x in vector)}\n"
+        for token, vector in vectors.items()))
+    return load_embeddings(path)
+
+
+@pytest.fixture(scope="module")
+def extended_store(store, tmp_path_factory):
+    """The toy store plus vectors for two stop words and a number."""
+    rng = np.random.default_rng(5)
+    return write_store(tmp_path_factory.mktemp("stores") / "extended.vec", {
+        **{token: store.lookup(token) for token in store.rows},
+        **{w: rng.normal(size=store.dim) for w in ("the", "is", "1946")},
+    })
 
 
 def tags_of(question, provider, question_id=None):
@@ -120,6 +139,26 @@ class TestHeuristicTagger:
         for q in ["What is NAIRU?", "6' 3''", "How many feet are in a mile?"]:
             assert len(tags_of(q, HeuristicTagger())) == len(tokenize(q).tokens)
 
+    def test_dotted_capital_i(self):
+        # "İ" lowercases to "i" and a combining dot, which ends the token
+        question = "What is the capital of İllinois?"
+        tokens = tokenize(question).tokens
+        assert tokens[-2:] == ("i", "llinois")
+        tags = tags_of(question, HeuristicTagger())
+        assert len(tags) == len(tokens)
+        assert (tags[-2].pos, tags[-1].pos) == ("PROPN", "NOUN")
+
+    # characters whose lowercase is longer, ASCII, context-dependent or
+    # absent from the token alphabet
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(st.one_of(st.sampled_from(list("İKΣßﬁ aZ9?'-")),
+                             st.characters())))
+    def test_one_tag_per_token_of_any_question(self, coltype_model, question):
+        assume(tokenize(question).tokens)
+        table = Table(id="t", name="t", headers=["a"], rows=[["b"]])
+        aux = build_aux(question, table, coltype_model, HeuristicTagger())
+        assert len(aux.tags) == len(aux.question_tokens)
+
     def test_tag_inventories_fixed(self):
         assert len(POS_TAGS) == 12
         assert len(NER_TAGS) == 6
@@ -131,6 +170,12 @@ class TestHeuristicTagger:
 
 
 class TestSidecarTagger:
+    def test_bytes_not_utf8_name_the_line(self, tmp_path):
+        p = tmp_path / "tags.tsv"
+        p.write_bytes(b"q1\tWho/PRON/NONE/dep\nq2\t\xff/PRON/NONE/dep\n")
+        with pytest.raises(NotText, match=f"^{re.escape(str(p))}:2: "):
+            SidecarTagger(p)
+
     def test_round_trip(self, tmp_path):
         p = tmp_path / "tags.tsv"
         p.write_text("q1\tWho/PRON/NONE/dep is/VERB/NONE/root\n")
@@ -481,15 +526,11 @@ class TestMatchesReferenceFeaturizer:
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
-    def test_random_tables(self, store, coltype_model, data):
+    def test_random_tables(self, extended_store, coltype_model, data):
         # in-vocabulary words (one with a zero vector), stop words (some
         # in the vocabulary), digits, near-misses of different lengths,
         # empty and multi-token cells
-        rng = np.random.default_rng(5)
-        store = EmbeddingStore(dim=store.dim, vectors={
-            **store.vectors,
-            **{w: rng.normal(size=store.dim) for w in ("the", "is", "1946")},
-        })
+        store = extended_store
         words = ["spouse", "husband", "president", "capital", "zero", "the",
                  "of", "is", "1946", "capitol", "spouses", "pres", "Baton Rouge",
                  "", "  ", "$349.99", "yes", "June 14, 1946", "presidency"]
@@ -505,9 +546,9 @@ class TestMatchesReferenceFeaturizer:
         assert_matches_reference(question, table, coltype_model, store, {0})
 
 
-def _random_store(words, seed):
+def _random_store(path, words, seed):
     rng = np.random.default_rng(seed)
-    return EmbeddingStore(dim=4, vectors={w: rng.normal(size=4) for w in words})
+    return write_store(path, {w: rng.normal(size=4) for w in words})
 
 
 class TestViewsHoldNoStoreOrModel:
@@ -518,10 +559,11 @@ class TestViewsHoldNoStoreOrModel:
                      rows=[["husband of Ted", "president"],
                            ["wife", "capital city"]])
 
-    def test_two_stores(self, coltype_model):
+    def test_two_stores(self, coltype_model, tmp_path):
         shared = self.table()
         words = tokenize(self.QUESTION).tokens + sum(shared.column_tokens, ())
-        stores = [_random_store(words, 1), _random_store(words, 2)]
+        stores = [_random_store(tmp_path / f"{seed}.vec", words, seed)
+                  for seed in (1, 2)]
         aux = make_aux(self.QUESTION, shared, coltype_model)
         got = [featurize_select(shared, 0, aux, s) for s in stores]
         for vec, s in zip(got, stores):

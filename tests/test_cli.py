@@ -127,6 +127,16 @@ class TestAsk:
         assert "Baton Rouge" in out
         assert "gold: match" in out
 
+    def test_question_with_dotted_capital_i(self, cli_workspace, fixtures_dir,
+                                            capsys):
+        fx = str(fixtures_dir)
+        code = main(["ask", "What is the capital of İllinois?",
+                     "--workspace", str(cli_workspace),
+                     "--embeddings", f"{fx}/pipeline.vec",
+                     "--manifest", f"{fx}/manifest.txt"])
+        assert code == 0, capsys.readouterr().err
+        assert "table: " in capsys.readouterr().out
+
     def test_golden_scope_needs_manifest_question(self, cli_workspace,
                                                   fixtures_dir, capsys):
         fx = str(fixtures_dir)
@@ -450,6 +460,46 @@ class TestMalformedInputs:
         assert err.startswith("error: ")
         culprit = bad if "{bad}" in argv else tmp_path / "tables" / "sub.csv"
         assert str(culprit) in err
+
+    @pytest.mark.parametrize("target, line, argv", [
+        ("{tmp}/tables/state-capitals.csv", 3,
+         ["ingest", "--tables", "{tmp}/tables", "--kinds", "{fx}/table_types.txt",
+          "--workspace", "{tmp}/out"]),
+        ("{tmp}/table_types.txt", 2,
+         ["ingest", "--tables", "{fx}/tables", "--kinds", "{bad}",
+          "--workspace", "{tmp}/out"]),
+        ("{tmp}/column_labels.txt", 2,
+         ["eval", "--task", "column-type", "--workspace", "{tmp}", "--labels", "{bad}"]),
+        ("{tmp}/manifest.txt", 4,
+         ["pipeline-eval", "--workspace", "{tmp}", "--manifest", "{bad}",
+          "--embeddings", "{fx}/pipeline.vec"]),
+        ("{tmp}/pipeline.vec", 5,
+         ["ask", "Who is the husband of Whoopi Goldberg?", "--workspace", "{tmp}",
+          "--embeddings", "{bad}"]),
+        ("{tmp}/models/table-type.model", 3,
+         ["ingest", "--tables", "{fx}/tables", "--table-type-model", "{bad}",
+          "--workspace", "{tmp}/out"]),
+        ("{tmp}/models/where.model", 4,
+         ["ask", "Who is the husband of Whoopi Goldberg?", "--workspace", "{tmp}",
+          "--embeddings", "{fx}/pipeline.vec", "--manifest", "{fx}/manifest.txt",
+          "--scope", "golden"]),
+    ], ids=["table", "kinds", "labels", "manifest", "embeddings",
+            "table-type-model", "model"])
+    def test_bytes_not_utf8_are_error_naming_the_line(self, cli_workspace,
+                                                      fixtures_dir, tmp_path,
+                                                      capsys, target, line, argv):
+        # the fixtures and a workspace over them, with one byte that is not
+        # UTF-8 put into the target file's line
+        shutil.copytree(fixtures_dir, tmp_path, dirs_exist_ok=True)
+        shutil.copytree(cli_workspace, tmp_path, dirs_exist_ok=True)
+        bad = tmp_path / target.format(tmp=".")
+        lines = bad.read_bytes().split(b"\n")
+        lines[line - 1] = lines[line - 1][:2] + b"\xff" + lines[line - 1][2:]
+        bad.write_bytes(b"\n".join(lines))
+        assert main([arg.format(fx=fixtures_dir, tmp=tmp_path, bad=bad)
+                     for arg in argv]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}:{line}: not UTF-8 text (byte 0xff)\n")
 
     def test_malformed_kinds_line_is_error(self, fixtures_dir, tmp_path, capsys):
         kinds = tmp_path / "kinds.txt"

@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 from tableqa.errors import NoTables
 from tableqa.retrieval import (
     Similarity,
+    TfIdfIndex,
     build_index,
     precision_at_k,
     question_vector,
     score,
     table_stems,
 )
-from tableqa.tabular import Table
+from tableqa.tabular import Table, TableKind, transpose_key_value
 
 
 def make_table(tid, words):
@@ -279,6 +280,96 @@ class TestMatchesDictReference:
         for entry in manifest:
             assert_matches_reference(index, vectors, entry.question,
                                      exact_order=True)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the Counter-per-table index build that the array build replaced
+# ---------------------------------------------------------------------------
+
+def reference_build_index(tables: list[Table]) -> TfIdfIndex:
+    term_counts = {t.id: Counter(table_stems(t)) for t in tables}
+    n = len(tables)
+    df = Counter()
+    for counts in term_counts.values():
+        df.update(counts.keys())
+    idf = {stem: math.log(n / d) for stem, d in df.items()}
+    columns = {stem: j for j, stem in enumerate(idf)}
+    table_ids = tuple(sorted(term_counts))
+    rows, cols, weights, sq_norms, n_stems = [], [], [], [], []
+    for row, tid in enumerate(table_ids):
+        vector = [(columns[stem], tf * idf[stem])
+                  for stem, tf in term_counts[tid].items()]
+        sq_norms.append(sum(w * w for _, w in vector))
+        n_stems.append(len(vector))
+        rows.extend([row] * len(vector))
+        cols.extend(col for col, _ in vector)
+        weights.extend(w for _, w in vector)
+    cols = np.asarray(cols, dtype=np.int64)
+    by_column = np.argsort(cols, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=len(idf)))))
+    return TfIdfIndex(
+        table_ids=table_ids, idf=idf, columns=columns, indptr=indptr,
+        rows=np.asarray(rows, dtype=np.int64)[by_column],
+        weights=np.asarray(weights, dtype=np.float64)[by_column],
+        sq_norms=np.asarray(sq_norms, dtype=np.float64),
+        n_stems=np.asarray(n_stems, dtype=np.int64),
+    )
+
+
+def assert_index_equals_reference(tables):
+    got, want = build_index(tables), reference_build_index(tables)
+    assert got.table_ids == want.table_ids
+    for name in ("idf", "columns"):
+        assert list(getattr(got, name)) == list(getattr(want, name)), name
+        assert (np.array(list(getattr(got, name).values())).tobytes()
+                == np.array(list(getattr(want, name).values())).tobytes()), name
+    for name in ("indptr", "rows", "weights", "sq_norms", "n_stems"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+        assert not a.flags.writeable, name
+
+
+# empty and blank cells, stop words alone and among words, repeats within a
+# cell, stems shared by several words, digits and a non-ASCII capital
+_CELLS = ["apple", "Apples", "apple apple", "run running", "Runner-up", "zebra",
+          "the", "of the", "", "  ", "1946", "$3.50", "İllinois", "t0"]
+
+
+@st.composite
+def table_lists(draw):
+    cell = st.sampled_from(_CELLS)
+    tables = []
+    for i in range(draw(st.integers(1, 6))):
+        # some ids repeat: the last table under an id is the one indexed
+        tid = draw(st.sampled_from([f"t{i}", "t0"]))
+        if draw(st.booleans()):
+            keys = draw(st.lists(cell, min_size=1, max_size=4, unique=True))
+            values = draw(st.lists(st.lists(cell, min_size=1, max_size=2),
+                                   min_size=len(keys), max_size=len(keys)))
+            width = min(len(v) for v in values)
+            kv = Table(id=tid, name=draw(cell), headers=draw(
+                           st.lists(cell, min_size=width + 1, max_size=width + 1)),
+                       rows=[[k, *v[:width]] for k, v in zip(keys, values)],
+                       kind=TableKind.KEY_VALUE)
+            tables.append(transpose_key_value(kv))
+            continue
+        n_cols = draw(st.integers(1, 3))
+        row = st.lists(cell, min_size=n_cols, max_size=n_cols)
+        tables.append(Table(id=tid, name=draw(cell), headers=draw(row),
+                            rows=draw(st.lists(row, max_size=4))))
+    return tables
+
+
+class TestBuildMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(table_lists())
+    def test_generated_table_lists(self, tables):
+        assert_index_equals_reference(tables)
+
+    def test_fixture_corpus(self, raw_corpus, corpus):
+        assert_index_equals_reference(list(raw_corpus.values()))
+        assert_index_equals_reference(list(corpus.values()))
 
 
 # ---------------------------------------------------------------------------

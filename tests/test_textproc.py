@@ -1,11 +1,12 @@
 import random
+import re
 from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tableqa.errors import BothEmpty
+from tableqa.errors import BothEmpty, NotText
 from tableqa.textproc import (
     STOPWORDS,
     TokenList,
@@ -13,6 +14,8 @@ from tableqa.textproc import (
     normalized_edit_distance,
     parse_number,
     porter_stem,
+    read_lines,
+    token_starts,
     tokenize,
 )
 
@@ -110,6 +113,45 @@ class TestTokenize:
     def test_tokenlist_tokens_in_order(self):
         tl = tokenize("three little words")
         assert tl.tokens == ("three", "little", "words")
+
+
+class TestTokenStarts:
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(st.one_of(st.sampled_from(list("İKΣﬁ aZ9-")), st.characters())))
+    def test_tokens_are_tokenize_tokens(self, text):
+        starts = token_starts(text)
+        assert tuple(t for t, _ in starts) == tokenize(text).tokens
+        for _, start in starts:
+            assert text[start].lower()[:1].isascii()
+
+    @given(st.text(st.characters(max_codepoint=127)))
+    def test_ascii_tokens_start_at_their_original_characters(self, text):
+        # the runs of ASCII letters and digits in the original text
+        assert token_starts(text) == [(m.group().lower(), m.start())
+                                      for m in re.finditer("[A-Za-z0-9]+", text)]
+
+
+class TestReadLines:
+    @pytest.mark.parametrize("data, line, byte", [
+        (b"a\nb\n\xff\n", 3, 0xff),
+        (b"a\r\nb\r\nc\xffd", 3, 0xff),   # CRLF and CR end lines as open() reads them
+        (b"a\rb\r\xff", 3, 0xff),
+        (b"\xc3\xa9\n\xc3", 2, 0xc3),      # a multi-byte character cut short
+        (b"\xff", 1, 0xff),
+    ])
+    def test_first_bad_byte_names_its_line(self, tmp_path, data, line, byte):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        with pytest.raises(NotText) as exc:
+            list(read_lines(path))
+        assert str(exc.value) == f"{path}:{line}: not UTF-8 text (byte 0x{byte:02x})"
+
+    @pytest.mark.parametrize("newline", [None, ""])
+    def test_lines_as_open_yields_them(self, tmp_path, newline):
+        path = tmp_path / "text.txt"
+        path.write_bytes("é,1\r\nb\rc\n".encode("utf-8"))
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            assert list(read_lines(path, newline=newline)) == list(fh)
 
 
 class TestEditDistance:

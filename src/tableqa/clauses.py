@@ -257,14 +257,16 @@ def _proximity_block(
     give the same floats in the same (column token, question token) order.
     """
     rows = store.rows
-    c_all = [t for t in table.column_tokens[column_index] if t in rows]
-    c_content = [t for t in c_all if t not in STOPWORDS]
+    c_known = [(t, i) for t in table.column_tokens[column_index]
+               if (i := rows.get(t)) is not None]
+    c_all = [i for _, i in c_known]
+    c_content = [i for t, i in c_known if t not in STOPWORDS]
     out = np.zeros(4)
-    for slot, c_tokens, q_tokens in ((0, c_all, aux.question_tokens),
-                                     (2, c_content, aux.content_tokens)):
+    for slot, c_rows, q_tokens in ((0, c_all, aux.question_tokens),
+                                   (2, c_content, aux.content_tokens)):
         q_rows = store.known_rows(q_tokens)
         sims = [
-            s for i in [rows[t] for t in c_tokens] for j in q_rows
+            s for i in c_rows for j in q_rows
             if (s := cosine(store, i, j)) is not None
         ]
         if sims:

@@ -63,7 +63,7 @@ class EmbeddingStore:
         """The rows of the in-vocabulary ``tokens``, which are lowercase
         (``tokenize`` output), in order."""
         rows = self.rows
-        return [rows[t] for t in tokens if t in rows]
+        return [i for t in tokens if (i := rows.get(t)) is not None]
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -125,13 +125,13 @@ def build_index(tables: list[Table]) -> TfIdfIndex:
     # summed one at a time as a dict walk would (numpy sums pairwise)
     squares = (weights * weights)[np.argsort(first)].tolist()
     del first
+    counts = n_stems.tolist()
     sq_norms = np.zeros(n_rows)
     start = 0
     for tid in by_id:
         row = row_of[tid]
-        stop = start + int(n_stems[row])
-        sq_norms[row] = sum(squares[start:stop])
-        start = stop
+        sq_norms[row] = sum(squares[start:start + counts[row]])
+        start += counts[row]
     return TfIdfIndex(
         table_ids=table_ids, idf=idf, columns=columns,
         indptr=_frozen(np.concatenate(([0], np.cumsum(df)))),

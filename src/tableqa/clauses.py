@@ -256,11 +256,9 @@ def _proximity_block(
     token is looked up once; they have no cosine, so the remaining pairs
     give the same floats in the same (column token, question token) order.
     """
-    rows = store.rows
-    c_known = [(t, i) for t in table.column_tokens[column_index]
-               if (i := rows.get(t)) is not None]
-    c_all = [i for _, i in c_known]
-    c_content = [i for t, i in c_known if t not in STOPWORDS]
+    column_tokens = table.column_tokens[column_index]
+    c_all = store.known_rows(column_tokens)
+    c_content = store.known_rows(t for t in column_tokens if t not in STOPWORDS)
     out = np.zeros(4)
     for slot, c_rows, q_tokens in ((0, c_all, aux.question_tokens),
                                    (2, c_content, aux.content_tokens)):

@@ -76,12 +76,9 @@ def tokenize(text: str, drop_stopwords: bool = False) -> TokenList:
 def token_starts(text: str) -> list[tuple[str, int]]:
     """``tokenize(text).tokens``, each with the index in ``text`` of the
     character it starts at (a character may lowercase to several)."""
-    if text.isascii():
-        lowered, origin = text.lower(), range(len(text))
-    else:
-        chars = [c.lower() for c in text]
-        lowered = "".join(chars)
-        origin = [i for i, low in enumerate(chars) for _ in low]
+    chars = [c.lower() for c in text]
+    lowered = "".join(chars)
+    origin = [i for i, low in enumerate(chars) for _ in low]
     return [(m.group(), origin[m.start()]) for m in _WORD.finditer(lowered)]
 
 

@@ -3,19 +3,19 @@
 SELECT asks, per column: does this column belong in the projection?
 WHERE asks, per (column, question word) pair: do they form a row filter?
 Both feed fixed-layout feature vectors (25 and 77 dims) into the shared
-MLP core. Shallow tags (POS, NER, dependency relation) come from a
-pluggable provider: a built-in heuristic tagger keeps the package
-dependency-free, and a sidecar file format accepts tags from any external
-toolchain. The tag inventories are fixed text resources so the one-hot
+MLP core. The WHERE vector one-hot encodes shallow tags of the question
+word (POS, NER, dependency relation) from rules over the word and its
+capitalization; the tag inventories are fixed text resources, so those
 blocks always have dimensions 12, 6 and 37.
 
-Neither featurizer tokenizes: ``build_aux`` tokenizes the question once
-(tokens with stop words, and tokens and stems without them) and hands
-the tokens to the question classifier and the tagger alignment check;
-the table side reads the table's own views (``Table.cell_tokens``,
-``column_tokens``, ``column_vocab``, ``mean_cell_length``,
-``header_stems`` and ``column_type_features``), built on the table's
-first use.
+``build_aux`` scans the question once with ``token_starts``: the question
+type, the tags, the tokens with and without stop words and the content
+stems all come from that one list, so there is one tag per token by
+construction.
+Neither featurizer tokenizes: the table side reads the table's own views
+(``Table.cell_tokens``, ``column_tokens``, ``column_vocab``,
+``mean_cell_length``, ``header_stems`` and ``column_type_features``),
+built on the table's first use.
 """
 
 from __future__ import annotations
@@ -26,16 +26,16 @@ from importlib import resources
 import numpy as np
 
 from .embed import EmbeddingStore, cosine
-from .errors import SidecarMismatch, UntrainedModel
+from .errors import UntrainedModel
 from .nn import MlpModel, MlpSpec, OutputHead, predict_batch
 from .tabular import Table
 from .textproc import (
     STOPWORDS,
     edit_distance,
     normalized_edit_distance,
-    read_lines,
+    porter_stem,
     token_starts,
-    tokenize,
+    tokenize,  # noqa: F401  (unused; bench/tests/test_bench.py traces this binding)
 )
 from .typerec import (
     N_COLUMN_TYPES,
@@ -69,17 +69,9 @@ class TokenTags:
     ner: str
     dep: str
 
-    def __post_init__(self):
-        if self.pos not in POS_TAGS:
-            raise ValueError(f"unknown POS tag {self.pos!r}")
-        if self.ner not in NER_TAGS:
-            raise ValueError(f"unknown NER tag {self.ner!r}")
-        if self.dep not in DEP_TAGS:
-            raise ValueError(f"unknown dependency tag {self.dep!r}")
-
 
 # ---------------------------------------------------------------------------
-# Tag providers
+# Heuristic tags
 # ---------------------------------------------------------------------------
 
 _WH_PRON = {"who", "whom", "what", "where", "when", "why", "how"}
@@ -110,8 +102,9 @@ _LOCATION_GAZETTEER = {
 }
 
 
-class HeuristicTagger:
-    """Rule-based token tagger; one TokenTags per ``tokenize`` token.
+def heuristic_tags(question: str,
+                   starts: list[tuple[str, int]]) -> list[TokenTags]:
+    """One TokenTags per token of ``starts``, ``token_starts(question)``.
 
     Wh-words map to PRON or DET; digit tokens to NUM/QUANTITY; month and
     weekday words to DATETIME; non-initial tokens that start with a capital
@@ -120,78 +113,28 @@ class HeuristicTagger:
     Everything else is NOUN with no entity. The first verb gets the root
     relation; every other token gets the unspecified-dependency tag.
     """
-
-    def tag(self, question: str, question_id: str | None = None) -> list[TokenTags]:
-        tags = []
-        root_seen = False
-        for i, (lower, start) in enumerate(token_starts(question)):
-            pos, ner = "NOUN", "NONE"
-            if lower in _WH_PRON:
-                pos = "PRON"
-            elif lower in _WH_DET:
-                pos = "DET"
-            elif lower.isdigit():
-                pos, ner = "NUM", "QUANTITY"
-            elif lower in _DATE_TOKENS:
-                pos, ner = "PROPN", "DATETIME"
-            elif lower in _VERB_TOKENS:
-                pos = "VERB"
-            elif i > 0 and question[start].isupper():
-                pos = "PROPN"
-                ner = "LOCATION" if lower in _LOCATION_GAZETTEER else "PERSON"
-            dep = "dep"
-            if pos == "VERB" and not root_seen:
-                dep = "root"
-                root_seen = True
-            tags.append(TokenTags(pos=pos, ner=ner, dep=dep))
-        return tags
-
-
-class SidecarTagger:
-    """Tags read from a sidecar file produced by an external toolchain.
-
-    Format, one line per question:
-        question_id <TAB> surface/POS/NER/DEP surface/POS/NER/DEP ...
-    """
-
-    def __init__(self, path):
-        self.by_question = {}
-        for lineno, line in enumerate(read_lines(path), start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            qid, _, rest = line.partition("\t")
-            tags = []
-            for record in rest.split():
-                parts = record.rsplit("/", 3)
-                if len(parts) != 4:
-                    raise SidecarMismatch(
-                        f"{path}:{lineno}: bad sidecar record {record!r} "
-                        f"for question {qid!r}"
-                    )
-                _, pos, ner, dep = parts
-                try:
-                    tags.append(TokenTags(pos=pos, ner=ner, dep=dep))
-                except ValueError as exc:
-                    raise SidecarMismatch(f"{path}:{lineno}: {exc}") from None
-            self.by_question[qid] = tags
-
-    def tag(self, question: str, question_id: str | None = None) -> list[TokenTags]:
-        if question_id not in self.by_question:
-            raise SidecarMismatch(f"no sidecar tags for question {question_id!r}")
-        return self.by_question[question_id]
-
-
-def tag_tokens(question: str, tokens: tuple[str, ...], provider,
-               question_id: str | None = None) -> list[TokenTags]:
-    """Provider tags aligned with ``tokens``, the question's
-    ``tokenize(question).tokens`` (stop words kept)."""
-    tags = provider.tag(question, question_id)
-    n_tokens = len(tokens)
-    if len(tags) != n_tokens:
-        raise SidecarMismatch(
-            f"provider produced {len(tags)} tags for {n_tokens} tokens"
-        )
+    tags = []
+    root_seen = False
+    for i, (lower, start) in enumerate(starts):
+        pos, ner = "NOUN", "NONE"
+        if lower in _WH_PRON:
+            pos = "PRON"
+        elif lower in _WH_DET:
+            pos = "DET"
+        elif lower.isdigit():
+            pos, ner = "NUM", "QUANTITY"
+        elif lower in _DATE_TOKENS:
+            pos, ner = "PROPN", "DATETIME"
+        elif lower in _VERB_TOKENS:
+            pos = "VERB"
+        elif i > 0 and question[start].isupper():
+            pos = "PROPN"
+            ner = "LOCATION" if lower in _LOCATION_GAZETTEER else "PERSON"
+        dep = "dep"
+        if pos == "VERB" and not root_seen:
+            dep = "root"
+            root_seen = True
+        tags.append(TokenTags(pos=pos, ner=ner, dep=dep))
     return tags
 
 
@@ -211,24 +154,18 @@ class AuxSignals:
     content_stems: tuple[str, ...]      # stems of content_tokens
 
 
-def build_aux(
-    question: str,
-    table: Table,
-    coltype_model: MlpModel,
-    tagger,
-    question_id: str | None = None,
-) -> AuxSignals:
-    tokenized = tokenize(question)
-    _, onehot = classify_question(tokenized.tokens)
-    content = [(t, s) for t, s in zip(tokenized.tokens, tokenized.stems)
-               if t not in STOPWORDS]
+def build_aux(question: str, table: Table, coltype_model: MlpModel) -> AuxSignals:
+    starts = token_starts(question)
+    tokens = tuple(token for token, _ in starts)
+    _, onehot = classify_question(tokens)
+    content = tuple(t for t in tokens if t not in STOPWORDS)
     return AuxSignals(
         qtype_onehot=onehot,
         coltype_dists=column_type_distributions(table, coltype_model),
-        tags=tag_tokens(question, tokenized.tokens, tagger, question_id),
-        question_tokens=tokenized.tokens,
-        content_tokens=tuple(t for t, _ in content),
-        content_stems=tuple(s for _, s in content),
+        tags=heuristic_tags(question, starts),
+        question_tokens=tokens,
+        content_tokens=content,
+        content_stems=tuple(porter_stem(t) for t in content),
     )
 
 

@@ -21,7 +21,7 @@ import math
 import sys
 from pathlib import Path
 
-from .embed import SimMatchConfig, load_embeddings
+from .embed import load_embeddings
 from .errors import TableQAError
 from .harness import (
     ModelBundle,
@@ -360,8 +360,7 @@ class _AskSession:
             index = self.index(None)
         result = run_pipeline(question, tables, index, self.bundle, self.store,
                               row_mode=self.row_mode,
-                              similarity=self.similarity, golden_table=golden,
-                              question_id=entry.qid if entry else None)
+                              similarity=self.similarity, golden_table=golden)
         table = tables[result.table_id]
         print(f"table: {result.table_id}")
         print(f"query: {print_query(result.query)}")
@@ -377,9 +376,7 @@ def cmd_ask(args) -> int:
     ws = Path(args.workspace)
     tables = _workspace_tables(ws)
     store = load_embeddings(args.embeddings)
-    cfg = SimMatchConfig(threshold=args.threshold)
-    entries = load_manifest(args.manifest, tables, store, cfg) \
-        if args.manifest else []
+    entries = load_manifest(args.manifest, tables, store) if args.manifest else []
     session = _AskSession(tables, entries, _load_bundle(ws), store,
                           Scope(args.scope), RowMode(args.row_mode),
                           Similarity(args.sim))
@@ -518,9 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sim", default="inveuclidean",
                    choices=[s.value for s in Similarity],
                    help="retrieval similarity for non-golden scopes")
-    p.add_argument("--threshold", type=_positive_float, default=0.45,
-                   help="embedding distance threshold for ~ when validating "
-                        "the manifest's gold queries")
     p.add_argument("--repl", action="store_true",
                    help="keep a read-eval loop open on stdin")
     p.set_defaults(fn=cmd_ask)

@@ -34,7 +34,7 @@ class BothEmpty(TableQAError):
 # --- embeddings ---
 
 class MalformedLine(TableQAError):
-    """Embedding file line has wrong arity or an unparsable float."""
+    """An input line has the wrong arity or a field that does not parse."""
 
 
 class EmptyFile(TableQAError):
@@ -69,10 +69,6 @@ class UntrainedModel(TableQAError):
 
 class EmptyQuestion(TableQAError):
     """Question classification requires a non-empty question."""
-
-
-class SidecarMismatch(TableQAError):
-    """Sidecar tag file token count differs from the tokenizer output."""
 
 
 # --- structured queries ---

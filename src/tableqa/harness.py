@@ -23,14 +23,12 @@ from __future__ import annotations
 import enum
 import os
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .clauses import (
-    AuxSignals,
-    HeuristicTagger,
     build_aux,
     featurize_select,
     featurize_where,
@@ -38,7 +36,7 @@ from .clauses import (
     predict_where,
     where_candidates,
 )
-from .embed import EmbeddingStore, SimMatchConfig
+from .embed import EmbeddingStore
 from .errors import AllZero, TableQAError, ValidationFailure
 from .nn import MlpModel, TrainConfig, train, upsample_positives
 from .query import (
@@ -223,7 +221,6 @@ def validate_manifest(
     lines: list[ManifestLine],
     tables: dict[str, Table],
     store: EmbeddingStore,
-    cfg: SimMatchConfig = SimMatchConfig(),
 ) -> list[ManifestEntry]:
     """The entries of ``parse_manifest`` whose gold query executes on their
     gold table to exactly the stated cells. Lines that failed to parse or
@@ -240,7 +237,7 @@ def validate_manifest(
             if entry.table_id not in tables:
                 raise ValueError(f"unknown table {entry.table_id!r}")
             got = execute(parse_query(entry.gold_query), tables[entry.table_id],
-                          store, cfg)
+                          store)
             if got != set(entry.gold_cells):
                 raise ValueError(f"gold query yields {sorted(got)}, manifest "
                                  f"says {sorted(entry.gold_cells)}")
@@ -257,11 +254,10 @@ def load_manifest(
     path,
     tables: dict[str, Table],
     store: EmbeddingStore,
-    cfg: SimMatchConfig = SimMatchConfig(),
 ) -> list[ManifestEntry]:
     """Parse and validate the manifest (``parse_manifest`` then
     ``validate_manifest``)."""
-    return validate_manifest(parse_manifest(path), tables, store, cfg)
+    return validate_manifest(parse_manifest(path), tables, store)
 
 
 # ---------------------------------------------------------------------------
@@ -325,24 +321,18 @@ def gold_where_pairs(entry: ManifestEntry, table: Table) -> set[tuple[int, str]]
 
 @dataclass
 class ModelBundle:
-    """Trained models plus the pluggable tagger the pipeline needs."""
+    """The trained SELECT, WHERE and column-type models the pipeline reads."""
 
     select_model: MlpModel | None = None
     where_model: MlpModel | None = None
     coltype_model: MlpModel | None = None
-    tagger: object = field(default_factory=HeuristicTagger)
-
-
-def _aux_for(entry_question, table, bundle, question_id=None) -> AuxSignals:
-    return build_aux(entry_question, table, bundle.coltype_model,
-                     bundle.tagger, question_id)
 
 
 def _gold_walk(entries, tables, bundle):
     """(entry, table, aux signals, gold SELECT columns) per entry."""
     for entry in entries:
         table = tables[entry.table_id]
-        aux = _aux_for(entry.question, table, bundle, entry.qid)
+        aux = build_aux(entry.question, table, bundle.coltype_model)
         yield entry, table, aux, gold_select_indices(entry, table)
 
 
@@ -419,12 +409,12 @@ def select_source(question: str, tables: dict[str, Table], index: TfIdfIndex,
 
 
 def predict_clauses(question: str, table: Table, bundle: ModelBundle,
-                    store: EmbeddingStore, question_id: str | None = None
+                    store: EmbeddingStore
                     ) -> tuple[set[int], set[tuple[int, str]]]:
     """Clause prediction: featurize the question against ``table``, then
     predict the SELECT columns and the WHERE (column, keyword) pairs."""
     try:
-        aux = _aux_for(question, table, bundle, question_id)
+        aux = build_aux(question, table, bundle.coltype_model)
     except Exception as exc:
         raise PipelineStageError("featurization", exc) from exc
 
@@ -468,11 +458,11 @@ def run_pipeline(
 
     Returns both the constructed query and the answer cells. Errors carry
     their stage name; additive error accounting happens in the sweep.
+    ``question_id`` is accepted and ignored (``bench/worker.py`` passes it).
     """
     table = golden_table if golden_table is not None \
         else select_source(question, tables, index, similarity)
-    select_cols, pairs = predict_clauses(question, table, bundle, store,
-                                         question_id)
+    select_cols, pairs = predict_clauses(question, table, bundle, store)
     cells = answer_cells(table, select_cols, pairs, row_mode, store)
     query = StructuredQuery(
         select=tuple(table.headers[c] for c in sorted(select_cols)),
@@ -546,8 +536,7 @@ def _entry_outcomes(entry, tables, indexes, bundle, store, scopes, row_modes):
                     table = _once(sources, split, select_source,
                                   entry.question, tables, indexes[split])
                 select_cols, pairs = _once(clauses, table.id, predict_clauses,
-                                           entry.question, table, bundle,
-                                           store, entry.qid)
+                                           entry.question, table, bundle, store)
                 cells = _once(answers, (table.id, row_mode), answer_cells,
                               table, select_cols, pairs, row_mode, store)
             except PipelineStageError as exc:

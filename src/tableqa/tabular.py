@@ -17,7 +17,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DuplicateKeys, MalformedFile, NotKeyValue, UntrainedModel
+from .errors import (DuplicateKeys, MalformedFile, MalformedLine, NotKeyValue,
+                     UntrainedModel)
 from .nn import format_arrays, parse_arrays
 from .textproc import TokenList, read_lines, tokenize
 
@@ -133,10 +134,15 @@ def load_table(path, fmt: TableFormat, table_id: str | None = None) -> Table:
 
     The first record is the header row. Cells are preserved verbatim; only
     the record separator is consumed. Ragged or empty files raise
-    MalformedFile.
+    MalformedFile; a record the csv module rejects (a cell over its field
+    size limit) raises MalformedLine naming the line it ends on.
     """
     path = str(path)
-    records = list(csv.reader(read_lines(path, newline=""), delimiter=fmt.value))
+    reader = csv.reader(read_lines(path, newline=""), delimiter=fmt.value)
+    try:
+        records = list(reader)
+    except csv.Error as exc:
+        raise MalformedLine(f"{path}:{reader.line_num}: {exc}") from None
     if not records:
         raise MalformedFile(f"{path}: empty file")
     headers = records[0]

@@ -34,10 +34,11 @@ def read_lines(path, newline: str | None = None):
     """The lines of the UTF-8 text file ``path``, as ``open(path,
     newline=newline)`` yields them; every input file is read through here.
 
-    Bytes that are not UTF-8 raise NotText naming ``path:line``.
+    A leading byte-order mark is dropped. Bytes that are not UTF-8 raise
+    NotText naming ``path:line``.
     """
     try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
+        with open(path, encoding="utf-8-sig", newline=newline) as fh:
             yield from fh
     except UnicodeDecodeError:
         raise NotText(_not_utf8(path)) from None

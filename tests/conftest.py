@@ -1,9 +1,10 @@
+import re
 from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
-from tableqa.embed import SimMatchConfig, load_embeddings
+from tableqa.embed import load_embeddings
 from tableqa.harness import (
     ingest_corpus,
     load_corpus,
@@ -11,6 +12,7 @@ from tableqa.harness import (
     load_table_kinds,
 )
 from tableqa.nn import TrainConfig
+from tableqa.textproc import read_lines
 from tableqa.typerec import (
     extract_column_type_features,
     load_column_labels,
@@ -47,8 +49,7 @@ def corpus(raw_corpus, table_kinds):
 
 @pytest.fixture(scope="session")
 def manifest(fixtures_dir, corpus, pipeline_store):
-    return load_manifest(fixtures_dir / "manifest.txt", corpus, pipeline_store,
-                         SimMatchConfig())
+    return load_manifest(fixtures_dir / "manifest.txt", corpus, pipeline_store)
 
 
 @pytest.fixture(scope="session")
@@ -115,3 +116,14 @@ def mutate():
             return text[:i] + text[i + 1:]
         return text[:i] + data.draw(_MUTATION_CHARS) + text[i + 1:]
     return mutate
+
+
+@pytest.fixture(scope="session")
+def names_a_line():
+    """``names_a_line(message, path)``: assert that ``message`` starts with
+    ``<path>:<n>: `` for a line ``n`` of the text file ``path``."""
+    def names_a_line(message, path):
+        match = re.match(re.escape(f"{path}:") + r"(\d+): ", message)
+        assert match, message
+        assert 1 <= int(match.group(1)) <= len(list(read_lines(path))), message
+    return names_a_line

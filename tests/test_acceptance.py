@@ -16,7 +16,6 @@ from tableqa import harness
 from tableqa.clauses import (
     SELECT_FEATURE_DIM,
     WHERE_FEATURE_DIM,
-    HeuristicTagger,
     build_aux,
     candidate_word_indices,
     featurize_select,
@@ -128,7 +127,7 @@ class TestManifestRoundTrip:
             result = run_pipeline(
                 entry.question, corpus, None, bundle, pipeline_store,
                 row_mode=RowMode.WORD_MATCH,
-                golden_table=corpus[entry.table_id], question_id=entry.qid,
+                golden_table=corpus[entry.table_id],
             )
             _, _, f1 = cell_prf(set(result.cells), set(entry.gold_cells))
             assert f1 == 1.0, entry.qid
@@ -272,7 +271,7 @@ class TestFeatureLayoutContracts:
             question = "What is the " + " ".join(
                 rng.choice(words) for _ in range(rng.randrange(1, 4))
             )
-            aux = build_aux(question, table, coltype_model, HeuristicTagger())
+            aux = build_aux(question, table, coltype_model)
             for c in range(n_cols):
                 svec = featurize_select(table, c, aux, pipeline_store)
                 assert svec.shape == (SELECT_FEATURE_DIM,)

@@ -1,5 +1,5 @@
 import random
-import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tableqa import clauses
 from tableqa.clauses import (
     DEP_TAGS,
     NER_TAGS,
@@ -14,23 +15,25 @@ from tableqa.clauses import (
     SELECT_FEATURE_DIM,
     WHERE_FEATURE_DIM,
     AuxSignals,
-    HeuristicTagger,
-    SidecarTagger,
-    TokenTags,
     build_aux,
     candidate_word_indices,
     featurize_select,
     featurize_where,
     predict_select,
+    heuristic_tags,
     predict_where,
-    tag_tokens,
 )
 from tableqa.embed import load_embeddings, proximity
-from tableqa.errors import NotText, SidecarMismatch, UntrainedModel
+from tableqa.errors import UntrainedModel
 from tableqa.harness import gold_select_indices
 from tableqa.nn import init_model
 from tableqa.tabular import Table
-from tableqa.textproc import edit_distance, normalized_edit_distance, tokenize
+from tableqa.textproc import (
+    edit_distance,
+    normalized_edit_distance,
+    token_starts,
+    tokenize,
+)
 from tableqa.typerec import (
     COLUMN_TYPE_SPEC,
     N_COLUMN_TYPES,
@@ -70,51 +73,57 @@ def extended_store(store, tmp_path_factory):
     })
 
 
-def tags_of(question, provider, question_id=None):
-    return tag_tokens(question, tokenize(question).tokens, provider, question_id)
-
-
-def make_aux(question, table, coltype_model):
-    return build_aux(question, table, coltype_model, HeuristicTagger())
+def tags_of(question):
+    return heuristic_tags(question, token_starts(question))
 
 
 class TestBuildAuxTokenizesOnce:
     def test_one_tokenize_call_with_warm_views(self, corpus,
                                                trained_coltype_model,
                                                monkeypatch):
-        from tableqa import clauses, typerec
-
+        # the question's one scan is token_starts; tokenize is never called
         question = "What is the capital of Texas?"
         table = corpus["state-capitals"]
-        want = build_aux(question, table, trained_coltype_model, HeuristicTagger())
-        calls = []
+        want = build_aux(question, table, trained_coltype_model)
+        scans, tokenized = [], []
 
-        def counting(text, *args, **kwargs):
-            calls.append(text)
+        def counting_scan(text):
+            scans.append(text)
+            return token_starts(text)
+
+        def counting_tokenize(text, *args, **kwargs):
+            tokenized.append(text)
             return tokenize(text, *args, **kwargs)
 
-        monkeypatch.setattr(clauses, "tokenize", counting)
-        monkeypatch.setattr(typerec, "tokenize", counting)
-        got = build_aux(question, table, trained_coltype_model, HeuristicTagger())
-        assert calls == [question]
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] != "tableqa":
+                continue
+            if hasattr(module, "token_starts"):
+                monkeypatch.setattr(module, "token_starts", counting_scan)
+            if hasattr(module, "tokenize"):
+                monkeypatch.setattr(module, "tokenize", counting_tokenize)
+        got = build_aux(question, table, trained_coltype_model)
+        assert scans == [question]
+        assert tokenized == []
         assert got.qtype_onehot.tobytes() == want.qtype_onehot.tobytes()
         assert got.tags == want.tags
+        assert (got.question_tokens, got.content_tokens, got.content_stems) == \
+            (want.question_tokens, want.content_tokens, want.content_stems)
 
     def test_given_tokens_are_read(self):
         assert classify_question(("who", "is"))[0] is QuestionType.HUMAN
-        with pytest.raises(SidecarMismatch):
-            tag_tokens("Who is", ("who",), HeuristicTagger())
+        assert [t.pos for t in heuristic_tags("Who is", [("who", 0)])] == ["PRON"]
 
 
 class TestHeuristicTagger:
     def test_digit_token(self):
-        tags = tags_of("5", HeuristicTagger())
+        tags = tags_of("5")
         assert tags[0].pos == "NUM"
         assert tags[0].ner == "QUANTITY"
 
     def test_proper_noun_person(self):
         question = "Who is the husband of Whoopi Goldberg"
-        tags = tags_of(question, HeuristicTagger())
+        tags = tags_of(question)
         tokens = tokenize(question).tokens
         goldberg = tags[tokens.index("goldberg")]
         assert goldberg.pos == "PROPN"
@@ -122,14 +131,14 @@ class TestHeuristicTagger:
 
     def test_gazetteer_location(self):
         question = "What is the capital of Louisiana"
-        tags = tags_of(question, HeuristicTagger())
+        tags = tags_of(question)
         tokens = tokenize(question).tokens
         louisiana = tags[tokens.index("louisiana")]
         assert louisiana.pos == "PROPN"
         assert louisiana.ner == "LOCATION"
 
     def test_wh_word_and_root_verb(self):
-        tags = tags_of("Who is the husband", HeuristicTagger())
+        tags = tags_of("Who is the husband")
         assert tags[0].pos == "PRON"
         assert tags[1].pos == "VERB"
         assert tags[1].dep == "root"
@@ -137,14 +146,14 @@ class TestHeuristicTagger:
 
     def test_alignment_with_tokenizer(self):
         for q in ["What is NAIRU?", "6' 3''", "How many feet are in a mile?"]:
-            assert len(tags_of(q, HeuristicTagger())) == len(tokenize(q).tokens)
+            assert len(tags_of(q)) == len(tokenize(q).tokens)
 
     def test_dotted_capital_i(self):
         # "İ" lowercases to "i" and a combining dot, which ends the token
         question = "What is the capital of İllinois?"
         tokens = tokenize(question).tokens
         assert tokens[-2:] == ("i", "llinois")
-        tags = tags_of(question, HeuristicTagger())
+        tags = tags_of(question)
         assert len(tags) == len(tokens)
         assert (tags[-2].pos, tags[-1].pos) == ("PROPN", "NOUN")
 
@@ -156,7 +165,7 @@ class TestHeuristicTagger:
     def test_one_tag_per_token_of_any_question(self, coltype_model, question):
         assume(tokenize(question).tokens)
         table = Table(id="t", name="t", headers=["a"], rows=[["b"]])
-        aux = build_aux(question, table, coltype_model, HeuristicTagger())
+        aux = build_aux(question, table, coltype_model)
         assert len(aux.tags) == len(aux.question_tokens)
 
     def test_tag_inventories_fixed(self):
@@ -164,51 +173,26 @@ class TestHeuristicTagger:
         assert len(NER_TAGS) == 6
         assert len(DEP_TAGS) == 37
 
-    def test_invalid_tag_rejected(self):
-        with pytest.raises(ValueError):
-            TokenTags(pos="XYZ", ner="NONE", dep="dep")
-
-
-class TestSidecarTagger:
-    def test_bytes_not_utf8_name_the_line(self, tmp_path):
-        p = tmp_path / "tags.tsv"
-        p.write_bytes(b"q1\tWho/PRON/NONE/dep\nq2\t\xff/PRON/NONE/dep\n")
-        with pytest.raises(NotText, match=f"^{re.escape(str(p))}:2: "):
-            SidecarTagger(p)
-
-    def test_round_trip(self, tmp_path):
-        p = tmp_path / "tags.tsv"
-        p.write_text("q1\tWho/PRON/NONE/dep is/VERB/NONE/root\n")
-        tagger = SidecarTagger(p)
-        tags = tags_of("Who is", tagger, question_id="q1")
-        assert tags[0].pos == "PRON"
-        assert tags[1].dep == "root"
-
-    def test_wrong_token_count(self, tmp_path):
-        p = tmp_path / "tags.tsv"
-        p.write_text("q1\tWho/PRON/NONE/dep\n")
-        with pytest.raises(SidecarMismatch):
-            tags_of("Who is the husband", SidecarTagger(p), question_id="q1")
-
-    def test_missing_question(self, tmp_path):
-        p = tmp_path / "tags.tsv"
-        p.write_text("q1\tWho/PRON/NONE/dep\n")
-        with pytest.raises(SidecarMismatch):
-            tags_of("Who", SidecarTagger(p), question_id="q2")
-
-    @pytest.mark.parametrize("record, message", [
-        ("is/VERB/NONE", "bad sidecar record 'is/VERB/NONE' for question 'q2'"),
-        ("is/XYZ/NONE/root", "unknown POS tag 'XYZ'"),
-        ("is/VERB/ALIEN/root", "unknown NER tag 'ALIEN'"),
-        ("is/VERB/NONE/nosuchrel", "unknown dependency tag 'nosuchrel'"),
-    ], ids=["malformed", "pos", "ner", "dep"])
-    def test_bad_record_names_file_and_line(self, tmp_path, record, message):
-        p = tmp_path / "tags.tsv"
-        p.write_text("# qid<TAB>tags\nq1\tWho/PRON/NONE/dep\n"
-                     f"q2\tWho/PRON/NONE/dep {record}\n")
-        with pytest.raises(SidecarMismatch) as exc:
-            SidecarTagger(p)
-        assert str(exc.value) == f"{p}:3: {message}"
+    def test_every_emitted_tag_in_inventories(self):
+        # each word of every rule list, plus a digit and an unlisted word,
+        # first lowercase (the second copy follows a first verb), then
+        # capitalized after the start
+        words = sorted(clauses._WH_PRON | clauses._WH_DET | clauses._DATE_TOKENS
+                       | clauses._VERB_TOKENS | clauses._LOCATION_GAZETTEER)
+        emitted = {
+            (t.pos, t.ner, t.dep)
+            for w in words + ["7", "goldberg"]
+            for t in tags_of(f"{w} {w} {w.capitalize()}")
+        }
+        assert emitted == {
+            ("PRON", "NONE", "dep"), ("DET", "NONE", "dep"),
+            ("NUM", "QUANTITY", "dep"), ("PROPN", "DATETIME", "dep"),
+            ("VERB", "NONE", "root"), ("VERB", "NONE", "dep"),
+            ("PROPN", "LOCATION", "dep"), ("PROPN", "PERSON", "dep"),
+            ("NOUN", "NONE", "dep"),
+        }
+        for pos, ner, dep in emitted:
+            assert pos in POS_TAGS and ner in NER_TAGS and dep in DEP_TAGS
 
 
 def state_capital_table():
@@ -224,7 +208,7 @@ def state_capital_table():
 class TestFeaturizeSelect:
     def test_single_column_table_count_feature(self, store, coltype_model):
         t = Table(id="one", name="one", headers=["Only"], rows=[["x"]])
-        aux = make_aux("What is x?", t, coltype_model)
+        aux = build_aux("What is x?", t, coltype_model)
         vec = featurize_select(t, 0, aux, store)
         assert vec.shape == (SELECT_FEATURE_DIM,)
         assert vec[0] == 1.0
@@ -238,7 +222,7 @@ class TestFeaturizeSelect:
             rows=[["a", "b"]],
         )
         q = "What is NAIRU?"
-        aux = make_aux(q, t, coltype_model)
+        aux = build_aux(q, t, coltype_model)
         vec = featurize_select(t, 0, aux, store)
         assert vec[23] == 0.0
         assert vec[24] > 0.0
@@ -246,14 +230,14 @@ class TestFeaturizeSelect:
     def test_single_stem_pair_second_min_equals_min(self, store, coltype_model):
         t = Table(id="m", name="m", headers=["Capital"], rows=[["x"]])
         q = "capital?"
-        aux = make_aux(q, t, coltype_model)
+        aux = build_aux(q, t, coltype_model)
         vec = featurize_select(t, 0, aux, store)
         assert vec[23] == vec[24] == 0.0
 
     def test_out_of_vocabulary_column_zero_proximity(self, store, coltype_model):
         t = Table(id="oov", name="oov", headers=["Col"], rows=[["qqq zzz"]])
         q = "president?"
-        aux = make_aux(q, t, coltype_model)
+        aux = build_aux(q, t, coltype_model)
         vec = featurize_select(t, 0, aux, store)
         assert np.array_equal(vec[1:5], np.zeros(4))
 
@@ -261,7 +245,7 @@ class TestFeaturizeSelect:
         t = Table(id="kv", name="kv", headers=["spouse", "capital"],
                   rows=[["spouse", "capital"]])
         q = "husband"
-        aux = make_aux(q, t, coltype_model)
+        aux = build_aux(q, t, coltype_model)
         spouse_vec = featurize_select(t, 0, aux, store)
         capital_vec = featurize_select(t, 1, aux, store)
         assert spouse_vec[3] > capital_vec[3]
@@ -269,7 +253,7 @@ class TestFeaturizeSelect:
     def test_question_type_block_is_onehot(self, store, coltype_model):
         t = state_capital_table()
         q = "Who is the governor?"
-        aux = make_aux(q, t, coltype_model)
+        aux = build_aux(q, t, coltype_model)
         vec = featurize_select(t, 0, aux, store)
         _, onehot = classify_question(tokenize(q).tokens)
         assert np.array_equal(vec[12:23], onehot)
@@ -279,7 +263,7 @@ class TestFeaturizeWhere:
     def test_exact_word_in_column(self, store, coltype_model):
         t = state_capital_table()
         q = "What is the capital of Louisiana?"
-        aux = make_aux(q, t, coltype_model)
+        aux = build_aux(q, t, coltype_model)
         word_index = aux.question_tokens.index("louisiana")
         vec = featurize_where(t, 0, word_index, {1}, aux, store)
         assert vec.shape == (WHERE_FEATURE_DIM,)
@@ -290,7 +274,7 @@ class TestFeaturizeWhere:
     def test_in_select_flag(self, store, coltype_model):
         t = state_capital_table()
         q = "What is the capital of Texas?"
-        aux = make_aux(q, t, coltype_model)
+        aux = build_aux(q, t, coltype_model)
         w = aux.question_tokens.index("texas")
         with_flag = featurize_where(t, 1, w, {1}, aux, store)
         without_flag = featurize_where(t, 1, w, set(), aux, store)
@@ -301,7 +285,7 @@ class TestFeaturizeWhere:
     def test_single_row_table_row_count(self, store, coltype_model):
         t = Table(id="one", name="one", headers=["spouse"], rows=[["Ted"]])
         q = "Who is the husband?"
-        aux = make_aux(q, t, coltype_model)
+        aux = build_aux(q, t, coltype_model)
         w = aux.question_tokens.index("husband")
         vec = featurize_where(t, 0, w, set(), aux, store)
         assert vec[2] == 1.0
@@ -319,7 +303,7 @@ class TestFeaturizeWhere:
                       for _ in range(n_rows)],
             )
             q = "What is the " + " ".join(rng.choice(words) for _ in range(3))
-            aux = make_aux(q, t, coltype_model)
+            aux = build_aux(q, t, coltype_model)
             for c in range(n_cols):
                 svec = featurize_select(t, c, aux, store)
                 assert svec.shape == (SELECT_FEATURE_DIM,)
@@ -338,8 +322,8 @@ class TestFeaturizeWhere:
                    rows=[["Louisiana", "Baton Rouge", "pelican"]])
         t2 = Table(id="a", name="a", headers=["State", "Flag", "Capital"],
                    rows=[["Louisiana", "pelican", "Baton Rouge"]])
-        aux1 = make_aux(q, t1, coltype_model)
-        aux2 = make_aux(q, t2, coltype_model)
+        aux1 = build_aux(q, t1, coltype_model)
+        aux2 = build_aux(q, t2, coltype_model)
         s1 = featurize_select(t1, 0, aux1, store)
         s2 = featurize_select(t2, 0, aux2, store)
         assert np.array_equal(s1, s2)
@@ -355,7 +339,7 @@ class TestPrediction:
 
         t = state_capital_table()
         q = "What is the capital of Louisiana?"
-        aux = make_aux(q, t, coltype_model)
+        aux = build_aux(q, t, coltype_model)
         model = init_model(SELECT_SPEC, seed=0)
         # force the all-negative degenerate case via a huge negative-class bias
         model.biases[-1] = np.array([50.0, -50.0])
@@ -367,7 +351,7 @@ class TestPrediction:
 
         t = state_capital_table()
         q = "What is the capital of Louisiana?"
-        aux = make_aux(q, t, coltype_model)
+        aux = build_aux(q, t, coltype_model)
         model = init_model(SELECT_SPEC, seed=0)
         model.biases[-1] = np.array([-50.0, 50.0])
         picked = predict_select(t, model, aux, store)
@@ -378,7 +362,7 @@ class TestPrediction:
 
         t = Table(id="one", name="one", headers=["Only"], rows=[["x"]])
         q = "What is x?"
-        aux = make_aux(q, t, coltype_model)
+        aux = build_aux(q, t, coltype_model)
         model = init_model(SELECT_SPEC, seed=3)
         assert predict_select(t, model, aux, store) == {0}
 
@@ -387,7 +371,7 @@ class TestPrediction:
 
         t = state_capital_table()
         q = "What is the of?"
-        aux = make_aux(q, t, coltype_model)
+        aux = build_aux(q, t, coltype_model)
         model = init_model(WHERE_SPEC, seed=0)
         model.biases[-1] = np.array([-50.0, 50.0])  # even all-positive yields none
         assert predict_where(t, model, aux, set(), store) == set()
@@ -395,7 +379,7 @@ class TestPrediction:
     def test_untrained_model_rejected(self, store, coltype_model):
         t = state_capital_table()
         q = "What is the capital?"
-        aux = make_aux(q, t, coltype_model)
+        aux = build_aux(q, t, coltype_model)
         with pytest.raises(UntrainedModel):
             predict_select(t, None, aux, store)
         with pytest.raises(UntrainedModel):
@@ -494,7 +478,7 @@ def assert_matches_reference(question, table, model, store, select_columns):
     byte-equal to the reference featurizer's, on a fresh copy of the
     table and on one whose views are already built."""
     for t in (replace(table), table):
-        aux = make_aux(question, t, model)
+        aux = build_aux(question, t, model)
         assert aux.question_tokens == tokenize(question).tokens
         content = tokenize(question, drop_stopwords=True)
         assert (aux.content_tokens, aux.content_stems) == (content.tokens,
@@ -564,20 +548,20 @@ class TestViewsHoldNoStoreOrModel:
         words = tokenize(self.QUESTION).tokens + sum(shared.column_tokens, ())
         stores = [_random_store(tmp_path / f"{seed}.vec", words, seed)
                   for seed in (1, 2)]
-        aux = make_aux(self.QUESTION, shared, coltype_model)
+        aux = build_aux(self.QUESTION, shared, coltype_model)
         got = [featurize_select(shared, 0, aux, s) for s in stores]
         for vec, s in zip(got, stores):
             fresh = self.table()
             want = featurize_select(fresh, 0,
-                                    make_aux(self.QUESTION, fresh, coltype_model), s)
+                                    build_aux(self.QUESTION, fresh, coltype_model), s)
             assert vec.tobytes() == want.tobytes()
         assert not np.array_equal(got[0][1:5], got[1][1:5])
 
     def test_two_column_type_models(self, coltype_model, trained_coltype_model):
         models = [coltype_model, trained_coltype_model]
         shared = self.table()
-        got = [make_aux(self.QUESTION, shared, m).coltype_dists for m in models]
+        got = [build_aux(self.QUESTION, shared, m).coltype_dists for m in models]
         for dists, m in zip(got, models):
-            want = make_aux(self.QUESTION, self.table(), m).coltype_dists
+            want = build_aux(self.QUESTION, self.table(), m).coltype_dists
             assert dists.tobytes() == want.tobytes()
         assert not np.array_equal(got[0], got[1])

@@ -353,10 +353,6 @@ class TestUsageErrors:
 
     # argparse rejects each value before any file is read
     @pytest.mark.parametrize("argv", [
-        ["ask", "q?", "--threshold", "nan"],
-        ["ask", "q?", "--threshold", "inf"],
-        ["ask", "q?", "--threshold", "0"],
-        ["ask", "q?", "--threshold", "-1"],
         ["train", "--task", "select", "--epochs", "-1"],
         ["train", "--task", "select", "--lr", "0"],
         ["train", "--task", "select", "--lr", "nan"],
@@ -364,13 +360,18 @@ class TestUsageErrors:
         ["train", "--task", "select", "--batch-size", "0"],
     ], ids=lambda argv: " ".join(argv[-2:]))
     def test_out_of_range_numeric_flag_exits_2(self, tmp_path, capsys, argv):
-        ws = ["--workspace", str(tmp_path / "ws")]
-        if argv[0] == "ask":
-            ws += ["--embeddings", str(tmp_path / "none.vec")]
         with pytest.raises(SystemExit) as exc:
-            main(argv + ws)
+            main(argv + ["--workspace", str(tmp_path / "ws")])
         assert exc.value.code == 2
         assert f"argument {argv[-2]}: " in capsys.readouterr().err
+
+    def test_ask_has_no_threshold_flag(self, tmp_path, capsys):
+        # ~ validates every manifest at its one default threshold
+        with pytest.raises(SystemExit) as exc:
+            main(["ask", "q?", "--threshold", "0.45", "--workspace",
+                  str(tmp_path / "ws"), "--embeddings", str(tmp_path / "none.vec")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threshold" in capsys.readouterr().err
 
     @pytest.mark.parametrize("task", ["table-type", "column-type", "select",
                                       "where"])
@@ -655,6 +656,20 @@ class TestIngestErrors:
         assert code == 1
         assert capsys.readouterr().err == (
             "error: no kind label or model for table 'albert-einstein'\n")
+
+    def test_cell_over_csv_field_limit_is_error_naming_the_line(self, tmp_path,
+                                                                 capsys):
+        # the csv module refuses a field longer than 131,072 characters
+        tables = tmp_path / "tables"
+        tables.mkdir()
+        (tables / "long.csv").write_text("a,b\n1,2\nx," + "y" * 140_000 + "\n")
+        kinds = tmp_path / "kinds.txt"
+        kinds.write_text("long\tentity-instance\n")
+        code = main(["ingest", "--tables", str(tables), "--kinds", str(kinds),
+                     "--workspace", str(tmp_path / "ws")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {tables / 'long.csv'}:3: field larger than field limit")
 
 
 class TestColumnLabelEntries:

@@ -59,6 +59,11 @@ class TestLoad:
             assert np.array_equal(toy.lookup(token),
                                   np.array([float(v) for v in vals]))
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        p = tmp_path / "bom.vec"
+        p.write_bytes(b"\xef\xbb\xbfa 1 2\nb 3 4\n")
+        assert list(load_embeddings(p).rows) == ["a", "b"]
+
     def test_lookup_case_insensitive(self, toy):
         assert np.array_equal(toy.lookup("SPOUSE"), toy.lookup("spouse"))
 
@@ -223,7 +228,7 @@ class ReferenceStore:
 
 def reference_load_embeddings(path) -> ReferenceStore:
     store = None
-    with open(str(path), encoding="utf-8") as fh:
+    with open(str(path), encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:

@@ -2,9 +2,12 @@ import zlib
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tableqa import clauses, harness
 from tableqa.clauses import (
+    build_aux,
     candidate_word_indices,
     featurize_select,
     featurize_where,
@@ -12,7 +15,7 @@ from tableqa.clauses import (
     predict_where,
 )
 from tableqa.embed import SimMatchConfig
-from tableqa.errors import AllZero, MalformedFile, ValidationFailure
+from tableqa.errors import AllZero, MalformedFile, TableQAError, ValidationFailure
 from tableqa.harness import (
     ModelBundle,
     PipelineStageError,
@@ -21,7 +24,6 @@ from tableqa.harness import (
     Scope,
     Split,
     SweepCell,
-    _aux_for,
     build_select_samples,
     build_where_samples,
     cell_prf,
@@ -32,10 +34,13 @@ from tableqa.harness import (
     gold_where_pairs,
     load_corpus,
     load_manifest,
+    load_table_kinds,
     metrics_from_confusion,
+    parse_manifest,
     run_pipeline,
     split_index,
     sweep_pipeline,
+    validate_manifest,
 )
 from tableqa.nn import load_model
 from tableqa.retrieval import Similarity
@@ -137,6 +142,14 @@ class TestManifest:
         p.write_text("# nothing here\n")
         assert load_manifest(p, corpus, pipeline_store) == []
 
+    def test_byte_order_mark_is_dropped(self, fixtures_dir, tmp_path, corpus,
+                                        pipeline_store, manifest):
+        # the first line is an entry, so a kept mark would start its qid
+        p = tmp_path / "bom.txt"
+        lines = (fixtures_dir / "manifest.txt").read_text(encoding="utf-8")
+        p.write_text("\ufeff" + lines.split("\n", 1)[1], encoding="utf-8")
+        assert load_manifest(p, corpus, pipeline_store) == manifest
+
     def test_inconsistent_entry_rejected(self, tmp_path, corpus, pipeline_store):
         p = tmp_path / "bad.txt"
         p.write_text(
@@ -193,6 +206,44 @@ class TestManifestErrorsNameTheLine:
             ("line 4", f"{p}:4: expected 7 fields, got 3"),
             ("q4", f"{p}:5: 'sometimes' is not a valid Split"),
         ]
+
+
+class TestMutatedInputsNameTheLine:
+    # the fixture file truncated, or with one character substituted,
+    # deleted or inserted
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_kinds_load_or_name_the_line(self, fixtures_dir, tmp_path_factory,
+                                         mutate, names_a_line, data):
+        path = tmp_path_factory.getbasetemp() / "mutated-table_types.txt"
+        text = (fixtures_dir / "table_types.txt").read_text(encoding="utf-8")
+        path.write_text(mutate(data, text), encoding="utf-8")
+        try:
+            load_table_kinds(path)
+        except TableQAError as exc:
+            names_a_line(str(exc), path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_manifest_lines_parse_or_name_the_line(self, fixtures_dir,
+                                                   tmp_path_factory, corpus,
+                                                   pipeline_store, mutate,
+                                                   names_a_line, data):
+        path = tmp_path_factory.getbasetemp() / "mutated-manifest.txt"
+        text = (fixtures_dir / "manifest.txt").read_text(encoding="utf-8")
+        path.write_text(mutate(data, text), encoding="utf-8")
+        lines = parse_manifest(path)
+        for line in lines:
+            names_a_line(f"{line.where}: ", path)
+            assert (line.entry is None) != (line.failure is None)
+            if line.failure is not None:
+                assert line.failure[1].startswith(f"{line.where}: ")
+        try:
+            validate_manifest(lines, corpus, pipeline_store)
+        except ValidationFailure as exc:
+            for _, cause in exc.failures:
+                names_a_line(cause, path)
 
 
 class TestConfusionMetrics:
@@ -271,7 +322,7 @@ class TestPipelineWithOracles:
             result = run_pipeline(
                 entry.question, corpus, None, bundle, pipeline_store,
                 row_mode=RowMode.WORD_MATCH,
-                golden_table=corpus[entry.table_id], question_id=entry.qid,
+                golden_table=corpus[entry.table_id],
             )
             _, _, f1 = cell_prf(set(result.cells), set(entry.gold_cells))
             assert f1 == 1.0, entry.qid
@@ -342,12 +393,9 @@ class TestWhereFlagConsistency:
         # and the full 77-dim vector are identical on both paths
         import numpy as np
 
-        from tableqa.clauses import HeuristicTagger, build_aux, featurize_where
-
         entry = next(e for e in manifest if e.qid == "q01")
         table = corpus[entry.table_id]
-        aux = build_aux(entry.question, table, trained_coltype_model,
-                        HeuristicTagger())
+        aux = build_aux(entry.question, table, trained_coltype_model)
         gold = gold_select_indices(entry, table)
         for c in range(table.n_columns):
             for w, tok in enumerate(aux.question_tokens):
@@ -388,7 +436,7 @@ def reference_build_select_samples(entries, tables, store, bundle):
     samples = []
     for entry in entries:
         table = tables[entry.table_id]
-        aux = _aux_for(entry.question, table, bundle, entry.qid)
+        aux = build_aux(entry.question, table, bundle.coltype_model)
         gold = gold_select_indices(entry, table)
         for c in range(table.n_columns):
             vec = featurize_select(table, c, aux, store)
@@ -405,7 +453,7 @@ def reference_build_where_samples(entries, tables, store, bundle):
     samples = []
     for entry in entries:
         table = tables[entry.table_id]
-        aux = _aux_for(entry.question, table, bundle, entry.qid)
+        aux = build_aux(entry.question, table, bundle.coltype_model)
         gold_select = gold_select_indices(entry, table)
         gold_pairs = gold_where_pairs(entry, table)
         for c in range(table.n_columns):
@@ -420,7 +468,7 @@ def reference_evaluate_select(entries, tables, store, bundle):
     tp = fp = fn = tn = 0
     for entry in entries:
         table = tables[entry.table_id]
-        aux = _aux_for(entry.question, table, bundle, entry.qid)
+        aux = build_aux(entry.question, table, bundle.coltype_model)
         gold = gold_select_indices(entry, table)
         predicted = predict_select(table, bundle.select_model, aux, store)
         for c in range(table.n_columns):
@@ -436,7 +484,7 @@ def reference_evaluate_where(entries, tables, store, bundle):
     tp = fp = fn = tn = 0
     for entry in entries:
         table = tables[entry.table_id]
-        aux = _aux_for(entry.question, table, bundle, entry.qid)
+        aux = build_aux(entry.question, table, bundle.coltype_model)
         gold_select = gold_select_indices(entry, table)
         gold_pairs = gold_where_pairs(entry, table)
         predicted = predict_where(table, bundle.where_model, aux, gold_select,
@@ -498,7 +546,7 @@ def reference_entry_outcome(entry, tables, index, bundle, store, cfg, row_mode,
     try:
         result = run_pipeline(
             entry.question, tables, index, bundle, store,
-            row_mode=row_mode, golden_table=golden, question_id=entry.qid,
+            row_mode=row_mode, golden_table=golden,
         )
     except PipelineStageError as exc:
         return QuestionOutcome(entry.qid, 0.0, 0.0, 0.0, error=str(exc))

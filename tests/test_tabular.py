@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from tableqa.errors import (
     DuplicateKeys,
     MalformedFile,
+    MalformedLine,
     NotKeyValue,
     TableQAError,
     UntrainedModel,
@@ -63,6 +64,18 @@ class TestLoadTable:
         p = write(tmp_path, "q.csv", 'name,note\nx,"a, quoted cell"\n')
         t = load_table(p, TableFormat.CSV)
         assert t.rows == [["x", "a, quoted cell"]]
+
+    def test_cell_over_field_limit_names_file_and_line(self, tmp_path):
+        # the csv module refuses a field longer than 131,072 characters
+        p = write(tmp_path, "long.csv", "a,b\n1,2\nx," + "y" * 140_000 + "\n3,4\n")
+        with pytest.raises(MalformedLine) as exc:
+            load_table(p, TableFormat.CSV)
+        assert str(exc.value).startswith(f"{p}:3: field larger than field limit")
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        p = tmp_path / "bom.csv"
+        p.write_bytes("\ufeffState,Capital\nTexas,Austin\n".encode("utf-8"))
+        assert load_table(p, TableFormat.CSV).headers == ["State", "Capital"]
 
     def test_six_column_header_only_is_fine(self, tmp_path):
         p = write(tmp_path, "p.csv", "President,Party,Term,Born,Died,Spouse\n")

@@ -2,8 +2,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tableqa.errors import EmptyQuestion, MalformedLine, UntrainedModel
+from tableqa.errors import EmptyQuestion, MalformedLine, TableQAError, UntrainedModel
 from tableqa.nn import TrainConfig, init_model
 from tableqa.textproc import tokenize
 from tableqa.typerec import (
@@ -218,3 +220,17 @@ class TestLoadColumnLabels:
         with pytest.raises(MalformedLine) as exc:
             load_column_labels(path)
         assert str(exc.value).startswith(f"{path}:3: ")
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_mutated_file_loads_or_names_the_line(self, fixtures_dir,
+                                                  tmp_path_factory, mutate,
+                                                  names_a_line, data):
+        # truncated, or one character substituted, deleted or inserted
+        path = tmp_path_factory.getbasetemp() / "mutated-column_labels.txt"
+        text = (fixtures_dir / "column_labels.txt").read_text(encoding="utf-8")
+        path.write_text(mutate(data, text), encoding="utf-8")
+        try:
+            load_column_labels(path)
+        except TableQAError as exc:
+            names_a_line(str(exc), path)

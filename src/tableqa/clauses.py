@@ -2,9 +2,11 @@
 
 SELECT asks, per column: does this column belong in the projection?
 WHERE asks, per (column, question word) pair: do they form a row filter?
-Both feed fixed-layout feature vectors (25 and 77 dims) into the shared
-MLP core. The WHERE vector one-hot encodes shallow tags of the question
-word (POS, NER, dependency relation) from rules over the word and its
+For one (question, table), each featurizer fills one matrix with a
+fixed-layout row per candidate (25 and 77 dims), which the shared MLP core
+classifies in one call; training and inference build the same matrices.
+The WHERE row one-hot encodes shallow tags of the question word (POS,
+NER, dependency relation) from rules over the word and its
 capitalization; the tag inventories are fixed text resources, so those
 blocks always have dimensions 12, 6 and 37.
 
@@ -31,18 +33,13 @@ from .nn import MlpModel, MlpSpec, OutputHead, predict_batch
 from .tabular import Table
 from .textproc import (
     STOPWORDS,
-    edit_distance,
-    normalized_edit_distance,
+    compile_pattern,
+    pattern_distance,
     porter_stem,
     token_starts,
     tokenize,  # noqa: F401  (unused; bench/tests/test_bench.py traces this binding)
 )
-from .typerec import (
-    N_COLUMN_TYPES,
-    N_QUESTION_TYPES,
-    classify_question,
-    column_type_distributions,
-)
+from .typerec import classify_question, column_type_distributions
 
 SELECT_FEATURE_DIM = 25
 WHERE_FEATURE_DIM = 77
@@ -181,130 +178,117 @@ def where_candidates(table: Table, aux: AuxSignals) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Featurizers
+# Featurizers: one matrix per (question, table), filled block by block
 # ---------------------------------------------------------------------------
 
-def _proximity_block(
-    table: Table, column_index: int, aux: AuxSignals, store: EmbeddingStore
-) -> np.ndarray:
-    """avg, avg-sans-stopwords, max, max-sans-stopwords of token cosines.
+def _proximity_block(column_tokens: tuple[str, ...], q_all: list[int],
+                     q_content: list[int], store: EmbeddingStore) -> list[float]:
+    """avg, avg-sans-stopwords, max, max-sans-stopwords of token cosines;
+    ``q_all``/``q_content`` are the question's rows with and without stop
+    words.
 
     Out-of-vocabulary tokens are dropped before the pair loop, and each
     token is looked up once; they have no cosine, so the remaining pairs
     give the same floats in the same (column token, question token) order.
     """
-    column_tokens = table.column_tokens[column_index]
     c_all = store.known_rows(column_tokens)
     c_content = store.known_rows(t for t in column_tokens if t not in STOPWORDS)
-    out = np.zeros(4)
-    for slot, c_rows, q_tokens in ((0, c_all, aux.question_tokens),
-                                   (2, c_content, aux.content_tokens)):
-        q_rows = store.known_rows(q_tokens)
+    out = [0.0] * 4
+    for slot, c_rows, q_rows in ((0, c_all, q_all), (1, c_content, q_content)):
         sims = [
             s for i in c_rows for j in q_rows
             if (s := cosine(store, i, j)) is not None
         ]
         if sims:
             out[slot] = float(np.mean(sims))
-            out[slot + 1] = float(np.max(sims))
-    # ordering: avg, avg-nostop, max, max-nostop
-    return np.array([out[0], out[2], out[1], out[3]])
+            out[slot + 2] = float(np.max(sims))
+    return out
 
 
-def _header_distance_block(table: Table, column_index: int,
-                           aux: AuxSignals) -> np.ndarray:
-    distances = sorted(
-        edit_distance(h, q)
-        for h in table.header_stems[column_index] for q in aux.content_stems
-    )
+def _header_distances(header_stems: tuple[str, ...], patterns) -> list[float]:
+    """The lowest and second-lowest edit distance between a header stem and
+    a compiled content stem of the question (both the lowest for a single
+    pair, zeros for none)."""
+    distances = sorted(pattern_distance(p, h) for h in header_stems for p in patterns)
     if not distances:
-        return np.zeros(2)
-    lowest = distances[0]
-    second = distances[1] if len(distances) > 1 else lowest
-    return np.array([float(lowest), float(second)])
+        return [0.0, 0.0]
+    return [float(distances[0]), float(distances[min(1, len(distances) - 1)])]
 
 
-def featurize_select(
-    table: Table,
-    column_index: int,
-    aux: AuxSignals,
-    store: EmbeddingStore,
-) -> np.ndarray:
-    """25-dim layout: n_columns | proximity(4) | column type(7) |
+def featurize_select(table: Table, aux: AuxSignals,
+                     store: EmbeddingStore) -> np.ndarray:
+    """(n_columns, 25): per column, n_columns | proximity(4) | column type(7) |
     question type(11) | header edit distance(2)."""
-    parts = [
-        np.array([float(table.n_columns)]),
-        _proximity_block(table, column_index, aux, store),
-        aux.coltype_dists[column_index],
-        aux.qtype_onehot,
-        _header_distance_block(table, column_index, aux),
-    ]
-    vec = np.concatenate(parts)
-    assert vec.shape == (SELECT_FEATURE_DIM,)
-    return vec
+    out = np.empty((table.n_columns, SELECT_FEATURE_DIM))
+    out[:, 0] = float(table.n_columns)
+    out[:, 5:12] = aux.coltype_dists
+    out[:, 12:23] = aux.qtype_onehot
+    q_all = store.known_rows(aux.question_tokens)
+    q_content = store.known_rows(aux.content_tokens)
+    patterns = [compile_pattern(stem) for stem in aux.content_stems]
+    for c, column_tokens in enumerate(table.column_tokens):
+        out[c, 1:5] = _proximity_block(column_tokens, q_all, q_content, store)
+        out[c, 23:25] = _header_distances(table.header_stems[c], patterns)
+    return out
 
 
-def _min_word_column_distance(word: str, table: Table, column_index: int) -> float:
-    """Least normalized edit distance from ``word`` to a token of the column
-    (1.0 for a column without tokens).
+def _nearest_token_distance(word: str, pattern,
+                            vocab: dict[int, list[str]]) -> float:
+    """Least normalized edit distance from ``word`` (compiled as
+    ``pattern``) to a token of the column vocabulary ``vocab`` (1.0 for a
+    column without tokens).
 
     The column's distinct tokens are visited nearest length first. A
     token is skipped when its length gap over the longer length, a lower
     bound on its distance, already reaches the best distance found.
     """
-    vocab = table.column_vocab[column_index]
     n = len(word)
     if word in vocab.get(n, ()):
         return 0.0
     best = 1.0
     for length in sorted(vocab, key=lambda m: abs(m - n)):
-        bound = abs(length - n) / max(length, n)
+        longest = max(length, n)
+        bound = abs(length - n) / longest
         for token in vocab[length]:
             if bound >= best:
                 break
-            best = min(best, normalized_edit_distance(word, token))
+            best = min(best, pattern_distance(pattern, token) / longest)
     return best
 
 
-def _onehot(tag: str, inventory: tuple[str, ...]) -> np.ndarray:
-    vec = np.zeros(len(inventory))
-    vec[inventory.index(tag)] = 1.0
-    return vec
-
-
-def featurize_where(
-    table: Table,
-    column_index: int,
-    word_index: int,
-    select_columns: set[int],
-    aux: AuxSignals,
-    store: EmbeddingStore,
-) -> np.ndarray:
-    """77-dim layout: min norm edit distance | avg cell length | row count |
-    in-SELECT flag | column type(7) | question type(11) | POS(12) | NER(6) |
-    dependency(37).
+def featurize_where(table: Table, candidates: list[tuple[int, int]],
+                    select_columns: set[int], aux: AuxSignals) -> np.ndarray:
+    """(len(candidates), 77): per (column, question-token index) candidate,
+    min norm edit distance | avg cell length | row count | in-SELECT flag |
+    column type(7) | question type(11) | POS(12) | NER(6) | dependency(37).
 
     ``select_columns`` is the gold SELECT set during training and the
     predicted set at inference, per the error-isolation contract.
     """
-    word = aux.question_tokens[word_index]
-    tags = aux.tags[word_index]
-    parts = [
-        np.array([
-            _min_word_column_distance(word, table, column_index),
-            table.mean_cell_length[column_index],
-            float(table.n_rows),
-            1.0 if column_index in select_columns else 0.0,
-        ]),
-        aux.coltype_dists[column_index],
-        aux.qtype_onehot,
-        _onehot(tags.pos, POS_TAGS),
-        _onehot(tags.ner, NER_TAGS),
-        _onehot(tags.dep, DEP_TAGS),
-    ]
-    vec = np.concatenate(parts)
-    assert vec.shape == (WHERE_FEATURE_DIM,)
-    return vec
+    out = np.zeros((len(candidates), WHERE_FEATURE_DIM))
+    if not candidates:
+        return out
+    columns = [c for c, _ in candidates]
+    words = [w for _, w in candidates]
+    tokens = [aux.question_tokens[w] for w in words]
+    patterns = {token: compile_pattern(token) for token in dict.fromkeys(tokens)}
+    nearest: dict[tuple[int, str], float] = {}
+    for c, token in zip(columns, tokens):
+        if (c, token) not in nearest:
+            nearest[c, token] = _nearest_token_distance(token, patterns[token],
+                                                        table.column_vocab[c])
+    out[:, 0] = [nearest[key] for key in zip(columns, tokens)]
+    out[:, 1] = [table.mean_cell_length[c] for c in columns]
+    out[:, 2] = float(table.n_rows)
+    out[:, 3] = [c in select_columns for c in columns]
+    out[:, 4:11] = aux.coltype_dists[columns]
+    out[:, 11:22] = aux.qtype_onehot
+    rows = np.arange(len(candidates))
+    for offset, inventory, field in ((22, POS_TAGS, "pos"), (34, NER_TAGS, "ner"),
+                                     (40, DEP_TAGS, "dep")):
+        out[rows, [offset + inventory.index(getattr(aux.tags[w], field))
+                   for w in words]] = 1.0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +308,7 @@ def predict_select(
     """
     if model is None:
         raise UntrainedModel("no SELECT model supplied")
-    features = np.stack([
-        featurize_select(table, c, aux, store)
-        for c in range(table.n_columns)
-    ])
-    probs = predict_batch(model, features)
+    probs = predict_batch(model, featurize_select(table, aux, store))
     positive = {c for c in range(table.n_columns) if probs[c].argmax() == 1}
     if positive:
         return positive
@@ -340,7 +320,6 @@ def predict_where(
     model: MlpModel,
     aux: AuxSignals,
     select_pred: set[int],
-    store: EmbeddingStore,
 ) -> set[tuple[int, str]]:
     """(column index, keyword) pairs classified into the WHERE clause.
 
@@ -352,11 +331,7 @@ def predict_where(
     candidates = where_candidates(table, aux)
     if not candidates:
         return set()
-    features = np.stack([
-        featurize_where(table, c, w, select_pred, aux, store)
-        for c, w in candidates
-    ])
-    probs = predict_batch(model, features)
+    probs = predict_batch(model, featurize_where(table, candidates, select_pred, aux))
     return {
         (c, aux.question_tokens[w])
         for (c, w), p in zip(candidates, probs)

@@ -338,25 +338,28 @@ def _gold_walk(entries, tables, bundle):
 
 def build_select_samples(entries, tables, store, bundle):
     """(25-dim vector, in-SELECT label) per (question, column)."""
-    return [
-        (featurize_select(table, c, aux, store), int(c in gold))
-        for entry, table, aux, gold in _gold_walk(entries, tables, bundle)
-        for c in range(table.n_columns)
-    ]
+    samples = []
+    for entry, table, aux, gold in _gold_walk(entries, tables, bundle):
+        features = featurize_select(table, aux, store)
+        samples += [(features[c], int(c in gold)) for c in range(table.n_columns)]
+    return samples
 
 
 def build_where_samples(entries, tables, store, bundle):
     """(77-dim vector, in-WHERE label) per (question, column, word).
 
     The in-SELECT flag comes from the gold SELECT clause, isolating WHERE
-    training from SELECT prediction errors.
+    training from SELECT prediction errors. ``store`` is unused: the WHERE
+    features read no embeddings, and the parameter keeps the signature of
+    ``build_select_samples``.
     """
     samples = []
     for entry, table, aux, gold_select in _gold_walk(entries, tables, bundle):
         gold_pairs = gold_where_pairs(entry, table)
-        for c, w in where_candidates(table, aux):
-            vec = featurize_where(table, c, w, gold_select, aux, store)
-            samples.append((vec, int((c, aux.question_tokens[w]) in gold_pairs)))
+        candidates = where_candidates(table, aux)
+        features = featurize_where(table, candidates, gold_select, aux)
+        samples += [(vec, int((c, aux.question_tokens[w]) in gold_pairs))
+                    for vec, (c, w) in zip(features, candidates)]
     return samples
 
 
@@ -424,7 +427,7 @@ def predict_clauses(question: str, table: Table, bundle: ModelBundle,
         raise PipelineStageError("select-clause", exc) from exc
 
     try:
-        pairs = predict_where(table, bundle.where_model, aux, select_cols, store)
+        pairs = predict_where(table, bundle.where_model, aux, select_cols)
     except Exception as exc:
         raise PipelineStageError("where-clause", exc) from exc
     return select_cols, pairs
@@ -628,8 +631,7 @@ def evaluate_where(entries, tables, store, bundle) -> ConfusionMetrics:
     flags = []
     for entry, table, aux, gold_select in _gold_walk(entries, tables, bundle):
         gold_pairs = gold_where_pairs(entry, table)
-        predicted = predict_where(table, bundle.where_model, aux, gold_select,
-                                  store)
+        predicted = predict_where(table, bundle.where_model, aux, gold_select)
         pairs = [(c, aux.question_tokens[w]) for c, w in where_candidates(table, aux)]
         flags += [(pair in predicted, pair in gold_pairs) for pair in pairs]
     return _confusion(flags)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import enum
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -133,30 +134,36 @@ def load_table(path, fmt: TableFormat, table_id: str | None = None) -> Table:
     """Read a delimited file into a Table with kind UNKNOWN.
 
     The first record is the header row. Cells are preserved verbatim; only
-    the record separator is consumed. Ragged or empty files raise
-    MalformedFile; a record the csv module rejects (a cell over its field
-    size limit) raises MalformedLine naming the line it ends on.
+    the record separator is consumed. An empty file, a header without
+    columns and a ragged row raise MalformedFile naming the line the
+    record starts on; a record the csv module rejects (a cell over its
+    field size limit) raises MalformedLine naming the line it ends on.
     """
     path = str(path)
-    reader = csv.reader(read_lines(path, newline=""), delimiter=fmt.value)
-    try:
-        records = list(reader)
-    except csv.Error as exc:
-        raise MalformedLine(f"{path}:{reader.line_num}: {exc}") from None
-    if not records:
-        raise MalformedFile(f"{path}: empty file")
-    headers = records[0]
-    if not headers or headers == [""]:
-        raise MalformedFile(f"{path}: zero columns")
-    for i, record in enumerate(records[1:]):
-        if len(record) != len(headers):
-            raise MalformedFile(
-                f"{path}: row {i + 1} has {len(record)} cells, expected {len(headers)}"
-            )
+    # closed on every exit: an error raised mid-file would otherwise keep
+    # the file open for as long as the error's traceback lives
+    with closing(read_lines(path, newline="")) as lines:
+        reader = csv.reader(lines, delimiter=fmt.value)
+        try:
+            headers = next(reader, None)
+            if headers is None:
+                raise MalformedFile(f"{path}:1: empty file")
+            if not headers or headers == [""]:
+                raise MalformedFile(f"{path}:1: zero columns")
+            width, records = len(headers), []
+            start = reader.line_num + 1
+            for record in reader:
+                if len(record) != width:
+                    raise MalformedFile(f"{path}:{start}: row has {len(record)} "
+                                        f"cells, expected {width}")
+                records.append(record)
+                start = reader.line_num + 1
+        except csv.Error as exc:
+            raise MalformedLine(f"{path}:{reader.line_num}: {exc}") from None
     if table_id is None:
         stem = path.rsplit("/", 1)[-1]
         table_id = stem.rsplit(".", 1)[0]
-    return Table(id=table_id, name=table_id, headers=headers, rows=records[1:])
+    return Table(id=table_id, name=table_id, headers=headers, rows=records)
 
 
 # ---------------------------------------------------------------------------

@@ -100,27 +100,33 @@ def parse_number(text: str) -> float | None:
         return None
 
 
-def edit_distance(a: str, b: str) -> int:
-    """Levenshtein distance with unit-cost insert, delete, substitute.
+def compile_pattern(word: str) -> tuple[dict[str, int], int, int]:
+    """``word`` in the form ``pattern_distance`` reads: per character, the
+    mask of the positions it holds; the length; the mask of the last position."""
+    masks: dict[str, int] = {}
+    for i, c in enumerate(word):
+        masks[c] = masks.get(c, 0) | (1 << i)
+    return masks, len(word), (1 << len(word)) >> 1
+
+
+def pattern_distance(pattern: tuple[dict[str, int], int, int], text: str) -> int:
+    """Levenshtein distance (unit-cost insert, delete, substitute) from the
+    ``compile_pattern`` word to ``text``.
 
     Bit-parallel (Myers 1999, in Hyyrö's 2001 form for edit distance):
     bit ``i`` of the vertical delta vectors ``pv``/``mv`` is +1/-1 between
-    rows ``i`` and ``i + 1`` of the DP column for the shorter string, and
-    each character of the longer string advances the whole column in a
-    few integer operations. Python ints make it exact for any length.
+    rows ``i`` and ``i + 1`` of the DP column for the pattern, and each
+    character of ``text`` advances the whole column in a few integer
+    operations. Python ints make it exact for any length, so either string
+    may be the pattern.
     """
-    if len(a) < len(b):
-        a, b = b, a
-    if not b:
-        return len(a)
-    peq: dict[str, int] = {}
-    for i, cb in enumerate(b):
-        peq[cb] = peq.get(cb, 0) | (1 << i)
-    last = 1 << (len(b) - 1)
-    pv, mv = (1 << len(b)) - 1, 0
-    distance = len(b)
-    for ca in a:
-        eq = peq.get(ca, 0)
+    masks, length, last = pattern
+    if not length:
+        return len(text)
+    pv, mv = (1 << length) - 1, 0
+    distance = length
+    for ca in text:
+        eq = masks.get(ca, 0)
         d0 = (((eq & pv) + pv) ^ pv) | eq | mv
         ph = mv | ~(d0 | pv)
         mh = pv & d0
@@ -132,6 +138,13 @@ def edit_distance(a: str, b: str) -> int:
         pv = (mh << 1) | ~(d0 | ph)
         mv = ph & d0
     return distance
+
+
+def edit_distance(a: str, b: str) -> int:
+    """Levenshtein distance, with the shorter string as the pattern."""
+    if len(a) < len(b):
+        a, b = b, a
+    return pattern_distance(compile_pattern(b), a)
 
 
 def normalized_edit_distance(a: str, b: str) -> float:

@@ -116,10 +116,7 @@ def extract_column_type_features(
     return ColumnTypeFeatures(*(c / n for c in counts))
 
 
-def classify_column_type(
-    features: ColumnTypeFeatures, model: MlpModel | None
-) -> tuple[ColumnType, np.ndarray]:
-    """Most likely column type plus the full 7-way distribution."""
+def _check_column_type_model(model: MlpModel | None) -> None:
     if model is None:
         raise UntrainedModel("no column-type model supplied")
     if model.spec.input_dim != COLUMN_TYPE_FEATURE_DIM \
@@ -128,16 +125,28 @@ def classify_column_type(
             f"column-type model must be {COLUMN_TYPE_FEATURE_DIM}-in/7-out, "
             f"got {model.spec}"
         )
+
+
+def classify_column_type(
+    features: ColumnTypeFeatures, model: MlpModel | None
+) -> tuple[ColumnType, np.ndarray]:
+    """Most likely column type plus the full 7-way distribution."""
+    _check_column_type_model(model)
     probs = predict_batch(model, features.as_vector()[None, :])[0]
     return ColumnType(int(probs.argmax())), probs
 
 
 def column_type_distributions(table: Table, model: MlpModel) -> np.ndarray:
-    """Per-column 7-way type distributions for a whole table, row-major."""
-    out = np.zeros((table.n_columns, N_COLUMN_TYPES))
-    for c, features in enumerate(table.column_type_features):
-        _, out[c] = classify_column_type(features, model)
-    return out
+    """Per-column 7-way type distributions for a whole table, row-major.
+
+    One forward over the columns stacked as ``(n_columns, 1, 9)``: numpy's
+    stacked matmul multiplies each one-row matrix on its own, so every row
+    is byte-equal to ``classify_column_type`` of that column. A plain
+    ``(n_columns, 9)`` batch is one matrix product and may round differently.
+    """
+    _check_column_type_model(model)
+    features = np.array([f.as_vector() for f in table.column_type_features])
+    return predict_batch(model, features[:, None, :])[:, 0]
 
 
 def train_column_type_model(

@@ -12,14 +12,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from nn_gradient_check import gradient_check
 from tableqa import harness
 from tableqa.clauses import (
     SELECT_FEATURE_DIM,
     WHERE_FEATURE_DIM,
     build_aux,
-    candidate_word_indices,
     featurize_select,
     featurize_where,
+    where_candidates,
 )
 from tableqa.embed import SimMatchConfig, load_embeddings, sim_match
 from tableqa.harness import (
@@ -36,7 +37,7 @@ from tableqa.harness import (
     train_select_model,
     train_where_model,
 )
-from tableqa.nn import MlpSpec, OutputHead, TrainConfig, gradient_check, init_model
+from tableqa.nn import MlpSpec, OutputHead, TrainConfig, init_model
 from tableqa.query import intersect_cells, parse_query, select_rows_word_match
 from tableqa.retrieval import Similarity, build_index, precision_at_k, score
 from tableqa.tabular import (
@@ -117,7 +118,7 @@ class TestManifestRoundTrip:
                 gold_select_indices(by_tokens[aux.question_tokens], t))
         monkeypatch.setattr(
             harness, "predict_where",
-            lambda t, model, aux, sel, store:
+            lambda t, model, aux, sel:
                 gold_where_pairs(by_tokens[aux.question_tokens], t))
         bundle = ModelBundle(coltype_model=trained_coltype_model)
         start = time.perf_counter()
@@ -272,16 +273,14 @@ class TestFeatureLayoutContracts:
                 rng.choice(words) for _ in range(rng.randrange(1, 4))
             )
             aux = build_aux(question, table, coltype_model)
-            for c in range(n_cols):
-                svec = featurize_select(table, c, aux, pipeline_store)
-                assert svec.shape == (SELECT_FEATURE_DIM,)
-                assert svec[12:23].sum() <= 1.0 + 1e-12
-                for w in candidate_word_indices(aux):
-                    wvec = featurize_where(table, c, w, {0}, aux, pipeline_store)
-                    assert wvec.shape == (WHERE_FEATURE_DIM,)
-                    for block in (wvec[11:22], wvec[22:34], wvec[34:40],
-                                  wvec[40:77]):
-                        assert block.sum() <= 1.0 + 1e-12
+            select = featurize_select(table, aux, pipeline_store)
+            assert select.shape == (n_cols, SELECT_FEATURE_DIM)
+            assert (select[:, 12:23].sum(axis=1) <= 1.0 + 1e-12).all()
+            candidates = where_candidates(table, aux)
+            where = featurize_where(table, candidates, {0}, aux)
+            assert where.shape == (len(candidates), WHERE_FEATURE_DIM)
+            for lo, hi in ((11, 22), (22, 34), (34, 40), (40, 77)):
+                assert (where[:, lo:hi].sum(axis=1) <= 1.0 + 1e-12).all()
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0
         _pass("feature-layout-contracts", f"{elapsed * 1e3:.0f} ms")

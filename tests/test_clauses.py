@@ -22,6 +22,7 @@ from tableqa.clauses import (
     predict_select,
     heuristic_tags,
     predict_where,
+    where_candidates,
 )
 from tableqa.embed import load_embeddings, proximity
 from tableqa.errors import UntrainedModel
@@ -209,7 +210,7 @@ class TestFeaturizeSelect:
     def test_single_column_table_count_feature(self, store, coltype_model):
         t = Table(id="one", name="one", headers=["Only"], rows=[["x"]])
         aux = build_aux("What is x?", t, coltype_model)
-        vec = featurize_select(t, 0, aux, store)
+        vec = featurize_select(t, aux, store)[0]
         assert vec.shape == (SELECT_FEATURE_DIM,)
         assert vec[0] == 1.0
 
@@ -223,7 +224,7 @@ class TestFeaturizeSelect:
         )
         q = "What is NAIRU?"
         aux = build_aux(q, t, coltype_model)
-        vec = featurize_select(t, 0, aux, store)
+        vec = featurize_select(t, aux, store)[0]
         assert vec[23] == 0.0
         assert vec[24] > 0.0
 
@@ -231,14 +232,14 @@ class TestFeaturizeSelect:
         t = Table(id="m", name="m", headers=["Capital"], rows=[["x"]])
         q = "capital?"
         aux = build_aux(q, t, coltype_model)
-        vec = featurize_select(t, 0, aux, store)
+        vec = featurize_select(t, aux, store)[0]
         assert vec[23] == vec[24] == 0.0
 
     def test_out_of_vocabulary_column_zero_proximity(self, store, coltype_model):
         t = Table(id="oov", name="oov", headers=["Col"], rows=[["qqq zzz"]])
         q = "president?"
         aux = build_aux(q, t, coltype_model)
-        vec = featurize_select(t, 0, aux, store)
+        vec = featurize_select(t, aux, store)[0]
         assert np.array_equal(vec[1:5], np.zeros(4))
 
     def test_proximity_picks_up_fixture_geometry(self, store, coltype_model):
@@ -246,15 +247,14 @@ class TestFeaturizeSelect:
                   rows=[["spouse", "capital"]])
         q = "husband"
         aux = build_aux(q, t, coltype_model)
-        spouse_vec = featurize_select(t, 0, aux, store)
-        capital_vec = featurize_select(t, 1, aux, store)
+        spouse_vec, capital_vec = featurize_select(t, aux, store)
         assert spouse_vec[3] > capital_vec[3]
 
     def test_question_type_block_is_onehot(self, store, coltype_model):
         t = state_capital_table()
         q = "Who is the governor?"
         aux = build_aux(q, t, coltype_model)
-        vec = featurize_select(t, 0, aux, store)
+        vec = featurize_select(t, aux, store)[0]
         _, onehot = classify_question(tokenize(q).tokens)
         assert np.array_equal(vec[12:23], onehot)
 
@@ -265,7 +265,7 @@ class TestFeaturizeWhere:
         q = "What is the capital of Louisiana?"
         aux = build_aux(q, t, coltype_model)
         word_index = aux.question_tokens.index("louisiana")
-        vec = featurize_where(t, 0, word_index, {1}, aux, store)
+        vec = featurize_where(t, [(0, word_index)], {1}, aux)[0]
         assert vec.shape == (WHERE_FEATURE_DIM,)
         assert vec[0] == 0.0   # "louisiana" appears verbatim in the column
         assert vec[2] == 3.0   # row count
@@ -276,8 +276,8 @@ class TestFeaturizeWhere:
         q = "What is the capital of Texas?"
         aux = build_aux(q, t, coltype_model)
         w = aux.question_tokens.index("texas")
-        with_flag = featurize_where(t, 1, w, {1}, aux, store)
-        without_flag = featurize_where(t, 1, w, set(), aux, store)
+        with_flag = featurize_where(t, [(1, w)], {1}, aux)[0]
+        without_flag = featurize_where(t, [(1, w)], set(), aux)[0]
         assert with_flag[3] == 1.0
         assert without_flag[3] == 0.0
         assert np.array_equal(with_flag[:3], without_flag[:3])
@@ -287,7 +287,7 @@ class TestFeaturizeWhere:
         q = "Who is the husband?"
         aux = build_aux(q, t, coltype_model)
         w = aux.question_tokens.index("husband")
-        vec = featurize_where(t, 0, w, set(), aux, store)
+        vec = featurize_where(t, [(0, w)], set(), aux)[0]
         assert vec[2] == 1.0
 
     def test_onehot_blocks_sum_to_at_most_one(self, store, coltype_model):
@@ -304,17 +304,14 @@ class TestFeaturizeWhere:
             )
             q = "What is the " + " ".join(rng.choice(words) for _ in range(3))
             aux = build_aux(q, t, coltype_model)
-            for c in range(n_cols):
-                svec = featurize_select(t, c, aux, store)
-                assert svec.shape == (SELECT_FEATURE_DIM,)
-                assert svec[12:23].sum() <= 1.0 + 1e-12
-                for w in candidate_word_indices(aux):
-                    wvec = featurize_where(t, c, w, {0}, aux, store)
-                    assert wvec.shape == (WHERE_FEATURE_DIM,)
-                    assert wvec[11:22].sum() <= 1.0 + 1e-12
-                    assert wvec[22:34].sum() <= 1.0 + 1e-12
-                    assert wvec[34:40].sum() <= 1.0 + 1e-12
-                    assert wvec[40:77].sum() <= 1.0 + 1e-12
+            select = featurize_select(t, aux, store)
+            assert select.shape == (n_cols, SELECT_FEATURE_DIM)
+            assert (select[:, 12:23].sum(axis=1) <= 1.0 + 1e-12).all()
+            candidates = where_candidates(t, aux)
+            where = featurize_where(t, candidates, {0}, aux)
+            assert where.shape == (len(candidates), WHERE_FEATURE_DIM)
+            for lo, hi in ((11, 22), (22, 34), (34, 40), (40, 77)):
+                assert (where[:, lo:hi].sum(axis=1) <= 1.0 + 1e-12).all()
 
     def test_sibling_column_order_invariance(self, store, coltype_model):
         q = "What is the capital of Louisiana?"
@@ -324,12 +321,12 @@ class TestFeaturizeWhere:
                    rows=[["Louisiana", "pelican", "Baton Rouge"]])
         aux1 = build_aux(q, t1, coltype_model)
         aux2 = build_aux(q, t2, coltype_model)
-        s1 = featurize_select(t1, 0, aux1, store)
-        s2 = featurize_select(t2, 0, aux2, store)
+        s1 = featurize_select(t1, aux1, store)[0]
+        s2 = featurize_select(t2, aux2, store)[0]
         assert np.array_equal(s1, s2)
         w = aux1.question_tokens.index("louisiana")
-        w1 = featurize_where(t1, 0, w, set(), aux1, store)
-        w2 = featurize_where(t2, 0, w, set(), aux2, store)
+        w1 = featurize_where(t1, [(0, w)], set(), aux1)[0]
+        w2 = featurize_where(t2, [(0, w)], set(), aux2)[0]
         assert np.array_equal(w1, w2)
 
 
@@ -374,7 +371,7 @@ class TestPrediction:
         aux = build_aux(q, t, coltype_model)
         model = init_model(WHERE_SPEC, seed=0)
         model.biases[-1] = np.array([-50.0, 50.0])  # even all-positive yields none
-        assert predict_where(t, model, aux, set(), store) == set()
+        assert predict_where(t, model, aux, set()) == set()
 
     def test_untrained_model_rejected(self, store, coltype_model):
         t = state_capital_table()
@@ -383,7 +380,7 @@ class TestPrediction:
         with pytest.raises(UntrainedModel):
             predict_select(t, None, aux, store)
         with pytest.raises(UntrainedModel):
-            predict_where(t, None, aux, set(), store)
+            predict_where(t, None, aux, set())
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +471,9 @@ def reference_where(question, table, c, w, select_columns, coltype, tags):
 
 
 def assert_matches_reference(question, table, model, store, select_columns):
-    """Every SELECT and WHERE vector of ``question`` against ``table`` is
-    byte-equal to the reference featurizer's, on a fresh copy of the
-    table and on one whose views are already built."""
+    """Every row of the SELECT and WHERE matrices of ``question`` against
+    ``table`` is byte-equal to the reference featurizer's vector, on a
+    fresh copy of the table and on one whose views are already built."""
     for t in (replace(table), table):
         aux = build_aux(question, t, model)
         assert aux.question_tokens == tokenize(question).tokens
@@ -485,15 +482,20 @@ def assert_matches_reference(question, table, model, store, select_columns):
                                                            content.stems)
         coltype = reference_column_type_distributions(t, model)
         assert aux.coltype_dists.tobytes() == coltype.tobytes()
-        for c in range(t.n_columns):
-            got = featurize_select(t, c, aux, store)
+        select = featurize_select(t, aux, store)
+        assert select.shape == (t.n_columns, SELECT_FEATURE_DIM)
+        for c, got in enumerate(select):
             want = reference_select(question, t, c, coltype, store)
             assert got.tobytes() == want.tobytes(), (question, t.id, c)
-            for w in candidate_word_indices(aux):
-                got = featurize_where(t, c, w, select_columns, aux, store)
-                want = reference_where(question, t, c, w, select_columns,
-                                       coltype, aux.tags)
-                assert got.tobytes() == want.tobytes(), (question, t.id, c, w)
+        candidates = where_candidates(t, aux)
+        assert candidates == [(c, w) for c in range(t.n_columns)
+                              for w in candidate_word_indices(aux)]
+        where = featurize_where(t, candidates, select_columns, aux)
+        assert where.shape == (len(candidates), WHERE_FEATURE_DIM)
+        for (c, w), got in zip(candidates, where):
+            want = reference_where(question, t, c, w, select_columns,
+                                   coltype, aux.tags)
+            assert got.tobytes() == want.tobytes(), (question, t.id, c, w)
 
 
 class TestMatchesReferenceFeaturizer:
@@ -549,11 +551,11 @@ class TestViewsHoldNoStoreOrModel:
         stores = [_random_store(tmp_path / f"{seed}.vec", words, seed)
                   for seed in (1, 2)]
         aux = build_aux(self.QUESTION, shared, coltype_model)
-        got = [featurize_select(shared, 0, aux, s) for s in stores]
+        got = [featurize_select(shared, aux, s)[0] for s in stores]
         for vec, s in zip(got, stores):
             fresh = self.table()
-            want = featurize_select(fresh, 0,
-                                    build_aux(self.QUESTION, fresh, coltype_model), s)
+            want = featurize_select(
+                fresh, build_aux(self.QUESTION, fresh, coltype_model), s)[0]
             assert vec.tobytes() == want.tobytes()
         assert not np.array_equal(got[0][1:5], got[1][1:5])
 

@@ -770,4 +770,4 @@ class TestTrainReadsOnlyNamedTables:
         code = self._train(ws, fixtures_dir, task, tmp_path / "m.model")
         assert code == 1
         assert capsys.readouterr().err == (
-            f"error: {table}: row 1 has 2 cells, expected 3\n")
+            f"error: {table}:2: row has 2 cells, expected 3\n")

@@ -86,7 +86,7 @@ class TestLoadCorpusIds:
         got = load_corpus(tables, {"a", "b", "absent"})
         assert sorted(got) == ["a", "b"]
         assert got["b"].headers == ["p", "q"]
-        with pytest.raises(MalformedFile, match="bad.csv: row 1 has 1 cells"):
+        with pytest.raises(MalformedFile, match="bad.csv:2: row has 1 cells"):
             load_corpus(tables)
         with pytest.raises(MalformedFile):
             load_corpus(tables, {"bad"})
@@ -116,7 +116,7 @@ class TestLoadCorpusIds:
         expected = Path(spelling) / "bad.csv"
         with pytest.raises(MalformedFile) as exc:
             load_corpus(spelling)
-        assert str(exc.value).startswith(f"{expected}: row 1 ")
+        assert str(exc.value).startswith(f"{expected}:2: row has ")
 
 
 class TestManifest:
@@ -306,7 +306,7 @@ def use_oracles(monkeypatch, manifest):
     def select_oracle(table, model, aux, store):
         return gold_select_indices(by_tokens[aux.question_tokens], table)
 
-    def where_oracle(table, model, aux, select_cols, store):
+    def where_oracle(table, model, aux, select_cols):
         return gold_where_pairs(by_tokens[aux.question_tokens], table)
 
     monkeypatch.setattr(harness, "predict_select", select_oracle)
@@ -397,12 +397,11 @@ class TestWhereFlagConsistency:
         table = corpus[entry.table_id]
         aux = build_aux(entry.question, table, trained_coltype_model)
         gold = gold_select_indices(entry, table)
-        for c in range(table.n_columns):
-            for w, tok in enumerate(aux.question_tokens):
-                training = featurize_where(table, c, w, gold, aux, pipeline_store)
-                inference = featurize_where(table, c, w, set(gold), aux,
-                                            pipeline_store)
-                assert np.array_equal(training, inference)
+        pairs = [(c, w) for c in range(table.n_columns)
+                 for w in range(len(aux.question_tokens))]
+        training = featurize_where(table, pairs, gold, aux)
+        inference = featurize_where(table, pairs, set(gold), aux)
+        assert np.array_equal(training, inference)
 
 
 class TestRetrievalEvaluation:
@@ -438,9 +437,9 @@ def reference_build_select_samples(entries, tables, store, bundle):
         table = tables[entry.table_id]
         aux = build_aux(entry.question, table, bundle.coltype_model)
         gold = gold_select_indices(entry, table)
+        features = featurize_select(table, aux, store)
         for c in range(table.n_columns):
-            vec = featurize_select(table, c, aux, store)
-            samples.append((vec, int(c in gold)))
+            samples.append((features[c], int(c in gold)))
     return samples
 
 
@@ -458,7 +457,7 @@ def reference_build_where_samples(entries, tables, store, bundle):
         gold_pairs = gold_where_pairs(entry, table)
         for c in range(table.n_columns):
             for w in candidate_word_indices(aux):
-                vec = featurize_where(table, c, w, gold_select, aux, store)
+                vec = featurize_where(table, [(c, w)], gold_select, aux)[0]
                 label = int((c, aux.question_tokens[w]) in gold_pairs)
                 samples.append((vec, label))
     return samples
@@ -487,8 +486,7 @@ def reference_evaluate_where(entries, tables, store, bundle):
         aux = build_aux(entry.question, table, bundle.coltype_model)
         gold_select = gold_select_indices(entry, table)
         gold_pairs = gold_where_pairs(entry, table)
-        predicted = predict_where(table, bundle.where_model, aux, gold_select,
-                                  store)
+        predicted = predict_where(table, bundle.where_model, aux, gold_select)
         for c in range(table.n_columns):
             for w in candidate_word_indices(aux):
                 pair = (c, aux.question_tokens[w])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nn_gradient_check import gradient_check
 from tableqa import harness, typerec
 from tableqa.cli import main
 from tableqa.errors import (
@@ -25,7 +26,6 @@ from tableqa.nn import (
     _forward,
     _validate_data,
     dump_model,
-    gradient_check,
     init_model,
     load_model,
     parse_model,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tableqa import tabular
 from tableqa.errors import (
     DuplicateKeys,
     MalformedFile,
@@ -30,6 +31,7 @@ from tableqa.tabular import (
     transpose_grid,
     transpose_key_value,
 )
+from tableqa.textproc import read_lines
 
 
 def write(tmp_path, name, text):
@@ -51,9 +53,51 @@ class TestLoadTable:
         with pytest.raises(MalformedFile):
             load_table(p, TableFormat.CSV)
 
+    def test_ragged_row_names_the_line_it_starts_on(self, tmp_path):
+        # the quoted cell of the second record spans lines 2 and 3
+        p = write(tmp_path, "bad.csv", 'a,b\n"x\ny",2\n1,2,3\n')
+        with pytest.raises(MalformedFile) as exc:
+            load_table(p, TableFormat.CSV)
+        assert str(exc.value) == f"{p}:4: row has 3 cells, expected 2"
+
+    def test_ragged_row_after_a_blank_line(self, tmp_path):
+        p = write(tmp_path, "bad.tsv", "a\tb\n\n1\t2\n")
+        with pytest.raises(MalformedFile) as exc:
+            load_table(p, TableFormat.TSV)
+        assert str(exc.value) == f"{p}:2: row has 0 cells, expected 2"
+
+    @pytest.mark.parametrize("text", ["a,b\n1\n2,3\n",
+                                      "a,b\nx," + "y" * 140_000 + "\n3,4\n"],
+                             ids=["ragged-row", "long-cell"])
+    def test_file_closed_when_a_record_is_rejected(self, tmp_path, monkeypatch,
+                                                   text):
+        # the error's traceback, held here by ``exc``, keeps the reader alive
+        closed = []
+
+        def tracked(path, newline=None):
+            try:
+                yield from read_lines(path, newline)
+            finally:
+                closed.append(path)
+
+        monkeypatch.setattr(tabular, "read_lines", tracked)
+        p = write(tmp_path, "bad.csv", text)
+        with pytest.raises(TableQAError) as exc:
+            load_table(p, TableFormat.CSV)
+        assert closed == [str(p)], exc.value
+
     def test_empty_file_rejected(self, tmp_path):
-        with pytest.raises(MalformedFile):
-            load_table(write(tmp_path, "empty.csv", ""), TableFormat.CSV)
+        p = write(tmp_path, "empty.csv", "")
+        with pytest.raises(MalformedFile) as exc:
+            load_table(p, TableFormat.CSV)
+        assert str(exc.value) == f"{p}:1: empty file"
+
+    @pytest.mark.parametrize("text", ["\n", "\n1,2\n", '""\n1\n'])
+    def test_zero_columns_name_line_one(self, tmp_path, text):
+        p = write(tmp_path, "zero.csv", text)
+        with pytest.raises(MalformedFile) as exc:
+            load_table(p, TableFormat.CSV)
+        assert str(exc.value) == f"{p}:1: zero columns"
 
     def test_tsv_and_cells_verbatim(self, tmp_path):
         p = write(tmp_path, "t.tsv", "h1\th2\n a ,x\tb\n")
@@ -82,6 +126,31 @@ class TestLoadTable:
         t = load_table(p, TableFormat.CSV)
         assert t.n_columns == 6
         assert t.rows == []
+
+
+class TestMutatedTablesNameTheLine:
+    # a fixture table truncated, or with one character substituted, deleted
+    # or inserted, either loads or raises an error naming a line of the file
+
+    @pytest.mark.parametrize("pattern", ["*.csv", "easter-dates.tsv",
+                                         "world-rivers.tsv"])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_load_or_name_the_line(self, fixtures_dir, tmp_path_factory, mutate,
+                                   names_a_line, pattern, data):
+        source = data.draw(st.sampled_from(
+            sorted((fixtures_dir / "tables").glob(pattern))))
+        path = tmp_path_factory.getbasetemp() / f"mutated{source.suffix}"
+        path.write_text(mutate(data, source.read_text(encoding="utf-8")),
+                        encoding="utf-8")
+        fmt = TableFormat.CSV if source.suffix == ".csv" else TableFormat.TSV
+        try:
+            load_table(path, fmt)
+        except TableQAError as exc:
+            if path.read_text(encoding="utf-8-sig"):
+                names_a_line(str(exc), path)
+            else:
+                assert str(exc) == f"{path}:1: empty file"
 
 
 class TestTableInvariants:

@@ -10,9 +10,11 @@ from tableqa.errors import BothEmpty, NotText
 from tableqa.textproc import (
     STOPWORDS,
     TokenList,
+    compile_pattern,
     edit_distance,
     normalized_edit_distance,
     parse_number,
+    pattern_distance,
     porter_stem,
     read_lines,
     token_starts,
@@ -191,6 +193,33 @@ class TestEditDistance:
     @example("ab" * 40, "ba" * 41)
     def test_equals_the_dp_reference(self, a, b):
         assert edit_distance(a, b) == reference_edit_distance(a, b)
+
+
+class TestPatternDistance:
+    # the compiled word may be the shorter or the longer string, or empty
+
+    @settings(max_examples=400, deadline=None)
+    @given(_EDIT_TEXT, _EDIT_TEXT)
+    @example("", "")
+    @example("", "abc")
+    @example("abc", "")
+    @example("a" * 70, "b")
+    @example("a" * 64 + "b", "b" + "a" * 64)
+    def test_both_directions_equal_the_dp_reference(self, a, b):
+        want = reference_edit_distance(a, b)
+        assert pattern_distance(compile_pattern(a), b) == want
+        assert pattern_distance(compile_pattern(b), a) == want
+
+    def test_one_compiled_word_against_many_texts(self):
+        pattern = compile_pattern("capital")
+        for text in ["capitol", "", "capital", "cap", "washington", "capitals"]:
+            assert pattern_distance(pattern, text) \
+                == reference_edit_distance("capital", text)
+
+    def test_compiled_form(self):
+        assert compile_pattern("") == ({}, 0, 0)
+        assert compile_pattern("aba") == ({"a": 0b101, "b": 0b010}, 3, 0b100)
+        assert pattern_distance(compile_pattern(""), "abcd") == 4
 
 
 class TestNormalizedEditDistance:

@@ -1,12 +1,15 @@
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tableqa.errors import EmptyQuestion, MalformedLine, TableQAError, UntrainedModel
+from tableqa.errors import (DimensionMismatch, EmptyQuestion, MalformedLine,
+                            TableQAError, UntrainedModel)
 from tableqa.nn import TrainConfig, init_model
+from tableqa.tabular import Table
 from tableqa.textproc import tokenize
 from tableqa.typerec import (
     COLUMN_TYPE_SPEC,
@@ -16,6 +19,7 @@ from tableqa.typerec import (
     QuestionType,
     classify_column_type,
     classify_question,
+    column_type_distributions,
     extract_column_type_features,
     load_column_labels,
     train_column_type_model,
@@ -145,6 +149,58 @@ class TestColumnClassifier:
     def test_untrained_model_rejected(self):
         with pytest.raises(UntrainedModel):
             classify_column_type(ColumnTypeFeatures(*([0.0] * 9)), None)
+
+
+def seeded_column_type_model(seed):
+    """A column-type model with seeded weights and batch-norm parameters,
+    so no layer is an identity."""
+    model = init_model(COLUMN_TYPE_SPEC, seed)
+    rng = np.random.default_rng(seed)
+    for bn in model.batchnorms:
+        bn.gamma = rng.uniform(0.5, 2.0, bn.gamma.shape)
+        bn.beta = rng.normal(size=bn.beta.shape)
+        bn.running_mean = rng.normal(size=bn.running_mean.shape)
+        bn.running_var = rng.uniform(0.1, 3.0, bn.running_var.shape)
+    for b in model.biases:
+        b[:] = rng.normal(size=b.shape)
+    return model
+
+
+def per_column_distributions(table, model):
+    """``classify_column_type`` per column, stacked: one forward each."""
+    return np.array([classify_column_type(f, model)[1]
+                     for f in table.column_type_features])
+
+
+class TestColumnTypeDistributions:
+    # one stacked forward per table, byte-equal to one forward per column
+
+    def test_every_fixture_table(self, corpus, trained_coltype_model):
+        for table in corpus.values():
+            got = column_type_distributions(table, trained_coltype_model)
+            want = per_column_distributions(table, trained_coltype_model)
+            assert got.shape == (table.n_columns, 7)
+            assert got.tobytes() == want.tobytes(), table.id
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           rows=st.lists(st.lists(st.floats(0.0, 1.0), min_size=9, max_size=9),
+                         min_size=1, max_size=12))
+    def test_random_features_and_models(self, seed, rows):
+        model = seeded_column_type_model(seed)
+        table = Table(id="t", name="t", headers=[f"c{i}" for i in range(len(rows))],
+                      rows=[])
+        table.column_type_features = tuple(ColumnTypeFeatures(*r) for r in rows)
+        got = column_type_distributions(table, model)
+        assert got.tobytes() == per_column_distributions(table, model).tobytes()
+
+    def test_model_checked_as_per_column(self):
+        table = Table(id="t", name="t", headers=["a"], rows=[["1"]])
+        with pytest.raises(UntrainedModel):
+            column_type_distributions(table, None)
+        with pytest.raises(DimensionMismatch):
+            column_type_distributions(table, init_model(
+                replace(COLUMN_TYPE_SPEC, input_dim=8), seed=0))
 
 
 def classify(question):

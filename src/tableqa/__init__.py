@@ -12,8 +12,8 @@ Sub-modules, in pipeline order:
 - ``textproc``: tokenizer, stop list, Porter stemmer, edit distance.
 - ``embed``: word-embedding store, cosine proximity and the ~ operator.
 - ``retrieval``: TF-IDF source selection and precision-at-k.
-- ``nn``: seed-deterministic MLP core (batch norm, softmax, SGD) with
-  gradient checking and text-format model files.
+- ``nn``: seed-deterministic MLP core (batch norm, softmax, SGD) and
+  text-format model files.
 - ``typerec``: column data-type recognition and the question-type rules.
 - ``clauses``: SELECT and WHERE featurization and binary classifiers.
 - ``query``: structured-query AST, parser, printer, executor, and the

@@ -452,21 +452,14 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tableqa",
-        description="question answering over web-extracted tables",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="validate and transpose raw tables")
+def _ingest_arguments(p):
     p.add_argument("--tables", required=True, help="directory of raw table files")
     p.add_argument("--workspace", required=True)
     p.add_argument("--kinds", help="table kind labels file")
     p.add_argument("--table-type-model", help="trained table-type model file")
-    p.set_defaults(fn=cmd_ingest)
 
-    p = sub.add_parser("train", help="fit one model")
+
+def _train_arguments(p):
     p.add_argument("--task", required=True, choices=TASKS)
     p.add_argument("--workspace", required=True)
     p.add_argument("--seed", type=_non_negative_int, default=0)
@@ -479,17 +472,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", help="column labels file (column-type task)")
     p.add_argument("--manifest", help="manifest file (select/where tasks)")
     p.add_argument("--embeddings", help="embedding file (select/where tasks)")
-    p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("retrieve", help="rank tables for a question")
+
+def _retrieve_arguments(p):
     p.add_argument("--workspace", required=True)
     p.add_argument("--question", required=True)
     p.add_argument("--sim", default="inveuclidean",
                    choices=[s.value for s in Similarity])
     p.add_argument("--k", type=_positive_int, default=5)
-    p.set_defaults(fn=cmd_retrieve)
 
-    p = sub.add_parser("eval", help="report metrics for one task")
+
+def _eval_arguments(p):
     p.add_argument("--task", required=True,
                    choices=TASKS + ("retrieval",))
     p.add_argument("--workspace", required=True)
@@ -501,9 +494,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest")
     p.add_argument("--embeddings")
     p.add_argument("--format", default="text", choices=("text", "json"))
-    p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("ask", help="answer one question")
+
+def _ask_arguments(p):
     p.add_argument("question", nargs="?", help="natural-language question")
     p.add_argument("--workspace", required=True)
     p.add_argument("--embeddings", required=True)
@@ -517,24 +510,54 @@ def build_parser() -> argparse.ArgumentParser:
                    help="retrieval similarity for non-golden scopes")
     p.add_argument("--repl", action="store_true",
                    help="keep a read-eval loop open on stdin")
-    p.set_defaults(fn=cmd_ask)
 
-    p = sub.add_parser("pipeline-eval",
-                       help="sweep table scopes x row-selection modes")
+
+def _pipeline_eval_arguments(p):
     p.add_argument("--workspace", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--split", default="all",
                    choices=("train", "dev", "test", "all"))
     p.add_argument("--format", default="text", choices=("text", "json"))
-    p.set_defaults(fn=cmd_pipeline_eval)
 
+
+# name -> (help, argument adder, handler), in the order `tableqa --help` lists
+COMMANDS = {
+    "ingest": ("validate and transpose raw tables", _ingest_arguments, cmd_ingest),
+    "train": ("fit one model", _train_arguments, cmd_train),
+    "retrieve": ("rank tables for a question", _retrieve_arguments, cmd_retrieve),
+    "eval": ("report metrics for one task", _eval_arguments, cmd_eval),
+    "ask": ("answer one question", _ask_arguments, cmd_ask),
+    "pipeline-eval": ("sweep table scopes x row-selection modes",
+                      _pipeline_eval_arguments, cmd_pipeline_eval),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `tableqa` parser: every subcommand, or only ``command``.
+
+    A parser of one subcommand parses that command's arguments, and words
+    its help and errors, as the full parser does.
+    """
+    parser = argparse.ArgumentParser(
+        prog="tableqa",
+        description="question answering over web-extracted tables",
+    )
+    # the full parser's choice list, so usage lines read the same either way
+    metavar = "{" + ",".join(COMMANDS) + "}" if command else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, add_arguments, handler) in COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            add_arguments(p)
+            p.set_defaults(fn=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.fn(args)
     except (TableQAError, OSError) as exc:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyFile, MalformedLine
-from .textproc import read_lines, tokenize
+from .textproc import read_lines, words
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class EmbeddingStore:
 
     def known_rows(self, tokens) -> list[int]:
         """The rows of the in-vocabulary ``tokens``, which are lowercase
-        (``tokenize`` output), in order."""
+        (``tokenize`` or ``words`` output), in order."""
         rows = self.rows
         return [i for t in tokens if (i := rows.get(t)) is not None]
 
@@ -173,9 +173,10 @@ def sim_match(store: EmbeddingStore, cfg: SimMatchConfig, cell: str, keyword: st
     """Three-stage cell/keyword match: equality, substring, embedding distance.
 
     Stage 1 compares lowercased trimmed strings. Stage 2 is LIKE-style
-    containment of the keyword in the cell. Stage 3 tokenizes both sides
-    and fires when any (cell token, keyword token) pair is within
-    cfg.threshold cosine distance; out-of-vocabulary pairs never match.
+    containment of the keyword in the cell. Stage 3 splits both sides
+    into ``words`` (the tokens of ``tokenize``, unstemmed) and fires when
+    any (cell token, keyword token) pair is within cfg.threshold cosine
+    distance; out-of-vocabulary pairs never match.
     """
     cell_norm = cell.strip().lower()
     keyword_norm = keyword.strip().lower()
@@ -183,8 +184,8 @@ def sim_match(store: EmbeddingStore, cfg: SimMatchConfig, cell: str, keyword: st
         return True
     if keyword_norm and keyword_norm in cell_norm:
         return True
-    keyword_rows = store.known_rows(tokenize(keyword).tokens)
-    for i in store.known_rows(tokenize(cell).tokens):
+    keyword_rows = store.known_rows(words(keyword))
+    for i in store.known_rows(words(cell)):
         for j in keyword_rows:
             sim = cosine(store, i, j)
             if sim is not None and 1.0 - sim <= cfg.threshold:

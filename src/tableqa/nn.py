@@ -21,7 +21,7 @@ from .errors import (
     LabelOutOfRange,
     UntrainedModel,
 )
-from .textproc import read_lines
+from .textproc import read_text
 
 _BN_EPS = 1e-5
 _BN_MOMENTUM = 0.9
@@ -361,6 +361,21 @@ def _saved_arrays(model: MlpModel) -> list[tuple[str, np.ndarray]]:
     ]
 
 
+def _saved_shapes(spec: MlpSpec) -> dict[str, tuple[int, ...]]:
+    """The shape of every array a model file of ``spec`` holds, by name, in
+    ``_saved_arrays`` order."""
+    shapes = {}
+    for i, (fan_in, fan_out) in enumerate(spec.layer_dims):
+        shapes[f"W{i}"] = (fan_in, fan_out)
+        shapes[f"b{i}"] = (fan_out,)
+    for i, h in enumerate(spec.hidden):
+        shapes[f"bn{i}.gamma"] = shapes[f"bn{i}.beta"] = (h,)
+    for part in ("mean", "var"):
+        for i, h in enumerate(spec.hidden):
+            shapes[f"bn{i}.{part}"] = (h,)
+    return shapes
+
+
 def format_arrays(arrays) -> list[str]:
     """An `array <name> <shape> <values>` line per named array, then `end`."""
     return [
@@ -370,10 +385,10 @@ def format_arrays(arrays) -> list[str]:
     ] + ["end"]
 
 
-def parse_arrays(lines: list[str], start: int, expected: dict, source: str) -> None:
-    """Fill ``expected`` (name -> array) in place from the ``format_arrays``
-    lines at ``lines[start:]``; errors name ``source:line``."""
-    seen = set()
+def parse_arrays(lines: list[str], start: int, shapes: dict, source: str) -> dict:
+    """The arrays named in ``shapes`` (name -> shape tuple), read from the
+    ``format_arrays`` lines at ``lines[start:]``; errors name ``source:line``."""
+    arrays = {}
     for lineno, line in enumerate(lines[start:], start=start + 1):
         where = f"{source}:{lineno}"
         if line == "end":
@@ -384,32 +399,38 @@ def parse_arrays(lines: list[str], start: int, expected: dict, source: str) -> N
                 f"{where}: expected 'array <name> <shape> <values>', got {line[:40]!r}"
             )
         _, name, shape_s, values_s = parts
-        if name not in expected or name in seen:
+        if name not in shapes or name in arrays:
             raise UntrainedModel(f"{where}: unexpected array {name!r}")
-        target = expected[name]
-        if shape_s != ",".join(str(d) for d in target.shape):
+        shape = shapes[name]
+        expected = ",".join(str(d) for d in shape)
+        if shape_s != expected:
             raise UntrainedModel(
-                f"{where}: array {name} has shape {shape_s}, expected "
-                + ",".join(str(d) for d in target.shape)
+                f"{where}: array {name} has shape {shape_s}, expected {expected}"
             )
+        fields = values_s.split()
         try:
-            values = np.array([float(v) for v in values_s.split()])
-        except ValueError as exc:
-            raise UntrainedModel(f"{where}: array {name}: {exc}") from None
-        if values.size != target.size:
+            values = np.array(fields, dtype=np.float64)
+        except ValueError:
+            # float() words the error, naming the first value it rejects
+            try:
+                values = np.array([float(v) for v in fields])
+            except ValueError as exc:
+                raise UntrainedModel(f"{where}: array {name}: {exc}") from None
+        size = math.prod(shape)
+        if values.size != size:
             raise UntrainedModel(
-                f"{where}: array {name} of shape {shape_s} needs {target.size} "
+                f"{where}: array {name} of shape {shape_s} needs {size} "
                 f"values, got {values.size}"
             )
         if not np.isfinite(values).all():
             raise UntrainedModel(f"{where}: array {name} has a non-finite value")
-        target.reshape(-1)[:] = values
-        seen.add(name)
+        arrays[name] = values.reshape(shape)
     else:
         raise UntrainedModel(f"{source}:{len(lines)}: missing 'end' line (truncated file?)")
-    missing = [name for name in expected if name not in seen]
+    missing = [name for name in shapes if name not in arrays]
     if missing:
         raise UntrainedModel(f"{source}:{lineno}: missing array {missing[0]}")
+    return arrays
 
 
 def dump_model(model: MlpModel) -> str:
@@ -451,10 +472,17 @@ def parse_model(text: str, source: str = "<model>") -> MlpModel:
     if not lines or lines[0] != _MAGIC:
         raise UntrainedModel(f"{source}:1: not a {_MAGIC} model file")
     spec = _parse_spec(lines[1] if len(lines) > 1 else "", f"{source}:2")
-    model = init_model(spec, seed=0)
-    parse_arrays(lines, 2, dict(_saved_arrays(model)), source)
-    return model
+    arrays = parse_arrays(lines, 2, _saved_shapes(spec), source)
+    n_layers = len(spec.layer_dims)
+    return MlpModel(
+        spec=spec,
+        weights=[arrays[f"W{i}"] for i in range(n_layers)],
+        biases=[arrays[f"b{i}"] for i in range(n_layers)],
+        batchnorms=[BatchNormParams(arrays[f"bn{i}.gamma"], arrays[f"bn{i}.beta"],
+                                    arrays[f"bn{i}.mean"], arrays[f"bn{i}.var"])
+                    for i in range(len(spec.hidden))],
+    )
 
 
 def load_model(path) -> MlpModel:
-    return parse_model("".join(read_lines(path)), str(path))
+    return parse_model(read_text(path), str(path))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import enum
-from contextlib import closing
+import io
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -21,7 +21,7 @@ import numpy as np
 from .errors import (DuplicateKeys, MalformedFile, MalformedLine, NotKeyValue,
                      UntrainedModel)
 from .nn import format_arrays, parse_arrays
-from .textproc import TokenList, read_lines, tokenize
+from .textproc import TokenList, read_text, tokenize
 
 if TYPE_CHECKING:
     from .typerec import ColumnTypeFeatures
@@ -140,26 +140,26 @@ def load_table(path, fmt: TableFormat, table_id: str | None = None) -> Table:
     field size limit) raises MalformedLine naming the line it ends on.
     """
     path = str(path)
-    # closed on every exit: an error raised mid-file would otherwise keep
-    # the file open for as long as the error's traceback lives
-    with closing(read_lines(path, newline="")) as lines:
-        reader = csv.reader(lines, delimiter=fmt.value)
-        try:
-            headers = next(reader, None)
-            if headers is None:
-                raise MalformedFile(f"{path}:1: empty file")
-            if not headers or headers == [""]:
-                raise MalformedFile(f"{path}:1: zero columns")
-            width, records = len(headers), []
+    # the file is read whole and closed before csv sees a line, so no
+    # error raised mid-file keeps it open
+    lines = io.StringIO(read_text(path), newline="")
+    reader = csv.reader(lines, delimiter=fmt.value)
+    try:
+        headers = next(reader, None)
+        if headers is None:
+            raise MalformedFile(f"{path}:1: empty file")
+        if not headers or headers == [""]:
+            raise MalformedFile(f"{path}:1: zero columns")
+        width, records = len(headers), []
+        start = reader.line_num + 1
+        for record in reader:
+            if len(record) != width:
+                raise MalformedFile(f"{path}:{start}: row has {len(record)} "
+                                    f"cells, expected {width}")
+            records.append(record)
             start = reader.line_num + 1
-            for record in reader:
-                if len(record) != width:
-                    raise MalformedFile(f"{path}:{start}: row has {len(record)} "
-                                        f"cells, expected {width}")
-                records.append(record)
-                start = reader.line_num + 1
-        except csv.Error as exc:
-            raise MalformedLine(f"{path}:{reader.line_num}: {exc}") from None
+    except csv.Error as exc:
+        raise MalformedLine(f"{path}:{reader.line_num}: {exc}") from None
     if table_id is None:
         stem = path.rsplit("/", 1)[-1]
         table_id = stem.rsplit(".", 1)[0]
@@ -324,12 +324,12 @@ def save_table_type_model(model: TableTypeModel, path) -> None:
 
 def load_table_type_model(path) -> TableTypeModel:
     """Model from ``save_table_type_model``; errors name ``file:line``."""
-    lines = "".join(read_lines(path)).splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != _TT_MAGIC:
         raise UntrainedModel(f"{path}:1: not a {_TT_MAGIC} model file")
-    arrays = {name: np.zeros(FEATURE_DIM) for name in ("weights", "mean", "scale")}
-    arrays["bias"] = np.zeros(1)
-    parse_arrays(lines, 1, arrays, str(path))
+    shapes = {"weights": (FEATURE_DIM,), "mean": (FEATURE_DIM,),
+              "scale": (FEATURE_DIM,), "bias": (1,)}
+    arrays = parse_arrays(lines, 1, shapes, str(path))
     if not arrays["scale"].all():
         # standardizing by a zero scale makes every logit nan, which labels
         # every table entity-instance without a word

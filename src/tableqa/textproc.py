@@ -5,8 +5,8 @@ characters, optionally removes stop words, and stems with an in-repo
 Porter stemmer so results are reproducible byte-for-byte with no
 external NLP dependency. The stop list ships as a text resource
 (``data/stopwords.txt``, one word per line). Every input file is read
-through ``read_lines``, which turns bytes that are not UTF-8 into an
-error naming the file and line.
+through ``read_lines`` or ``read_text``, which turn bytes that are not
+UTF-8 into an error naming the file and line.
 """
 
 from __future__ import annotations
@@ -30,23 +30,37 @@ def _load_stopwords() -> frozenset[str]:
 STOPWORDS = _load_stopwords()
 
 
-def read_lines(path, newline: str | None = None):
-    """The lines of the UTF-8 text file ``path``, as ``open(path,
-    newline=newline)`` yields them; every input file is read through here.
+def read_lines(path):
+    """The lines of the UTF-8 text file ``path``, as ``open(path)`` yields
+    them.
 
     A leading byte-order mark is dropped. Bytes that are not UTF-8 raise
     NotText naming ``path:line``.
     """
     try:
-        with open(path, encoding="utf-8-sig", newline=newline) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             yield from fh
     except UnicodeDecodeError:
-        raise NotText(_not_utf8(path)) from None
+        with open(path, "rb") as fh:
+            raise NotText(_not_utf8(path, fh.read())) from None
 
 
-def _not_utf8(path) -> str:
+def read_text(path) -> str:
+    """The whole UTF-8 text file ``path``, read and decoded at once, its
+    line ends as they are in the file.
+
+    A leading byte-order mark is dropped. Bytes that are not UTF-8 raise
+    NotText naming ``path:line``, as ``read_lines`` does.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError:
+        raise NotText(_not_utf8(path, data)) from None
+
+
+def _not_utf8(path, data: bytes) -> str:
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -2,6 +2,7 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from tableqa.embed import load_embeddings
@@ -20,6 +21,10 @@ from tableqa.typerec import (
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# a failing property prints the blob that @reproduce_failure replays it from
+settings.register_profile("tableqa", print_blob=True)
+settings.load_profile("tableqa")
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import shutil
 
 import pytest
 
-from tableqa.cli import main
+from tableqa import cli
+from tableqa.cli import COMMANDS, build_parser, main
 
 
 class TestIngest:
@@ -394,6 +397,82 @@ class TestUsageErrors:
 
 
 
+def _parse(parser, argv):
+    """(exit code or None, stdout, stderr) of ``parser.parse_args(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    code = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parser.parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# per subcommand: a missing required option, an invalid choice and an
+# out-of-range number, where it takes one, and an unknown option
+_USAGE_ERRORS = [
+    ["ingest", "--workspace", "w"],
+    ["ingest", "--tables", "t", "--workspace", "w", "--seed", "1"],
+    ["train", "--workspace", "w"],
+    ["train", "--task", "sql", "--workspace", "w"],
+    ["train", "--task", "select", "--workspace", "w", "--epochs", "-1"],
+    ["train", "--task", "select", "--workspace", "w", "--lr", "nan"],
+    ["retrieve", "--workspace", "w"],
+    ["retrieve", "--workspace", "w", "--question", "q", "--sim", "jaccard"],
+    ["retrieve", "--workspace", "w", "--question", "q", "--k", "0"],
+    ["eval", "--workspace", "w"],
+    ["eval", "--task", "select", "--workspace", "w", "--split", "val"],
+    ["eval", "--task", "select", "--workspace", "w", "--format", "xml"],
+    ["ask", "q", "--workspace", "w"],
+    ["ask", "q", "--workspace", "w", "--embeddings", "e", "--scope", "none"],
+    ["ask", "q", "--workspace", "w", "--embeddings", "e", "--threshold", "1"],
+    ["pipeline-eval", "--workspace", "w", "--manifest", "m"],
+    ["pipeline-eval", "--workspace", "w", "--manifest", "m", "--embeddings", "e",
+     "--split", "val"],
+]
+
+
+class TestOneCommandParser:
+    # main builds only the subcommand it runs; that parser must read, and
+    # word its help and errors, as the parser of all six does
+
+    def test_commands_table_lists_the_six(self):
+        assert list(COMMANDS) == ["ingest", "train", "retrieve", "eval", "ask",
+                                  "pipeline-eval"]
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_help_is_the_full_parsers(self, command):
+        want = _parse(build_parser(), [command, "--help"])
+        assert want[0] == 0 and want[1].startswith(f"usage: tableqa {command} ")
+        assert _parse(build_parser(command), [command, "--help"]) == want
+
+    @pytest.mark.parametrize("argv", _USAGE_ERRORS, ids=" ".join)
+    def test_usage_error_is_the_full_parsers(self, argv):
+        want = _parse(build_parser(), argv)
+        assert want[0] == 2 and want[2], want
+        assert _parse(build_parser(argv[0]), argv) == want
+
+    def test_full_help_lists_all_six(self):
+        code, out, _ = _parse(build_parser(), ["--help"])
+        assert code == 0
+        for name, (help_text, _, _) in COMMANDS.items():
+            assert f"    {name}" in out and help_text in out, name
+
+    def test_main_builds_only_the_named_command(self, monkeypatch, capsys):
+        built = []
+
+        def recording(command=None):
+            built.append(command)
+            return build_parser(command)
+
+        monkeypatch.setattr(cli, "build_parser", recording)
+        for argv in (["ask", "--help"], ["--help"], ["bogus"], []):
+            with pytest.raises(SystemExit):
+                main(argv)
+        assert built == ["ask", None, None, None]
+
+
 def _with_value(line, value):
     # an "array <name> <shape> <v0> <v1> ..." line with v0 replaced
     fields = line.split(" ")
@@ -432,6 +511,27 @@ class TestMalformedInputs:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {model}:")
+
+    def test_huge_spec_is_error_naming_the_line(self, cli_workspace, fixtures_dir,
+                                                tmp_path, capsys):
+        # the declared 77 x 32e9 first layer is never allocated: the file's
+        # own W0 line disagrees with it
+        ws = tmp_path / "ws"
+        shutil.copytree(cli_workspace, ws)
+        model = ws / "models" / "where.model"
+        lines = model.read_text().splitlines(keepends=True)
+        lines[1] = "spec 77 32000000000,16,8 binary2 1\n"
+        model.write_text("".join(lines))
+        fx = str(fixtures_dir)
+        code = main(["ask", "Who is the husband of Whoopi Goldberg?",
+                     "--workspace", str(ws),
+                     "--embeddings", f"{fx}/pipeline.vec",
+                     "--manifest", f"{fx}/manifest.txt",
+                     "--scope", "golden"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {model}:3: array W0 has shape 77,32, "
+            "expected 77,32000000000\n")
 
     @pytest.mark.parametrize("argv", [
         ["train", "--task", "select", "--workspace", "{ws}", "--manifest", "{bad}",

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nn_gradient_check import gradient_check
+from reference_loaders import model_arrays, outcome, reference_load_model
 from tableqa import harness, typerec
 from tableqa.cli import main
 from tableqa.errors import (
@@ -578,8 +579,44 @@ class TestModelFileErrors:
         except UntrainedModel as exc:
             assert re.match(re.escape(f"{path}:") + r"\d+: ", str(exc)), str(exc)
 
+    def test_huge_spec_names_the_first_array_that_disagrees(self, cli_workspace):
+        # a spec is checked against the file's arrays, never allocated
+        lines = (cli_workspace / "models" / "where.model").read_text().splitlines()
+        assert lines[1] == "spec 77 32,16,8 binary2 1"
+        lines[1] = "spec 77 32000000000,16,8 binary2 1"
+        message = self.parse_error("\n".join(lines))
+        assert message == ("m.model:3: array W0 has shape 77,32, "
+                           "expected 77,32000000000")
+
     def test_load_model_names_the_file(self, tmp_path):
         path = tmp_path / "bad.model"
         path.write_text("tableqa-mlp v1\n")
         with pytest.raises(UntrainedModel, match=f"{path}:2: "):
             load_model(path)
+
+
+class TestMatchesReferenceLoader:
+    # the model built from the file's own arrays: the same arrays and errors
+    # as the reference, which overwrites a random model of the file's spec
+
+    @pytest.mark.parametrize("task", ["column-type", "select", "where"])
+    def test_fixture_models(self, cli_workspace, task):
+        path = cli_workspace / "models" / f"{task}.model"
+        got, want = load_model(path), reference_load_model(path)
+        assert got.spec == want.spec
+        assert model_arrays(got) == model_arrays(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_model_loads_alike_or_fails_alike(self, cli_workspace,
+                                                      tmp_path_factory, mutate,
+                                                      data):
+        text = (cli_workspace / "models" / "select.model").read_text(encoding="utf-8")
+        path = tmp_path_factory.getbasetemp() / "mutated-whole-select.model"
+        path.write_text(mutate(data, text), encoding="utf-8")
+        got, want = outcome(load_model, path), outcome(reference_load_model, path)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert got.spec == want.spec
+            assert model_arrays(got) == model_arrays(want)

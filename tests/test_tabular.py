@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tableqa import tabular
+from tableqa import textproc
 from tableqa.errors import (
     DuplicateKeys,
     MalformedFile,
     MalformedLine,
     NotKeyValue,
+    NotText,
     TableQAError,
     UntrainedModel,
 )
@@ -31,7 +32,11 @@ from tableqa.tabular import (
     transpose_grid,
     transpose_key_value,
 )
-from tableqa.textproc import read_lines
+from reference_loaders import (
+    outcome,
+    reference_load_table,
+    reference_load_table_type_model,
+)
 
 
 def write(tmp_path, name, text):
@@ -71,20 +76,21 @@ class TestLoadTable:
                              ids=["ragged-row", "long-cell"])
     def test_file_closed_when_a_record_is_rejected(self, tmp_path, monkeypatch,
                                                    text):
-        # the error's traceback, held here by ``exc``, keeps the reader alive
-        closed = []
+        # every file load_table opens is closed while the error, and the
+        # traceback that ``exc`` holds, is still alive
+        opened = []
 
-        def tracked(path, newline=None):
-            try:
-                yield from read_lines(path, newline)
-            finally:
-                closed.append(path)
+        def tracked(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            opened.append(fh)
+            return fh
 
-        monkeypatch.setattr(tabular, "read_lines", tracked)
+        monkeypatch.setattr(textproc, "open", tracked, raising=False)
         p = write(tmp_path, "bad.csv", text)
         with pytest.raises(TableQAError) as exc:
             load_table(p, TableFormat.CSV)
-        assert closed == [str(p)], exc.value
+        assert [fh.name for fh in opened] == [str(p)], exc.value
+        assert all(fh.closed for fh in opened), exc.value
 
     def test_empty_file_rejected(self, tmp_path):
         p = write(tmp_path, "empty.csv", "")
@@ -151,6 +157,71 @@ class TestMutatedTablesNameTheLine:
                 names_a_line(str(exc), path)
             else:
                 assert str(exc) == f"{path}:1: empty file"
+
+
+class TestMatchesReferenceLoaders:
+    # the file read whole, then parsed: the same tables, models and errors
+    # as the reference loaders, which decode and parse line by line
+
+    def test_fixture_tables(self, fixtures_dir):
+        paths = sorted((fixtures_dir / "tables").iterdir())
+        assert {p.suffix for p in paths} == {".csv", ".tsv"}
+        for path in paths:
+            fmt = TableFormat.CSV if path.suffix == ".csv" else TableFormat.TSV
+            assert load_table(path, fmt) == reference_load_table(path, fmt), path
+
+    @pytest.mark.parametrize("pattern", ["*.csv", "*.tsv"])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_mutated_table_loads_alike_or_fails_alike(self, fixtures_dir,
+                                                      tmp_path_factory, mutate,
+                                                      pattern, data):
+        source = data.draw(st.sampled_from(
+            sorted((fixtures_dir / "tables").glob(pattern))))
+        path = tmp_path_factory.getbasetemp() / f"mutated-whole{source.suffix}"
+        path.write_text(mutate(data, source.read_text(encoding="utf-8")),
+                        encoding="utf-8")
+        fmt = TableFormat.CSV if source.suffix == ".csv" else TableFormat.TSV
+        assert outcome(load_table, path, fmt) == outcome(reference_load_table,
+                                                         path, fmt)
+
+    def test_bad_byte_past_the_first_decode_chunk_is_reported_first(self,
+                                                                     tmp_path):
+        # the one case where the two differ: the reference decodes 8 KB at
+        # a time and meets the ragged row on line 2 before the bad byte
+        p = tmp_path / "late.csv"
+        p.write_bytes(b"a,b\n1,2,3\n" + b"x,y\n" * 3000 + b"\xff,1\n")
+        with pytest.raises(NotText) as exc:
+            load_table(p, TableFormat.CSV)
+        assert str(exc.value) == f"{p}:3003: not UTF-8 text (byte 0xff)"
+        assert outcome(reference_load_table, p, TableFormat.CSV) == (
+            MalformedFile, f"{p}:2: row has 3 cells, expected 2")
+
+    @staticmethod
+    def table_type_arrays(model):
+        return [(a.dtype, a.shape, a.tobytes())
+                for a in (model.weights, model.mean, model.scale)] \
+            + [model.bias.hex()]
+
+    def test_fixture_table_type_model(self, cli_workspace):
+        path = cli_workspace / "models" / "table-type.model"
+        assert self.table_type_arrays(load_table_type_model(path)) \
+            == self.table_type_arrays(reference_load_table_type_model(path))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_mutated_table_type_model_loads_alike_or_fails_alike(
+            self, cli_workspace, tmp_path_factory, mutate, data):
+        text = (cli_workspace / "models" / "table-type.model").read_text(
+            encoding="utf-8")
+        path = tmp_path_factory.getbasetemp() / "mutated-whole-table-type.model"
+        path.write_text(mutate(data, text), encoding="utf-8")
+        got = outcome(load_table_type_model, path)
+        want = outcome(reference_load_table_type_model, path)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert self.table_type_arrays(got) == self.table_type_arrays(want)
 
 
 class TestTableInvariants:

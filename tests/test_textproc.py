@@ -17,6 +17,7 @@ from tableqa.textproc import (
     pattern_distance,
     porter_stem,
     read_lines,
+    read_text,
     token_starts,
     tokenize,
 )
@@ -148,12 +149,30 @@ class TestReadLines:
             list(read_lines(path))
         assert str(exc.value) == f"{path}:{line}: not UTF-8 text (byte 0x{byte:02x})"
 
-    @pytest.mark.parametrize("newline", [None, ""])
-    def test_lines_as_open_yields_them(self, tmp_path, newline):
+    def test_lines_as_open_yields_them(self, tmp_path):
         path = tmp_path / "text.txt"
         path.write_bytes("é,1\r\nb\rc\n".encode("utf-8"))
-        with open(path, encoding="utf-8", newline=newline) as fh:
-            assert list(read_lines(path, newline=newline)) == list(fh)
+        with open(path, encoding="utf-8") as fh:
+            assert list(read_lines(path)) == list(fh)
+
+
+class TestReadText:
+    def test_text_is_what_open_reads_with_line_ends_kept(self, tmp_path):
+        path = tmp_path / "text.txt"
+        path.write_bytes("\ufeffé,1\r\nb\rc\n".encode("utf-8"))
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            assert read_text(path) == fh.read() == "é,1\r\nb\rc\n"
+
+    @pytest.mark.parametrize("data, line", [
+        (b"a\r\nb\r\nc\xffd", 3),
+        (b"\xef\xbb\xbfa\n\xff", 2),       # after a byte-order mark
+    ])
+    def test_first_bad_byte_names_its_line(self, tmp_path, data, line):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        with pytest.raises(NotText) as exc:
+            read_text(path)
+        assert str(exc.value) == f"{path}:{line}: not UTF-8 text (byte 0xff)"
 
 
 class TestEditDistance:

@@ -8,6 +8,10 @@ A workspace directory accumulates the pipeline's artifacts:
       models/           trained model files, one per task
       reports/          JSON copies of every eval / pipeline-eval report
 
+Each of these files is written only when its bytes change, so an
+unchanged file keeps its mtime. Ingest makes ``tables/`` mirror the
+corpus: it also removes the table files no table of the corpus wrote.
+
 Exit codes: 0 on success, 1 on validation, data or file errors, 2 on usage
 errors.
 """
@@ -16,13 +20,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
+from .clauses import SELECT_SPEC, WHERE_SPEC
 from .embed import load_embeddings
-from .errors import TableQAError
+from .errors import TableQAError, UntrainedModel
 from .harness import (
     ModelBundle,
     RowMode,
@@ -37,23 +44,27 @@ from .harness import (
     load_manifest,
     load_table_kinds,
     parse_manifest,
+    rank_sources,
     run_pipeline,
     split_index,
     sweep_pipeline,
+    table_files,
     train_select_model,
     train_where_model,
     validate_manifest,
 )
-from .nn import TrainConfig, load_model, save_model
+from .nn import TrainConfig, load_model, save_model, spec_line
 from .query import print_query
-from .retrieval import Similarity, build_index, question_vector, score
+from .retrieval import Similarity, build_index
 from .tabular import (
     extract_table_type_features,
     load_table_type_model,
     save_table_type_model,
     train_table_type_model,
 )
+from .textproc import write_text_if_changed
 from .typerec import (
+    COLUMN_TYPE_SPEC,
     classify_column_type,
     extract_column_type_features,
     load_column_labels,
@@ -75,18 +86,30 @@ def _model_path(ws: Path, task: str) -> Path:
     return ws / "models" / f"{task}.model"
 
 
+# the network each MLP task's features and classes are shaped for
+_SPECS = {"column-type": COLUMN_TYPE_SPEC, "select": SELECT_SPEC,
+          "where": WHERE_SPEC}
+
+
+def _load_task_model(ws: Path, task: str):
+    """The workspace's ``task`` model; a model file of another shape, such
+    as another task's, is an error naming its spec line."""
+    path = _model_path(ws, task)
+    model = load_model(path)
+    if model.spec != _SPECS[task]:
+        raise UntrainedModel(
+            f"{path}:2: expected {spec_line(_SPECS[task])!r} for a {task}"
+            f" model, got {spec_line(model.spec)!r}"
+        )
+    return model
+
+
 def _load_bundle(ws: Path) -> ModelBundle:
-    bundle = ModelBundle()
-    coltype = _model_path(ws, "column-type")
-    if coltype.exists():
-        bundle.coltype_model = load_model(coltype)
-    select = _model_path(ws, "select")
-    if select.exists():
-        bundle.select_model = load_model(select)
-    where = _model_path(ws, "where")
-    if where.exists():
-        bundle.where_model = load_model(where)
-    return bundle
+    models = {task: _load_task_model(ws, task) for task in _SPECS
+              if _model_path(ws, task).exists()}
+    return ModelBundle(select_model=models.get("select"),
+                       where_model=models.get("where"),
+                       coltype_model=models.get("column-type"))
 
 
 def _labeled_columns(ws: Path, labels_path):
@@ -107,11 +130,13 @@ def _labeled_columns(ws: Path, labels_path):
     return out
 
 
-def _write_table(table, path: Path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(table.headers)
-        writer.writerows(table.rows)
+def _table_text(table) -> str:
+    """``table`` as CSV text: the header row, then the rows."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(table.headers)
+    writer.writerows(table.rows)
+    return out.getvalue()
 
 
 def _split_entries(entries, split: str):
@@ -126,7 +151,7 @@ def _report(ws: Path, name: str, report: dict, fmt: str) -> None:
     text = json.dumps(report, indent=2, default=str) + "\n"
     reports = ws / "reports"
     reports.mkdir(parents=True, exist_ok=True)
-    (reports / f"{name}.json").write_text(text, encoding="utf-8")
+    write_text_if_changed(reports / f"{name}.json", text)
     if fmt == "json":
         sys.stdout.write(text)
     else:
@@ -163,15 +188,25 @@ def cmd_ingest(args) -> int:
     ingested = ingest_corpus(raw, kinds=kinds, table_type_model=model)
 
     ws = Path(args.workspace)
-    (ws / "tables").mkdir(parents=True, exist_ok=True)
-    for table in ingested.values():
-        _write_table(table, ws / "tables" / f"{table.id}.csv")
-    with open(ws / "table_kinds.txt", "w", encoding="utf-8") as fh:
-        for tid, table in sorted(raw.items()):
-            fh.write(f"{tid}\t{table.kind.value}\n")
+    tables_dir = ws / "tables"
+    tables_dir.mkdir(parents=True, exist_ok=True)
+    files = {f"{table.id}.csv": table for table in ingested.values()}
+    for name, table in files.items():
+        write_text_if_changed(tables_dir / name, _table_text(table))
+    # tables/ mirrors the corpus: a table file left from an earlier ingest
+    # would still be read by every later command
+    stale = [name for name in table_files(tables_dir) if name not in files]
+    for name in stale:
+        os.remove(tables_dir / name)
+    write_text_if_changed(ws / "table_kinds.txt", "".join(
+        f"{tid}\t{table.kind.value}\n" for tid, table in sorted(raw.items())))
     transposed = sum(1 for tid in raw if raw[tid].kind.value == "key-value")
-    print(f"ingested {len(ingested)} tables into {ws / 'tables'} "
-          f"({transposed} transposed)")
+    summary = f"ingested {len(ingested)} tables into {tables_dir} " \
+        f"({transposed} transposed)"
+    if stale:
+        summary += f"; removed {len(stale)} stale table " \
+            f"{'file' if len(stale) == 1 else 'files'}"
+    print(summary)
     return 0
 
 
@@ -237,11 +272,7 @@ def cmd_train(args) -> int:
 def cmd_retrieve(args) -> int:
     tables = _workspace_tables(Path(args.workspace))
     index = build_index(list(tables.values()))
-    if not question_vector(index, args.question):
-        raise TableQAError(
-            f"question has no indexed word to rank tables by: {args.question!r}"
-        )
-    ranked = score(index, args.question, Similarity(args.sim), k=args.k)
+    ranked = rank_sources(args.question, index, Similarity(args.sim), k=args.k)
     for rank, (tid, value) in enumerate(ranked, start=1):
         print(f"{rank:2d}. {tid:<28s} {value:.6f}")
     return 0
@@ -265,7 +296,7 @@ def cmd_eval(args) -> int:
     if args.task == "column-type":
         if not args.labels:
             raise TableQAError("eval --task column-type needs --labels")
-        model = load_model(_model_path(ws, "column-type"))
+        model = _load_task_model(ws, "column-type")
         held = _labeled_columns(ws, args.labels)[::4]
         if not held:
             raise TableQAError(f"{args.labels}: no labelled columns")

@@ -49,7 +49,14 @@ from .query import (
     select_rows_embedding,
     select_rows_word_match,
 )
-from .retrieval import Similarity, TfIdfIndex, build_index, precision_at_k, score
+from .retrieval import (
+    Similarity,
+    TfIdfIndex,
+    build_index,
+    precision_at_k,
+    question_vector,
+    score,
+)
 from .tabular import (
     Table,
     TableFormat,
@@ -128,21 +135,30 @@ def load_corpus(tables_dir, ids=None) -> dict[str, Table]:
     listing and never joined into a path, so an id absent from the
     directory, such as ``../x``, is simply missing from the result.
     """
-    formats = {"csv": TableFormat.CSV, "tsv": TableFormat.TSV}
     # file paths, and the errors naming them, spelled as pathlib joins them
     base = str(Path(str(tables_dir)))
     root = "" if base == "." else base
-    with os.scandir(base) as listing:
-        names = sorted(entry.name for entry in listing)
     tables = {}
-    for name in names:
-        stem, _, suffix = name.rpartition(".")
-        fmt = formats.get(suffix)
-        if not stem or fmt is None or (ids is not None and stem not in ids):
+    for name, (stem, fmt) in table_files(base).items():
+        if ids is not None and stem not in ids:
             continue
         t = load_table(os.path.join(root, name), fmt)
         tables[t.id] = t
     return tables
+
+
+def table_files(tables_dir) -> dict[str, tuple[str, TableFormat]]:
+    """name -> (stem, format) of each table file in ``tables_dir``, in name
+    order: a ``.csv`` or ``.tsv`` file name with a non-empty stem."""
+    formats = {"csv": TableFormat.CSV, "tsv": TableFormat.TSV}
+    with os.scandir(tables_dir) as listing:
+        names = sorted(entry.name for entry in listing)
+    files = {}
+    for name in names:
+        stem, _, suffix = name.rpartition(".")
+        if stem and suffix in formats:
+            files[name] = (stem, formats[suffix])
+    return files
 
 
 def ingest_corpus(
@@ -401,13 +417,33 @@ class PipelineStageError(TableQAError):
         self.cause = cause
 
 
+def rank_sources(question: str, index: TfIdfIndex,
+                 similarity: Similarity = Similarity.INV_EUCLIDEAN,
+                 k: int | None = None) -> list[tuple[str, float]]:
+    """The index's ranking of tables for the question (its first ``k``),
+    each with its score.
+
+    A question with no word the index holds has nothing to rank by; like
+    any other failure here, it is a source-selection error.
+    """
+    try:
+        vector = question_vector(index, question)
+        if not vector:
+            raise TableQAError(
+                f"question has no indexed word to rank tables by: {question!r}"
+            )
+        return score(index, question, similarity, k=k, vector=vector)
+    except Exception as exc:
+        raise PipelineStageError("source-selection", exc) from exc
+
+
 def select_source(question: str, tables: dict[str, Table], index: TfIdfIndex,
                   similarity: Similarity = Similarity.INV_EUCLIDEAN) -> Table:
     """Source selection: the index's top-ranked table for the question."""
+    ranked = rank_sources(question, index, similarity, k=1)
     try:
-        ranked = score(index, question, similarity, k=1)
         return tables[ranked[0][0]]
-    except Exception as exc:
+    except KeyError as exc:
         raise PipelineStageError("source-selection", exc) from exc
 
 

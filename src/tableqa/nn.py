@@ -21,7 +21,7 @@ from .errors import (
     LabelOutOfRange,
     UntrainedModel,
 )
-from .textproc import read_text
+from .textproc import read_text, write_text_if_changed
 
 _BN_EPS = 1e-5
 _BN_MOMENTUM = 0.9
@@ -433,20 +433,19 @@ def parse_arrays(lines: list[str], start: int, shapes: dict, source: str) -> dic
     return arrays
 
 
+def spec_line(spec: MlpSpec) -> str:
+    """Line 2 of a model file of ``spec``."""
+    hidden = ",".join(str(h) for h in spec.hidden)
+    return f"spec {spec.input_dim} {hidden or '-'} {spec.output.label} 1"
+
+
 def dump_model(model: MlpModel) -> str:
-    hidden = ",".join(str(h) for h in model.spec.hidden)
-    lines = [
-        _MAGIC,
-        f"spec {model.spec.input_dim} {hidden or '-'} "
-        f"{model.spec.output.label} 1",
-        *format_arrays(_saved_arrays(model)),
-    ]
+    lines = [_MAGIC, spec_line(model.spec), *format_arrays(_saved_arrays(model))]
     return "\n".join(lines) + "\n"
 
 
 def save_model(model: MlpModel, path) -> None:
-    with open(str(path), "w", encoding="utf-8") as fh:
-        fh.write(dump_model(model))
+    write_text_if_changed(path, dump_model(model))
 
 
 def _parse_spec(line: str, where: str) -> MlpSpec:

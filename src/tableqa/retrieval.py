@@ -185,15 +185,20 @@ def _similarities(index: TfIdfIndex, q: dict[str, float],
 
 
 def score(index: TfIdfIndex, question: str, sim: Similarity,
-          k: int | None = None) -> list[tuple[str, float]]:
+          k: int | None = None,
+          vector: dict[str, float] | None = None) -> list[tuple[str, float]]:
     """Tables ranked by descending similarity; ties broken by table id.
 
     With ``k`` only the first ``k`` of that ranking are built, equal to
-    ``score(index, question, sim)[:k]``; the rest are never sorted.
+    ``score(index, question, sim)[:k]``; the rest are never sorted. A
+    caller that holds ``question_vector(index, question)`` passes it as
+    ``vector``, and the question is not tokenized again.
     """
     if k is not None and k < 1:
         raise ValueError(f"k must be positive: {k}")
-    values = _similarities(index, question_vector(index, question), sim)
+    if vector is None:
+        vector = question_vector(index, question)
+    values = _similarities(index, vector, sim)
     k = len(values) if k is None else min(k, len(values))
     # the rows scoring at least the k-th largest value, in row order, hold
     # the top k and every table tied with the k-th; a stable sort keeps

@@ -6,7 +6,8 @@ Porter stemmer so results are reproducible byte-for-byte with no
 external NLP dependency. The stop list ships as a text resource
 (``data/stopwords.txt``, one word per line). Every input file is read
 through ``read_lines`` or ``read_text``, which turn bytes that are not
-UTF-8 into an error naming the file and line.
+UTF-8 into an error naming the file and line; every workspace file is
+written through ``write_text_if_changed``.
 """
 
 from __future__ import annotations
@@ -58,6 +59,25 @@ def read_text(path) -> str:
         return data.decode("utf-8-sig")
     except UnicodeDecodeError:
         raise NotText(_not_utf8(path, data)) from None
+
+
+def write_text_if_changed(path, text: str) -> bool:
+    """Make ``path`` hold ``text`` as UTF-8; True when it was written.
+
+    A file that already holds exactly those bytes is not opened for
+    writing, so it keeps its mtime. At most ``len(bytes) + 1`` bytes of it
+    are read. A missing file is created.
+    """
+    data = text.encode("utf-8")
+    try:
+        with open(path, "rb") as fh:
+            if fh.read(len(data) + 1) == data:
+                return False
+    except FileNotFoundError:
+        pass
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return True
 
 
 def _not_utf8(path, data: bytes) -> str:

@@ -97,8 +97,13 @@ class TestRetrieve:
                      "--question", question])
         assert code == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: ")
+        assert captured.err == _no_indexed_word(question)
         assert captured.out == ""
+
+
+def _no_indexed_word(question):
+    return ("error: [source-selection] question has no indexed word to rank "
+            f"tables by: {question!r}\n")
 
 
 class TestAsk:
@@ -139,6 +144,18 @@ class TestAsk:
                      "--manifest", f"{fx}/manifest.txt"])
         assert code == 0, capsys.readouterr().err
         assert "table: " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("question", ["the of a", "zyxxyq qqqzz"])
+    def test_question_without_indexed_stem_is_error(self, cli_workspace,
+                                                    fixtures_dir, capsys,
+                                                    question):
+        # the rule `retrieve` applies, and with its message
+        code = main(["ask", question, "--workspace", str(cli_workspace),
+                     "--embeddings", f"{fixtures_dir}/pipeline.vec",
+                     "--scope", "all"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", _no_indexed_word(question))
 
     def test_golden_scope_needs_manifest_question(self, cli_workspace,
                                                   fixtures_dir, capsys):
@@ -532,6 +549,29 @@ class TestMalformedInputs:
         assert capsys.readouterr().err == (
             f"error: {model}:3: array W0 has shape 77,32, "
             "expected 77,32000000000\n")
+
+    @pytest.mark.parametrize("source, slot, expected, got", [
+        ("where", "select", "spec 25 32,16,8 binary2 1", "spec 77 32,16,8 binary2 1"),
+        ("select", "column-type", "spec 9 32,32 softmax7 1",
+         "spec 25 32,16,8 binary2 1"),
+    ])
+    def test_model_of_another_task_names_its_spec_line(
+            self, cli_workspace, fixtures_dir, tmp_path, capsys, source, slot,
+            expected, got):
+        ws = tmp_path / "ws"
+        shutil.copytree(cli_workspace, ws)
+        model = ws / "models" / f"{slot}.model"
+        shutil.copyfile(ws / "models" / f"{source}.model", model)
+        fx = str(fixtures_dir)
+        code = main(["ask", "Who is the husband of Whoopi Goldberg?",
+                     "--workspace", str(ws),
+                     "--embeddings", f"{fx}/pipeline.vec",
+                     "--manifest", f"{fx}/manifest.txt",
+                     "--scope", "golden"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {model}:2: expected {expected!r} for a {slot} model, "
+            f"got {got!r}\n")
 
     @pytest.mark.parametrize("argv", [
         ["train", "--task", "select", "--workspace", "{ws}", "--manifest", "{bad}",

@@ -1,4 +1,6 @@
+import re
 import zlib
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -38,6 +40,7 @@ from tableqa.harness import (
     metrics_from_confusion,
     parse_manifest,
     run_pipeline,
+    select_source,
     split_index,
     sweep_pipeline,
     validate_manifest,
@@ -402,6 +405,33 @@ class TestWhereFlagConsistency:
         training = featurize_where(table, pairs, gold, aux)
         inference = featurize_where(table, pairs, set(gold), aux)
         assert np.array_equal(training, inference)
+
+
+class TestNoIndexedWord:
+    """A question with no word the index holds is a source-selection error
+    wherever it is ranked."""
+
+    MESSAGE = ("[source-selection] question has no indexed word to rank "
+               "tables by: 'the of a'")
+
+    def test_select_source_and_run_pipeline(self, corpus, pipeline_store):
+        index = split_index([], corpus, None)
+        with pytest.raises(PipelineStageError) as exc:
+            select_source("the of a", corpus, index)
+        assert (exc.value.stage, str(exc.value)) == ("source-selection",
+                                                     self.MESSAGE)
+        with pytest.raises(PipelineStageError, match=re.escape(self.MESSAGE)):
+            run_pipeline("the of a", corpus, index, ModelBundle(),
+                         pipeline_store)
+
+    def test_sweep_scores_it_as_a_failure(self, manifest, corpus,
+                                          pipeline_store):
+        entry = replace(manifest[0], question="the of a")
+        grid = sweep_pipeline([entry], corpus, ModelBundle(), pipeline_store,
+                              scopes=(Scope.INDIVIDUAL_SET, Scope.ALL_SETS))
+        for cell in grid.values():
+            assert [(o.qid, o.f1, o.error) for o in cell.outcomes] == \
+                [(entry.qid, 0.0, self.MESSAGE)]
 
 
 class TestRetrievalEvaluation:

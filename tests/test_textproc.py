@@ -1,11 +1,14 @@
 import random
 import re
+import tempfile
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tableqa import textproc
 from tableqa.errors import BothEmpty, NotText
 from tableqa.textproc import (
     STOPWORDS,
@@ -20,6 +23,7 @@ from tableqa.textproc import (
     read_text,
     token_starts,
     tokenize,
+    write_text_if_changed,
 )
 
 
@@ -173,6 +177,90 @@ class TestReadText:
         with pytest.raises(NotText) as exc:
             read_text(path)
         assert str(exc.value) == f"{path}:{line}: not UTF-8 text (byte 0xff)"
+
+
+class TestWriteTextIfChanged:
+    TEXT = "é,1\r\nb\n"
+
+    @staticmethod
+    def _record_opens(monkeypatch):
+        """The (path, mode) of each ``open`` textproc makes, and the size
+        of each read of the files it opens."""
+        opens, reads = [], []
+
+        class Recorded:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def read(self, size=-1):
+                reads.append(size)
+                return self.fh.read(size)
+
+            def write(self, data):
+                return self.fh.write(data)
+
+        def recording(path, mode="r", *args, **kwargs):
+            opens.append((path, mode))
+            return Recorded(open(path, mode, *args, **kwargs))
+
+        monkeypatch.setattr(textproc, "open", recording, raising=False)
+        return opens, reads
+
+    def test_missing_file_is_created(self, tmp_path):
+        path = tmp_path / "new.txt"
+        assert write_text_if_changed(path, self.TEXT) is True
+        assert path.read_bytes() == self.TEXT.encode("utf-8")
+
+    def test_equal_bytes_are_not_written(self, tmp_path, monkeypatch):
+        path = tmp_path / "same.txt"
+        path.write_bytes(self.TEXT.encode("utf-8"))
+        before = path.stat()
+        opens, reads = self._record_opens(monkeypatch)
+        assert write_text_if_changed(path, self.TEXT) is False
+        assert opens == [(path, "rb")]
+        assert reads == [len(self.TEXT.encode("utf-8")) + 1]
+        after = path.stat()
+        assert (after.st_mtime_ns, after.st_ino) == \
+            (before.st_mtime_ns, before.st_ino)
+
+    @pytest.mark.parametrize("old", [
+        "é,1\r\nb\n" + "x" * 100_000,     # the text, then more
+        "é,1\r\nb",                        # a prefix of the text
+        "é,1\nb\n",                        # other line ends
+        "e,1\r\nb\n",
+        "",
+        "\ufeffé,1\r\nb\n",               # a byte-order mark
+    ], ids=["longer", "prefix", "line-ends", "one-character", "empty", "bom"])
+    def test_other_bytes_are_replaced(self, tmp_path, monkeypatch, old):
+        path = tmp_path / "old.txt"
+        path.write_bytes(old.encode("utf-8"))
+        opens, reads = self._record_opens(monkeypatch)
+        assert write_text_if_changed(path, self.TEXT) is True
+        assert path.read_bytes() == self.TEXT.encode("utf-8")
+        assert opens == [(path, "rb"), (path, "wb")]
+        assert reads == [len(self.TEXT.encode("utf-8")) + 1]
+
+    def test_directory_is_an_os_error(self, tmp_path):
+        with pytest.raises(IsADirectoryError):
+            write_text_if_changed(tmp_path, self.TEXT)
+
+    @settings(max_examples=200)
+    @given(st.text(max_size=12), st.one_of(st.none(), st.text(max_size=12)))
+    def test_file_holds_the_text_afterwards(self, text, old):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.txt"
+            if old is not None:
+                path.write_bytes(old.encode("utf-8"))
+            wrote = write_text_if_changed(path, text)
+            assert path.read_bytes() == text.encode("utf-8")
+            assert wrote is (old is None or old.encode("utf-8")
+                             != text.encode("utf-8"))
 
 
 class TestEditDistance:

@@ -1,14 +1,14 @@
 """Text normalization and the ~ operator's three matching stages.
 
 Shows the tokenizer (lowercase, alphanumeric split, stop words, Porter
-stems), edit distance, and how a cell matches a keyword by equality,
-substring, or embedding distance.
+stems), edit distance from a compiled word, and how a cell matches a
+keyword by equality, substring, or embedding distance.
 
 Run from the repository root:  python3 demos/02_text_and_similarity.py
 """
 
 from tableqa.embed import SimMatchConfig, load_embeddings, proximity, sim_match
-from tableqa.textproc import edit_distance, normalized_edit_distance, tokenize
+from tableqa.textproc import compile_pattern, pattern_distance, tokenize
 
 question = "Who is the husband of Whoopi Goldberg?"
 kept = tokenize(question)
@@ -21,9 +21,14 @@ print(f"  stems:              {list(dropped.stems)}")
 height_cell = "6' 3''"
 print(f'\nheight cell "{height_cell}" tokenizes to {list(tokenize(height_cell).tokens)}')
 
-print(f"\nedit_distance('kitten', 'sitting') = {edit_distance('kitten', 'sitting')}")
-print(f"normalized_edit_distance('cat', 'cats') = "
-      f"{normalized_edit_distance('cat', 'cats')}")
+# A word is compiled once and then measured against many texts, as the
+# WHERE featurizer does with each question word against a column's tokens.
+kitten = compile_pattern("kitten")
+print()
+for text in ("sitting", "mitten", "kitten", ""):
+    print(f"edit distance('kitten', {text!r}) = {pattern_distance(kitten, text)}")
+print(f"normalized by the longer length, ('cat', 'cats') -> "
+      f"{pattern_distance(compile_pattern('cat'), 'cats') / len('cats')}")
 
 # The toy embedding places spouse/husband close together and president,
 # capital orthogonal to them.

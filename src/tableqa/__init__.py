@@ -9,7 +9,8 @@ Sub-modules, in pipeline order:
 
 - ``tabular``: table data model, file ingestion, table-kind recognition,
   key-value to entity-instance transposition.
-- ``textproc``: tokenizer, stop list, Porter stemmer, edit distance.
+- ``textproc``: tokenizer, stop list, Porter stemmer, edit distance from a
+  compiled word.
 - ``embed``: word-embedding store, cosine proximity and the ~ operator.
 - ``retrieval``: TF-IDF source selection and precision-at-k.
 - ``nn``: seed-deterministic MLP core (batch norm, softmax, SGD) and

@@ -25,12 +25,6 @@ class DuplicateKeys(TableQAError):
     """Two identical key cells would collide as headers after transpose."""
 
 
-# --- text processing ---
-
-class BothEmpty(TableQAError):
-    """Normalized edit distance is undefined when both strings are empty."""
-
-
 # --- embeddings ---
 
 class MalformedLine(TableQAError):

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import BothEmpty, NotText
+from .errors import NotText
 
 _WORD = re.compile(r"[a-z0-9]+")
 _NEWLINE = re.compile(r"\r\n?|\n")
@@ -174,193 +174,57 @@ def pattern_distance(pattern: tuple[dict[str, int], int, int], text: str) -> int
     return distance
 
 
-def edit_distance(a: str, b: str) -> int:
-    """Levenshtein distance, with the shorter string as the pattern."""
-    if len(a) < len(b):
-        a, b = b, a
-    return pattern_distance(compile_pattern(b), a)
-
-
-def normalized_edit_distance(a: str, b: str) -> float:
-    """Edit distance divided by the longer length; undefined for two empty strings."""
-    longest = max(len(a), len(b))
-    if longest == 0:
-        raise BothEmpty("normalized edit distance of two empty strings")
-    return edit_distance(a, b) / longest
-
-
 # ---------------------------------------------------------------------------
 # Porter stemmer
 #
-# Implemented from the published suffix-stripping algorithm (Porter, 1980).
-# Words of length <= 2 are returned unchanged, as in the reference
-# implementation.
+# Implemented from the published suffix-stripping algorithm (Porter, 1980);
+# words of length <= 2 are returned unchanged, as in the reference
+# implementation. Each rule's condition is a string test on the
+# consonant/vowel pattern (``_cv``) of the stem it would leave: m, the number
+# of VC sequences in [C](VC)^m[V], is its count of "vc"; *v* is a "v" in it;
+# *o is an end in "cvc" whose last letter is not w, x or y.
 # ---------------------------------------------------------------------------
 
-_VOWELS = "aeiou"
+
+def _cv(word: str) -> str:
+    """``word`` as one ``c`` or ``v`` per character: a, e, i, o and u are
+    vowels, and so is a y after a consonant; all else is a consonant."""
+    pattern = ""
+    for ch in word:
+        pattern += "v" if ch in "aeiou" or ch == "y" and pattern[-1:] == "c" else "c"
+    return pattern
 
 
-def _is_consonant(word: str, i: int) -> bool:
-    c = word[i]
-    if c in _VOWELS:
-        return False
-    if c == "y":
-        return i == 0 or not _is_consonant(word, i - 1)
-    return True
+def _rule_table(rules: str) -> dict[str, list[tuple[str, str]]]:
+    """``suffix:replacement`` rules (a bare suffix is removed), keyed by the
+    suffix's last letter, longest suffix first."""
+    table: dict[str, list[tuple[str, str]]] = {}
+    for rule in sorted(rules.split(), key=lambda r: -len(r.partition(":")[0])):
+        suffix, _, replacement = rule.partition(":")
+        table.setdefault(suffix[-1], []).append((suffix, replacement))
+    return table
 
 
-def _measure(stem: str) -> int:
-    # number of VC sequences in [C](VC)^m[V]
-    m = 0
-    i = 0
-    n = len(stem)
-    while i < n and _is_consonant(stem, i):
-        i += 1
-    while i < n:
-        while i < n and not _is_consonant(stem, i):
-            i += 1
-        if i >= n:
-            break
-        m += 1
-        while i < n and _is_consonant(stem, i):
-            i += 1
-    return m
-
-
-def _has_vowel(stem: str) -> bool:
-    return any(not _is_consonant(stem, i) for i in range(len(stem)))
-
-
-def _ends_double_consonant(word: str) -> bool:
-    return (
-        len(word) >= 2
-        and word[-1] == word[-2]
-        and _is_consonant(word, len(word) - 1)
-    )
-
-
-def _ends_cvc(word: str) -> bool:
-    if len(word) < 3:
-        return False
-    if not (_is_consonant(word, len(word) - 3)
-            and not _is_consonant(word, len(word) - 2)
-            and _is_consonant(word, len(word) - 1)):
-        return False
-    return word[-1] not in "wxy"
-
-
-def _replace_suffix(word: str, suffix: str, replacement: str) -> str:
-    return word[: len(word) - len(suffix)] + replacement
-
-
-def _step1a(word: str) -> str:
-    if word.endswith("sses"):
-        return _replace_suffix(word, "sses", "ss")
-    if word.endswith("ies"):
-        return _replace_suffix(word, "ies", "i")
-    if word.endswith("ss"):
-        return word
-    if word.endswith("s"):
-        return word[:-1]
-    return word
-
-
-def _step1b(word: str) -> str:
-    if word.endswith("eed"):
-        if _measure(word[:-3]) > 0:
-            return word[:-1]
-        return word
-    stripped = None
-    if word.endswith("ed") and _has_vowel(word[:-2]):
-        stripped = word[:-2]
-    elif word.endswith("ing") and _has_vowel(word[:-3]):
-        stripped = word[:-3]
-    if stripped is None:
-        return word
-    if stripped.endswith(("at", "bl", "iz")):
-        return stripped + "e"
-    if _ends_double_consonant(stripped) and stripped[-1] not in "lsz":
-        return stripped[:-1]
-    if _measure(stripped) == 1 and _ends_cvc(stripped):
-        return stripped + "e"
-    return stripped
-
-
-def _step1c(word: str) -> str:
-    if word.endswith("y") and _has_vowel(word[:-1]):
-        return word[:-1] + "i"
-    return word
-
-
-_STEP2_RULES = (
-    ("ational", "ate"), ("tional", "tion"), ("enci", "ence"), ("anci", "ance"),
-    ("izer", "ize"), ("abli", "able"), ("alli", "al"), ("entli", "ent"),
-    ("eli", "e"), ("ousli", "ous"), ("ization", "ize"), ("ation", "ate"),
-    ("ator", "ate"), ("alism", "al"), ("iveness", "ive"), ("fulness", "ful"),
-    ("ousness", "ous"), ("aliti", "al"), ("iviti", "ive"), ("biliti", "ble"),
+# Steps 2, 3 and 4, each with the m that its stems must exceed. The first of
+# a step's rules whose suffix the word ends with is the step's one candidate.
+_STEPS_2_TO_4 = (
+    (0, _rule_table("ational:ate tional:tion enci:ence anci:ance izer:ize abli:able "
+                    "alli:al entli:ent eli:e ousli:ous ization:ize ation:ate ator:ate "
+                    "alism:al iveness:ive fulness:ful ousness:ous aliti:al iviti:ive "
+                    "biliti:ble")),
+    (0, _rule_table("icate:ic ative: alize:al iciti:ic ical:ic ful: ness:")),
+    (1, _rule_table("al ance ence er ic able ible ant ement ment ent ion ou ism ate "
+                    "iti ous ive ize")),
 )
-
-_STEP3_RULES = (
-    ("icate", "ic"), ("ative", ""), ("alize", "al"), ("iciti", "ic"),
-    ("ical", "ic"), ("ful", ""), ("ness", ""),
-)
-
-_STEP4_SUFFIXES = (
-    "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
-    "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
-)
-
-# Longest suffix first; the sorts are stable, so equal lengths keep the
-# order listed above.
-_STEP2_RULES = tuple(sorted(_STEP2_RULES, key=lambda r: -len(r[0])))
-_STEP3_RULES = tuple(sorted(_STEP3_RULES, key=lambda r: -len(r[0])))
-_STEP4_SUFFIXES = tuple(sorted(_STEP4_SUFFIXES, key=len, reverse=True))
-
-
-def _apply_rules(word: str, rules, min_measure: int) -> str:
-    for suffix, replacement in rules:
-        if word.endswith(suffix):
-            stem = word[: len(word) - len(suffix)]
-            if _measure(stem) > min_measure - 1:
-                return stem + replacement
-            return word
-    return word
-
-
-def _step4(word: str) -> str:
-    for suffix in _STEP4_SUFFIXES:
-        if word.endswith(suffix):
-            stem = word[: len(word) - len(suffix)]
-            if _measure(stem) > 1:
-                if suffix == "ion" and not stem.endswith(("s", "t")):
-                    return word
-                return stem
-            return word
-    return word
-
-
-def _step5a(word: str) -> str:
-    if word.endswith("e"):
-        stem = word[:-1]
-        m = _measure(stem)
-        if m > 1 or (m == 1 and not _ends_cvc(stem)):
-            return stem
-    return word
-
-
-def _step5b(word: str) -> str:
-    if _measure(word) > 1 and _ends_double_consonant(word) and word.endswith("l"):
-        return word[:-1]
-    return word
+# after step 1, a word that ends in any other letter is its own stem
+_RULE_ENDINGS = frozenset().union(*(table for _, table in _STEPS_2_TO_4))
 
 
 def _memoized(stem):
-    """Cache a pure word -> stem function for the life of the process.
-
-    The cache grows with the vocabulary seen. The result stays a plain
-    function (``__wrapped__`` is the uncached one), so tools that find
-    functions by type still see it.
-    """
+    """Cache a pure word -> stem function for the life of the process; the
+    cache grows with the vocabulary seen. The result stays a plain function
+    (``__wrapped__`` is the uncached one), so tools that find functions by
+    type still see it."""
     cached = functools.lru_cache(maxsize=None)(stem)
 
     @functools.wraps(stem)
@@ -374,12 +238,42 @@ def _memoized(stem):
 def porter_stem(word: str) -> str:
     if len(word) <= 2:
         return word
-    word = _step1a(word)
-    word = _step1b(word)
-    word = _step1c(word)
-    word = _apply_rules(word, _STEP2_RULES, 1)
-    word = _apply_rules(word, _STEP3_RULES, 1)
-    word = _step4(word)
-    word = _step5a(word)
-    word = _step5b(word)
+    if word.endswith(("sses", "ies")):                          # step 1a
+        word = word[:-2]
+    elif word.endswith("s") and not word.endswith("ss"):
+        word = word[:-1]
+    if word.endswith("eed"):                                    # step 1b
+        if _cv(word[:-3]).count("vc"):
+            word = word[:-1]
+    elif word.endswith(("ed", "ing")):
+        stem = word[:-2] if word.endswith("ed") else word[:-3]
+        pattern = _cv(stem)
+        if "v" in pattern:
+            word = stem
+            if stem.endswith(("at", "bl", "iz")):
+                word = stem + "e"
+            elif stem[-1] == stem[-2:-1] and pattern[-1] == "c" and stem[-1] not in "lsz":
+                word = stem[:-1]
+            elif pattern.count("vc") == 1 and pattern.endswith("cvc") \
+                    and stem[-1] not in "wxy":
+                word = stem + "e"
+    if word.endswith("y") and "v" in _cv(word[:-1]):            # step 1c
+        word = word[:-1] + "i"
+    if word[-1] not in _RULE_ENDINGS:
+        return word
+    for bound, table in _STEPS_2_TO_4:
+        for suffix, replacement in table.get(word[-1], ()):
+            if word.endswith(suffix):
+                stem = word[:len(word) - len(suffix)]
+                if (_cv(stem).count("vc") > bound
+                        and (suffix != "ion" or stem.endswith(("s", "t")))):
+                    word = stem + replacement
+                break
+    if word.endswith("e"):                                      # step 5a
+        pattern = _cv(word[:-1])
+        m = pattern.count("vc")
+        if m > 1 or m == 1 and not (pattern.endswith("cvc") and word[-2] not in "wxy"):
+            word = word[:-1]
+    if word.endswith("ll") and _cv(word).count("vc") > 1:       # step 5b
+        word = word[:-1]
     return word

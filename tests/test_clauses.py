@@ -30,8 +30,8 @@ from tableqa.harness import gold_select_indices
 from tableqa.nn import init_model
 from tableqa.tabular import Table
 from tableqa.textproc import (
-    edit_distance,
-    normalized_edit_distance,
+    compile_pattern,
+    pattern_distance,
     token_starts,
     tokenize,
 )
@@ -330,6 +330,39 @@ class TestFeaturizeWhere:
         assert np.array_equal(w1, w2)
 
 
+def nearest(word, cells):
+    """The WHERE featurizer's least normalized distance from ``word`` to
+    the tokens of a one-column table of ``cells``."""
+    table = Table(id="v", name="v", headers=["h"], rows=[[c] for c in cells])
+    return clauses._nearest_token_distance(word, compile_pattern(word),
+                                           table.column_vocab[0])
+
+
+class TestNearestTokenDistance:
+    def test_equal_token(self):
+        assert nearest("mile", ["a mile"]) == 0.0
+
+    def test_full_substitution(self):
+        assert nearest("a", ["b"]) == 1.0
+
+    def test_cat_cats(self):
+        assert nearest("cat", ["cats"]) == 0.25
+
+    def test_column_without_tokens(self):
+        assert nearest("cat", ["", "--"]) == 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(alphabet="abz", min_size=1, max_size=6),
+           st.lists(st.text(alphabet="abz ", max_size=8), min_size=1, max_size=6))
+    def test_least_over_all_tokens(self, word, cells):
+        # the search skips tokens by their length gap; it must still find
+        # the least distance over every token, within [0, 1]
+        tokens = [t for c in cells for t in tokenize(c).tokens]
+        want = min((normalized_distance(word, t) for t in tokens), default=1.0)
+        assert nearest(word, cells) == want
+        assert 0.0 <= want <= 1.0
+
+
 class TestPrediction:
     def test_select_never_empty(self, store, coltype_model):
         from tableqa.clauses import SELECT_SPEC
@@ -416,7 +449,7 @@ def reference_header_distance_block(question, header):
     h_stems = tokenize(header, drop_stopwords=True).stems
     q_stems = tokenize(question, drop_stopwords=True).stems
     distances = sorted(
-        edit_distance(h, q) for h in h_stems for q in q_stems
+        pattern_distance(compile_pattern(q), h) for h in h_stems for q in q_stems
     )
     if not distances:
         return np.zeros(2)
@@ -425,11 +458,16 @@ def reference_header_distance_block(question, header):
     return np.array([float(lowest), float(second)])
 
 
+def normalized_distance(a, b):
+    """Edit distance over the longer length, for two strings not both empty."""
+    return pattern_distance(compile_pattern(a), b) / max(len(a), len(b))
+
+
 def reference_min_word_column_distance(word, table, column_index):
     best = 1.0
     for cell in table.column(column_index):
         for token in tokenize(cell).tokens:
-            best = min(best, normalized_edit_distance(word, token))
+            best = min(best, normalized_distance(word, token))
             if best == 0.0:
                 return 0.0
     return best

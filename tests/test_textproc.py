@@ -1,3 +1,4 @@
+import inspect
 import random
 import re
 import tempfile
@@ -8,14 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reference_porter_stem import (_STEP2_RULES, _STEP3_RULES, _STEP4_SUFFIXES,
+                                   reference_porter_stem)
 from tableqa import textproc
-from tableqa.errors import BothEmpty, NotText
+from tableqa.errors import NotText
 from tableqa.textproc import (
     STOPWORDS,
     TokenList,
     compile_pattern,
-    edit_distance,
-    normalized_edit_distance,
     parse_number,
     pattern_distance,
     porter_stem,
@@ -42,7 +43,7 @@ def brute_force_distance(a, b):
 
 
 def reference_edit_distance(a: str, b: str) -> int:
-    """The row-by-row DP that ``edit_distance`` replaced, kept as its oracle."""
+    """The row-by-row DP that ``pattern_distance`` replaced, kept as its oracle."""
     if len(a) < len(b):
         a, b = b, a
     if not b:
@@ -263,16 +264,20 @@ class TestWriteTextIfChanged:
                              != text.encode("utf-8"))
 
 
+def distance(a: str, b: str) -> int:
+    return pattern_distance(compile_pattern(a), b)
+
+
 class TestEditDistance:
     def test_kitten_sitting(self):
-        assert edit_distance("kitten", "sitting") == 3
+        assert distance("kitten", "sitting") == 3
 
     def test_identity(self):
         for x in ["", "a", "mile", "washington"]:
-            assert edit_distance(x, x) == 0
+            assert distance(x, x) == 0
 
     def test_pure_insertions(self):
-        assert edit_distance("", "abc") == 3
+        assert distance("", "abc") == 3
 
     def test_matches_brute_force_and_metric_axioms(self):
         rng = random.Random(20260810)
@@ -281,25 +286,14 @@ class TestEditDistance:
                  for _ in range(40)]
         for a in words[:20]:
             for b in words[20:]:
-                d = edit_distance(a, b)
+                d = distance(a, b)
                 assert d == brute_force_distance(a, b)
-                assert d == edit_distance(b, a)
+                assert d == distance(b, a)
                 assert (d == 0) == (a == b)
         # triangle inequality on sampled triples
         for _ in range(200):
             a, b, c = rng.choice(words), rng.choice(words), rng.choice(words)
-            assert edit_distance(a, c) <= edit_distance(a, b) + edit_distance(b, c)
-
-
-    @settings(max_examples=400, deadline=None)
-    @given(_EDIT_TEXT, _EDIT_TEXT)
-    @example("", "")
-    @example("", "a" * 70)
-    @example("population", "populated")
-    @example("a" * 64 + "b", "b" + "a" * 64)
-    @example("ab" * 40, "ba" * 41)
-    def test_equals_the_dp_reference(self, a, b):
-        assert edit_distance(a, b) == reference_edit_distance(a, b)
+            assert distance(a, c) <= distance(a, b) + distance(b, c)
 
 
 class TestPatternDistance:
@@ -311,7 +305,11 @@ class TestPatternDistance:
     @example("", "abc")
     @example("abc", "")
     @example("a" * 70, "b")
+    @example("", "a" * 70)
+    @example("kitten", "sitting")
+    @example("population", "populated")
     @example("a" * 64 + "b", "b" + "a" * 64)
+    @example("ab" * 40, "ba" * 41)
     def test_both_directions_equal_the_dp_reference(self, a, b):
         want = reference_edit_distance(a, b)
         assert pattern_distance(compile_pattern(a), b) == want
@@ -329,26 +327,19 @@ class TestPatternDistance:
         assert pattern_distance(compile_pattern(""), "abcd") == 4
 
 
-class TestNormalizedEditDistance:
-    def test_equal_strings(self):
-        assert normalized_edit_distance("mile", "mile") == 0.0
-
-    def test_full_substitution(self):
-        assert normalized_edit_distance("a", "b") == 1.0
-
-    def test_cat_cats(self):
-        assert normalized_edit_distance("cat", "cats") == 0.25
-
-    def test_both_empty_rejected(self):
-        with pytest.raises(BothEmpty):
-            normalized_edit_distance("", "")
-
-    def test_range(self):
-        rng = random.Random(7)
-        for _ in range(100):
-            a = "".join(rng.choice("abz") for _ in range(rng.randrange(0, 5)))
-            b = "".join(rng.choice("abz") for _ in range(rng.randrange(1, 5)))
-            assert 0.0 <= normalized_edit_distance(a, b) <= 1.0
+# A stem of letters that makes every consonant/vowel pattern (y among
+# them), and suffixes that fire every branch of every step: plurals, -eed,
+# -ed/-ing with each of their repairs (-at/-bl/-iz, a doubled consonant,
+# l/s/z doubled), a final y after a vowel and after a consonant, each rule
+# of steps 2-4 (-ion after s/t and after other letters), -e and -ll.
+_STEM = st.text(alphabet="bcdfhlmnprstvwxzaeiouy", max_size=6)
+_RULE_SUFFIXES = sorted({
+    "sses", "ies", "ss", "s", "eed", "ed", "ing", "ated", "bling", "izing",
+    "bbed", "dding", "tted", "lled", "ssing", "zzed", "y", "ay", "ty",
+    "sion", "tion", "xion", "e", "ll",
+    *(suffix for suffix, _ in _STEP2_RULES + _STEP3_RULES),
+    *_STEP4_SUFFIXES,
+})
 
 
 class TestPorterStemmer:
@@ -418,14 +409,40 @@ class TestPorterStemmer:
     def test_digit_tokens_pass_through(self):
         assert porter_stem("1946") == "1946"
 
-    def test_memoized_stems_equal_uncached(self, corpus, manifest):
-        texts = [e.question for e in manifest]
+    def test_fixture_vocabulary_matches_the_reference(self, corpus, manifest,
+                                                       pipeline_store):
+        texts = [e.question for e in manifest] + list(pipeline_store.rows)
         for table in corpus.values():
             texts += [table.name, *table.headers, *(c for row in table.rows for c in row)]
-        words = {w for text in texts for w in tokenize(text).tokens}
-        assert len(words) > 500
-        for word in sorted(words):
-            assert porter_stem(word) == porter_stem.__wrapped__(word), word
+        vocabulary = {w for text in texts for w in textproc.words(text)}
+        assert len(vocabulary) > 500
+        assert [w for w in sorted(vocabulary)
+                if porter_stem(w) != reference_porter_stem(w)] == []
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.text())
+    @example("employment")      # a y between vowels is a consonant
+    @example("sensible")        # step 4 needs m > 1
+    def test_any_text_matches_the_reference(self, text):
+        assert porter_stem.__wrapped__(text) == reference_porter_stem(text)
+
+    @settings(max_examples=1500, deadline=None)
+    @given(_STEM, st.lists(st.sampled_from(_RULE_SUFFIXES), min_size=1, max_size=2))
+    def test_rule_suffixes_match_the_reference(self, stem, suffixes):
+        word = stem + "".join(suffixes)
+        assert porter_stem.__wrapped__(word) == reference_porter_stem(word)
+
+    def test_wrapped_is_the_uncached_stemmer(self):
+        # porter_stem stays a plain function (the span tracer wraps those);
+        # __wrapped__ stems the word anew on each call
+        uncached = porter_stem.__wrapped__
+        assert inspect.isfunction(porter_stem) and inspect.isfunction(uncached)
+        assert not hasattr(uncached, "__wrapped__")
+        for word in [*self.KNOWN, "enjoyable", "annoyance", "sensible"]:
+            assert uncached(word) == reference_porter_stem(word), word
+        word = "hopefulnesses"
+        assert porter_stem(word) is porter_stem(word)
+        assert uncached(word) is not uncached(word)
 
 
 # The two number parsers that parse_number replaced, verbatim: query's

@@ -10,10 +10,10 @@ NER, dependency relation) from rules over the word and its
 capitalization; the tag inventories are fixed text resources, so those
 blocks always have dimensions 12, 6 and 37.
 
-``build_aux`` scans the question once with ``token_starts``: the question
-type, the tags, the tokens with and without stop words and the content
-stems all come from that one list, so there is one tag per token by
-construction.
+``parse_question`` scans a question once with ``token_starts``, so there
+is one tag per token by construction; retrieval, both featurizers and
+evaluation read its ``ParsedQuestion``. The featurizers take the table's
+column-type distributions beside it, computed once per (question, table).
 Neither featurizer tokenizes: the table side reads the table's own views
 (``Table.cell_tokens``, ``column_tokens``, ``column_vocab``,
 ``mean_cell_length``, ``header_stems`` and ``column_type_features``),
@@ -22,13 +22,13 @@ built on the table's first use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
 
 from .embed import EmbeddingStore, cosine
-from .errors import UntrainedModel
+from .errors import EmptyQuestion, UntrainedModel
 from .nn import MlpModel, MlpSpec, OutputHead, predict_batch
 from .tabular import Table
 from .textproc import (
@@ -39,7 +39,7 @@ from .textproc import (
     token_starts,
     tokenize,  # noqa: F401  (unused; bench/tests/test_bench.py traces this binding)
 )
-from .typerec import classify_question, column_type_distributions
+from .typerec import QuestionType, classify_question, column_type_distributions
 
 SELECT_FEATURE_DIM = 25
 WHERE_FEATURE_DIM = 77
@@ -136,45 +136,47 @@ def heuristic_tags(question: str,
 
 
 # ---------------------------------------------------------------------------
-# Shared per-question signals
+# The parsed question
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AuxSignals:
-    """Question- and table-level inputs shared by both featurizers."""
+@dataclass(frozen=True)
+class ParsedQuestion:
+    """A question as every stage reads it, from one ``token_starts`` scan."""
 
-    qtype_onehot: np.ndarray            # (11,)
-    coltype_dists: np.ndarray           # (n_columns, 7)
-    tags: list[TokenTags]               # aligned with question tokens
-    question_tokens: tuple[str, ...]    # stop words kept
-    content_tokens: tuple[str, ...]     # stop words dropped
-    content_stems: tuple[str, ...]      # stems of content_tokens
+    text: str
+    tokens: tuple[str, ...]             # stop words kept
+    tags: tuple[TokenTags, ...]         # one per token
+    qtype: QuestionType | None          # None for a question without tokens
+    qtype_onehot: np.ndarray | None = field(compare=False)   # follows qtype
+    where_words: tuple[int, ...]        # indices of the non-stop tokens
+    content_stems: tuple[str, ...]      # stems of those tokens
 
 
-def build_aux(question: str, table: Table, coltype_model: MlpModel) -> AuxSignals:
-    starts = token_starts(question)
+def parse_question(text: str) -> ParsedQuestion:
+    """``text`` parsed; a question without tokens parses too, with no type."""
+    starts = token_starts(text)
     tokens = tuple(token for token, _ in starts)
-    _, onehot = classify_question(tokens)
-    content = tuple(t for t in tokens if t not in STOPWORDS)
-    return AuxSignals(
-        qtype_onehot=onehot,
-        coltype_dists=column_type_distributions(table, coltype_model),
-        tags=heuristic_tags(question, starts),
-        question_tokens=tokens,
-        content_tokens=content,
-        content_stems=tuple(porter_stem(t) for t in content),
+    qtype, onehot = classify_question(tokens) if tokens else (None, None)
+    where_words = tuple(i for i, t in enumerate(tokens) if t not in STOPWORDS)
+    return ParsedQuestion(
+        text=text, tokens=tokens, tags=tuple(heuristic_tags(text, starts)),
+        qtype=qtype, qtype_onehot=onehot, where_words=where_words,
+        content_stems=tuple(porter_stem(tokens[i]) for i in where_words),
     )
 
 
-def candidate_word_indices(aux: AuxSignals) -> list[int]:
-    """Indices of the question tokens eligible as WHERE keywords."""
-    return [i for i, tok in enumerate(aux.question_tokens) if tok not in STOPWORDS]
+def column_types(question: ParsedQuestion, table: Table,
+                 coltype_model: MlpModel) -> np.ndarray:
+    """(n_columns, 7) column-type distributions of ``table``; EmptyQuestion
+    first for a question without tokens, which has no type to featurize."""
+    if question.qtype is None:
+        raise EmptyQuestion("cannot classify an empty question")
+    return column_type_distributions(table, coltype_model)
 
 
-def where_candidates(table: Table, aux: AuxSignals) -> list[tuple[int, int]]:
+def where_candidates(table: Table, question: ParsedQuestion) -> list[tuple[int, int]]:
     """(column, question-token index) pairs the WHERE classifier scores."""
-    words = candidate_word_indices(aux)
-    return [(c, w) for c in range(table.n_columns) for w in words]
+    return [(c, w) for c in range(table.n_columns) for w in question.where_words]
 
 
 # ---------------------------------------------------------------------------
@@ -215,17 +217,17 @@ def _header_distances(header_stems: tuple[str, ...], patterns) -> list[float]:
     return [float(distances[0]), float(distances[min(1, len(distances) - 1)])]
 
 
-def featurize_select(table: Table, aux: AuxSignals,
-                     store: EmbeddingStore) -> np.ndarray:
+def featurize_select(table: Table, question: ParsedQuestion,
+                     coltypes: np.ndarray, store: EmbeddingStore) -> np.ndarray:
     """(n_columns, 25): per column, n_columns | proximity(4) | column type(7) |
     question type(11) | header edit distance(2)."""
     out = np.empty((table.n_columns, SELECT_FEATURE_DIM))
     out[:, 0] = float(table.n_columns)
-    out[:, 5:12] = aux.coltype_dists
-    out[:, 12:23] = aux.qtype_onehot
-    q_all = store.known_rows(aux.question_tokens)
-    q_content = store.known_rows(aux.content_tokens)
-    patterns = [compile_pattern(stem) for stem in aux.content_stems]
+    out[:, 5:12] = coltypes
+    out[:, 12:23] = question.qtype_onehot
+    q_all = store.known_rows(question.tokens)
+    q_content = store.known_rows(question.tokens[w] for w in question.where_words)
+    patterns = [compile_pattern(stem) for stem in question.content_stems]
     for c, column_tokens in enumerate(table.column_tokens):
         out[c, 1:5] = _proximity_block(column_tokens, q_all, q_content, store)
         out[c, 23:25] = _header_distances(table.header_stems[c], patterns)
@@ -257,7 +259,8 @@ def _nearest_token_distance(word: str, pattern,
 
 
 def featurize_where(table: Table, candidates: list[tuple[int, int]],
-                    select_columns: set[int], aux: AuxSignals) -> np.ndarray:
+                    select_columns: set[int], question: ParsedQuestion,
+                    coltypes: np.ndarray) -> np.ndarray:
     """(len(candidates), 77): per (column, question-token index) candidate,
     min norm edit distance | avg cell length | row count | in-SELECT flag |
     column type(7) | question type(11) | POS(12) | NER(6) | dependency(37).
@@ -270,7 +273,7 @@ def featurize_where(table: Table, candidates: list[tuple[int, int]],
         return out
     columns = [c for c, _ in candidates]
     words = [w for _, w in candidates]
-    tokens = [aux.question_tokens[w] for w in words]
+    tokens = [question.tokens[w] for w in words]
     patterns = {token: compile_pattern(token) for token in dict.fromkeys(tokens)}
     nearest: dict[tuple[int, str], float] = {}
     for c, token in zip(columns, tokens):
@@ -281,12 +284,12 @@ def featurize_where(table: Table, candidates: list[tuple[int, int]],
     out[:, 1] = [table.mean_cell_length[c] for c in columns]
     out[:, 2] = float(table.n_rows)
     out[:, 3] = [c in select_columns for c in columns]
-    out[:, 4:11] = aux.coltype_dists[columns]
-    out[:, 11:22] = aux.qtype_onehot
+    out[:, 4:11] = coltypes[columns]
+    out[:, 11:22] = question.qtype_onehot
     rows = np.arange(len(candidates))
-    for offset, inventory, field in ((22, POS_TAGS, "pos"), (34, NER_TAGS, "ner"),
-                                     (40, DEP_TAGS, "dep")):
-        out[rows, [offset + inventory.index(getattr(aux.tags[w], field))
+    for offset, inventory, attr in ((22, POS_TAGS, "pos"), (34, NER_TAGS, "ner"),
+                                    (40, DEP_TAGS, "dep")):
+        out[rows, [offset + inventory.index(getattr(question.tags[w], attr))
                    for w in words]] = 1.0
     return out
 
@@ -295,12 +298,8 @@ def featurize_where(table: Table, candidates: list[tuple[int, int]],
 # Prediction
 # ---------------------------------------------------------------------------
 
-def predict_select(
-    table: Table,
-    model: MlpModel,
-    aux: AuxSignals,
-    store: EmbeddingStore,
-) -> set[int]:
+def predict_select(table: Table, model: MlpModel, question: ParsedQuestion,
+                   coltypes: np.ndarray, store: EmbeddingStore) -> set[int]:
     """Columns classified into the projection; never empty.
 
     When no column goes positive, the single column with the highest
@@ -308,19 +307,15 @@ def predict_select(
     """
     if model is None:
         raise UntrainedModel("no SELECT model supplied")
-    probs = predict_batch(model, featurize_select(table, aux, store))
+    probs = predict_batch(model, featurize_select(table, question, coltypes, store))
     positive = {c for c in range(table.n_columns) if probs[c].argmax() == 1}
     if positive:
         return positive
     return {int(probs[:, 1].argmax())}
 
 
-def predict_where(
-    table: Table,
-    model: MlpModel,
-    aux: AuxSignals,
-    select_pred: set[int],
-) -> set[tuple[int, str]]:
+def predict_where(table: Table, model: MlpModel, question: ParsedQuestion,
+                  coltypes: np.ndarray, select_pred: set[int]) -> set[tuple[int, str]]:
     """(column index, keyword) pairs classified into the WHERE clause.
 
     The empty set is legal: single-row tables usually need no filter.
@@ -328,12 +323,13 @@ def predict_where(
     """
     if model is None:
         raise UntrainedModel("no WHERE model supplied")
-    candidates = where_candidates(table, aux)
+    candidates = where_candidates(table, question)
     if not candidates:
         return set()
-    probs = predict_batch(model, featurize_where(table, candidates, select_pred, aux))
+    probs = predict_batch(model, featurize_where(table, candidates, select_pred,
+                                                 question, coltypes))
     return {
-        (c, aux.question_tokens[w])
+        (c, question.tokens[w])
         for (c, w), p in zip(candidates, probs)
         if p.argmax() == 1
     }

@@ -27,7 +27,7 @@ import os
 import sys
 from pathlib import Path
 
-from .clauses import SELECT_SPEC, WHERE_SPEC
+from .clauses import SELECT_SPEC, WHERE_SPEC, parse_question
 from .embed import load_embeddings
 from .errors import TableQAError, UntrainedModel
 from .harness import (
@@ -272,7 +272,8 @@ def cmd_train(args) -> int:
 def cmd_retrieve(args) -> int:
     tables = _workspace_tables(Path(args.workspace))
     index = build_index(list(tables.values()))
-    ranked = rank_sources(args.question, index, Similarity(args.sim), k=args.k)
+    ranked = rank_sources(parse_question(args.question), index,
+                          Similarity(args.sim), k=args.k)
     for rank, (tid, value) in enumerate(ranked, start=1):
         print(f"{rank:2d}. {tid:<28s} {value:.6f}")
     return 0

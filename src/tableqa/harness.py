@@ -29,9 +29,11 @@ from pathlib import Path
 import numpy as np
 
 from .clauses import (
-    build_aux,
+    ParsedQuestion,
+    column_types,
     featurize_select,
     featurize_where,
+    parse_question,
     predict_select,
     predict_where,
     where_candidates,
@@ -55,7 +57,7 @@ from .retrieval import (
     build_index,
     precision_at_k,
     question_vector,
-    score,
+    rank,
 )
 from .tabular import (
     Table,
@@ -345,18 +347,19 @@ class ModelBundle:
 
 
 def _gold_walk(entries, tables, bundle):
-    """(entry, table, aux signals, gold SELECT columns) per entry."""
+    """(entry, table, parsed question, column types, gold SELECT) per entry."""
     for entry in entries:
         table = tables[entry.table_id]
-        aux = build_aux(entry.question, table, bundle.coltype_model)
-        yield entry, table, aux, gold_select_indices(entry, table)
+        question = parse_question(entry.question)
+        types = column_types(question, table, bundle.coltype_model)
+        yield entry, table, question, types, gold_select_indices(entry, table)
 
 
 def build_select_samples(entries, tables, store, bundle):
     """(25-dim vector, in-SELECT label) per (question, column)."""
     samples = []
-    for entry, table, aux, gold in _gold_walk(entries, tables, bundle):
-        features = featurize_select(table, aux, store)
+    for entry, table, question, types, gold in _gold_walk(entries, tables, bundle):
+        features = featurize_select(table, question, types, store)
         samples += [(features[c], int(c in gold)) for c in range(table.n_columns)]
     return samples
 
@@ -370,11 +373,11 @@ def build_where_samples(entries, tables, store, bundle):
     ``build_select_samples``.
     """
     samples = []
-    for entry, table, aux, gold_select in _gold_walk(entries, tables, bundle):
+    for entry, table, question, types, gold_cols in _gold_walk(entries, tables, bundle):
         gold_pairs = gold_where_pairs(entry, table)
-        candidates = where_candidates(table, aux)
-        features = featurize_where(table, candidates, gold_select, aux)
-        samples += [(vec, int((c, aux.question_tokens[w]) in gold_pairs))
+        candidates = where_candidates(table, question)
+        features = featurize_where(table, candidates, gold_cols, question, types)
+        samples += [(vec, int((c, question.tokens[w]) in gold_pairs))
                     for vec, (c, w) in zip(features, candidates)]
     return samples
 
@@ -417,7 +420,7 @@ class PipelineStageError(TableQAError):
         self.cause = cause
 
 
-def rank_sources(question: str, index: TfIdfIndex,
+def rank_sources(question: ParsedQuestion, index: TfIdfIndex,
                  similarity: Similarity = Similarity.INV_EUCLIDEAN,
                  k: int | None = None) -> list[tuple[str, float]]:
     """The index's ranking of tables for the question (its first ``k``),
@@ -427,17 +430,16 @@ def rank_sources(question: str, index: TfIdfIndex,
     any other failure here, it is a source-selection error.
     """
     try:
-        vector = question_vector(index, question)
+        vector = question_vector(index, question.content_stems)
         if not vector:
-            raise TableQAError(
-                f"question has no indexed word to rank tables by: {question!r}"
-            )
-        return score(index, question, similarity, k=k, vector=vector)
+            raise TableQAError("question has no indexed word to rank tables by: "
+                               f"{question.text!r}")
+        return rank(index, vector, similarity, k=k)
     except Exception as exc:
         raise PipelineStageError("source-selection", exc) from exc
 
 
-def select_source(question: str, tables: dict[str, Table], index: TfIdfIndex,
+def select_source(question: ParsedQuestion, tables: dict[str, Table], index: TfIdfIndex,
                   similarity: Similarity = Similarity.INV_EUCLIDEAN) -> Table:
     """Source selection: the index's top-ranked table for the question."""
     ranked = rank_sources(question, index, similarity, k=1)
@@ -447,23 +449,23 @@ def select_source(question: str, tables: dict[str, Table], index: TfIdfIndex,
         raise PipelineStageError("source-selection", exc) from exc
 
 
-def predict_clauses(question: str, table: Table, bundle: ModelBundle,
-                    store: EmbeddingStore
+def predict_clauses(question: ParsedQuestion, table: Table,
+                    bundle: ModelBundle, store: EmbeddingStore
                     ) -> tuple[set[int], set[tuple[int, str]]]:
     """Clause prediction: featurize the question against ``table``, then
     predict the SELECT columns and the WHERE (column, keyword) pairs."""
     try:
-        aux = build_aux(question, table, bundle.coltype_model)
+        types = column_types(question, table, bundle.coltype_model)
     except Exception as exc:
         raise PipelineStageError("featurization", exc) from exc
 
     try:
-        select_cols = predict_select(table, bundle.select_model, aux, store)
+        select_cols = predict_select(table, bundle.select_model, question, types, store)
     except Exception as exc:
         raise PipelineStageError("select-clause", exc) from exc
 
     try:
-        pairs = predict_where(table, bundle.where_model, aux, select_cols)
+        pairs = predict_where(table, bundle.where_model, question, types, select_cols)
     except Exception as exc:
         raise PipelineStageError("where-clause", exc) from exc
     return select_cols, pairs
@@ -499,9 +501,10 @@ def run_pipeline(
     their stage name; additive error accounting happens in the sweep.
     ``question_id`` is accepted and ignored (``bench/worker.py`` passes it).
     """
+    parsed = parse_question(question)
     table = golden_table if golden_table is not None \
-        else select_source(question, tables, index, similarity)
-    select_cols, pairs = predict_clauses(question, table, bundle, store)
+        else select_source(parsed, tables, index, similarity)
+    select_cols, pairs = predict_clauses(parsed, table, bundle, store)
     cells = answer_cells(table, select_cols, pairs, row_mode, store)
     query = StructuredQuery(
         select=tuple(table.headers[c] for c in sorted(select_cols)),
@@ -560,10 +563,11 @@ def _once(memo: dict, key, stage, *args):
 def _entry_outcomes(entry, tables, indexes, bundle, store, scopes, row_modes):
     """((scope, row mode), outcome) per grid cell for one entry.
 
-    Each stage runs once per distinct input: retrieval once per index,
-    clause prediction once per table reached, row selection once per
-    (table, row mode). A stage error reaches every cell that uses it.
+    The question is parsed once, and each stage runs once per distinct
+    input: retrieval per index, clause prediction per table reached, row
+    selection per (table, row mode). A stage error reaches every cell.
     """
+    question = parse_question(entry.question)
     sources, clauses, answers = {}, {}, {}
     for scope in scopes:
         for row_mode in row_modes:
@@ -573,9 +577,9 @@ def _entry_outcomes(entry, tables, indexes, bundle, store, scopes, row_modes):
                 else:
                     split = entry.split if scope is Scope.INDIVIDUAL_SET else None
                     table = _once(sources, split, select_source,
-                                  entry.question, tables, indexes[split])
+                                  question, tables, indexes[split])
                 select_cols, pairs = _once(clauses, table.id, predict_clauses,
-                                           entry.question, table, bundle, store)
+                                           question, table, bundle, store)
                 cells = _once(answers, (table.id, row_mode), answer_cells,
                               table, select_cols, pairs, row_mode, store)
             except PipelineStageError as exc:
@@ -635,17 +639,18 @@ RETRIEVAL_KS = (1, 3, 5, 10)
 def evaluate_retrieval(entries, tables):
     """P@k for each k of ``RETRIEVAL_KS`` per similarity over the given
     entries; adjusted P@k (counting manifest-declared alternates) reported
-    when any entry lists them."""
+    when any entry lists them. A question with no indexed word has no
+    ranking, as in ``rank_sources``: it is a miss at every k."""
     index = build_index(list(tables.values()))
     gold = {e.qid: e.table_id for e in entries}
     alternates = {e.qid: set(e.alternates) for e in entries if e.alternates}
+    vectors = {e.qid: question_vector(index, parse_question(e.question).content_stems)
+               for e in entries}
+    depth = max(RETRIEVAL_KS)
     report = {}
     for sim in Similarity:
-        rankings = {
-            e.qid: [tid for tid, _ in score(index, e.question, sim,
-                                            k=max(RETRIEVAL_KS))]
-            for e in entries
-        }
+        rankings = {qid: [tid for tid, _ in rank(index, v, sim, depth)] if v else []
+                    for qid, v in vectors.items()}
         p_at_k = {k: precision_at_k(rankings, gold, k) for k in RETRIEVAL_KS}
         adjusted = (
             {k: precision_at_k(rankings, gold, k, alternates) for k in RETRIEVAL_KS}
@@ -657,18 +662,18 @@ def evaluate_retrieval(entries, tables):
 
 def evaluate_select(entries, tables, store, bundle) -> ConfusionMetrics:
     flags = []
-    for entry, table, aux, gold in _gold_walk(entries, tables, bundle):
-        predicted = predict_select(table, bundle.select_model, aux, store)
+    for entry, table, question, types, gold in _gold_walk(entries, tables, bundle):
+        predicted = predict_select(table, bundle.select_model, question, types, store)
         flags += [(c in predicted, c in gold) for c in range(table.n_columns)]
     return _confusion(flags)
 
 
 def evaluate_where(entries, tables, store, bundle) -> ConfusionMetrics:
     flags = []
-    for entry, table, aux, gold_select in _gold_walk(entries, tables, bundle):
+    for entry, table, question, types, gold_cols in _gold_walk(entries, tables, bundle):
         gold_pairs = gold_where_pairs(entry, table)
-        predicted = predict_where(table, bundle.where_model, aux, gold_select)
-        pairs = [(c, aux.question_tokens[w]) for c, w in where_candidates(table, aux)]
+        predicted = predict_where(table, bundle.where_model, question, types, gold_cols)
+        pairs = [(c, question.tokens[w]) for c, w in where_candidates(table, question)]
         flags += [(pair in predicted, pair in gold_pairs) for pair in pairs]
     return _confusion(flags)
 

@@ -140,8 +140,8 @@ def build_index(tables: list[Table]) -> TfIdfIndex:
     )
 
 
-def question_vector(index: TfIdfIndex, question: str) -> dict[str, float]:
-    counts = Counter(tokenize(question, drop_stopwords=True).stems)
+def question_vector(index: TfIdfIndex, stems) -> dict[str, float]:
+    counts = Counter(stems)
     return {stem: tf * index.idf[stem] for stem, tf in counts.items()
             if stem in index.idf}
 
@@ -185,19 +185,22 @@ def _similarities(index: TfIdfIndex, q: dict[str, float],
 
 
 def score(index: TfIdfIndex, question: str, sim: Similarity,
-          k: int | None = None,
-          vector: dict[str, float] | None = None) -> list[tuple[str, float]]:
-    """Tables ranked by descending similarity; ties broken by table id.
+          k: int | None = None) -> list[tuple[str, float]]:
+    """Tables ranked for the question text (see ``rank``)."""
+    stems = tokenize(question, drop_stopwords=True).stems
+    return rank(index, question_vector(index, stems), sim, k)
+
+
+def rank(index: TfIdfIndex, vector: dict[str, float], sim: Similarity,
+         k: int | None = None) -> list[tuple[str, float]]:
+    """Tables ranked by descending similarity to ``vector``; ties broken by
+    table id.
 
     With ``k`` only the first ``k`` of that ranking are built, equal to
-    ``score(index, question, sim)[:k]``; the rest are never sorted. A
-    caller that holds ``question_vector(index, question)`` passes it as
-    ``vector``, and the question is not tokenized again.
+    ``rank(index, vector, sim)[:k]``; the rest are never sorted.
     """
     if k is not None and k < 1:
         raise ValueError(f"k must be positive: {k}")
-    if vector is None:
-        vector = question_vector(index, question)
     values = _similarities(index, vector, sim)
     k = len(values) if k is None else min(k, len(values))
     # the rows scoring at least the k-th largest value, in row order, hold

@@ -1,4 +1,5 @@
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,18 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # a failing property prints the blob that @reproduce_failure replays it from
 settings.register_profile("tableqa", print_blob=True)
 settings.load_profile("tableqa")
+
+# The hypothesis plugin imports this module when it reports a failing
+# example. Its libcst import warns (mypy_extensions.TypedDict is
+# deprecated), and under -W error that warning would replace the report
+# with an INTERNALERROR. Importing it here, with only that import's
+# DeprecationWarning ignored, keeps every warning of the tests an error.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:     # no libcst: the plugin skips the patch as well
+        pass
 
 
 @pytest.fixture(scope="session")

@@ -17,9 +17,10 @@ from tableqa import harness
 from tableqa.clauses import (
     SELECT_FEATURE_DIM,
     WHERE_FEATURE_DIM,
-    build_aux,
+    column_types,
     featurize_select,
     featurize_where,
+    parse_question,
     where_candidates,
 )
 from tableqa.embed import SimMatchConfig, load_embeddings, sim_match
@@ -114,12 +115,12 @@ class TestManifestRoundTrip:
         assert len(by_tokens) == len(manifest)
         monkeypatch.setattr(
             harness, "predict_select",
-            lambda t, model, aux, store:
-                gold_select_indices(by_tokens[aux.question_tokens], t))
+            lambda t, model, question, types, store:
+                gold_select_indices(by_tokens[question.tokens], t))
         monkeypatch.setattr(
             harness, "predict_where",
-            lambda t, model, aux, sel:
-                gold_where_pairs(by_tokens[aux.question_tokens], t))
+            lambda t, model, question, types, sel:
+                gold_where_pairs(by_tokens[question.tokens], t))
         bundle = ModelBundle(coltype_model=trained_coltype_model)
         start = time.perf_counter()
         for entry in manifest:
@@ -272,12 +273,13 @@ class TestFeatureLayoutContracts:
             question = "What is the " + " ".join(
                 rng.choice(words) for _ in range(rng.randrange(1, 4))
             )
-            aux = build_aux(question, table, coltype_model)
-            select = featurize_select(table, aux, pipeline_store)
+            parsed = parse_question(question)
+            types = column_types(parsed, table, coltype_model)
+            select = featurize_select(table, parsed, types, pipeline_store)
             assert select.shape == (n_cols, SELECT_FEATURE_DIM)
             assert (select[:, 12:23].sum(axis=1) <= 1.0 + 1e-12).all()
-            candidates = where_candidates(table, aux)
-            where = featurize_where(table, candidates, {0}, aux)
+            candidates = where_candidates(table, parsed)
+            where = featurize_where(table, candidates, {0}, parsed, types)
             assert where.shape == (len(candidates), WHERE_FEATURE_DIM)
             for lo, hi in ((11, 22), (22, 34), (34, 40), (40, 77)):
                 assert (where[:, lo:hi].sum(axis=1) <= 1.0 + 1e-12).all()

@@ -1,10 +1,9 @@
 import random
-import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tableqa import clauses
@@ -14,18 +13,17 @@ from tableqa.clauses import (
     POS_TAGS,
     SELECT_FEATURE_DIM,
     WHERE_FEATURE_DIM,
-    AuxSignals,
-    build_aux,
-    candidate_word_indices,
+    column_types,
     featurize_select,
     featurize_where,
-    predict_select,
     heuristic_tags,
+    parse_question,
+    predict_select,
     predict_where,
     where_candidates,
 )
 from tableqa.embed import load_embeddings, proximity
-from tableqa.errors import UntrainedModel
+from tableqa.errors import EmptyQuestion, UntrainedModel
 from tableqa.harness import gold_select_indices
 from tableqa.nn import init_model
 from tableqa.tabular import Table
@@ -78,38 +76,43 @@ def tags_of(question):
     return heuristic_tags(question, token_starts(question))
 
 
-class TestBuildAuxTokenizesOnce:
-    def test_one_tokenize_call_with_warm_views(self, corpus,
-                                               trained_coltype_model,
-                                               monkeypatch):
-        # the question's one scan is token_starts; tokenize is never called
-        question = "What is the capital of Texas?"
-        table = corpus["state-capitals"]
-        want = build_aux(question, table, trained_coltype_model)
-        scans, tokenized = [], []
+def inputs(question, table, coltype_model):
+    """``question`` parsed, and the column types of ``table`` beside it."""
+    parsed = parse_question(question)
+    return parsed, column_types(parsed, table, coltype_model)
 
-        def counting_scan(text):
-            scans.append(text)
-            return token_starts(text)
 
-        def counting_tokenize(text, *args, **kwargs):
-            tokenized.append(text)
-            return tokenize(text, *args, **kwargs)
+class TestParseQuestion:
+    def test_fields(self):
+        got = parse_question("What is the capital of Texas?")
+        assert got == parse_question("What is the capital of Texas?")
+        assert got.tokens == ("what", "is", "the", "capital", "of", "texas")
+        assert got.where_words == (3, 5)
+        assert got.content_stems == ("capit", "texa")
+        assert got.qtype is QuestionType.ENTITY
+        assert got.qtype_onehot.tobytes() == \
+            classify_question(got.tokens)[1].tobytes()
 
-        for name, module in list(sys.modules.items()):
-            if name.partition(".")[0] != "tableqa":
-                continue
-            if hasattr(module, "token_starts"):
-                monkeypatch.setattr(module, "token_starts", counting_scan)
-            if hasattr(module, "tokenize"):
-                monkeypatch.setattr(module, "tokenize", counting_tokenize)
-        got = build_aux(question, table, trained_coltype_model)
-        assert scans == [question]
-        assert tokenized == []
-        assert got.qtype_onehot.tobytes() == want.qtype_onehot.tobytes()
-        assert got.tags == want.tags
-        assert (got.question_tokens, got.content_tokens, got.content_stems) == \
-            (want.question_tokens, want.content_tokens, want.content_stems)
+    # stop words, digits, and characters whose lowercase is longer or
+    # absent from the token alphabet
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(list("İKΣßﬁ aZ9?'-")),
+                              st.sampled_from(["the ", "Of ", "is ", "running "]),
+                              st.characters())).map("".join))
+    def test_tokens_and_stems_equal_tokenize(self, text):
+        # retrieval ranks by these stems, so they must be tokenize's
+        parsed = parse_question(text)
+        assert parsed.text == text
+        assert parsed.tokens == tokenize(text).tokens
+        content = tokenize(text, drop_stopwords=True)
+        assert tuple(parsed.tokens[w] for w in parsed.where_words) == content.tokens
+        assert parsed.content_stems == content.stems
+
+    def test_tokenless_question_fails_at_featurization(self, coltype_model):
+        parsed = parse_question("???")
+        assert (parsed.tokens, parsed.qtype, parsed.qtype_onehot) == ((), None, None)
+        with pytest.raises(EmptyQuestion, match="cannot classify an empty question"):
+            column_types(parsed, state_capital_table(), coltype_model)
 
     def test_given_tokens_are_read(self):
         assert classify_question(("who", "is"))[0] is QuestionType.HUMAN
@@ -163,11 +166,9 @@ class TestHeuristicTagger:
     @settings(max_examples=300, deadline=None)
     @given(st.text(st.one_of(st.sampled_from(list("İKΣßﬁ aZ9?'-")),
                              st.characters())))
-    def test_one_tag_per_token_of_any_question(self, coltype_model, question):
-        assume(tokenize(question).tokens)
-        table = Table(id="t", name="t", headers=["a"], rows=[["b"]])
-        aux = build_aux(question, table, coltype_model)
-        assert len(aux.tags) == len(aux.question_tokens)
+    def test_one_tag_per_token_of_any_question(self, question):
+        parsed = parse_question(question)
+        assert len(parsed.tags) == len(parsed.tokens)
 
     def test_tag_inventories_fixed(self):
         assert len(POS_TAGS) == 12
@@ -209,8 +210,8 @@ def state_capital_table():
 class TestFeaturizeSelect:
     def test_single_column_table_count_feature(self, store, coltype_model):
         t = Table(id="one", name="one", headers=["Only"], rows=[["x"]])
-        aux = build_aux("What is x?", t, coltype_model)
-        vec = featurize_select(t, aux, store)[0]
+        parsed, types = inputs("What is x?", t, coltype_model)
+        vec = featurize_select(t, parsed, types, store)[0]
         assert vec.shape == (SELECT_FEATURE_DIM,)
         assert vec[0] == 1.0
 
@@ -223,38 +224,38 @@ class TestFeaturizeSelect:
             rows=[["a", "b"]],
         )
         q = "What is NAIRU?"
-        aux = build_aux(q, t, coltype_model)
-        vec = featurize_select(t, aux, store)[0]
+        parsed, types = inputs(q, t, coltype_model)
+        vec = featurize_select(t, parsed, types, store)[0]
         assert vec[23] == 0.0
         assert vec[24] > 0.0
 
     def test_single_stem_pair_second_min_equals_min(self, store, coltype_model):
         t = Table(id="m", name="m", headers=["Capital"], rows=[["x"]])
         q = "capital?"
-        aux = build_aux(q, t, coltype_model)
-        vec = featurize_select(t, aux, store)[0]
+        parsed, types = inputs(q, t, coltype_model)
+        vec = featurize_select(t, parsed, types, store)[0]
         assert vec[23] == vec[24] == 0.0
 
     def test_out_of_vocabulary_column_zero_proximity(self, store, coltype_model):
         t = Table(id="oov", name="oov", headers=["Col"], rows=[["qqq zzz"]])
         q = "president?"
-        aux = build_aux(q, t, coltype_model)
-        vec = featurize_select(t, aux, store)[0]
+        parsed, types = inputs(q, t, coltype_model)
+        vec = featurize_select(t, parsed, types, store)[0]
         assert np.array_equal(vec[1:5], np.zeros(4))
 
     def test_proximity_picks_up_fixture_geometry(self, store, coltype_model):
         t = Table(id="kv", name="kv", headers=["spouse", "capital"],
                   rows=[["spouse", "capital"]])
         q = "husband"
-        aux = build_aux(q, t, coltype_model)
-        spouse_vec, capital_vec = featurize_select(t, aux, store)
+        parsed, types = inputs(q, t, coltype_model)
+        spouse_vec, capital_vec = featurize_select(t, parsed, types, store)
         assert spouse_vec[3] > capital_vec[3]
 
     def test_question_type_block_is_onehot(self, store, coltype_model):
         t = state_capital_table()
         q = "Who is the governor?"
-        aux = build_aux(q, t, coltype_model)
-        vec = featurize_select(t, aux, store)[0]
+        parsed, types = inputs(q, t, coltype_model)
+        vec = featurize_select(t, parsed, types, store)[0]
         _, onehot = classify_question(tokenize(q).tokens)
         assert np.array_equal(vec[12:23], onehot)
 
@@ -263,9 +264,9 @@ class TestFeaturizeWhere:
     def test_exact_word_in_column(self, store, coltype_model):
         t = state_capital_table()
         q = "What is the capital of Louisiana?"
-        aux = build_aux(q, t, coltype_model)
-        word_index = aux.question_tokens.index("louisiana")
-        vec = featurize_where(t, [(0, word_index)], {1}, aux)[0]
+        parsed, types = inputs(q, t, coltype_model)
+        word_index = parsed.tokens.index("louisiana")
+        vec = featurize_where(t, [(0, word_index)], {1}, parsed, types)[0]
         assert vec.shape == (WHERE_FEATURE_DIM,)
         assert vec[0] == 0.0   # "louisiana" appears verbatim in the column
         assert vec[2] == 3.0   # row count
@@ -274,10 +275,10 @@ class TestFeaturizeWhere:
     def test_in_select_flag(self, store, coltype_model):
         t = state_capital_table()
         q = "What is the capital of Texas?"
-        aux = build_aux(q, t, coltype_model)
-        w = aux.question_tokens.index("texas")
-        with_flag = featurize_where(t, [(1, w)], {1}, aux)[0]
-        without_flag = featurize_where(t, [(1, w)], set(), aux)[0]
+        parsed, types = inputs(q, t, coltype_model)
+        w = parsed.tokens.index("texas")
+        with_flag = featurize_where(t, [(1, w)], {1}, parsed, types)[0]
+        without_flag = featurize_where(t, [(1, w)], set(), parsed, types)[0]
         assert with_flag[3] == 1.0
         assert without_flag[3] == 0.0
         assert np.array_equal(with_flag[:3], without_flag[:3])
@@ -285,9 +286,9 @@ class TestFeaturizeWhere:
     def test_single_row_table_row_count(self, store, coltype_model):
         t = Table(id="one", name="one", headers=["spouse"], rows=[["Ted"]])
         q = "Who is the husband?"
-        aux = build_aux(q, t, coltype_model)
-        w = aux.question_tokens.index("husband")
-        vec = featurize_where(t, [(0, w)], set(), aux)[0]
+        parsed, types = inputs(q, t, coltype_model)
+        w = parsed.tokens.index("husband")
+        vec = featurize_where(t, [(0, w)], set(), parsed, types)[0]
         assert vec[2] == 1.0
 
     def test_onehot_blocks_sum_to_at_most_one(self, store, coltype_model):
@@ -303,12 +304,12 @@ class TestFeaturizeWhere:
                       for _ in range(n_rows)],
             )
             q = "What is the " + " ".join(rng.choice(words) for _ in range(3))
-            aux = build_aux(q, t, coltype_model)
-            select = featurize_select(t, aux, store)
+            parsed, types = inputs(q, t, coltype_model)
+            select = featurize_select(t, parsed, types, store)
             assert select.shape == (n_cols, SELECT_FEATURE_DIM)
             assert (select[:, 12:23].sum(axis=1) <= 1.0 + 1e-12).all()
-            candidates = where_candidates(t, aux)
-            where = featurize_where(t, candidates, {0}, aux)
+            candidates = where_candidates(t, parsed)
+            where = featurize_where(t, candidates, {0}, parsed, types)
             assert where.shape == (len(candidates), WHERE_FEATURE_DIM)
             for lo, hi in ((11, 22), (22, 34), (34, 40), (40, 77)):
                 assert (where[:, lo:hi].sum(axis=1) <= 1.0 + 1e-12).all()
@@ -319,14 +320,14 @@ class TestFeaturizeWhere:
                    rows=[["Louisiana", "Baton Rouge", "pelican"]])
         t2 = Table(id="a", name="a", headers=["State", "Flag", "Capital"],
                    rows=[["Louisiana", "pelican", "Baton Rouge"]])
-        aux1 = build_aux(q, t1, coltype_model)
-        aux2 = build_aux(q, t2, coltype_model)
-        s1 = featurize_select(t1, aux1, store)[0]
-        s2 = featurize_select(t2, aux2, store)[0]
+        parsed1, types1 = inputs(q, t1, coltype_model)
+        parsed2, types2 = inputs(q, t2, coltype_model)
+        s1 = featurize_select(t1, parsed1, types1, store)[0]
+        s2 = featurize_select(t2, parsed2, types2, store)[0]
         assert np.array_equal(s1, s2)
-        w = aux1.question_tokens.index("louisiana")
-        w1 = featurize_where(t1, [(0, w)], set(), aux1)[0]
-        w2 = featurize_where(t2, [(0, w)], set(), aux2)[0]
+        w = parsed1.tokens.index("louisiana")
+        w1 = featurize_where(t1, [(0, w)], set(), parsed1, types1)[0]
+        w2 = featurize_where(t2, [(0, w)], set(), parsed2, types2)[0]
         assert np.array_equal(w1, w2)
 
 
@@ -369,11 +370,11 @@ class TestPrediction:
 
         t = state_capital_table()
         q = "What is the capital of Louisiana?"
-        aux = build_aux(q, t, coltype_model)
+        parsed, types = inputs(q, t, coltype_model)
         model = init_model(SELECT_SPEC, seed=0)
         # force the all-negative degenerate case via a huge negative-class bias
         model.biases[-1] = np.array([50.0, -50.0])
-        picked = predict_select(t, model, aux, store)
+        picked = predict_select(t, model, parsed, types, store)
         assert len(picked) == 1
 
     def test_select_all_positive_degenerate(self, store, coltype_model):
@@ -381,10 +382,10 @@ class TestPrediction:
 
         t = state_capital_table()
         q = "What is the capital of Louisiana?"
-        aux = build_aux(q, t, coltype_model)
+        parsed, types = inputs(q, t, coltype_model)
         model = init_model(SELECT_SPEC, seed=0)
         model.biases[-1] = np.array([-50.0, 50.0])
-        picked = predict_select(t, model, aux, store)
+        picked = predict_select(t, model, parsed, types, store)
         assert picked == {0, 1}
 
     def test_single_column_always_selected(self, store, coltype_model):
@@ -392,28 +393,28 @@ class TestPrediction:
 
         t = Table(id="one", name="one", headers=["Only"], rows=[["x"]])
         q = "What is x?"
-        aux = build_aux(q, t, coltype_model)
+        parsed, types = inputs(q, t, coltype_model)
         model = init_model(SELECT_SPEC, seed=3)
-        assert predict_select(t, model, aux, store) == {0}
+        assert predict_select(t, model, parsed, types, store) == {0}
 
     def test_where_empty_for_stopword_only_question(self, store, coltype_model):
         from tableqa.clauses import WHERE_SPEC
 
         t = state_capital_table()
         q = "What is the of?"
-        aux = build_aux(q, t, coltype_model)
+        parsed, types = inputs(q, t, coltype_model)
         model = init_model(WHERE_SPEC, seed=0)
         model.biases[-1] = np.array([-50.0, 50.0])  # even all-positive yields none
-        assert predict_where(t, model, aux, set()) == set()
+        assert predict_where(t, model, parsed, types, set()) == set()
 
     def test_untrained_model_rejected(self, store, coltype_model):
         t = state_capital_table()
         q = "What is the capital?"
-        aux = build_aux(q, t, coltype_model)
+        parsed, types = inputs(q, t, coltype_model)
         with pytest.raises(UntrainedModel):
-            predict_select(t, None, aux, store)
+            predict_select(t, None, parsed, types, store)
         with pytest.raises(UntrainedModel):
-            predict_where(t, None, aux, set())
+            predict_where(t, None, parsed, types, set())
 
 
 # ---------------------------------------------------------------------------
@@ -513,26 +514,26 @@ def assert_matches_reference(question, table, model, store, select_columns):
     ``table`` is byte-equal to the reference featurizer's vector, on a
     fresh copy of the table and on one whose views are already built."""
     for t in (replace(table), table):
-        aux = build_aux(question, t, model)
-        assert aux.question_tokens == tokenize(question).tokens
+        parsed, types = inputs(question, t, model)
+        assert parsed.tokens == tokenize(question).tokens
         content = tokenize(question, drop_stopwords=True)
-        assert (aux.content_tokens, aux.content_stems) == (content.tokens,
-                                                           content.stems)
+        assert tuple(parsed.tokens[w] for w in parsed.where_words) == content.tokens
+        assert parsed.content_stems == content.stems
         coltype = reference_column_type_distributions(t, model)
-        assert aux.coltype_dists.tobytes() == coltype.tobytes()
-        select = featurize_select(t, aux, store)
+        assert types.tobytes() == coltype.tobytes()
+        select = featurize_select(t, parsed, types, store)
         assert select.shape == (t.n_columns, SELECT_FEATURE_DIM)
         for c, got in enumerate(select):
             want = reference_select(question, t, c, coltype, store)
             assert got.tobytes() == want.tobytes(), (question, t.id, c)
-        candidates = where_candidates(t, aux)
+        candidates = where_candidates(t, parsed)
         assert candidates == [(c, w) for c in range(t.n_columns)
-                              for w in candidate_word_indices(aux)]
-        where = featurize_where(t, candidates, select_columns, aux)
+                              for w in parsed.where_words]
+        where = featurize_where(t, candidates, select_columns, parsed, types)
         assert where.shape == (len(candidates), WHERE_FEATURE_DIM)
         for (c, w), got in zip(candidates, where):
             want = reference_where(question, t, c, w, select_columns,
-                                   coltype, aux.tags)
+                                   coltype, parsed.tags)
             assert got.tobytes() == want.tobytes(), (question, t.id, c, w)
 
 
@@ -588,20 +589,20 @@ class TestViewsHoldNoStoreOrModel:
         words = tokenize(self.QUESTION).tokens + sum(shared.column_tokens, ())
         stores = [_random_store(tmp_path / f"{seed}.vec", words, seed)
                   for seed in (1, 2)]
-        aux = build_aux(self.QUESTION, shared, coltype_model)
-        got = [featurize_select(shared, aux, s)[0] for s in stores]
+        parsed, types = inputs(self.QUESTION, shared, coltype_model)
+        got = [featurize_select(shared, parsed, types, s)[0] for s in stores]
         for vec, s in zip(got, stores):
             fresh = self.table()
             want = featurize_select(
-                fresh, build_aux(self.QUESTION, fresh, coltype_model), s)[0]
+                fresh, *inputs(self.QUESTION, fresh, coltype_model), s)[0]
             assert vec.tobytes() == want.tobytes()
         assert not np.array_equal(got[0][1:5], got[1][1:5])
 
     def test_two_column_type_models(self, coltype_model, trained_coltype_model):
         models = [coltype_model, trained_coltype_model]
         shared = self.table()
-        got = [build_aux(self.QUESTION, shared, m).coltype_dists for m in models]
+        got = [inputs(self.QUESTION, shared, m)[1] for m in models]
         for dists, m in zip(got, models):
-            want = build_aux(self.QUESTION, self.table(), m).coltype_dists
+            want = inputs(self.QUESTION, self.table(), m)[1]
             assert dists.tobytes() == want.tobytes()
         assert not np.array_equal(got[0], got[1])

@@ -145,7 +145,7 @@ class TestAsk:
         assert code == 0, capsys.readouterr().err
         assert "table: " in capsys.readouterr().out
 
-    @pytest.mark.parametrize("question", ["the of a", "zyxxyq qqqzz"])
+    @pytest.mark.parametrize("question", ["the of a", "zyxxyq qqqzz", "???"])
     def test_question_without_indexed_stem_is_error(self, cli_workspace,
                                                     fixtures_dir, capsys,
                                                     question):

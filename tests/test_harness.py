@@ -1,4 +1,5 @@
 import re
+import sys
 import zlib
 from dataclasses import replace
 from pathlib import Path
@@ -7,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tableqa import clauses, harness
+from tableqa import clauses, harness, textproc
 from tableqa.clauses import (
-    build_aux,
-    candidate_word_indices,
+    column_types,
     featurize_select,
     featurize_where,
+    parse_question,
     predict_select,
     predict_where,
 )
@@ -295,7 +296,7 @@ class TestCellPrf:
 
 def entry_by_tokens(manifest):
     """Manifest entry per question, keyed by the question's tokens (what
-    the clause predictors see of it, in ``aux.question_tokens``)."""
+    the clause predictors see of it, in ``ParsedQuestion.tokens``)."""
     by_tokens = {tokenize(e.question).tokens: e for e in manifest}
     assert len(by_tokens) == len(manifest)
     return by_tokens
@@ -306,11 +307,11 @@ def use_oracles(monkeypatch, manifest):
     answer with the gold SELECT/WHERE sets."""
     by_tokens = entry_by_tokens(manifest)
 
-    def select_oracle(table, model, aux, store):
-        return gold_select_indices(by_tokens[aux.question_tokens], table)
+    def select_oracle(table, model, question, types, store):
+        return gold_select_indices(by_tokens[question.tokens], table)
 
-    def where_oracle(table, model, aux, select_cols):
-        return gold_where_pairs(by_tokens[aux.question_tokens], table)
+    def where_oracle(table, model, question, types, select_cols):
+        return gold_where_pairs(by_tokens[question.tokens], table)
 
     monkeypatch.setattr(harness, "predict_select", select_oracle)
     monkeypatch.setattr(harness, "predict_where", where_oracle)
@@ -348,7 +349,7 @@ class TestPipelineWithOracles:
 
     def test_stage_error_annotated(self, manifest, corpus, pipeline_store,
                                    trained_coltype_model, monkeypatch):
-        def broken(table, model, aux, store):
+        def broken(table, model, question, types, store):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(harness, "predict_select", broken)
@@ -367,11 +368,11 @@ class TestPipelineWithOracles:
         calls = {"n": 0}
         by_tokens = entry_by_tokens(manifest)
 
-        def flaky(table, model, aux, store):
+        def flaky(table, model, question, types, store):
             calls["n"] += 1
             if calls["n"] % 7 == 0:
                 raise RuntimeError("intermittent")
-            return gold_select_indices(by_tokens[aux.question_tokens], table)
+            return gold_select_indices(by_tokens[question.tokens], table)
 
         use_oracles(monkeypatch, manifest)
         monkeypatch.setattr(harness, "predict_select", flaky)
@@ -398,12 +399,13 @@ class TestWhereFlagConsistency:
 
         entry = next(e for e in manifest if e.qid == "q01")
         table = corpus[entry.table_id]
-        aux = build_aux(entry.question, table, trained_coltype_model)
+        question = parse_question(entry.question)
+        types = column_types(question, table, trained_coltype_model)
         gold = gold_select_indices(entry, table)
         pairs = [(c, w) for c in range(table.n_columns)
-                 for w in range(len(aux.question_tokens))]
-        training = featurize_where(table, pairs, gold, aux)
-        inference = featurize_where(table, pairs, set(gold), aux)
+                 for w in range(len(question.tokens))]
+        training = featurize_where(table, pairs, gold, question, types)
+        inference = featurize_where(table, pairs, set(gold), question, types)
         assert np.array_equal(training, inference)
 
 
@@ -417,7 +419,7 @@ class TestNoIndexedWord:
     def test_select_source_and_run_pipeline(self, corpus, pipeline_store):
         index = split_index([], corpus, None)
         with pytest.raises(PipelineStageError) as exc:
-            select_source("the of a", corpus, index)
+            select_source(parse_question("the of a"), corpus, index)
         assert (exc.value.stage, str(exc.value)) == ("source-selection",
                                                      self.MESSAGE)
         with pytest.raises(PipelineStageError, match=re.escape(self.MESSAGE)):
@@ -432,6 +434,115 @@ class TestNoIndexedWord:
         for cell in grid.values():
             assert [(o.qid, o.f1, o.error) for o in cell.outcomes] == \
                 [(entry.qid, 0.0, self.MESSAGE)]
+
+    def test_retrieval_evaluation_scores_it_as_a_miss(self, manifest, corpus):
+        # inverse-Euclidean would rank its all-zero vector by table norm
+        entry = replace(manifest[0], question="the of a",
+                        table_id="wizards-record", alternates=())
+        report = evaluate_retrieval([entry], corpus)
+        for sim in Similarity:
+            assert report[sim] == {"p_at_k": {1: 0.0, 3: 0.0, 5: 0.0, 10: 0.0},
+                                   "adjusted_p_at_k": None}, sim
+
+    def test_only_that_question_is_a_miss(self, manifest, corpus):
+        unindexed = replace(manifest[0], qid="unindexed", question="the of a")
+        report = evaluate_retrieval(manifest + [unindexed], corpus)
+        want = evaluate_retrieval(manifest, corpus)
+        n = len(manifest)
+        for sim in Similarity:
+            for key in ("p_at_k", "adjusted_p_at_k"):
+                assert report[sim][key] == {
+                    k: round(p * n) / (n + 1) for k, p in want[sim][key].items()}
+
+
+def count_scans(monkeypatch):
+    """The texts passed to ``token_starts`` and to ``tokenize`` from now
+    on, through any tableqa module's binding."""
+    scans, tokenized = [], []
+    real_scan, real_tokenize = textproc.token_starts, textproc.tokenize
+
+    def counting_scan(text):
+        scans.append(text)
+        return real_scan(text)
+
+    def counting_tokenize(text, *args, **kwargs):
+        tokenized.append(text)
+        return real_tokenize(text, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] != "tableqa":
+            continue
+        if getattr(module, "token_starts", None) is real_scan:
+            monkeypatch.setattr(module, "token_starts", counting_scan)
+        if getattr(module, "tokenize", None) is real_tokenize:
+            monkeypatch.setattr(module, "tokenize", counting_tokenize)
+    return scans, tokenized
+
+
+class TestEachQuestionScannedOnce:
+    """Every stage reads one parse of the question: one ``token_starts``
+    scan per question, and ``tokenize`` never sees it."""
+
+    def test_parse_question(self, monkeypatch):
+        question = "What is the capital of Texas?"
+        want = parse_question(question)
+        scans, tokenized = count_scans(monkeypatch)
+        assert parse_question(question) == want
+        assert (scans, tokenized) == ([question], [])
+
+    @pytest.mark.parametrize("with_index", [True, False])
+    def test_run_pipeline(self, manifest, corpus, pipeline_store,
+                          trained_bundle, monkeypatch, with_index):
+        index = split_index(manifest, corpus, None) if with_index else None
+
+        def run(entry):
+            golden = None if with_index else corpus[entry.table_id]
+            return run_pipeline(entry.question, corpus, index, trained_bundle,
+                                pipeline_store, golden_table=golden)
+
+        entries = manifest[:10]
+        want = [run(e) for e in entries]
+        scans, tokenized = count_scans(monkeypatch)
+        assert [run(e) for e in entries] == want
+        questions = [e.question for e in entries]
+        assert scans == questions
+        assert not set(tokenized) & set(questions)
+
+    def test_sweep_pipeline(self, manifest, corpus, pipeline_store,
+                            trained_bundle, monkeypatch):
+        scans, tokenized = count_scans(monkeypatch)
+        sweep_pipeline(manifest, corpus, trained_bundle, pipeline_store)
+        questions = [e.question for e in manifest]
+        assert scans == questions
+        assert not set(tokenized) & set(questions)
+
+    def test_evaluate_retrieval(self, manifest, corpus, monkeypatch):
+        scans, tokenized = count_scans(monkeypatch)
+        evaluate_retrieval(manifest, corpus)
+        questions = [e.question for e in manifest]
+        assert scans == questions
+        assert not set(tokenized) & set(questions)
+
+
+class TestTokenlessQuestion:
+    """A question without a single token fails in the stage that first
+    needs one: source selection with an index, featurization without."""
+
+    def test_golden_table_fails_at_featurization(self, corpus, pipeline_store,
+                                                 trained_bundle):
+        with pytest.raises(PipelineStageError) as exc:
+            run_pipeline("???", corpus, None, trained_bundle, pipeline_store,
+                         golden_table=corpus["state-capitals"])
+        assert str(exc.value) == \
+            "[featurization] cannot classify an empty question"
+
+    def test_index_fails_at_source_selection(self, corpus, pipeline_store,
+                                             trained_bundle):
+        index = split_index([], corpus, None)
+        with pytest.raises(PipelineStageError) as exc:
+            run_pipeline("???", corpus, index, trained_bundle, pipeline_store)
+        assert str(exc.value) == ("[source-selection] question has no indexed "
+                                  "word to rank tables by: '???'")
 
 
 class TestRetrievalEvaluation:
@@ -465,9 +576,10 @@ def reference_build_select_samples(entries, tables, store, bundle):
     samples = []
     for entry in entries:
         table = tables[entry.table_id]
-        aux = build_aux(entry.question, table, bundle.coltype_model)
+        question = parse_question(entry.question)
+        types = column_types(question, table, bundle.coltype_model)
         gold = gold_select_indices(entry, table)
-        features = featurize_select(table, aux, store)
+        features = featurize_select(table, question, types, store)
         for c in range(table.n_columns):
             samples.append((features[c], int(c in gold)))
     return samples
@@ -482,13 +594,14 @@ def reference_build_where_samples(entries, tables, store, bundle):
     samples = []
     for entry in entries:
         table = tables[entry.table_id]
-        aux = build_aux(entry.question, table, bundle.coltype_model)
+        question = parse_question(entry.question)
+        types = column_types(question, table, bundle.coltype_model)
         gold_select = gold_select_indices(entry, table)
         gold_pairs = gold_where_pairs(entry, table)
         for c in range(table.n_columns):
-            for w in candidate_word_indices(aux):
-                vec = featurize_where(table, [(c, w)], gold_select, aux)[0]
-                label = int((c, aux.question_tokens[w]) in gold_pairs)
+            for w in question.where_words:
+                vec = featurize_where(table, [(c, w)], gold_select, question, types)[0]
+                label = int((c, question.tokens[w]) in gold_pairs)
                 samples.append((vec, label))
     return samples
 
@@ -497,9 +610,10 @@ def reference_evaluate_select(entries, tables, store, bundle):
     tp = fp = fn = tn = 0
     for entry in entries:
         table = tables[entry.table_id]
-        aux = build_aux(entry.question, table, bundle.coltype_model)
+        question = parse_question(entry.question)
+        types = column_types(question, table, bundle.coltype_model)
         gold = gold_select_indices(entry, table)
-        predicted = predict_select(table, bundle.select_model, aux, store)
+        predicted = predict_select(table, bundle.select_model, question, types, store)
         for c in range(table.n_columns):
             hit, truth = c in predicted, c in gold
             tp += hit and truth
@@ -513,13 +627,15 @@ def reference_evaluate_where(entries, tables, store, bundle):
     tp = fp = fn = tn = 0
     for entry in entries:
         table = tables[entry.table_id]
-        aux = build_aux(entry.question, table, bundle.coltype_model)
+        question = parse_question(entry.question)
+        types = column_types(question, table, bundle.coltype_model)
         gold_select = gold_select_indices(entry, table)
         gold_pairs = gold_where_pairs(entry, table)
-        predicted = predict_where(table, bundle.where_model, aux, gold_select)
+        predicted = predict_where(table, bundle.where_model, question, types,
+                                  gold_select)
         for c in range(table.n_columns):
-            for w in candidate_word_indices(aux):
-                pair = (c, aux.question_tokens[w])
+            for w in question.where_words:
+                pair = (c, question.tokens[w])
                 hit, truth = pair in predicted, pair in gold_pairs
                 tp += hit and truth
                 fp += hit and not truth
@@ -610,24 +726,25 @@ def _hashed(*parts) -> int:
 def fail_select_on_some_pairs(monkeypatch):
     """predict_select raises for a fixed subset of (question, table) pairs,
     on every call for that pair."""
-    def flaky(table, model, aux, store):
-        if _hashed(*aux.question_tokens, table.id) % 7 == 0:
+    def flaky(table, model, question, types, store):
+        if _hashed(*question.tokens, table.id) % 7 == 0:
             raise RuntimeError(f"no SELECT for {table.id}")
-        return predict_select(table, model, aux, store)
+        return predict_select(table, model, question, types, store)
 
     monkeypatch.setattr(harness, "predict_select", flaky)
 
 
 def fail_retrieval_on_some_questions(monkeypatch):
-    """Scoring raises for a fixed subset of questions, whichever index."""
-    real_score = harness.score
+    """Building the question's vector raises for a fixed subset of
+    questions, whichever index."""
+    real = harness.question_vector
 
-    def flaky(index, question, *args, **kwargs):
-        if _hashed(question) % 5 == 0:
+    def flaky(index, stems):
+        if _hashed(*stems) % 5 == 0:
             raise RuntimeError("index unavailable")
-        return real_score(index, question, *args, **kwargs)
+        return real(index, stems)
 
-    monkeypatch.setattr(harness, "score", flaky)
+    monkeypatch.setattr(harness, "question_vector", flaky)
 
 
 def fail_embedding_rows_on_some_tables(monkeypatch):
@@ -675,11 +792,11 @@ class TestMatchesReferenceSweep:
         def flaky_from_zero():
             calls = {"n": 0}
 
-            def flaky(table, model, aux, store):
+            def flaky(table, model, question, types, store):
                 calls["n"] += 1
                 if calls["n"] % 7 == 0:
                     raise RuntimeError("intermittent")
-                return predict_select(table, model, aux, store)
+                return predict_select(table, model, question, types, store)
             return flaky
 
         cells = dict(scopes=(Scope.ALL_SETS,), row_modes=(RowMode.EMBEDDING,))
@@ -699,9 +816,9 @@ class TestMatchesReferenceSweep:
         calls = []
 
         def counting(predict, name):
-            def wrapper(table, model, aux, *args):
-                calls.append((name, aux.question_tokens, table.id))
-                return predict(table, model, aux, *args)
+            def wrapper(table, model, question, *args):
+                calls.append((name, question.tokens, table.id))
+                return predict(table, model, question, *args)
             return wrapper
 
         monkeypatch.setattr(harness, "predict_select",

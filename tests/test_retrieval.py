@@ -18,6 +18,7 @@ from tableqa.retrieval import (
     table_stems,
 )
 from tableqa.tabular import Table, TableKind, transpose_key_value
+from tableqa.textproc import tokenize
 
 
 def make_table(tid, words):
@@ -127,7 +128,7 @@ class TestScore:
 
     def test_unknown_question_stems_dropped(self):
         index = build_index(disjoint_corpus(2))
-        assert question_vector(index, "martian vocabulary") == {}
+        assert question_vector(index, ("martian", "vocabulari")) == {}
 
 
 class TestPrecisionAtK:
@@ -216,7 +217,7 @@ def reference_vectors(tables) -> dict[str, dict[str, float]]:
 
 
 def reference_score(index, vectors, question, sim):
-    q = question_vector(index, question)
+    q = question_vector(index, tokenize(question, drop_stopwords=True).stems)
     scored = [(tid, _similarity(q, vec, sim)) for tid, vec in vectors.items()]
     return sorted(scored, key=lambda pair: (-pair[1], pair[0]))
 

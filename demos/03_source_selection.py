@@ -32,7 +32,7 @@ for question in ["What is the capital of Louisiana?",
     print(f"\n  {question}\n    cosine top-3: {top}")
 
 print("\nP@k over the manifest (adjusted counts manifest-declared alternates):")
-report = evaluate_retrieval(manifest, tables)
+report = evaluate_retrieval(manifest, index)
 for sim in Similarity:
     p = report[sim]["p_at_k"]
     adj = report[sim]["adjusted_p_at_k"]

@@ -27,6 +27,7 @@ from tableqa.harness import (
 )
 from tableqa.nn import TrainConfig
 from tableqa.query import print_query
+from tableqa.retrieval import build_index
 from tableqa.typerec import (
     extract_column_type_features,
     load_column_labels,
@@ -66,7 +67,9 @@ _, _, f1 = cell_prf(set(result.cells), set(entry.gold_cells))
 print(f"  cell F1 vs gold: {f1:.2f}")
 
 print("\nscope x row-mode sweep (macro precision / recall / F1):")
-grid = sweep_pipeline(manifest, tables, bundle, store)
+# the all-tables scope ranks against an index over every table
+index = build_index(list(tables.values()))
+grid = sweep_pipeline(manifest, tables, index, bundle, store)
 for scope in Scope:
     for mode in RowMode:
         p, r, f = grid[(scope, mode)].macro

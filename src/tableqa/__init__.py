@@ -12,7 +12,8 @@ Sub-modules, in pipeline order:
 - ``textproc``: tokenizer, stop list, Porter stemmer, edit distance from a
   compiled word.
 - ``embed``: word-embedding store, cosine proximity and the ~ operator.
-- ``retrieval``: TF-IDF source selection and precision-at-k.
+- ``retrieval``: TF-IDF source selection, the saved index's file format,
+  and precision-at-k.
 - ``nn``: seed-deterministic MLP core (batch norm, softmax, SGD) and
   text-format model files.
 - ``typerec``: column data-type recognition and the question-type rules.

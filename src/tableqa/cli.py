@@ -5,12 +5,19 @@ A workspace directory accumulates the pipeline's artifacts:
     workspace/
       tables/           ingested (transposed) tables, one file per table
       table_kinds.txt   resolved table kinds from ingestion
+      index.npz         the TF-IDF index over all of tables/
       models/           trained model files, one per task
       reports/          JSON copies of every eval / pipeline-eval report
 
 Each of these files is written only when its bytes change, so an
 unchanged file keeps its mtime. Ingest makes ``tables/`` mirror the
 corpus: it also removes the table files no table of the corpus wrote.
+Ingest also builds and saves the index (``retrieval.save_index``), and
+only when it wrote or removed a table file or finds no index: writing or
+removing one deletes the old index first, so an ingest cut short leaves
+no stale index behind. ``retrieve``, ``ask``, ``eval --task retrieval``
+and ``pipeline-eval`` load it (``retrieval.load_index``) instead of
+building one, and read a workspace table only when they reach it.
 
 Exit codes: 0 on success, 1 on validation, data or file errors, 2 on usage
 errors.
@@ -29,12 +36,13 @@ from pathlib import Path
 
 from .clauses import SELECT_SPEC, WHERE_SPEC, parse_question
 from .embed import load_embeddings
-from .errors import TableQAError, UntrainedModel
+from .errors import NoTables, TableQAError, UntrainedModel
 from .harness import (
     ModelBundle,
     RowMode,
     Scope,
     Split,
+    TableDir,
     evaluate_retrieval,
     evaluate_select,
     evaluate_table_type,
@@ -55,14 +63,14 @@ from .harness import (
 )
 from .nn import TrainConfig, load_model, save_model, spec_line
 from .query import print_query
-from .retrieval import Similarity, build_index
+from .retrieval import Similarity, build_index, load_index, save_index
 from .tabular import (
     extract_table_type_features,
     load_table_type_model,
     save_table_type_model,
     train_table_type_model,
 )
-from .textproc import write_text_if_changed
+from .textproc import write_if_changed
 from .typerec import (
     COLUMN_TYPE_SPEC,
     classify_column_type,
@@ -74,12 +82,21 @@ from .typerec import (
 TASKS = ("table-type", "column-type", "select", "where")
 
 
-def _workspace_tables(ws: Path, ids=None):
-    """The workspace's tables; with ``ids``, only the ones they name."""
+def _workspace_tables(ws: Path) -> TableDir:
+    """The workspace's tables, each read when first used."""
     tables_dir = ws / "tables"
     if not tables_dir.is_dir():
         raise TableQAError(f"workspace has no tables directory: {tables_dir}")
-    return load_corpus(tables_dir, ids)
+    return TableDir(tables_dir)
+
+
+def _index_path(ws: Path) -> Path:
+    return ws / "index.npz"
+
+
+def _workspace_index(ws: Path, tables: TableDir):
+    """The index ``ingest`` saved, checked against the tables' ids."""
+    return load_index(_index_path(ws), tables)
 
 
 def _model_path(ws: Path, task: str) -> Path:
@@ -116,7 +133,7 @@ def _labeled_columns(ws: Path, labels_path):
     """(cells, type) per column-labels entry, each checked against the
     workspace's tables; only the tables the labels name are read."""
     labels = load_column_labels(labels_path)
-    tables = _workspace_tables(ws, {tid for tid, _, _ in labels})
+    tables = _workspace_tables(ws)
     out = []
     for tid, idx, ctype in labels:
         entry = f"{labels_path}: entry {tid} {idx} {ctype.name.lower()}"
@@ -151,7 +168,7 @@ def _report(ws: Path, name: str, report: dict, fmt: str) -> None:
     text = json.dumps(report, indent=2, default=str) + "\n"
     reports = ws / "reports"
     reports.mkdir(parents=True, exist_ok=True)
-    write_text_if_changed(reports / f"{name}.json", text)
+    write_if_changed(reports / f"{name}.json", text)
     if fmt == "json":
         sys.stdout.write(text)
     else:
@@ -186,19 +203,27 @@ def cmd_ingest(args) -> int:
     if kinds is None and model is None:
         raise TableQAError("ingest needs --kinds or --table-type-model")
     ingested = ingest_corpus(raw, kinds=kinds, table_type_model=model)
+    if not ingested:
+        raise NoTables(f"{args.tables}: no table files to ingest")
 
     ws = Path(args.workspace)
     tables_dir = ws / "tables"
     tables_dir.mkdir(parents=True, exist_ok=True)
+    index_path = _index_path(ws)
     files = {f"{table.id}.csv": table for table in ingested.values()}
     for name, table in files.items():
-        write_text_if_changed(tables_dir / name, _table_text(table))
+        if write_if_changed(tables_dir / name, _table_text(table)):
+            index_path.unlink(missing_ok=True)
     # tables/ mirrors the corpus: a table file left from an earlier ingest
     # would still be read by every later command
     stale = [name for name in table_files(tables_dir) if name not in files]
     for name in stale:
+        index_path.unlink(missing_ok=True)
         os.remove(tables_dir / name)
-    write_text_if_changed(ws / "table_kinds.txt", "".join(
+    if not index_path.exists():
+        # in the order later commands list tables/, which numbers the stems
+        save_index(build_index([files[name] for name in sorted(files)]), index_path)
+    write_if_changed(ws / "table_kinds.txt", "".join(
         f"{tid}\t{table.kind.value}\n" for tid, table in sorted(raw.items())))
     transposed = sum(1 for tid in raw if raw[tid].kind.value == "key-value")
     summary = f"ingested {len(ingested)} tables into {tables_dir} " \
@@ -248,9 +273,7 @@ def cmd_train(args) -> int:
         # every entry is validated, so the tables of all splits are read,
         # and no other table
         lines = parse_manifest(args.manifest)
-        tables = _workspace_tables(
-            ws, {line.entry.table_id for line in lines if line.entry is not None}
-        )
+        tables = _workspace_tables(ws)
         store = load_embeddings(args.embeddings)
         bundle = _load_bundle(ws)
         if bundle.coltype_model is None:
@@ -270,8 +293,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
-    tables = _workspace_tables(Path(args.workspace))
-    index = build_index(list(tables.values()))
+    ws = Path(args.workspace)
+    index = _workspace_index(ws, _workspace_tables(ws))
     ranked = rank_sources(parse_question(args.question), index,
                           Similarity(args.sim), k=args.k)
     for rank, (tid, value) in enumerate(ranked, start=1):
@@ -319,7 +342,7 @@ def cmd_eval(args) -> int:
                              args.split)
 
     if args.task == "retrieval":
-        report = evaluate_retrieval(entries, tables)
+        report = evaluate_retrieval(entries, _workspace_index(ws, tables))
         payload = {
             sim.value: {
                 "p_at_k": {f"p@{k}": v for k, v in data["p_at_k"].items()},
@@ -349,14 +372,14 @@ def cmd_eval(args) -> int:
 class _AskSession:
     """Answers the questions of one `ask` run.
 
-    Each retrieval index (all tables, or one split's tables for the
-    individual scope) is built the first time a question needs it and kept
-    for the rest of the session.
+    Each retrieval index is made the first time a question needs it and
+    kept for the rest of the session: the workspace's index over all
+    tables is loaded, one split's index for the individual scope is built.
     """
 
-    def __init__(self, tables, entries, bundle, store, scope, row_mode,
+    def __init__(self, ws, tables, entries, bundle, store, scope, row_mode,
                  similarity):
-        self.tables, self.entries = tables, entries
+        self.ws, self.tables, self.entries = ws, tables, entries
         self.bundle, self.store = bundle, store
         self.scope, self.row_mode, self.similarity = scope, row_mode, similarity
         self.by_question = {}   # question text -> its manifest entries
@@ -366,7 +389,8 @@ class _AskSession:
 
     def index(self, split):
         if split not in self.indexes:
-            self.indexes[split] = split_index(self.entries, self.tables, split)
+            self.indexes[split] = _workspace_index(self.ws, self.tables) \
+                if split is None else split_index(self.entries, self.tables, split)
         return self.indexes[split]
 
     def answer(self, question):
@@ -409,7 +433,7 @@ def cmd_ask(args) -> int:
     tables = _workspace_tables(ws)
     store = load_embeddings(args.embeddings)
     entries = load_manifest(args.manifest, tables, store) if args.manifest else []
-    session = _AskSession(tables, entries, _load_bundle(ws), store,
+    session = _AskSession(ws, tables, entries, _load_bundle(ws), store,
                           Scope(args.scope), RowMode(args.row_mode),
                           Similarity(args.sim))
 
@@ -437,7 +461,8 @@ def cmd_pipeline_eval(args) -> int:
     entries = _split_entries(load_manifest(args.manifest, tables, store),
                              args.split)
     bundle = _load_bundle(ws)
-    grid = sweep_pipeline(entries, tables, bundle, store)
+    grid = sweep_pipeline(entries, tables, _workspace_index(ws, tables), bundle,
+                          store)
     payload = {}
     for scope in Scope:
         payload[scope.value] = {}

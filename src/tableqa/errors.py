@@ -41,6 +41,15 @@ class NoTables(TableQAError):
     """An index cannot be built over zero tables."""
 
 
+class NoIndexedWord(TableQAError):
+    """A question holds no word the index holds, so nothing ranks tables."""
+
+
+class BadIndex(TableQAError):
+    """A saved index is missing, damaged, or does not index the tables it
+    is loaded for."""
+
+
 # --- neural network core ---
 
 class DimensionMismatch(TableQAError):

@@ -16,6 +16,17 @@ them. Pipeline evaluation takes each question through every (scope, row
 mode) cell, running each stage once per distinct input and sharing the
 result between the cells that reach it. Stage failures never abort a
 sweep, they score zero and are listed in every cell that used the stage.
+
+Retrieval over all tables ranks against an index the caller passes in:
+``sweep_pipeline``, ``evaluate_retrieval`` and ``run_pipeline`` build
+none. The command line loads the one ``tableqa ingest`` saved in the
+workspace (``retrieval.load_index``); a library caller builds one with
+``retrieval.build_index``. Only the individual scope's per-split indexes,
+over a few gold tables each, are built here (``split_index``).
+
+``TableDir`` maps a directory's table ids to its tables and reads each
+file on first access, so a command reads only the tables it reaches;
+``load_corpus`` reads them all.
 """
 
 from __future__ import annotations
@@ -23,7 +34,8 @@ from __future__ import annotations
 import enum
 import os
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +51,7 @@ from .clauses import (
     where_candidates,
 )
 from .embed import EmbeddingStore
-from .errors import AllZero, TableQAError, ValidationFailure
+from .errors import AllZero, NoIndexedWord, TableQAError, ValidationFailure
 from .nn import MlpModel, TrainConfig, train, upsample_positives
 from .query import (
     StructuredQuery,
@@ -100,6 +112,7 @@ class ManifestEntry:
     gold_query: str
     gold_cells: frozenset
     split: Split
+    query: StructuredQuery | None = None    # gold_query parsed, once validated
 
 
 # ---------------------------------------------------------------------------
@@ -128,25 +141,46 @@ def load_table_kinds(path) -> dict[str, TableKind]:
     return kinds
 
 
-def load_corpus(tables_dir, ids=None) -> dict[str, Table]:
-    """Raw tables from a directory, one file per table, id = filename stem.
+class TableDir(Mapping):
+    """The tables of a directory, one file per table, id = filename stem;
+    each file is read on first access and kept.
 
-    Files are read in name order, so of a ``.csv`` and a ``.tsv`` with one
-    stem the later-sorted file wins. With ``ids``, only the files whose
-    stem is in ``ids`` are read; an id is matched against the directory
-    listing and never joined into a path, so an id absent from the
-    directory, such as ``../x``, is simply missing from the result.
+    The directory is listed once, in name order, so of a ``.csv`` and a
+    ``.tsv`` with one stem the later-sorted file wins. An id is matched
+    against that listing and never joined into a path, so an id absent
+    from the directory, such as ``../x``, is simply missing. Reading a
+    malformed file raises its error at that access.
     """
-    # file paths, and the errors naming them, spelled as pathlib joins them
-    base = str(Path(str(tables_dir)))
-    root = "" if base == "." else base
-    tables = {}
-    for name, (stem, fmt) in table_files(base).items():
-        if ids is not None and stem not in ids:
-            continue
-        t = load_table(os.path.join(root, name), fmt)
-        tables[t.id] = t
-    return tables
+
+    def __init__(self, tables_dir):
+        # file paths, and the errors naming them, spelled as pathlib joins them
+        base = str(Path(str(tables_dir)))
+        root = "" if base == "." else base
+        self._files = {stem: (os.path.join(root, name), fmt)
+                       for name, (stem, fmt) in table_files(base).items()}
+        self._tables = {}
+
+    def __getitem__(self, tid) -> Table:
+        table = self._tables.get(tid)
+        if table is None:
+            path, fmt = self._files[tid]
+            table = self._tables[tid] = load_table(path, fmt)
+        return table
+
+    def __contains__(self, tid) -> bool:
+        return tid in self._files
+
+    def __iter__(self):
+        return iter(self._files)
+
+    def __len__(self) -> int:
+        return len(self._files)
+
+
+def load_corpus(tables_dir) -> dict[str, Table]:
+    """Every table of a directory, read now (see ``TableDir``)."""
+    tables = TableDir(tables_dir)
+    return {tid: tables[tid] for tid in tables}
 
 
 def table_files(tables_dir) -> dict[str, tuple[str, TableFormat]]:
@@ -241,9 +275,10 @@ def validate_manifest(
     store: EmbeddingStore,
 ) -> list[ManifestEntry]:
     """The entries of ``parse_manifest`` whose gold query executes on their
-    gold table to exactly the stated cells. Lines that failed to parse or
-    to validate are collected, in file order, into one ValidationFailure,
-    each cause prefixed with ``path:line``."""
+    gold table to exactly the stated cells, each holding its parsed query.
+    Lines that failed to parse or to validate are collected, in file
+    order, into one ValidationFailure, each cause prefixed with
+    ``path:line``."""
     entries = []
     failures = []
     for line in lines:
@@ -251,18 +286,21 @@ def validate_manifest(
         if entry is None:
             failures.append(line.failure)
             continue
+        # read before the try: a malformed table file is an error of its
+        # own, not one of this entry's
+        table = tables.get(entry.table_id)
         try:
-            if entry.table_id not in tables:
+            if table is None:
                 raise ValueError(f"unknown table {entry.table_id!r}")
-            got = execute(parse_query(entry.gold_query), tables[entry.table_id],
-                          store)
+            query = parse_query(entry.gold_query)
+            got = execute(query, table, store)
             if got != set(entry.gold_cells):
                 raise ValueError(f"gold query yields {sorted(got)}, manifest "
                                  f"says {sorted(entry.gold_cells)}")
         except (TableQAError, ValueError) as exc:
             failures.append((entry.qid, f"{line.where}: {exc}"))
             continue
-        entries.append(entry)
+        entries.append(replace(entry, query=query))
     if failures:
         raise ValidationFailure(failures)
     return entries
@@ -328,13 +366,15 @@ def cell_prf(predicted: set, gold: set) -> tuple[float, float, float]:
 # ---------------------------------------------------------------------------
 
 def gold_select_indices(entry: ManifestEntry, table: Table) -> set[int]:
-    q = parse_query(entry.gold_query)
-    return {table.headers.index(name) for name in q.select}
+    """The columns of a validated entry's gold SELECT clause."""
+    return {table.headers.index(name) for name in entry.query.select}
 
 
 def gold_where_pairs(entry: ManifestEntry, table: Table) -> set[tuple[int, str]]:
-    q = parse_query(entry.gold_query)
-    return {(table.headers.index(c.column), c.keyword.lower()) for c in q.where}
+    """(column, lowercased keyword) per condition of a validated entry's
+    gold WHERE clause."""
+    return {(table.headers.index(c.column), c.keyword.lower())
+            for c in entry.query.where}
 
 
 @dataclass
@@ -430,10 +470,7 @@ def rank_sources(question: ParsedQuestion, index: TfIdfIndex,
     any other failure here, it is a source-selection error.
     """
     try:
-        vector = question_vector(index, question.content_stems)
-        if not vector:
-            raise TableQAError("question has no indexed word to rank tables by: "
-                               f"{question.text!r}")
+        vector = question_vector(index, question.content_stems, question.text)
         return rank(index, vector, similarity, k=k)
     except Exception as exc:
         raise PipelineStageError("source-selection", exc) from exc
@@ -592,18 +629,16 @@ def _entry_outcomes(entry, tables, indexes, bundle, store, scopes, row_modes):
             yield (scope, row_mode), outcome
 
 
-def split_index(entries, tables: dict[str, Table],
-                split: Split | None) -> TfIdfIndex:
-    """Index over every table (``split`` None) or over the gold tables of
-    the entries in ``split``."""
-    if split is not None:
-        tables = {e.table_id: tables[e.table_id] for e in entries if e.split is split}
-    return build_index(list(tables.values()))
+def split_index(entries, tables: dict[str, Table], split: Split) -> TfIdfIndex:
+    """Index over the gold tables of the entries in ``split``."""
+    gold = {e.table_id: tables[e.table_id] for e in entries if e.split is split}
+    return build_index(list(gold.values()))
 
 
 def sweep_pipeline(
     entries: list[ManifestEntry],
     tables: dict[str, Table],
+    index: TfIdfIndex,
     bundle: ModelBundle,
     store: EmbeddingStore,
     scopes=tuple(Scope),
@@ -613,12 +648,14 @@ def sweep_pipeline(
 
     The entries run one after another, each through every cell; the cells
     of one entry share its stage results (see ``_entry_outcomes``), so
-    every cell's outcome equals its own ``run_pipeline`` call's. The
-    individual scope ranks each question's tables against an index of its
-    own split; the other scopes share one index over all tables.
+    every cell's outcome equals its own ``run_pipeline`` call's. The all
+    scope ranks against ``index``, over all tables; the individual scope
+    ranks each question's tables against an index of its own split's gold
+    tables, built here.
     """
     indexes = {split: split_index(entries, tables, split)
-               for split in {None} | {e.split for e in entries}}
+               for split in {e.split for e in entries}}
+    indexes[None] = index
 
     grid = {(scope, row_mode): SweepCell(scope, row_mode, [])
             for scope in scopes for row_mode in row_modes}
@@ -636,16 +673,23 @@ def sweep_pipeline(
 RETRIEVAL_KS = (1, 3, 5, 10)
 
 
-def evaluate_retrieval(entries, tables):
+def _vector_or_none(index: TfIdfIndex, text: str) -> dict[str, float] | None:
+    question = parse_question(text)
+    try:
+        return question_vector(index, question.content_stems, text)
+    except NoIndexedWord:
+        return None
+
+
+def evaluate_retrieval(entries, index: TfIdfIndex):
     """P@k for each k of ``RETRIEVAL_KS`` per similarity over the given
-    entries; adjusted P@k (counting manifest-declared alternates) reported
-    when any entry lists them. A question with no indexed word has no
-    ranking, as in ``rank_sources``: it is a miss at every k."""
-    index = build_index(list(tables.values()))
+    entries, ranked against ``index``; adjusted P@k (counting
+    manifest-declared alternates) reported when any entry lists them. A
+    question with no indexed word has no ranking, as in ``rank_sources``:
+    it is a miss at every k."""
     gold = {e.qid: e.table_id for e in entries}
     alternates = {e.qid: set(e.alternates) for e in entries if e.alternates}
-    vectors = {e.qid: question_vector(index, parse_question(e.question).content_stems)
-               for e in entries}
+    vectors = {e.qid: _vector_or_none(index, e.question) for e in entries}
     depth = max(RETRIEVAL_KS)
     report = {}
     for sim in Similarity:

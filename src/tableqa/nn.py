@@ -21,7 +21,7 @@ from .errors import (
     LabelOutOfRange,
     UntrainedModel,
 )
-from .textproc import read_text, write_text_if_changed
+from .textproc import read_text, write_if_changed
 
 _BN_EPS = 1e-5
 _BN_MOMENTUM = 0.9
@@ -445,7 +445,7 @@ def dump_model(model: MlpModel) -> str:
 
 
 def save_model(model: MlpModel, path) -> None:
-    write_text_if_changed(path, dump_model(model))
+    write_if_changed(path, dump_model(model))
 
 
 def _parse_spec(line: str, where: str) -> MlpSpec:

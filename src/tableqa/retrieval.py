@@ -13,11 +13,20 @@ stemmed once, and one ``np.unique`` over (stem, table) keys yields term
 frequencies, document frequencies and postings. Only the idf logarithms
 and the per-table squared norms are taken in Python, one stem at a time,
 so every float is the one a per-table dictionary walk gives.
+
+This module owns the index's file format too: ``index_bytes`` and
+``save_index`` write the arrays as one ``.npz`` archive, and
+``load_index`` reads it back without unpickling anything, checking each
+array before it builds the index. ``tableqa ingest`` builds the index over
+the tables it writes and saves it as ``<workspace>/index.npz``; the
+commands that rank all tables (``retrieve``, ``ask``, ``eval --task
+retrieval``, ``pipeline-eval``) load that file instead of building one.
 """
 
 from __future__ import annotations
 
 import enum
+import io
 import itertools
 import math
 from array import array
@@ -26,9 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoTables
+from .errors import BadIndex, NoIndexedWord, NoTables
 from .tabular import Table
-from .textproc import STOPWORDS, porter_stem, tokenize, words
+from .textproc import STOPWORDS, porter_stem, tokenize, words, write_if_changed
 
 
 class Similarity(enum.Enum):
@@ -140,10 +149,18 @@ def build_index(tables: list[Table]) -> TfIdfIndex:
     )
 
 
-def question_vector(index: TfIdfIndex, stems) -> dict[str, float]:
+def question_vector(index: TfIdfIndex, stems, text: str) -> dict[str, float]:
+    """The TF-IDF weights of the question's stems that the index holds.
+
+    A question with none of them has nothing to rank tables by: it raises
+    NoIndexedWord naming the question ``text``, whoever ranks it.
+    """
     counts = Counter(stems)
-    return {stem: tf * index.idf[stem] for stem, tf in counts.items()
-            if stem in index.idf}
+    vector = {stem: tf * index.idf[stem] for stem, tf in counts.items()
+              if stem in index.idf}
+    if not vector:
+        raise NoIndexedWord(f"question has no indexed word to rank tables by: {text!r}")
+    return vector
 
 
 def _similarities(index: TfIdfIndex, q: dict[str, float],
@@ -186,9 +203,10 @@ def _similarities(index: TfIdfIndex, q: dict[str, float],
 
 def score(index: TfIdfIndex, question: str, sim: Similarity,
           k: int | None = None) -> list[tuple[str, float]]:
-    """Tables ranked for the question text (see ``rank``)."""
+    """Tables ranked for the question text (see ``rank``); a question with
+    no indexed word raises NoIndexedWord."""
     stems = tokenize(question, drop_stopwords=True).stems
-    return rank(index, question_vector(index, stems), sim, k)
+    return rank(index, question_vector(index, stems, question), sim, k)
 
 
 def rank(index: TfIdfIndex, vector: dict[str, float], sim: Similarity,
@@ -211,6 +229,128 @@ def rank(index: TfIdfIndex, vector: dict[str, float], sim: Similarity,
     order = rows[np.argsort(-values[rows], kind="stable")[:k]]
     ids = index.table_ids
     return [(ids[i], s) for i, s in zip(order.tolist(), values[order].tolist())]
+
+
+# ---------------------------------------------------------------------------
+# The saved index: the index's arrays in one .npz archive
+# ---------------------------------------------------------------------------
+
+# array name -> dtype: the table ids (row order) and the stems (column
+# order) as unicode arrays, the idf values in column order, then the
+# index's own arrays
+_SAVED = {"table_ids": np.str_, "stems": np.str_, "idf": np.float64,
+          "indptr": np.int64, "rows": np.int64, "weights": np.float64,
+          "sq_norms": np.float64, "n_stems": np.int64}
+
+_REBUILD = "delete it and run `tableqa ingest` again to rebuild it"
+
+
+def index_bytes(index: TfIdfIndex) -> bytes:
+    """The index as ``.npz`` bytes. Equal indexes give equal bytes: the
+    archive holds no timestamp."""
+    out = io.BytesIO()
+    np.savez(out, table_ids=np.array(index.table_ids, dtype=np.str_),
+             stems=np.array(list(index.idf), dtype=np.str_),
+             idf=np.fromiter(index.idf.values(), dtype=np.float64,
+                             count=len(index.idf)),
+             indptr=index.indptr, rows=index.rows, weights=index.weights,
+             sq_norms=index.sq_norms, n_stems=index.n_stems)
+    return out.getvalue()
+
+
+def save_index(index: TfIdfIndex, path) -> bool:
+    """Write the index to ``path`` unless it already holds these bytes;
+    True when it was written."""
+    return write_if_changed(path, index_bytes(index))
+
+
+def _read_arrays(data: bytes) -> dict[str, np.ndarray]:
+    npz = np.load(io.BytesIO(data), allow_pickle=False)
+    if not isinstance(npz, np.lib.npyio.NpzFile):
+        raise ValueError("not an .npz archive")
+    with npz:
+        if sorted(npz.files) != sorted(_SAVED):
+            raise ValueError(f"holds arrays {sorted(npz.files)}, "
+                             f"expected {sorted(_SAVED)}")
+        return {name: npz[name] for name in _SAVED}
+
+
+def _array_problem(a: dict[str, np.ndarray]) -> str | None:
+    """What is wrong with the arrays as an index, or None."""
+    for name, dtype in _SAVED.items():
+        x = a[name]
+        if x.ndim != 1 or (x.dtype.kind != "U" if dtype is np.str_
+                           else x.dtype != dtype):
+            return f"array {name} is {x.dtype} of shape {x.shape}, " \
+                f"expected one dimension of {np.dtype(dtype).name}"
+    n, m, nnz = len(a["table_ids"]), len(a["stems"]), len(a["rows"])
+    if n == 0:
+        return "indexes no table"
+    if np.any(a["table_ids"][:-1] >= a["table_ids"][1:]):
+        return "array table_ids is not in ascending order without repeats"
+    for name, length in {"idf": m, "indptr": m + 1, "weights": nnz,
+                         "sq_norms": n, "n_stems": n}.items():
+        if len(a[name]) != length:
+            return f"array {name} has {len(a[name])} entries, expected {length}"
+    df = np.diff(a["indptr"])
+    if a["indptr"][0] != 0 or np.any(df < 1) or np.any(df > n) \
+            or a["indptr"][-1] != nnz:
+        return "array indptr does not delimit the postings of each stem"
+    if nnz and (a["rows"].min() < 0 or a["rows"].max() >= n):
+        return f"array rows holds a row outside 0..{n - 1}"
+    if a["n_stems"].min() < 0 or a["n_stems"].max() > m \
+            or a["n_stems"].sum() != nnz:
+        return "array n_stems does not count each table's stems"
+    for name in ("idf", "weights", "sq_norms"):
+        if not np.all(np.isfinite(a[name]) & (a[name] >= 0.0)):
+            return f"array {name} holds a negative or non-finite value"
+    return None
+
+
+def _few(ids: list[str]) -> str:
+    more = f" and {len(ids) - 3} more" if len(ids) > 3 else ""
+    return ", ".join(map(repr, ids[:3])) + more
+
+
+def load_index(path, table_ids) -> TfIdfIndex:
+    """The index saved at ``path``, which must index exactly ``table_ids``
+    (in any order).
+
+    The file is read with no unpickling, and every array's dtype, shape,
+    range and finiteness is checked before the index is built. A missing,
+    damaged or out-of-date file raises BadIndex naming ``path`` and how to
+    rebuild it.
+    """
+    try:
+        with open(path, "rb") as fh:
+            arrays = _read_arrays(fh.read())
+    except FileNotFoundError:
+        raise BadIndex(f"{path}: missing; run `tableqa ingest` to build it") from None
+    # a damaged archive fails in zipfile, zlib or numpy's format reader,
+    # with whatever error the damage leads each of them to
+    except Exception as exc:
+        raise BadIndex(f"{path}: not a readable index ({exc}); {_REBUILD}") from None
+    problem = _array_problem(arrays)
+    if problem is not None:
+        raise BadIndex(f"{path}: {problem}; {_REBUILD}")
+    stems = arrays["stems"].tolist()
+    columns = {stem: j for j, stem in enumerate(stems)}
+    if len(columns) != len(stems):
+        raise BadIndex(f"{path}: array stems repeats a stem; {_REBUILD}")
+    ids, listed = arrays["table_ids"].tolist(), sorted(table_ids)
+    if ids != listed:
+        indexed = set(ids)
+        unindexed = [tid for tid in listed if tid not in indexed]
+        gone = sorted(indexed.difference(listed))
+        what = "; ".join(([f"lacks {_few(unindexed)}"] if unindexed else [])
+                         + ([f"indexes {_few(gone)}, no longer there"] if gone else []))
+        raise BadIndex(f"{path}: out of date with the tables: {what}; {_REBUILD}")
+    return TfIdfIndex(
+        table_ids=tuple(ids), idf=dict(zip(stems, arrays["idf"].tolist())),
+        columns=columns,
+        **{name: _frozen(arrays[name])
+           for name in ("indptr", "rows", "weights", "sq_norms", "n_stems")},
+    )
 
 
 def precision_at_k(

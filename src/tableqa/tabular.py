@@ -21,7 +21,7 @@ import numpy as np
 from .errors import (DuplicateKeys, MalformedFile, MalformedLine, NotKeyValue,
                      UntrainedModel)
 from .nn import format_arrays, parse_arrays
-from .textproc import TokenList, read_text, tokenize, write_text_if_changed
+from .textproc import TokenList, read_text, tokenize, write_if_changed
 
 if TYPE_CHECKING:
     from .typerec import ColumnTypeFeatures
@@ -318,7 +318,7 @@ def save_table_type_model(model: TableTypeModel, path) -> None:
         ("weights", model.weights), ("mean", model.mean),
         ("scale", model.scale), ("bias", np.array([model.bias])),
     ])]
-    write_text_if_changed(path, "\n".join(lines) + "\n")
+    write_if_changed(path, "\n".join(lines) + "\n")
 
 
 def load_table_type_model(path) -> TableTypeModel:

@@ -7,7 +7,7 @@ external NLP dependency. The stop list ships as a text resource
 (``data/stopwords.txt``, one word per line). Every input file is read
 through ``read_lines`` or ``read_text``, which turn bytes that are not
 UTF-8 into an error naming the file and line; every workspace file is
-written through ``write_text_if_changed``.
+written through ``write_if_changed``.
 """
 
 from __future__ import annotations
@@ -61,14 +61,15 @@ def read_text(path) -> str:
         raise NotText(_not_utf8(path, data)) from None
 
 
-def write_text_if_changed(path, text: str) -> bool:
-    """Make ``path`` hold ``text`` as UTF-8; True when it was written.
+def write_if_changed(path, content: str | bytes) -> bool:
+    """Make ``path`` hold ``content`` (a text as UTF-8, or bytes); True when
+    it was written.
 
     A file that already holds exactly those bytes is not opened for
     writing, so it keeps its mtime. At most ``len(bytes) + 1`` bytes of it
     are read. A missing file is created.
     """
-    data = text.encode("utf-8")
+    data = content.encode("utf-8") if isinstance(content, str) else content
     try:
         with open(path, "rb") as fh:
             if fh.read(len(data) + 1) == data:

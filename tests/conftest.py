@@ -14,6 +14,7 @@ from tableqa.harness import (
     load_table_kinds,
 )
 from tableqa.nn import TrainConfig
+from tableqa.retrieval import build_index
 from tableqa.textproc import read_lines
 from tableqa.typerec import (
     extract_column_type_features,
@@ -63,6 +64,12 @@ def raw_corpus(fixtures_dir):
 @pytest.fixture(scope="session")
 def corpus(raw_corpus, table_kinds):
     return ingest_corpus(raw_corpus, kinds=table_kinds)
+
+
+@pytest.fixture(scope="session")
+def corpus_index(corpus):
+    """The TF-IDF index over every ingested fixture table."""
+    return build_index(list(corpus.values()))
 
 
 @pytest.fixture(scope="session")

@@ -316,7 +316,7 @@ class TestSimMatchContract:
 
 
 class TestDirectionalClaims:
-    def test_scope_and_row_mode_orderings(self, manifest, corpus,
+    def test_scope_and_row_mode_orderings(self, manifest, corpus, corpus_index,
                                           pipeline_store,
                                           trained_coltype_model):
         start = time.perf_counter()
@@ -330,7 +330,8 @@ class TestDirectionalClaims:
             train_entries, corpus, pipeline_store, bundle,
             TrainConfig(epochs=300, seed=22),
         )
-        grid = sweep_pipeline(manifest, corpus, bundle, pipeline_store)
+        grid = sweep_pipeline(manifest, corpus, corpus_index, bundle,
+                              pipeline_store)
         elapsed = time.perf_counter() - start
 
         f1 = {key: cell.macro[2] for key, cell in grid.items()}

@@ -183,7 +183,7 @@ class TestAsk:
         assert code == 0
         assert "Austin" in capsys.readouterr().out
 
-    def test_repl_builds_index_once_and_answers_as_single_runs(
+    def test_repl_loads_index_once_and_answers_as_single_runs(
             self, cli_workspace, fixtures_dir, capsys, monkeypatch):
         import io
 
@@ -201,18 +201,25 @@ class TestAsk:
             assert main(["ask", question, *argv]) == 0
             singles.append(capsys.readouterr().out)
 
-        builds = []
-        real_build = tableqa.harness.build_index
+        builds, loads = [], []
+        real_build, real_load = tableqa.harness.build_index, cli.load_index
 
         def counting_build(tables):
             builds.append(len(tables))
             return real_build(tables)
 
+        def counting_load(path, table_ids):
+            loads.append(path)
+            return real_load(path, table_ids)
+
         monkeypatch.setattr(tableqa.harness, "build_index", counting_build)
+        monkeypatch.setattr(cli, "build_index", counting_build)
+        monkeypatch.setattr(cli, "load_index", counting_load)
         monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(questions) + "\n\n"))
         assert main(["ask", "--repl", *argv]) == 0
         out = capsys.readouterr().out
-        assert len(builds) == 1
+        assert builds == []
+        assert loads == [cli_workspace / "index.npz"]
         header = "enter questions, one per line (blank line or EOF to quit)\n"
         assert out == header + "".join(singles)
 

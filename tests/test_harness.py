@@ -27,6 +27,7 @@ from tableqa.harness import (
     Scope,
     Split,
     SweepCell,
+    TableDir,
     build_select_samples,
     build_where_samples,
     cell_prf,
@@ -74,7 +75,7 @@ class TestCorpusLoading:
         assert corpus["state-capitals"].rows == raw_corpus["state-capitals"].rows
 
 
-class TestLoadCorpusIds:
+class TestTableDir:
     @staticmethod
     def _tables_dir(tmp_path):
         tables = tmp_path / "tables"
@@ -85,26 +86,45 @@ class TestLoadCorpusIds:
         (tmp_path / "outside.csv").write_text("o\nv\n")
         return tables
 
-    def test_reads_only_the_named_tables(self, tmp_path):
-        tables = self._tables_dir(tmp_path)
-        got = load_corpus(tables, {"a", "b", "absent"})
-        assert sorted(got) == ["a", "b"]
-        assert got["b"].headers == ["p", "q"]
+    def test_reads_only_the_named_tables(self, tmp_path, monkeypatch):
+        tables_dir = self._tables_dir(tmp_path)
+        read = []
+        real_load = harness.load_table
+
+        def counting(path, fmt):
+            read.append(Path(path).name)
+            return real_load(path, fmt)
+
+        monkeypatch.setattr(harness, "load_table", counting)
+        tables = TableDir(tables_dir)
+        assert list(tables) == ["a", "b", "bad"] and len(tables) == 3
+        assert "bad" in tables and "absent" not in tables
+        assert read == []
+        assert tables["b"].headers == ["p", "q"]
+        assert tables["b"] is tables.get("b")
+        assert read == ["b.tsv"]
         with pytest.raises(MalformedFile, match="bad.csv:2: row has 1 cells"):
-            load_corpus(tables)
-        with pytest.raises(MalformedFile):
-            load_corpus(tables, {"bad"})
+            tables["bad"]
+
+    def test_load_corpus_reads_every_table(self, tmp_path):
+        tables_dir = self._tables_dir(tmp_path)
+        with pytest.raises(MalformedFile, match="bad.csv:2: row has 1 cells"):
+            load_corpus(tables_dir)
+        (tables_dir / "bad.csv").unlink()
+        assert load_corpus(tables_dir) == dict(TableDir(tables_dir))
 
     def test_an_id_is_never_joined_into_a_path(self, tmp_path):
-        tables = self._tables_dir(tmp_path)
-        assert load_corpus(tables, {"../outside", str(tmp_path / "outside"),
-                                    "a.csv", ""}) == {}
+        tables = TableDir(self._tables_dir(tmp_path))
+        for tid in ("../outside", str(tmp_path / "outside"), "a.csv", ""):
+            assert tid not in tables
+            with pytest.raises(KeyError):
+                tables[tid]
 
-    @pytest.mark.parametrize("ids", [None, {"a"}])
-    def test_later_sorted_file_wins_a_shared_stem(self, tmp_path, ids):
+    @pytest.mark.parametrize("read", [load_corpus, TableDir], ids=["eager", "lazy"])
+    def test_later_sorted_file_wins_a_shared_stem(self, tmp_path, read):
         (tmp_path / "a.csv").write_text("from-csv\n")
         (tmp_path / "a.tsv").write_text("from-tsv\n")
-        assert load_corpus(tmp_path, ids)["a"].headers == ["from-tsv"]
+        assert read(tmp_path)["a"].headers == ["from-tsv"]
 
     def test_only_csv_and_tsv_names_with_a_stem(self, tmp_path):
         for name in (".csv", "upper.CSV", "notes.txt", "plain"):
@@ -121,6 +141,26 @@ class TestLoadCorpusIds:
         with pytest.raises(MalformedFile) as exc:
             load_corpus(spelling)
         assert str(exc.value).startswith(f"{expected}:2: row has ")
+
+
+class TestGoldQueryParsedOnce:
+    def test_one_parse_per_entry_from_loading_to_where_samples(
+            self, fixtures_dir, corpus, pipeline_store, trained_coltype_model,
+            monkeypatch):
+        bundle = ModelBundle(coltype_model=trained_coltype_model)
+        parsed = []
+        real_parse = harness.parse_query
+
+        def counting(text):
+            parsed.append(text)
+            return real_parse(text)
+
+        monkeypatch.setattr(harness, "parse_query", counting)
+        entries = load_manifest(fixtures_dir / "manifest.txt", corpus, pipeline_store)
+        build_select_samples(entries, corpus, pipeline_store, bundle)
+        build_where_samples(entries, corpus, pipeline_store, bundle)
+        assert parsed == [e.gold_query for e in entries]
+        assert all(e.query == real_parse(e.gold_query) for e in entries)
 
 
 class TestManifest:
@@ -362,7 +402,7 @@ class TestPipelineWithOracles:
         assert "boom" in str(exc.value)
 
     def test_sweep_records_failures_without_aborting(self, manifest, corpus,
-                                                     pipeline_store,
+                                                     corpus_index, pipeline_store,
                                                      trained_coltype_model,
                                                      monkeypatch):
         calls = {"n": 0}
@@ -378,7 +418,7 @@ class TestPipelineWithOracles:
         monkeypatch.setattr(harness, "predict_select", flaky)
         bundle = ModelBundle(coltype_model=trained_coltype_model)
         grid = sweep_pipeline(
-            manifest[:10], corpus, bundle, pipeline_store,
+            manifest[:10], corpus, corpus_index, bundle, pipeline_store,
             scopes=(Scope.GOLDEN_TABLE,), row_modes=(RowMode.WORD_MATCH,),
         )
         cell = grid[(Scope.GOLDEN_TABLE, RowMode.WORD_MATCH)]
@@ -416,8 +456,9 @@ class TestNoIndexedWord:
     MESSAGE = ("[source-selection] question has no indexed word to rank "
                "tables by: 'the of a'")
 
-    def test_select_source_and_run_pipeline(self, corpus, pipeline_store):
-        index = split_index([], corpus, None)
+    def test_select_source_and_run_pipeline(self, corpus, corpus_index,
+                                            pipeline_store):
+        index = corpus_index
         with pytest.raises(PipelineStageError) as exc:
             select_source(parse_question("the of a"), corpus, index)
         assert (exc.value.stage, str(exc.value)) == ("source-selection",
@@ -426,28 +467,29 @@ class TestNoIndexedWord:
             run_pipeline("the of a", corpus, index, ModelBundle(),
                          pipeline_store)
 
-    def test_sweep_scores_it_as_a_failure(self, manifest, corpus,
+    def test_sweep_scores_it_as_a_failure(self, manifest, corpus, corpus_index,
                                           pipeline_store):
         entry = replace(manifest[0], question="the of a")
-        grid = sweep_pipeline([entry], corpus, ModelBundle(), pipeline_store,
+        grid = sweep_pipeline([entry], corpus, corpus_index, ModelBundle(),
+                              pipeline_store,
                               scopes=(Scope.INDIVIDUAL_SET, Scope.ALL_SETS))
         for cell in grid.values():
             assert [(o.qid, o.f1, o.error) for o in cell.outcomes] == \
                 [(entry.qid, 0.0, self.MESSAGE)]
 
-    def test_retrieval_evaluation_scores_it_as_a_miss(self, manifest, corpus):
+    def test_retrieval_evaluation_scores_it_as_a_miss(self, manifest, corpus_index):
         # inverse-Euclidean would rank its all-zero vector by table norm
         entry = replace(manifest[0], question="the of a",
                         table_id="wizards-record", alternates=())
-        report = evaluate_retrieval([entry], corpus)
+        report = evaluate_retrieval([entry], corpus_index)
         for sim in Similarity:
             assert report[sim] == {"p_at_k": {1: 0.0, 3: 0.0, 5: 0.0, 10: 0.0},
                                    "adjusted_p_at_k": None}, sim
 
-    def test_only_that_question_is_a_miss(self, manifest, corpus):
+    def test_only_that_question_is_a_miss(self, manifest, corpus_index):
         unindexed = replace(manifest[0], qid="unindexed", question="the of a")
-        report = evaluate_retrieval(manifest + [unindexed], corpus)
-        want = evaluate_retrieval(manifest, corpus)
+        report = evaluate_retrieval(manifest + [unindexed], corpus_index)
+        want = evaluate_retrieval(manifest, corpus_index)
         n = len(manifest)
         for sim in Similarity:
             for key in ("p_at_k", "adjusted_p_at_k"):
@@ -491,9 +533,9 @@ class TestEachQuestionScannedOnce:
         assert (scans, tokenized) == ([question], [])
 
     @pytest.mark.parametrize("with_index", [True, False])
-    def test_run_pipeline(self, manifest, corpus, pipeline_store,
+    def test_run_pipeline(self, manifest, corpus, corpus_index, pipeline_store,
                           trained_bundle, monkeypatch, with_index):
-        index = split_index(manifest, corpus, None) if with_index else None
+        index = corpus_index if with_index else None
 
         def run(entry):
             golden = None if with_index else corpus[entry.table_id]
@@ -508,17 +550,18 @@ class TestEachQuestionScannedOnce:
         assert scans == questions
         assert not set(tokenized) & set(questions)
 
-    def test_sweep_pipeline(self, manifest, corpus, pipeline_store,
+    def test_sweep_pipeline(self, manifest, corpus, corpus_index, pipeline_store,
                             trained_bundle, monkeypatch):
         scans, tokenized = count_scans(monkeypatch)
-        sweep_pipeline(manifest, corpus, trained_bundle, pipeline_store)
+        sweep_pipeline(manifest, corpus, corpus_index, trained_bundle,
+                       pipeline_store)
         questions = [e.question for e in manifest]
         assert scans == questions
         assert not set(tokenized) & set(questions)
 
-    def test_evaluate_retrieval(self, manifest, corpus, monkeypatch):
+    def test_evaluate_retrieval(self, manifest, corpus_index, monkeypatch):
         scans, tokenized = count_scans(monkeypatch)
-        evaluate_retrieval(manifest, corpus)
+        evaluate_retrieval(manifest, corpus_index)
         questions = [e.question for e in manifest]
         assert scans == questions
         assert not set(tokenized) & set(questions)
@@ -536,9 +579,9 @@ class TestTokenlessQuestion:
         assert str(exc.value) == \
             "[featurization] cannot classify an empty question"
 
-    def test_index_fails_at_source_selection(self, corpus, pipeline_store,
-                                             trained_bundle):
-        index = split_index([], corpus, None)
+    def test_index_fails_at_source_selection(self, corpus, corpus_index,
+                                             pipeline_store, trained_bundle):
+        index = corpus_index
         with pytest.raises(PipelineStageError) as exc:
             run_pipeline("???", corpus, index, trained_bundle, pipeline_store)
         assert str(exc.value) == ("[source-selection] question has no indexed "
@@ -546,15 +589,15 @@ class TestTokenlessQuestion:
 
 
 class TestRetrievalEvaluation:
-    def test_p_at_k_shape_and_monotonicity(self, manifest, corpus):
-        report = evaluate_retrieval(manifest, corpus)
+    def test_p_at_k_shape_and_monotonicity(self, manifest, corpus_index):
+        report = evaluate_retrieval(manifest, corpus_index)
         for sim in Similarity:
             p = report[sim]["p_at_k"]
             assert set(p) == {1, 3, 5, 10}
             assert p[1] <= p[3] <= p[5] <= p[10]
 
-    def test_adjusted_at_least_plain(self, manifest, corpus):
-        report = evaluate_retrieval(manifest, corpus)
+    def test_adjusted_at_least_plain(self, manifest, corpus_index):
+        report = evaluate_retrieval(manifest, corpus_index)
         for sim in Similarity:
             plain = report[sim]["p_at_k"]
             adjusted = report[sim]["adjusted_p_at_k"]
@@ -562,8 +605,8 @@ class TestRetrievalEvaluation:
             for k in plain:
                 assert adjusted[k] >= plain[k]
 
-    def test_fixture_retrieval_quality(self, manifest, corpus):
-        report = evaluate_retrieval(manifest, corpus)
+    def test_fixture_retrieval_quality(self, manifest, corpus_index):
+        report = evaluate_retrieval(manifest, corpus_index)
         best = max(report[sim]["p_at_k"][1] for sim in Similarity)
         assert best >= 0.6
 
@@ -701,11 +744,12 @@ def reference_entry_outcome(entry, tables, index, bundle, store, cfg, row_mode,
     return QuestionOutcome(entry.qid, p, r, f)
 
 
-def reference_sweep_pipeline(entries, tables, bundle, store,
+def reference_sweep_pipeline(entries, tables, index, bundle, store,
                              cfg=SimMatchConfig(), scopes=tuple(Scope),
                              row_modes=tuple(RowMode)):
     indexes = {split: split_index(entries, tables, split)
-               for split in {None} | {e.split for e in entries}}
+               for split in {e.split for e in entries}}
+    indexes[None] = index
 
     grid = {}
     for scope in scopes:
@@ -739,10 +783,10 @@ def fail_retrieval_on_some_questions(monkeypatch):
     questions, whichever index."""
     real = harness.question_vector
 
-    def flaky(index, stems):
+    def flaky(index, stems, text):
         if _hashed(*stems) % 5 == 0:
             raise RuntimeError("index unavailable")
-        return real(index, stems)
+        return real(index, stems, text)
 
     monkeypatch.setattr(harness, "question_vector", flaky)
 
@@ -766,14 +810,15 @@ class TestMatchesReferenceSweep:
         (fail_retrieval_on_some_questions, "source-selection"),
         (fail_embedding_rows_on_some_tables, "row-selection"),
     ], ids=["trained", "select-fails", "retrieval-fails", "rows-fail"])
-    def test_grid_equals_cell_by_cell_runs(self, manifest, corpus,
+    def test_grid_equals_cell_by_cell_runs(self, manifest, corpus, corpus_index,
                                            pipeline_store, trained_bundle,
                                            monkeypatch, break_stage, stage):
         if break_stage is not None:
             break_stage(monkeypatch)
-        got = sweep_pipeline(manifest, corpus, trained_bundle, pipeline_store)
-        want = reference_sweep_pipeline(manifest, corpus, trained_bundle,
-                                        pipeline_store)
+        got = sweep_pipeline(manifest, corpus, corpus_index, trained_bundle,
+                             pipeline_store)
+        want = reference_sweep_pipeline(manifest, corpus, corpus_index,
+                                        trained_bundle, pipeline_store)
         assert list(got) == list(want)
         assert got == want
         errors = [o.error for cell in got.values() for o in cell.failures]
@@ -784,7 +829,7 @@ class TestMatchesReferenceSweep:
             assert errors
             assert all(e.startswith(f"[{stage}] ") for e in errors)
 
-    def test_single_cell_failing_on_nth_call(self, manifest, corpus,
+    def test_single_cell_failing_on_nth_call(self, manifest, corpus, corpus_index,
                                              pipeline_store, trained_bundle,
                                              monkeypatch):
         # one cell calls predict_select once per entry on both paths, so a
@@ -801,17 +846,17 @@ class TestMatchesReferenceSweep:
 
         cells = dict(scopes=(Scope.ALL_SETS,), row_modes=(RowMode.EMBEDDING,))
         monkeypatch.setattr(harness, "predict_select", flaky_from_zero())
-        got = sweep_pipeline(manifest, corpus, trained_bundle, pipeline_store,
-                             **cells)
+        got = sweep_pipeline(manifest, corpus, corpus_index, trained_bundle,
+                             pipeline_store, **cells)
         monkeypatch.setattr(harness, "predict_select", flaky_from_zero())
-        want = reference_sweep_pipeline(manifest, corpus, trained_bundle,
-                                        pipeline_store, **cells)
+        want = reference_sweep_pipeline(manifest, corpus, corpus_index,
+                                        trained_bundle, pipeline_store, **cells)
         assert got == want
         failures = got[(Scope.ALL_SETS, RowMode.EMBEDDING)].failures
         assert len(failures) == len(manifest) // 7
 
     def test_clauses_predicted_once_per_question_and_table(
-            self, manifest, corpus, pipeline_store, trained_bundle,
+            self, manifest, corpus, corpus_index, pipeline_store, trained_bundle,
             monkeypatch):
         calls = []
 
@@ -826,10 +871,12 @@ class TestMatchesReferenceSweep:
         monkeypatch.setattr(harness, "predict_where",
                             counting(clauses.predict_where, "where"))
 
-        sweep_pipeline(manifest, corpus, trained_bundle, pipeline_store)
+        sweep_pipeline(manifest, corpus, corpus_index, trained_bundle,
+                       pipeline_store)
         shared = list(calls)
         calls.clear()
-        reference_sweep_pipeline(manifest, corpus, trained_bundle, pipeline_store)
+        reference_sweep_pipeline(manifest, corpus, corpus_index, trained_bundle,
+                                 pipeline_store)
 
         for name in ("select", "where"):
             once = [c for c in shared if c[0] == name]

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from tableqa import cli
 from tableqa.cli import main
-from tableqa.harness import ingest_corpus, load_corpus, load_table_kinds
+from tableqa.harness import TableDir, ingest_corpus, load_corpus, load_table_kinds
 from tableqa.nn import dump_model
 from tableqa.tabular import TableKind
 
@@ -156,12 +156,13 @@ class TestWritesOnlyWhatChanged:
         path.write_text(path.read_text().replace("Baton Rouge", "Baton Rogue"))
         with _opened_for_writing() as written:
             assert _ingest(tables, kinds, ws)[0] == 0
-        changed = Path("tables") / "state-capitals.csv"
-        assert [Path(p).relative_to(ws) for p in written] == [changed]
-        assert "Baton Rogue" in (ws / changed).read_text()
+        # the index covers the table's words, so it is rebuilt and rewritten
+        changed = [Path("tables") / "state-capitals.csv", Path("index.npz")]
+        assert [Path(p).relative_to(ws) for p in written] == changed
+        assert "Baton Rogue" in (ws / changed[0]).read_text()
         after = _stats(ws)
-        assert {k: v for k, v in after.items() if k != changed} == \
-            {k: v for k, v in before.items() if k != changed}
+        assert {k: v for k, v in after.items() if k not in changed} == \
+            {k: v for k, v in before.items() if k not in changed}
 
     def test_retraining_rewrites_the_model_it_changed(self, cli_workspace,
                                                       fixtures_dir, tmp_path,
@@ -221,7 +222,7 @@ _CELL = st.text(alphabet="ab ,\"\t\né", max_size=4)
 
 def _reference_kinds_text(raw) -> bytes:
     """table_kinds.txt as ingest wrote it before it went through
-    ``write_text_if_changed``: one line per table, written to an open file."""
+    ``write_if_changed``: one line per table, written to an open file."""
     with io.StringIO(newline="") as fh:
         for tid, table in sorted(raw.items()):
             fh.write(f"{tid}\t{table.kind.value}\n")
@@ -261,7 +262,7 @@ def _apply(data, edit, tables: Path, kinds: dict, pool: dict):
     if not present:
         return False
     tid = data.draw(st.sampled_from(present))
-    table = load_corpus(tables, {tid})[tid]
+    table = TableDir(tables)[tid]
     if edit == "delete":
         if len(present) == 1:
             return False
@@ -292,7 +293,8 @@ class TestAnyEditSequence:
     def test_workspace_mirrors_the_corpus_after_every_ingest(self, fixtures_dir,
                                                              data):
         fixture_kinds = load_table_kinds(fixtures_dir / "table_types.txt")
-        pool = load_corpus(fixtures_dir / "tables", set(_POOL))
+        fixture_tables = TableDir(fixtures_dir / "tables")
+        pool = {tid: fixture_tables[tid] for tid in _POOL}
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             tables, ws = tmp / "src", tmp / "ws"

@@ -1,19 +1,28 @@
+import io
+import itertools
 import math
 import random
+import re
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tableqa.errors import NoTables
+from tableqa.errors import BadIndex, NoIndexedWord, NoTables
+from tableqa.harness import TableDir, load_corpus
 from tableqa.retrieval import (
     Similarity,
     TfIdfIndex,
     build_index,
+    index_bytes,
+    load_index,
     precision_at_k,
     question_vector,
+    save_index,
     score,
     table_stems,
 )
@@ -90,8 +99,9 @@ class TestScore:
 
     def test_no_shared_stems_gives_zero_cosine(self):
         index = build_index(disjoint_corpus(3))
-        ranked = score(index, "completely unrelated question", Similarity.COSINE)
-        assert all(s == 0.0 for _, s in ranked)
+        ranked = score(index, "completely unrelated zuzu0x0", Similarity.COSINE)
+        assert ranked[0][0] == "t00"
+        assert all(s == 0.0 for _, s in ranked[1:])
 
     def test_gold_first_under_all_similarities(self):
         tables = disjoint_corpus(3)
@@ -102,9 +112,10 @@ class TestScore:
                 assert score(index, question, sim)[0][0] == f"t{i:02d}", sim
 
     def test_deterministic_tie_break_by_table_id(self):
+        # t00 scores above the three tables tied at zero
         index = build_index(disjoint_corpus(4))
-        ranked = score(index, "nothing shared", Similarity.COSINE)
-        assert [tid for tid, _ in ranked] == sorted(tid for tid, _ in ranked)
+        ranked = score(index, "nothing shared but zuzu0x0", Similarity.COSINE)
+        assert [tid for tid, _ in ranked] == ["t00", "t01", "t02", "t03"]
 
     def test_cosine_invariant_to_question_scaling_dot_is_not(self):
         tables = disjoint_corpus(3)
@@ -122,13 +133,32 @@ class TestScore:
     def test_inv_euclidean_in_unit_interval(self):
         tables = disjoint_corpus(5)
         index = build_index(tables)
-        for q in ["zuzu0x0", "zuzu3x1 zuzu3x2", "nothing"]:
+        for q in ["zuzu0x0", "zuzu3x1 zuzu3x2", "nothing but zuzu4x3"]:
             for _, s in score(index, q, Similarity.INV_EUCLIDEAN):
                 assert 0.0 < s <= 1.0
 
     def test_unknown_question_stems_dropped(self):
         index = build_index(disjoint_corpus(2))
-        assert question_vector(index, ("martian", "vocabulari")) == {}
+        vector = question_vector(index, ("martian", "zuzu1x0"), "martian zuzu1x0")
+        assert vector == {"zuzu1x0": index.idf["zuzu1x0"]}
+
+
+class TestNoIndexedWord:
+    """A question with no word the index holds is refused under every
+    similarity, with the message retrieve, ask and the sweep print."""
+
+    @pytest.mark.parametrize("sim", list(Similarity))
+    @pytest.mark.parametrize("question", ["the of a", "", "martian vocabulary"])
+    def test_score_refuses_it(self, corpus_index, sim, question):
+        message = f"question has no indexed word to rank tables by: {question!r}"
+        with pytest.raises(NoIndexedWord) as exc:
+            score(corpus_index, question, sim, k=2)
+        assert str(exc.value) == message
+
+    def test_question_vector_refuses_it(self):
+        index = build_index(disjoint_corpus(2))
+        with pytest.raises(NoIndexedWord, match="rank tables by: 'martian'$"):
+            question_vector(index, ("martian", "vocabulari"), "martian")
 
 
 class TestPrecisionAtK:
@@ -216,8 +246,13 @@ def reference_vectors(tables) -> dict[str, dict[str, float]]:
             for tid, counts in term_counts.items()}
 
 
+def indexes_a_word(index, question) -> bool:
+    return any(s in index.idf for s in tokenize(question, drop_stopwords=True).stems)
+
+
 def reference_score(index, vectors, question, sim):
-    q = question_vector(index, tokenize(question, drop_stopwords=True).stems)
+    q = question_vector(index, tokenize(question, drop_stopwords=True).stems,
+                        question)
     scored = [(tid, _similarity(q, vec, sim)) for tid, vec in vectors.items()]
     return sorted(scored, key=lambda pair: (-pair[1], pair[0]))
 
@@ -228,6 +263,11 @@ TOLERANCE = 1e-12
 
 
 def assert_matches_reference(index, vectors, question, exact_order):
+    if not indexes_a_word(index, question):
+        for sim in Similarity:
+            with pytest.raises(NoIndexedWord):
+                score(index, question, sim)
+        return
     for sim in Similarity:
         got = score(index, question, sim)
         want = reference_score(index, vectors, question, sim)
@@ -318,7 +358,12 @@ def reference_build_index(tables: list[Table]) -> TfIdfIndex:
 
 
 def assert_index_equals_reference(tables):
-    got, want = build_index(tables), reference_build_index(tables)
+    assert_same_index(build_index(tables), reference_build_index(tables))
+
+
+def assert_same_index(got, want):
+    """Equal ids, idf and columns (order included) and arrays (dtype,
+    shape and bytes); ``got``'s arrays are read-only."""
     assert got.table_ids == want.table_ids
     for name in ("idf", "columns"):
         assert list(getattr(got, name)) == list(getattr(want, name)), name
@@ -391,6 +436,11 @@ def corpora_with_ties(draw):
 
 
 def assert_top_k_is_prefix(index, question, ks):
+    if not indexes_a_word(index, question):
+        for sim, k in itertools.product(Similarity, [None, *ks]):
+            with pytest.raises(NoIndexedWord):
+                score(index, question, sim, k)
+        return
     for sim in Similarity:
         full = score(index, question, sim)
         for k in ks:
@@ -425,3 +475,137 @@ class TestTopK:
         assert len(manifest) == 52
         for entry in manifest:
             assert_top_k_is_prefix(index, entry.question, (1, 5))
+
+
+# ---------------------------------------------------------------------------
+# The saved index
+# ---------------------------------------------------------------------------
+
+REBUILD = "delete it and run `tableqa ingest` again to rebuild it"
+
+
+def _saved_arrays(index) -> dict:
+    with np.load(io.BytesIO(index_bytes(index))) as npz:
+        return {name: npz[name] for name in npz.files}
+
+
+def _write_arrays(path, arrays):
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+class TestSavedIndex:
+    def test_workspace_index_equals_a_build_over_its_tables(self, cli_workspace):
+        # ingest builds it from the tables in memory; a build over the
+        # tables read back from the workspace gives the same index
+        tables = load_corpus(cli_workspace / "tables")
+        got = load_index(cli_workspace / "index.npz", TableDir(cli_workspace / "tables"))
+        assert_same_index(got, build_index(list(tables.values())))
+
+    @settings(max_examples=100, deadline=None)
+    @given(table_lists())
+    def test_round_trip(self, tables):
+        index = build_index(tables)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "index.npz"
+            assert save_index(index, path) is True
+            assert save_index(index, path) is False     # same bytes: not rewritten
+            loaded = load_index(path, reversed(index.table_ids))
+        assert_same_index(loaded, index)
+        assert index_bytes(loaded) == index_bytes(index)
+
+    def test_equal_indexes_give_equal_bytes(self, corpus):
+        tables = list(corpus.values())
+        assert index_bytes(build_index(tables)) == index_bytes(build_index(tables))
+
+    def test_missing_file(self, tmp_path):
+        path = tmp_path / "index.npz"
+        with pytest.raises(BadIndex) as exc:
+            load_index(path, ["a"])
+        assert str(exc.value) == f"{path}: missing; run `tableqa ingest` to build it"
+
+    @pytest.mark.parametrize("data", [b"", b"PK\x03\x04", b"tableqa-mlp v2\n",
+                                      b"\x93NUMPY"], ids=["empty", "zip-magic",
+                                                          "text", "npy-magic"])
+    def test_unreadable_file(self, tmp_path, data):
+        path = tmp_path / "index.npz"
+        path.write_bytes(data)
+        with pytest.raises(BadIndex, match=re.escape(f"{path}: not a readable index (")):
+            load_index(path, ["a"])
+
+    def test_directory_is_not_a_readable_index(self, tmp_path):
+        path = tmp_path / "index.npz"
+        path.mkdir()
+        with pytest.raises(BadIndex, match=re.escape(f"{path}: not a readable index (")):
+            load_index(path, ["a"])
+
+    def test_a_plain_array_is_not_an_index(self, tmp_path):
+        path = tmp_path / "index.npz"
+        with path.open("wb") as fh:
+            np.save(fh, np.zeros(3))
+        with pytest.raises(BadIndex, match="not an .npz archive"):
+            load_index(path, ["a"])
+
+    @staticmethod
+    def _damaged(name, value):
+        def damage(arrays):
+            arrays[name] = value(arrays[name])
+        return damage
+
+    @pytest.mark.parametrize("damage, problem", [
+        (lambda a: a.pop("rows"), "holds arrays "),
+        (lambda a: a.update(extra=np.zeros(1)), "holds arrays "),
+        (lambda a: a.update(rows=a["rows"].astype(np.int32)),
+         "array rows is int32 of shape (17,), expected one dimension of int64"),
+        (lambda a: a.update(idf=a["idf"].reshape(1, -1)),
+         "array idf is float64 of shape (1, 12), expected one dimension of float64"),
+        (lambda a: a.update(table_ids=a["table_ids"].astype(object)),
+         "allow_pickle=False"),
+        (lambda a: a.update(table_ids=a["table_ids"][:0], sq_norms=a["sq_norms"][:0],
+                            n_stems=a["n_stems"][:0]), "indexes no table"),
+        (lambda a: a.update(table_ids=a["table_ids"][::-1]),
+         "array table_ids is not in ascending order without repeats"),
+        (lambda a: a.update(weights=a["weights"][:-1]),
+         "array weights has 16 entries, expected 17"),
+        (lambda a: a.update(indptr=a["indptr"] + 1),
+         "array indptr does not delimit the postings of each stem"),
+        (lambda a: a.update(rows=a["rows"] + 2), "array rows holds a row outside 0..2"),
+        (lambda a: a.update(n_stems=a["n_stems"] + 1),
+         "array n_stems does not count each table's stems"),
+        (lambda a: a.update(weights=np.where(a["weights"] > 0, np.nan, 0.0)),
+         "array weights holds a negative or non-finite value"),
+        (lambda a: a.update(idf=-a["idf"] - 1.0),
+         "array idf holds a negative or non-finite value"),
+        (lambda a: a.update(sq_norms=a["sq_norms"] * np.inf),
+         "array sq_norms holds a negative or non-finite value"),
+        (lambda a: a.update(stems=np.array(["appl"] * 12)), "array stems repeats a stem"),
+    ], ids=["missing-array", "extra-array", "dtype", "shape", "pickled", "no-table",
+            "unsorted-ids", "length", "indptr", "rows", "n-stems", "nan", "negative",
+            "inf", "repeated-stem"])
+    def test_damaged_arrays(self, tmp_path, damage, problem):
+        tables = [make_table("a", ["apple", "pear", "plum"]),
+                  make_table("b", ["apple", "kiwi", "fig", "lime"]),
+                  make_table("c", ["apple", "pear", "date", "lemon", "nut"])]
+        arrays = _saved_arrays(build_index(tables))
+        damage(arrays)
+        path = tmp_path / "index.npz"
+        _write_arrays(path, arrays)
+        with pytest.raises(BadIndex) as exc:
+            load_index(path, ["a", "b", "c"])
+        message = str(exc.value)
+        assert message.startswith(f"{path}: ")
+        assert problem in message
+        assert message.endswith(f"; {REBUILD}")
+
+    @pytest.mark.parametrize("ids, what", [
+        (["a", "b", "c", "d"], "lacks 'd'"),
+        (["a", "b"], "indexes 'c', no longer there"),
+        (["a", "b", "d"], "lacks 'd'; indexes 'c', no longer there"),
+        (["a", "b", "c", "d", "e", "f", "g"], "lacks 'd', 'e', 'f' and 1 more"),
+    ])
+    def test_other_tables_are_out_of_date(self, tmp_path, ids, what):
+        path = tmp_path / "index.npz"
+        save_index(build_index([make_table(t, [t]) for t in "abc"]), path)
+        with pytest.raises(BadIndex) as exc:
+            load_index(path, ids)
+        assert str(exc.value) == f"{path}: out of date with the tables: {what}; {REBUILD}"

@@ -24,7 +24,7 @@ from tableqa.textproc import (
     read_text,
     token_starts,
     tokenize,
-    write_text_if_changed,
+    write_if_changed,
 )
 
 
@@ -215,7 +215,7 @@ class TestWriteTextIfChanged:
 
     def test_missing_file_is_created(self, tmp_path):
         path = tmp_path / "new.txt"
-        assert write_text_if_changed(path, self.TEXT) is True
+        assert write_if_changed(path, self.TEXT) is True
         assert path.read_bytes() == self.TEXT.encode("utf-8")
 
     def test_equal_bytes_are_not_written(self, tmp_path, monkeypatch):
@@ -223,7 +223,7 @@ class TestWriteTextIfChanged:
         path.write_bytes(self.TEXT.encode("utf-8"))
         before = path.stat()
         opens, reads = self._record_opens(monkeypatch)
-        assert write_text_if_changed(path, self.TEXT) is False
+        assert write_if_changed(path, self.TEXT) is False
         assert opens == [(path, "rb")]
         assert reads == [len(self.TEXT.encode("utf-8")) + 1]
         after = path.stat()
@@ -242,14 +242,23 @@ class TestWriteTextIfChanged:
         path = tmp_path / "old.txt"
         path.write_bytes(old.encode("utf-8"))
         opens, reads = self._record_opens(monkeypatch)
-        assert write_text_if_changed(path, self.TEXT) is True
+        assert write_if_changed(path, self.TEXT) is True
         assert path.read_bytes() == self.TEXT.encode("utf-8")
         assert opens == [(path, "rb"), (path, "wb")]
         assert reads == [len(self.TEXT.encode("utf-8")) + 1]
 
+    def test_bytes_are_written_as_given(self, tmp_path):
+        path = tmp_path / "f.bin"
+        data = b"\x00\xff" + self.TEXT.encode("utf-8")
+        assert write_if_changed(path, data) is True
+        assert path.read_bytes() == data
+        assert write_if_changed(path, data) is False
+        assert write_if_changed(path, self.TEXT) is True
+        assert path.read_bytes() == self.TEXT.encode("utf-8")
+
     def test_directory_is_an_os_error(self, tmp_path):
         with pytest.raises(IsADirectoryError):
-            write_text_if_changed(tmp_path, self.TEXT)
+            write_if_changed(tmp_path, self.TEXT)
 
     @settings(max_examples=200)
     @given(st.text(max_size=12), st.one_of(st.none(), st.text(max_size=12)))
@@ -258,7 +267,7 @@ class TestWriteTextIfChanged:
             path = Path(tmp) / "f.txt"
             if old is not None:
                 path.write_bytes(old.encode("utf-8"))
-            wrote = write_text_if_changed(path, text)
+            wrote = write_if_changed(path, text)
             assert path.read_bytes() == text.encode("utf-8")
             assert wrote is (old is None or old.encode("utf-8")
                              != text.encode("utf-8"))

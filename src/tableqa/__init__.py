@@ -11,7 +11,8 @@ Sub-modules, in pipeline order:
   key-value to entity-instance transposition.
 - ``textproc``: tokenizer, stop list, Porter stemmer, edit distance from a
   compiled word.
-- ``embed``: word-embedding store, cosine proximity and the ~ operator.
+- ``embed``: word-embedding store, its saved binary form, cosine
+  proximity and the ~ operator.
 - ``retrieval``: TF-IDF source selection, the saved index's file format,
   and precision-at-k.
 - ``nn``: seed-deterministic MLP core (batch norm, softmax, SGD) and
@@ -23,50 +24,36 @@ Sub-modules, in pipeline order:
 - ``harness``: manifest loading, training orchestration, evaluation
   metrics, and the end-to-end pipeline sweep.
 - ``cli``: the ``tableqa`` command-line shell.
+
+The package itself exports the names README's library example and the
+benchmark import; the rest is imported from its module.
 """
 
-from .embed import EmbeddingStore, SimMatchConfig, load_embeddings, sim_match
+from .embed import SimMatchConfig, load_embeddings
 from .harness import (
-    ManifestEntry,
     ModelBundle,
-    RowMode,
-    Scope,
-    Split,
     ingest_corpus,
     load_corpus,
     load_manifest,
     load_table_kinds,
     run_pipeline,
-    sweep_pipeline,
 )
-from .query import StructuredQuery, execute, parse_query, print_query
-from .tabular import Table, TableKind, load_table, transpose_key_value
+from .query import execute, parse_query
+from .tabular import Table
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "EmbeddingStore",
-    "ManifestEntry",
     "ModelBundle",
-    "RowMode",
-    "Scope",
     "SimMatchConfig",
-    "Split",
-    "StructuredQuery",
     "Table",
-    "TableKind",
     "execute",
     "ingest_corpus",
     "load_corpus",
     "load_embeddings",
     "load_manifest",
-    "load_table",
     "load_table_kinds",
     "parse_query",
-    "print_query",
     "run_pipeline",
-    "sim_match",
-    "sweep_pipeline",
-    "transpose_key_value",
     "__version__",
 ]

@@ -5,7 +5,10 @@ A workspace directory accumulates the pipeline's artifacts:
     workspace/
       tables/           ingested (transposed) tables, one file per table
       table_kinds.txt   resolved table kinds from ingestion
-      index.npz         the TF-IDF index over all of tables/
+      index.npz         the TF-IDF index over all of tables/, with the
+                        sha256 of each table file
+      embeddings.npz    the last --embeddings file parsed, keyed on its
+                        sha256
       models/           trained model files, one per task
       reports/          JSON copies of every eval / pipeline-eval report
 
@@ -17,7 +20,14 @@ only when it wrote or removed a table file or finds no index: writing or
 removing one deletes the old index first, so an ingest cut short leaves
 no stale index behind. ``retrieve``, ``ask``, ``eval --task retrieval``
 and ``pipeline-eval`` load it (``retrieval.load_index``) instead of
-building one, and read a workspace table only when they reach it.
+building one, and read a workspace table only when they reach it; the
+first read of a table checks its bytes against the sha256 ingest saved.
+
+``train``, ``eval``, ``ask`` and ``pipeline-eval`` take ``--embeddings``
+through ``embeddings.npz`` (``_workspace_store``): when it holds the
+store of a ``.vec`` with the same sha256, no text is parsed; otherwise
+the ``.vec`` is parsed and the file replaced. A workspace that cannot be
+written is answered from the parsed store.
 
 Exit codes: 0 on success, 1 on validation, data or file errors, 2 on usage
 errors.
@@ -26,7 +36,9 @@ errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -35,7 +47,7 @@ import sys
 from pathlib import Path
 
 from .clauses import SELECT_SPEC, WHERE_SPEC, parse_question
-from .embed import load_embeddings
+from .embed import EmbeddingStore, load_embeddings, load_store, save_store
 from .errors import NoTables, TableQAError, UntrainedModel
 from .harness import (
     ModelBundle,
@@ -63,7 +75,7 @@ from .harness import (
 )
 from .nn import TrainConfig, load_model, save_model, spec_line
 from .query import print_query
-from .retrieval import Similarity, build_index, load_index, save_index
+from .retrieval import Similarity, build_index, load_digests, load_index, save_index
 from .tabular import (
     extract_table_type_features,
     load_table_type_model,
@@ -82,21 +94,49 @@ from .typerec import (
 TASKS = ("table-type", "column-type", "select", "where")
 
 
+def _index_path(ws: Path) -> Path:
+    return ws / "index.npz"
+
+
 def _workspace_tables(ws: Path) -> TableDir:
-    """The workspace's tables, each read when first used."""
+    """The workspace's tables, each read when first used and checked
+    against the digest ingest saved beside the index."""
     tables_dir = ws / "tables"
     if not tables_dir.is_dir():
         raise TableQAError(f"workspace has no tables directory: {tables_dir}")
-    return TableDir(tables_dir)
-
-
-def _index_path(ws: Path) -> Path:
-    return ws / "index.npz"
+    return TableDir(tables_dir, lambda: load_digests(_index_path(ws)))
 
 
 def _workspace_index(ws: Path, tables: TableDir):
     """The index ``ingest`` saved, checked against the tables' ids."""
     return load_index(_index_path(ws), tables)
+
+
+def _file_sha256(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _workspace_store(ws: Path, vec_path) -> EmbeddingStore:
+    """The embeddings of ``vec_path``, from ``ws/embeddings.npz`` when it
+    holds the store of these ``.vec`` bytes.
+
+    Otherwise the ``.vec`` is parsed, so its errors name ``<vec>:<line>``,
+    and saved over ``embeddings.npz``, unless its bytes changed while it
+    was parsed or the workspace cannot be written.
+    """
+    sha256 = _file_sha256(vec_path)
+    path = ws / "embeddings.npz"
+    store = load_store(path, sha256)
+    if store is None:
+        store = load_embeddings(vec_path)
+        if _file_sha256(vec_path) == sha256:
+            with contextlib.suppress(OSError):
+                save_store(store, sha256, path)
+    return store
 
 
 def _model_path(ws: Path, task: str) -> Path:
@@ -211,8 +251,9 @@ def cmd_ingest(args) -> int:
     tables_dir.mkdir(parents=True, exist_ok=True)
     index_path = _index_path(ws)
     files = {f"{table.id}.csv": table for table in ingested.values()}
-    for name, table in files.items():
-        if write_if_changed(tables_dir / name, _table_text(table)):
+    texts = {name: _table_text(table).encode("utf-8") for name, table in files.items()}
+    for name, text in texts.items():
+        if write_if_changed(tables_dir / name, text):
             index_path.unlink(missing_ok=True)
     # tables/ mirrors the corpus: a table file left from an earlier ingest
     # would still be read by every later command
@@ -222,7 +263,9 @@ def cmd_ingest(args) -> int:
         os.remove(tables_dir / name)
     if not index_path.exists():
         # in the order later commands list tables/, which numbers the stems
-        save_index(build_index([files[name] for name in sorted(files)]), index_path)
+        save_index(build_index([files[name] for name in sorted(files)]),
+                   {files[name].id: hashlib.sha256(text).digest()
+                    for name, text in texts.items()}, index_path)
     write_if_changed(ws / "table_kinds.txt", "".join(
         f"{tid}\t{table.kind.value}\n" for tid, table in sorted(raw.items())))
     transposed = sum(1 for tid in raw if raw[tid].kind.value == "key-value")
@@ -274,7 +317,7 @@ def cmd_train(args) -> int:
         # and no other table
         lines = parse_manifest(args.manifest)
         tables = _workspace_tables(ws)
-        store = load_embeddings(args.embeddings)
+        store = _workspace_store(ws, args.embeddings)
         bundle = _load_bundle(ws)
         if bundle.coltype_model is None:
             raise TableQAError(
@@ -337,7 +380,7 @@ def cmd_eval(args) -> int:
     if not (args.manifest and args.embeddings):
         raise TableQAError(f"eval --task {args.task} needs --manifest and --embeddings")
     tables = _workspace_tables(ws)
-    store = load_embeddings(args.embeddings)
+    store = _workspace_store(ws, args.embeddings)
     entries = _split_entries(load_manifest(args.manifest, tables, store),
                              args.split)
 
@@ -431,7 +474,7 @@ class _AskSession:
 def cmd_ask(args) -> int:
     ws = Path(args.workspace)
     tables = _workspace_tables(ws)
-    store = load_embeddings(args.embeddings)
+    store = _workspace_store(ws, args.embeddings)
     entries = load_manifest(args.manifest, tables, store) if args.manifest else []
     session = _AskSession(ws, tables, entries, _load_bundle(ws), store,
                           Scope(args.scope), RowMode(args.row_mode),
@@ -457,7 +500,7 @@ def cmd_ask(args) -> int:
 def cmd_pipeline_eval(args) -> int:
     ws = Path(args.workspace)
     tables = _workspace_tables(ws)
-    store = load_embeddings(args.embeddings)
+    store = _workspace_store(ws, args.embeddings)
     entries = _split_entries(load_manifest(args.manifest, tables, store),
                              args.split)
     bundle = _load_bundle(ws)

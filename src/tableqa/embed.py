@@ -4,17 +4,25 @@ Backs both the proximity features and the ~ operator: a cell matches a
 keyword if they are equal, if the keyword is a substring of the cell, or
 failing both, if any token pair sits within a fixed embedding distance.
 The store is one token x dimension matrix with the norm of every row.
+
+This module owns the store's binary form too: ``save_store`` writes a
+parsed store as one ``.npz`` archive keyed on the sha256 of the ``.vec``
+bytes it was parsed from, and ``load_store`` reads it back without
+unpickling anything, checking each array. The command line keeps one
+such file per workspace, ``<workspace>/embeddings.npz``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyFile, MalformedLine
-from .textproc import read_lines, words
+from .errors import BadStore, EmptyFile, MalformedLine
+from .textproc import read_lines, read_npz, words
 
 
 @dataclass(frozen=True)
@@ -147,6 +155,88 @@ def load_embeddings(path) -> EmbeddingStore:
         matrix = matrix[np.fromiter(rows.values(), dtype=np.int64, count=len(rows))]
         rows = {token: row for row, token in enumerate(rows)}
     return EmbeddingStore(rows, matrix)
+
+
+# ---------------------------------------------------------------------------
+# The saved store: a parsed .vec as one .npz archive
+# ---------------------------------------------------------------------------
+
+_STORE_REBUILD = "delete it and the next command rebuilds it from the .vec"
+
+
+def save_store(store: EmbeddingStore, sha256: str, path) -> bool:
+    """Replace ``path`` with ``store``, parsed from a ``.vec`` whose bytes
+    have the hex digest ``sha256``; True when it was written.
+
+    The archive is uncompressed and holds ``sha256``, ``tokens`` (in row
+    order, as ``load_embeddings`` inserts them) and ``matrix``, and no
+    timestamp, so equal stores give equal bytes. It is written to a temp
+    file beside ``path``, then renamed over it, so a reader never sees a
+    partial file; an OSError leaves ``path`` as it was. A store with a
+    token ending in NUL, which numpy's string arrays drop, is not written.
+    """
+    tokens = np.array(list(store.rows), dtype=np.str_)
+    if tokens.tolist() != list(store.rows):
+        return False
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, sha256=np.array(sha256), tokens=tokens, matrix=store.matrix)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+    return True
+
+
+def _read_store(path, sha256: str) -> EmbeddingStore | None:
+    """The store in the archive at ``path``, None when it holds another
+    ``.vec``'s; a check that fails raises BadStore naming the problem."""
+    arrays = read_npz(path, ("sha256", "tokens", "matrix"))
+    saved, tokens, matrix = arrays["sha256"], arrays["tokens"], arrays["matrix"]
+    if saved.dtype.kind != "U" or saved.shape != ():
+        raise BadStore(f"array sha256 is {saved.dtype} of shape {saved.shape}, "
+                       "expected one string")
+    if saved.item() != sha256:
+        return None
+    if tokens.dtype.kind != "U" or tokens.ndim != 1 or not len(tokens):
+        raise BadStore(f"array tokens is {tokens.dtype} of shape {tokens.shape}, "
+                       "expected one non-empty dimension of str")
+    if matrix.dtype != np.float64 or matrix.ndim != 2 \
+            or matrix.shape[0] != len(tokens) or not matrix.shape[1]:
+        raise BadStore(f"array matrix is {matrix.dtype} of shape {matrix.shape}, "
+                       f"expected float64 of shape ({len(tokens)}, d > 0)")
+    if not np.isfinite(matrix).all():
+        raise BadStore("array matrix holds a non-finite value")
+    rows = dict(zip(tokens.tolist(), range(len(tokens))))
+    if len(rows) < len(tokens):
+        raise BadStore("array tokens repeats a token")
+    return EmbeddingStore(rows, matrix)
+
+
+def load_store(path, sha256: str) -> EmbeddingStore | None:
+    """The store ``save_store`` wrote to ``path`` for the ``.vec`` bytes of
+    hex digest ``sha256``; None when there is no file or it holds the
+    store of other bytes.
+
+    The file is read through ``textproc.read_npz``: no unpickling, and the
+    matrix is a view of the bytes read. Every array's dtype and shape is
+    checked, every value must be finite and every token distinct; a file
+    that is unreadable or fails a check raises BadStore naming ``path``
+    and how to recover.
+    """
+    try:
+        return _read_store(path, sha256)
+    except FileNotFoundError:
+        return None
+    except BadStore as exc:
+        raise BadStore(f"{path}: {exc}; {_STORE_REBUILD}") from None
+    # a damaged archive fails in zipfile or numpy's header reader, with
+    # whatever error the damage leads each of them to
+    except Exception as exc:
+        raise BadStore(f"{path}: not a readable embedding store ({exc}); "
+                       f"{_STORE_REBUILD}") from None
 
 
 def proximity(store: EmbeddingStore, a: str, b: str) -> float | None:

@@ -25,6 +25,10 @@ class DuplicateKeys(TableQAError):
     """Two identical key cells would collide as headers after transpose."""
 
 
+class TableChanged(TableQAError):
+    """A workspace table file's bytes differ from those ingest wrote."""
+
+
 # --- embeddings ---
 
 class MalformedLine(TableQAError):
@@ -33,6 +37,10 @@ class MalformedLine(TableQAError):
 
 class EmptyFile(TableQAError):
     """Embedding file contains no entries."""
+
+
+class BadStore(TableQAError):
+    """A saved embedding store is unreadable or damaged."""
 
 
 # --- retrieval ---

@@ -26,7 +26,8 @@ over a few gold tables each, are built here (``split_index``).
 
 ``TableDir`` maps a directory's table ids to its tables and reads each
 file on first access, so a command reads only the tables it reaches;
-``load_corpus`` reads them all.
+``load_corpus`` reads them all. Over a workspace it also checks each
+file against the digest ingest saved for it.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import os
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -150,21 +152,32 @@ class TableDir(Mapping):
     against that listing and never joined into a path, so an id absent
     from the directory, such as ``../x``, is simply missing. Reading a
     malformed file raises its error at that access.
+
+    ``load_digests``, when given, returns table id -> the sha256 each
+    file's bytes must have; it is called at the first read, and a file of
+    other bytes, or with no digest, raises TableChanged at its access.
     """
 
-    def __init__(self, tables_dir):
+    def __init__(self, tables_dir, load_digests=None):
         # file paths, and the errors naming them, spelled as pathlib joins them
         base = str(Path(str(tables_dir)))
         root = "" if base == "." else base
         self._files = {stem: (os.path.join(root, name), fmt)
                        for name, (stem, fmt) in table_files(base).items()}
         self._tables = {}
+        self._load_digests = load_digests
+
+    @cached_property
+    def _digests(self) -> dict[str, bytes]:
+        return self._load_digests()
 
     def __getitem__(self, tid) -> Table:
         table = self._tables.get(tid)
         if table is None:
             path, fmt = self._files[tid]
-            table = self._tables[tid] = load_table(path, fmt)
+            # a table file added since ingest has no digest, and b"" matches none
+            sha256 = None if self._load_digests is None else self._digests.get(tid, b"")
+            table = self._tables[tid] = load_table(path, fmt, sha256=sha256)
         return table
 
     def __contains__(self, tid) -> bool:

@@ -15,12 +15,14 @@ and the per-table squared norms are taken in Python, one stem at a time,
 so every float is the one a per-table dictionary walk gives.
 
 This module owns the index's file format too: ``index_bytes`` and
-``save_index`` write the arrays as one ``.npz`` archive, and
-``load_index`` reads it back without unpickling anything, checking each
-array before it builds the index. ``tableqa ingest`` builds the index over
-the tables it writes and saves it as ``<workspace>/index.npz``; the
-commands that rank all tables (``retrieve``, ``ask``, ``eval --task
-retrieval``, ``pipeline-eval``) load that file instead of building one.
+``save_index`` write the arrays as one ``.npz`` archive, with the sha256
+of each indexed table's file, and ``load_index`` reads it back without
+unpickling anything, checking each array before it builds the index.
+``tableqa ingest`` builds the index over the tables it writes and saves
+it as ``<workspace>/index.npz``; the commands that rank all tables
+(``retrieve``, ``ask``, ``eval --task retrieval``, ``pipeline-eval``)
+load that file instead of building one, and every command that reads a
+workspace table checks it against its digest (``load_digests``).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 
 from .errors import BadIndex, NoIndexedWord, NoTables
 from .tabular import Table
-from .textproc import STOPWORDS, porter_stem, tokenize, words, write_if_changed
+from .textproc import STOPWORDS, porter_stem, read_npz, tokenize, words, write_if_changed
 
 
 class Similarity(enum.Enum):
@@ -236,60 +238,69 @@ def rank(index: TfIdfIndex, vector: dict[str, float], sim: Similarity,
 # ---------------------------------------------------------------------------
 
 # array name -> dtype: the table ids (row order) and the stems (column
-# order) as unicode arrays, the idf values in column order, then the
-# index's own arrays
+# order) as unicode arrays, the idf values in column order, the index's
+# own arrays, then the sha256 of each table's file in row order
 _SAVED = {"table_ids": np.str_, "stems": np.str_, "idf": np.float64,
           "indptr": np.int64, "rows": np.int64, "weights": np.float64,
-          "sq_norms": np.float64, "n_stems": np.int64}
+          "sq_norms": np.float64, "n_stems": np.int64,
+          "digests": np.dtype("S32")}
 
 _REBUILD = "delete it and run `tableqa ingest` again to rebuild it"
 
 
-def index_bytes(index: TfIdfIndex) -> bytes:
-    """The index as ``.npz`` bytes. Equal indexes give equal bytes: the
-    archive holds no timestamp."""
+def index_bytes(index: TfIdfIndex, digests) -> bytes:
+    """The index and ``digests`` (table id -> the 32-byte sha256 of its
+    file) as ``.npz`` bytes. Equal inputs give equal bytes: the archive
+    holds no timestamp."""
     out = io.BytesIO()
     np.savez(out, table_ids=np.array(index.table_ids, dtype=np.str_),
              stems=np.array(list(index.idf), dtype=np.str_),
              idf=np.fromiter(index.idf.values(), dtype=np.float64,
                              count=len(index.idf)),
              indptr=index.indptr, rows=index.rows, weights=index.weights,
-             sq_norms=index.sq_norms, n_stems=index.n_stems)
+             sq_norms=index.sq_norms, n_stems=index.n_stems,
+             digests=np.array([digests[tid] for tid in index.table_ids],
+                              dtype=_SAVED["digests"]))
     return out.getvalue()
 
 
-def save_index(index: TfIdfIndex, path) -> bool:
-    """Write the index to ``path`` unless it already holds these bytes;
-    True when it was written."""
-    return write_if_changed(path, index_bytes(index))
+def save_index(index: TfIdfIndex, digests, path) -> bool:
+    """Write the index and ``digests`` to ``path`` unless it already holds
+    these bytes; True when it was written."""
+    return write_if_changed(path, index_bytes(index, digests))
 
 
-def _read_arrays(data: bytes) -> dict[str, np.ndarray]:
-    npz = np.load(io.BytesIO(data), allow_pickle=False)
-    if not isinstance(npz, np.lib.npyio.NpzFile):
-        raise ValueError("not an .npz archive")
-    with npz:
-        if sorted(npz.files) != sorted(_SAVED):
-            raise ValueError(f"holds arrays {sorted(npz.files)}, "
-                             f"expected {sorted(_SAVED)}")
-        return {name: npz[name] for name in _SAVED}
+def _read_index_file(path, names=None) -> dict[str, np.ndarray]:
+    try:
+        return read_npz(path, _SAVED, names)
+    except FileNotFoundError:
+        raise BadIndex(f"{path}: missing; run `tableqa ingest` to build it") from None
+    # a damaged archive fails in zipfile or numpy's header reader, with
+    # whatever error the damage leads each of them to
+    except Exception as exc:
+        raise BadIndex(f"{path}: not a readable index ({exc}); {_REBUILD}") from None
+
+
+def _dtype_problem(name: str, x: np.ndarray) -> str | None:
+    dtype = _SAVED[name]
+    if x.ndim != 1 or (x.dtype.kind != "U" if dtype is np.str_ else x.dtype != dtype):
+        return f"array {name} is {x.dtype} of shape {x.shape}, " \
+            f"expected one dimension of {np.dtype(dtype).name}"
+    return None
 
 
 def _array_problem(a: dict[str, np.ndarray]) -> str | None:
     """What is wrong with the arrays as an index, or None."""
-    for name, dtype in _SAVED.items():
-        x = a[name]
-        if x.ndim != 1 or (x.dtype.kind != "U" if dtype is np.str_
-                           else x.dtype != dtype):
-            return f"array {name} is {x.dtype} of shape {x.shape}, " \
-                f"expected one dimension of {np.dtype(dtype).name}"
+    for name in _SAVED:
+        if (problem := _dtype_problem(name, a[name])) is not None:
+            return problem
     n, m, nnz = len(a["table_ids"]), len(a["stems"]), len(a["rows"])
     if n == 0:
         return "indexes no table"
     if np.any(a["table_ids"][:-1] >= a["table_ids"][1:]):
         return "array table_ids is not in ascending order without repeats"
     for name, length in {"idf": m, "indptr": m + 1, "weights": nnz,
-                         "sq_norms": n, "n_stems": n}.items():
+                         "sq_norms": n, "n_stems": n, "digests": n}.items():
         if len(a[name]) != length:
             return f"array {name} has {len(a[name])} entries, expected {length}"
     df = np.diff(a["indptr"])
@@ -321,15 +332,7 @@ def load_index(path, table_ids) -> TfIdfIndex:
     damaged or out-of-date file raises BadIndex naming ``path`` and how to
     rebuild it.
     """
-    try:
-        with open(path, "rb") as fh:
-            arrays = _read_arrays(fh.read())
-    except FileNotFoundError:
-        raise BadIndex(f"{path}: missing; run `tableqa ingest` to build it") from None
-    # a damaged archive fails in zipfile, zlib or numpy's format reader,
-    # with whatever error the damage leads each of them to
-    except Exception as exc:
-        raise BadIndex(f"{path}: not a readable index ({exc}); {_REBUILD}") from None
+    arrays = _read_index_file(path)
     problem = _array_problem(arrays)
     if problem is not None:
         raise BadIndex(f"{path}: {problem}; {_REBUILD}")
@@ -351,6 +354,22 @@ def load_index(path, table_ids) -> TfIdfIndex:
         **{name: _frozen(arrays[name])
            for name in ("indptr", "rows", "weights", "sq_norms", "n_stems")},
     )
+
+
+def load_digests(path) -> dict[str, bytes]:
+    """Table id -> the 32-byte sha256 of its file, as saved with the index
+    at ``path``; only those two arrays are read and checked. A missing or
+    damaged file raises BadIndex as ``load_index`` does."""
+    arrays = _read_index_file(path, ("table_ids", "digests"))
+    ids, digests = arrays["table_ids"], arrays["digests"]
+    problem = _dtype_problem("table_ids", ids) or _dtype_problem("digests", digests)
+    if problem is None and len(digests) != len(ids):
+        problem = f"array digests has {len(digests)} entries, expected {len(ids)}"
+    if problem is not None:
+        raise BadIndex(f"{path}: {problem}; {_REBUILD}")
+    # numpy drops the trailing NUL bytes of a digest it hands out one at a time
+    raw = digests.tobytes()
+    return {tid: raw[32 * i:32 * i + 32] for i, tid in enumerate(ids.tolist())}
 
 
 def precision_at_k(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import hashlib
 import io
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -19,9 +20,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import (DuplicateKeys, MalformedFile, MalformedLine, NotKeyValue,
-                     UntrainedModel)
+                     TableChanged, UntrainedModel)
 from .nn import format_arrays, parse_arrays
-from .textproc import TokenList, read_text, tokenize, write_if_changed
+from .textproc import TokenList, decode_text, read_text, tokenize, write_if_changed
 
 if TYPE_CHECKING:
     from .typerec import ColumnTypeFeatures
@@ -130,7 +131,8 @@ class Table:
         )
 
 
-def load_table(path, fmt: TableFormat, table_id: str | None = None) -> Table:
+def load_table(path, fmt: TableFormat, table_id: str | None = None,
+               sha256: bytes | None = None) -> Table:
     """Read a delimited file into a Table with kind UNKNOWN.
 
     The first record is the header row. Cells are preserved verbatim; only
@@ -138,11 +140,16 @@ def load_table(path, fmt: TableFormat, table_id: str | None = None) -> Table:
     columns and a ragged row raise MalformedFile naming the line the
     record starts on; a record the csv module rejects (a cell over its
     field size limit) raises MalformedLine naming the line it ends on.
+    With ``sha256``, file bytes of another digest raise TableChanged.
     """
     path = str(path)
     # the file is read whole and closed before csv sees a line, so no
     # error raised mid-file keeps it open
-    lines = io.StringIO(read_text(path), newline="")
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if sha256 is not None and hashlib.sha256(data).digest() != sha256:
+        raise TableChanged(f"{path}: changed since ingest; run tableqa ingest")
+    lines = io.StringIO(decode_text(path, data), newline="")
     reader = csv.reader(lines, delimiter=fmt.value)
     try:
         headers = next(reader, None)

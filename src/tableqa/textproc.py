@@ -4,18 +4,26 @@ Tokenization lowercases and splits on maximal runs of non-alphanumeric
 characters, optionally removes stop words, and stems with an in-repo
 Porter stemmer so results are reproducible byte-for-byte with no
 external NLP dependency. The stop list ships as a text resource
-(``data/stopwords.txt``, one word per line). Every input file is read
-through ``read_lines`` or ``read_text``, which turn bytes that are not
-UTF-8 into an error naming the file and line; every workspace file is
-written through ``write_if_changed``.
+(``data/stopwords.txt``, one word per line). Every input text is read
+through ``read_lines`` or ``read_text`` (``decode_text`` for bytes read
+already), which turn bytes that are not UTF-8 into an error naming the
+file and line; every workspace file is written through
+``write_if_changed``, and the workspace's ``.npz`` archives are read
+through ``read_npz``.
 """
 
 from __future__ import annotations
 
 import functools
+import io
+import math
 import re
+import zipfile
+import zlib
 from dataclasses import dataclass
 from importlib import resources
+
+import numpy as np
 
 from .errors import NotText
 
@@ -54,7 +62,12 @@ def read_text(path) -> str:
     NotText naming ``path:line``, as ``read_lines`` does.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
+        return decode_text(path, fh.read())
+
+
+def decode_text(path, data: bytes) -> str:
+    """``data``, the bytes of the file ``path``, decoded as ``read_text``
+    decodes them."""
     try:
         return data.decode("utf-8-sig")
     except UnicodeDecodeError:
@@ -79,6 +92,67 @@ def write_if_changed(path, content: str | bytes) -> bool:
     with open(path, "wb") as fh:
         fh.write(data)
     return True
+
+
+# the .npy header np.savez writes for an array of one plain dtype: format
+# 1.0, the header's size, then a dict literal padded to 64 bytes in all
+_NPY_HEADER = re.compile(
+    rb"\x93NUMPY\x01\x00(?P<size>..)\{'descr': '(?P<descr>[<>|=][a-zA-Z]\d*)', "
+    rb"'fortran_order': (?P<fortran>False|True), "
+    rb"'shape': \((?P<shape>(?:\d+, )*(?:\d+,?)?)\), \} *\n", re.DOTALL)
+
+
+def read_npz(path, members, names=None) -> dict[str, np.ndarray]:
+    """The arrays ``names`` (all by default) of the uncompressed ``.npz``
+    archive at ``path`` that ``np.savez`` wrote, which must hold exactly
+    the arrays ``members``.
+
+    Only the named members are read, each in one call, and each array is
+    a read-only view of those bytes: ``.npy`` pads its header to 64 bytes,
+    so the data is aligned as the bytes object is (an array that is not is
+    copied). As ``np.load(..., allow_pickle=False)`` does, an array of
+    Python objects is refused; so are a compressed member, one whose bytes
+    fail their CRC and one whose header is not as ``np.savez`` writes it
+    (format 1.0, one plain dtype). Other damage raises ValueError, or
+    whatever it leads zipfile to raise.
+    """
+    with open(path, "rb") as fh:
+        try:
+            with zipfile.ZipFile(fh) as archive:
+                infos = {info.filename.removesuffix(".npy"): info
+                         for info in archive.infolist()}
+        except zipfile.BadZipFile:
+            raise ValueError("not an .npz archive") from None
+        if sorted(infos) != sorted(members):
+            raise ValueError(f"holds arrays {sorted(infos)}, expected {sorted(members)}")
+        arrays = {}
+        for name in members if names is None else names:
+            info = infos[name]
+            # the member's bytes follow its 30-byte local header, name and extra
+            fh.seek(info.header_offset)
+            local = fh.read(30)
+            if local[:4] != b"PK\x03\x04" or info.compress_type != zipfile.ZIP_STORED:
+                raise ValueError(f"array {name} is not an uncompressed member")
+            fh.seek(int.from_bytes(local[26:28], "little")
+                    + int.from_bytes(local[28:30], "little"), io.SEEK_CUR)
+            data = fh.read(info.file_size)
+            if len(data) != info.file_size or zlib.crc32(data) != info.CRC:
+                raise ValueError(f"array {name} fails its CRC")
+            header = _NPY_HEADER.match(data)
+            if header is None:
+                raise ValueError(f"array {name} has no .npy header as np.savez writes one")
+            dtype = np.dtype(header["descr"].decode())
+            if dtype.hasobject:
+                raise ValueError("Object arrays cannot be loaded when allow_pickle=False")
+            shape = tuple(map(int, header["shape"].replace(b",", b" ").split()))
+            count, offset = math.prod(shape), header.end()
+            if offset != 10 + int.from_bytes(header["size"], "little") \
+                    or offset + count * dtype.itemsize != len(data):
+                raise ValueError(f"array {name} of shape {shape} does not fill its member")
+            array = np.frombuffer(data, dtype, count, offset).reshape(
+                shape, order="F" if header["fortran"] == b"True" else "C")
+            arrays[name] = array if array.flags.aligned else array.copy()
+    return arrays
 
 
 def _not_utf8(path, data: bytes) -> str:

@@ -35,7 +35,6 @@ class ColumnType(enum.Enum):
         return cls[name.strip().upper()]
 
 
-N_COLUMN_TYPES = len(ColumnType)
 COLUMN_TYPE_FEATURE_DIM = 9
 COLUMN_TYPE_SPEC = MlpSpec(
     input_dim=COLUMN_TYPE_FEATURE_DIM,

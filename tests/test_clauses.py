@@ -35,7 +35,7 @@ from tableqa.textproc import (
 )
 from tableqa.typerec import (
     COLUMN_TYPE_SPEC,
-    N_COLUMN_TYPES,
+    ColumnType,
     QuestionType,
     classify_column_type,
     classify_question,
@@ -423,7 +423,7 @@ class TestPrediction:
 # ---------------------------------------------------------------------------
 
 def reference_column_type_distributions(table, model):
-    out = np.zeros((table.n_columns, N_COLUMN_TYPES))
+    out = np.zeros((table.n_columns, len(ColumnType)))
     for c in range(table.n_columns):
         _, out[c] = classify_column_type(
             extract_column_type_features(table.column(c)), model

@@ -91,9 +91,9 @@ class TestTableDir:
         read = []
         real_load = harness.load_table
 
-        def counting(path, fmt):
+        def counting(path, fmt, **kwargs):
             read.append(Path(path).name)
-            return real_load(path, fmt)
+            return real_load(path, fmt, **kwargs)
 
         monkeypatch.setattr(harness, "load_table", counting)
         tables = TableDir(tables_dir)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import math
@@ -19,6 +20,7 @@ from tableqa.retrieval import (
     TfIdfIndex,
     build_index,
     index_bytes,
+    load_digests,
     load_index,
     precision_at_k,
     question_vector,
@@ -484,8 +486,15 @@ class TestTopK:
 REBUILD = "delete it and run `tableqa ingest` again to rebuild it"
 
 
+def digests_of(index) -> dict:
+    """A 32-byte digest per indexed table; every 8th ends in NUL bytes,
+    which numpy drops from a bytes item it hands out."""
+    return {tid: hashlib.sha256(tid.encode()).digest()[:30 if i % 8 else 24].ljust(32, b"\0")
+            for i, tid in enumerate(index.table_ids)}
+
+
 def _saved_arrays(index) -> dict:
-    with np.load(io.BytesIO(index_bytes(index))) as npz:
+    with np.load(io.BytesIO(index_bytes(index, digests_of(index)))) as npz:
         return {name: npz[name] for name in npz.files}
 
 
@@ -508,15 +517,23 @@ class TestSavedIndex:
         index = build_index(tables)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "index.npz"
-            assert save_index(index, path) is True
-            assert save_index(index, path) is False     # same bytes: not rewritten
+            digests = digests_of(index)
+            assert save_index(index, digests, path) is True
+            assert save_index(index, digests, path) is False  # same bytes: not rewritten
             loaded = load_index(path, reversed(index.table_ids))
+            assert load_digests(path) == digests
         assert_same_index(loaded, index)
-        assert index_bytes(loaded) == index_bytes(index)
+        assert index_bytes(loaded, digests) == index_bytes(index, digests)
 
     def test_equal_indexes_give_equal_bytes(self, corpus):
         tables = list(corpus.values())
-        assert index_bytes(build_index(tables)) == index_bytes(build_index(tables))
+        first, again = build_index(tables), build_index(tables)
+        assert index_bytes(first, digests_of(first)) == index_bytes(again, digests_of(again))
+
+    def test_workspace_digests_are_the_table_files(self, cli_workspace):
+        tables = cli_workspace / "tables"
+        assert load_digests(cli_workspace / "index.npz") == {
+            p.stem: hashlib.sha256(p.read_bytes()).digest() for p in tables.iterdir()}
 
     def test_missing_file(self, tmp_path):
         path = tmp_path / "index.npz"
@@ -579,9 +596,14 @@ class TestSavedIndex:
         (lambda a: a.update(sq_norms=a["sq_norms"] * np.inf),
          "array sq_norms holds a negative or non-finite value"),
         (lambda a: a.update(stems=np.array(["appl"] * 12)), "array stems repeats a stem"),
+        (lambda a: a.pop("digests"), "holds arrays "),
+        (lambda a: a.update(digests=a["digests"].astype("S31")),
+         "array digests is |S31 of shape (3,), expected one dimension of bytes256"),
+        (lambda a: a.update(digests=a["digests"][:2]),
+         "array digests has 2 entries, expected 3"),
     ], ids=["missing-array", "extra-array", "dtype", "shape", "pickled", "no-table",
             "unsorted-ids", "length", "indptr", "rows", "n-stems", "nan", "negative",
-            "inf", "repeated-stem"])
+            "inf", "repeated-stem", "no-digests", "digest-width", "digest-count"])
     def test_damaged_arrays(self, tmp_path, damage, problem):
         tables = [make_table("a", ["apple", "pear", "plum"]),
                   make_table("b", ["apple", "kiwi", "fig", "lime"]),
@@ -597,6 +619,32 @@ class TestSavedIndex:
         assert problem in message
         assert message.endswith(f"; {REBUILD}")
 
+    @pytest.mark.parametrize("damage, problem", [
+        (lambda a: a.pop("digests"), "not a readable index ("),
+        (lambda a: a.update(digests=a["digests"].astype("S31")),
+         "array digests is |S31 of shape (3,), expected one dimension of bytes256"),
+        (lambda a: a.update(digests=a["digests"][:2]),
+         "array digests has 2 entries, expected 3"),
+        (lambda a: a.update(table_ids=a["table_ids"].reshape(1, 3)),
+         "array table_ids is <U1 of shape (1, 3), expected one dimension of str"),
+    ], ids=["no-digests", "digest-width", "digest-count", "ids-shape"])
+    def test_damaged_digests(self, tmp_path, damage, problem):
+        arrays = _saved_arrays(build_index([make_table(t, [t]) for t in "abc"]))
+        damage(arrays)
+        path = tmp_path / "index.npz"
+        _write_arrays(path, arrays)
+        with pytest.raises(BadIndex) as exc:
+            load_digests(path)
+        message = str(exc.value)
+        assert message.startswith(f"{path}: {problem}")
+        assert message.endswith(f"; {REBUILD}")
+
+    def test_digests_of_a_missing_index(self, tmp_path):
+        path = tmp_path / "index.npz"
+        with pytest.raises(BadIndex) as exc:
+            load_digests(path)
+        assert str(exc.value) == f"{path}: missing; run `tableqa ingest` to build it"
+
     @pytest.mark.parametrize("ids, what", [
         (["a", "b", "c", "d"], "lacks 'd'"),
         (["a", "b"], "indexes 'c', no longer there"),
@@ -605,7 +653,8 @@ class TestSavedIndex:
     ])
     def test_other_tables_are_out_of_date(self, tmp_path, ids, what):
         path = tmp_path / "index.npz"
-        save_index(build_index([make_table(t, [t]) for t in "abc"]), path)
+        index = build_index([make_table(t, [t]) for t in "abc"])
+        save_index(index, digests_of(index), path)
         with pytest.raises(BadIndex) as exc:
             load_index(path, ids)
         assert str(exc.value) == f"{path}: out of date with the tables: {what}; {REBUILD}"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tableqa import textproc
+from tableqa import tabular, textproc
 from tableqa.errors import (
     DuplicateKeys,
     MalformedFile,
@@ -85,7 +85,8 @@ class TestLoadTable:
             opened.append(fh)
             return fh
 
-        monkeypatch.setattr(textproc, "open", tracked, raising=False)
+        for module in (tabular, textproc):
+            monkeypatch.setattr(module, "open", tracked, raising=False)
         p = write(tmp_path, "bad.csv", text)
         with pytest.raises(TableQAError) as exc:
             load_table(p, TableFormat.CSV)

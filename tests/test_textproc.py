@@ -5,6 +5,7 @@ import tempfile
 from functools import lru_cache
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from tableqa.textproc import (
     pattern_distance,
     porter_stem,
     read_lines,
+    read_npz,
     read_text,
     token_starts,
     tokenize,
@@ -178,6 +180,53 @@ class TestReadText:
         with pytest.raises(NotText) as exc:
             read_text(path)
         assert str(exc.value) == f"{path}:{line}: not UTF-8 text (byte 0xff)"
+
+
+class TestReadNpz:
+    ARRAYS = {"matrix": np.arange(12.0).reshape(3, 4),
+              "fortran": np.asfortranarray(np.arange(6).reshape(2, 3)),
+              "label": np.array("ßa"),
+              "digests": np.array([b"\x01" * 31 + b"\0", b"\0" * 32], dtype="S32"),
+              "empty": np.zeros(0)}
+
+    def _saved(self, tmp_path, save=np.savez, **arrays):
+        path = tmp_path / "a.npz"
+        with open(path, "wb") as fh:
+            save(fh, **(arrays or self.ARRAYS))
+        return path
+
+    def test_arrays_equal_np_load(self, tmp_path):
+        path = self._saved(tmp_path)
+        got = read_npz(path, list(self.ARRAYS))
+        with np.load(path, allow_pickle=False) as npz:
+            for name in self.ARRAYS:
+                want = npz[name]
+                assert got[name].dtype == want.dtype and got[name].shape == want.shape
+                assert got[name].tobytes(order="A") == want.tobytes(order="A")
+                assert got[name].flags.f_contiguous == want.flags.f_contiguous
+                assert got[name].flags.aligned and not got[name].flags.writeable
+
+    def test_reads_only_the_named_arrays(self, tmp_path):
+        path = self._saved(tmp_path)
+        assert list(read_npz(path, list(self.ARRAYS), ["label"])) == ["label"]
+
+    @pytest.mark.parametrize("save, arrays, problem", [
+        (np.savez, {"matrix": np.zeros(2)}, "holds arrays ['matrix'], expected"),
+        (np.savez_compressed, {}, "array matrix is not an uncompressed member"),
+        (np.savez, {**ARRAYS, "label": np.array([None])},
+         "Object arrays cannot be loaded when allow_pickle=False"),
+    ], ids=["other-arrays", "compressed", "pickled"])
+    def test_refused_archives(self, tmp_path, save, arrays, problem):
+        path = self._saved(tmp_path, save, **arrays)
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            read_npz(path, list(self.ARRAYS))
+
+    def test_a_plain_array_is_not_an_archive(self, tmp_path):
+        path = tmp_path / "a.npz"
+        with open(path, "wb") as fh:
+            np.save(fh, np.zeros(3))
+        with pytest.raises(ValueError, match="not an .npz archive"):
+            read_npz(path, ["a"])
 
 
 class TestWriteTextIfChanged:

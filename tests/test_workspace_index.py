@@ -1,9 +1,11 @@
-"""`ingest` saves the all-tables retrieval index as `<ws>/index.npz`; the
-commands that rank all tables load it and read only the workspace tables
-they reach. A missing, damaged or out-of-date index is an error naming
-the file and how to rebuild it."""
+"""`ingest` saves the all-tables retrieval index as `<ws>/index.npz`, with
+the sha256 of each table file; the commands that rank all tables load it
+and read only the workspace tables they reach. A missing, damaged or
+out-of-date index is an error naming the file and how to rebuild it, and
+so is a table file edited since ingest."""
 
 import contextlib
+import hashlib
 import io
 import shutil
 import tempfile
@@ -32,6 +34,12 @@ def run(argv):
 def ingest(fx, ws, tables=None):
     return run(["ingest", "--tables", tables or fx / "tables",
                 "--kinds", fx / "table_types.txt", "--workspace", ws])
+
+
+def file_digests(tables_dir):
+    """Table id -> the sha256 of its file, as ingest saves them."""
+    return {p.stem: hashlib.sha256(p.read_bytes()).digest()
+            for p in Path(tables_dir).iterdir()}
 
 
 def commands(ws, fx):
@@ -119,7 +127,8 @@ class TestIngestSavesTheIndex:
         monkeypatch.undo()
         assert ingest(fixtures_dir, ws, src)[0] == 0
         fresh = build_index(list(load_corpus(ws / "tables").values()))
-        assert (ws / "index.npz").read_bytes() == index_bytes(fresh)
+        assert (ws / "index.npz").read_bytes() == index_bytes(
+            fresh, file_digests(ws / "tables"))
 
     def test_corpus_without_tables_is_error(self, fixtures_dir, tmp_path):
         empty = tmp_path / "empty"
@@ -185,8 +194,12 @@ class TestBadIndex:
         recover(err, ws, fixtures_dir)
         assert run(argv)[:2] == pristine[command]
 
-    def test_golden_ask_does_not_need_it(self, ws, fixtures_dir):
-        (ws / "index.npz").unlink()
+    def test_golden_ask_does_not_need_it(self, ws, fixtures_dir, monkeypatch):
+        # it reads the table digests saved beside the index, not the index
+        def no_index(path, table_ids):
+            raise AssertionError("the index was loaded")
+
+        monkeypatch.setattr(cli, "load_index", no_index)
         code, out, _ = run(["ask", "Who is the husband of Whoopi Goldberg?",
                             "--workspace", ws, "--scope", "golden",
                             "--manifest", fixtures_dir / "manifest.txt",
@@ -216,14 +229,17 @@ class TestBadIndex:
             assert "Traceback" not in err
 
 
+def changed(table):
+    return f"error: {table}: changed since ingest; run tableqa ingest\n"
+
+
 class TestTablesReadOnFirstUse:
-    def test_malformed_table_ranked_first_names_its_line(self, ws, fixtures_dir):
+    def test_edited_table_ranked_first_names_the_file(self, ws, fixtures_dir):
         table = ws / "tables" / "state-capitals.csv"
         table.write_text("State,Capital,Population\nTexas,Austin\n")
         argv = ["ask", QUESTION, "--workspace", ws, "--sim", "cosine",
                 "--embeddings", fixtures_dir / "pipeline.vec"]
-        message = f"error: {table}:2: row has 2 cells, expected 3\n"
-        assert run(argv)[::2] == (1, message)
+        assert run(argv)[::2] == (1, changed(table))
 
     def test_repl_prints_it_and_answers_the_next_question(self, ws, fixtures_dir,
                                                          monkeypatch):
@@ -234,15 +250,15 @@ class TestTablesReadOnFirstUse:
         code, out, err = run(["ask", "--repl", "--workspace", ws, "--sim", "cosine",
                               "--embeddings", fixtures_dir / "pipeline.vec"])
         assert code == 0
-        assert err == f"error: {table}:2: row has 2 cells, expected 3\n"
+        assert err == changed(table)
         assert "table: whoopi-goldberg" in out and "Lyle Trachtenberg" in out
 
     def test_pipeline_eval_reads_only_the_tables_it_reaches(self, ws, fixtures_dir,
                                                             pristine, monkeypatch):
         read, builds = [], []
         real_load, real_build = harness.load_table, harness.build_index
-        monkeypatch.setattr(harness, "load_table", lambda path, fmt: read.append(
-            path) or real_load(path, fmt))
+        monkeypatch.setattr(harness, "load_table", lambda path, fmt, **kw: read.append(
+            path) or real_load(path, fmt, **kw))
         monkeypatch.setattr(harness, "build_index", lambda tables: builds.append(
             len(tables)) or real_build(tables))
         argv = commands(ws, fixtures_dir)["pipeline-eval"]
@@ -254,3 +270,18 @@ class TestTablesReadOnFirstUse:
         assert len(read) == len(set(read)) < 58
         assert {Path(p).stem for p in read} >= gold
         assert builds == [len(test_gold)]
+
+
+class TestEditedTable:
+    def test_is_an_error_until_a_reingest_restores_the_answer(self, ws, fixtures_dir,
+                                                             pristine):
+        table = ws / "tables" / "state-capitals.csv"
+        table.write_text(table.read_text().replace("Louisiana", "Zanzibar"))
+        argv = commands(ws, fixtures_dir)
+        assert run(argv["ask"]) == (1, "", changed(table))
+        assert run(argv["pipeline-eval"]) == (1, "", changed(table))
+        # retrieve reads no table: it ranks by the index as ingested
+        assert run(argv["retrieve"])[:2] == pristine["retrieve"]
+        assert ingest(fixtures_dir, ws)[0] == 0
+        assert "cell (0,1) [Capital]: Baton Rouge" in pristine["ask"][1]
+        assert run(argv["ask"])[:2] == pristine["ask"]

@@ -7,7 +7,7 @@ keyword by equality, substring, or embedding distance.
 Run from the repository root:  python3 demos/02_text_and_similarity.py
 """
 
-from tableqa.embed import SimMatchConfig, load_embeddings, proximity, sim_match
+from tableqa.embed import SIM_MATCH_THRESHOLD, cosine, load_embeddings, sim_match
 from tableqa.textproc import compile_pattern, pattern_distance, tokenize
 
 question = "Who is the husband of Whoopi Goldberg?"
@@ -33,17 +33,17 @@ print(f"normalized by the longer length, ('cat', 'cats') -> "
 # The toy embedding places spouse/husband close together and president,
 # capital orthogonal to them.
 store = load_embeddings("fixtures/toy.vec")
-cfg = SimMatchConfig()
+row = store.rows
 print(f"\ntoy embedding: dim={store.dim}, vocabulary={len(store)}")
-print(f"proximity(spouse, husband)    = {proximity(store, 'spouse', 'husband'):.4f}")
-print(f"proximity(president, capital) = {proximity(store, 'president', 'capital'):.4f}")
+print(f"cosine(spouse, husband)    = {cosine(store, row['spouse'], row['husband']):.4f}")
+print(f"cosine(president, capital) = {cosine(store, row['president'], row['capital']):.4f}")
 
-print("\n~ operator stages:")
+print(f"\n~ operator stages (embedding: cosine distance <= {SIM_MATCH_THRESHOLD}):")
 print(f"  equality:  'Washington' ~ 'Washington' -> "
-      f"{sim_match(store, cfg, 'Washington', 'Washington')}")
+      f"{sim_match(store, 'Washington', 'Washington')}")
 print(f"  substring: 'UFC 200' ~ 'UFC'           -> "
-      f"{sim_match(store, cfg, 'UFC 200', 'UFC')}")
+      f"{sim_match(store, 'UFC 200', 'UFC')}")
 print(f"  embedding: 'spouse' ~ 'husband'        -> "
-      f"{sim_match(store, cfg, 'spouse', 'husband')}")
+      f"{sim_match(store, 'spouse', 'husband')}")
 print(f"  no match:  'capital' ~ 'husband'       -> "
-      f"{sim_match(store, cfg, 'capital', 'husband')}")
+      f"{sim_match(store, 'capital', 'husband')}")

@@ -1,13 +1,13 @@
 """The structured-query mini-grammar and its executor.
 
 Parses and runs gold queries against fixture tables, including the ~
-proximity operator, conjunctions, ORDER BY / LIMIT, and the two row
+embedding-match operator, conjunctions, ORDER BY / LIMIT, and the two row
 selection algorithms that map predicted WHERE pairs to rows.
 
 Run from the repository root:  python3 demos/04_structured_queries.py
 """
 
-from tableqa.embed import SimMatchConfig, load_embeddings
+from tableqa.embed import load_embeddings
 from tableqa.errors import UnsupportedConstruct
 from tableqa.harness import ingest_corpus, load_corpus, load_table_kinds
 from tableqa.query import (
@@ -21,13 +21,12 @@ from tableqa.query import (
 tables = ingest_corpus(load_corpus("fixtures/tables"),
                        kinds=load_table_kinds("fixtures/table_types.txt"))
 store = load_embeddings("fixtures/pipeline.vec")
-cfg = SimMatchConfig()
 
 
 def show(text, table_id):
     table = tables[table_id]
     q = parse_query(text)
-    cells = execute(q, table, store, cfg)
+    cells = execute(q, table, store)
     print(f"\n  {print_query(q)}")
     for r, c in sorted(cells):
         print(f"    ({r},{c}) [{table.headers[c]}] = {table.rows[r][c]}")

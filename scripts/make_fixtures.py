@@ -18,7 +18,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from tableqa.embed import SimMatchConfig, load_embeddings  # noqa: E402
+from tableqa.embed import load_embeddings  # noqa: E402
 from tableqa.query import (  # noqa: E402
     execute,
     intersect_cells,
@@ -815,7 +815,6 @@ def encode_cells(cells) -> str:
 
 def validate_and_write_manifest():
     store = load_embeddings(FIX / "pipeline.vec")
-    cfg = SimMatchConfig()
     by_id = {fx.id: fx for fx in TABLES}
     with open(FIX / "manifest.txt", "w", encoding="utf-8") as fh:
         fh.write("# qid <TAB> split <TAB> table_id <TAB> alternates(,|-) "
@@ -823,7 +822,7 @@ def validate_and_write_manifest():
         for e in QUESTIONS:
             table = ingest(by_id[e.table])
             q = parse_query(e.query)
-            got = execute(q, table, store, cfg)
+            got = execute(q, table, store)
             assert got == e.cells, f"{e.qid}: execute -> {got}, expected {e.cells}"
             # oracle-stub path: gold SELECT/WHERE through word-match rows
             select_idx = {table.headers.index(c) for c in q.select}

@@ -11,8 +11,8 @@ Sub-modules, in pipeline order:
   key-value to entity-instance transposition.
 - ``textproc``: tokenizer, stop list, Porter stemmer, edit distance from a
   compiled word.
-- ``embed``: word-embedding store, its saved binary form, cosine
-  proximity and the ~ operator.
+- ``embed``: word-embedding store, its saved binary form, row cosine
+  and the ~ operator.
 - ``retrieval``: TF-IDF source selection, the saved index's file format,
   and precision-at-k.
 - ``nn``: seed-deterministic MLP core (batch norm, softmax, SGD) and
@@ -29,7 +29,7 @@ The package itself exports the names README's library example and the
 benchmark import; the rest is imported from its module.
 """
 
-from .embed import SimMatchConfig, load_embeddings
+from .embed import load_embeddings
 from .harness import (
     ModelBundle,
     ingest_corpus,
@@ -45,7 +45,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ModelBundle",
-    "SimMatchConfig",
     "Table",
     "execute",
     "ingest_corpus",

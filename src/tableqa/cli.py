@@ -15,11 +15,13 @@ A workspace directory accumulates the pipeline's artifacts:
 Each of these files is written only when its bytes change, so an
 unchanged file keeps its mtime. Ingest makes ``tables/`` mirror the
 corpus: it also removes the table files no table of the corpus wrote.
-Ingest also builds and saves the index (``retrieval.save_index``), and
-only when it wrote or removed a table file or finds no index: writing or
-removing one deletes the old index first, so an ingest cut short leaves
-no stale index behind. ``retrieve``, ``ask``, ``eval --task retrieval``
-and ``pipeline-eval`` load it (``retrieval.load_index``) instead of
+Ingest also builds and saves the index (``retrieval.save_index``) unless
+the saved one reads back (``retrieval.load_digests``) with exactly the
+ingested table ids, each with the sha256 of its file's bytes, so an index
+that is missing, damaged or from before digests is rebuilt. Writing or
+removing a table file deletes the old index first, so an ingest cut short
+leaves no stale index behind. ``retrieve``, ``ask``, ``eval --task
+retrieval`` and ``pipeline-eval`` load it (``retrieval.load_index``) instead of
 building one, and read a workspace table only when they reach it; the
 first read of a table checks its bytes against the sha256 ingest saved.
 
@@ -48,7 +50,7 @@ from pathlib import Path
 
 from .clauses import SELECT_SPEC, WHERE_SPEC, parse_question
 from .embed import EmbeddingStore, load_embeddings, load_store, save_store
-from .errors import NoTables, TableQAError, UntrainedModel
+from .errors import BadIndex, NoTables, TableQAError, UntrainedModel
 from .harness import (
     ModelBundle,
     RowMode,
@@ -261,11 +263,16 @@ def cmd_ingest(args) -> int:
     for name in stale:
         index_path.unlink(missing_ok=True)
         os.remove(tables_dir / name)
-    if not index_path.exists():
+    digests = {files[name].id: hashlib.sha256(text).digest()
+               for name, text in texts.items()}
+    try:
+        current = load_digests(index_path) == digests
+    except BadIndex:
+        current = False
+    if not current:
         # in the order later commands list tables/, which numbers the stems
         save_index(build_index([files[name] for name in sorted(files)]),
-                   {files[name].id: hashlib.sha256(text).digest()
-                    for name, text in texts.items()}, index_path)
+                   digests, index_path)
     write_if_changed(ws / "table_kinds.txt", "".join(
         f"{tid}\t{table.kind.value}\n" for tid, table in sorted(raw.items())))
     transposed = sum(1 for tid in raw if raw[tid].kind.value == "key-value")

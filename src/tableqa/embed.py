@@ -1,9 +1,11 @@
-"""Word-embedding storage and the semantic proximity primitive.
+"""Word-embedding storage, the cosine of two rows, and the ~ operator.
 
-Backs both the proximity features and the ~ operator: a cell matches a
-keyword if they are equal, if the keyword is a substring of the cell, or
-failing both, if any token pair sits within a fixed embedding distance.
-The store is one token x dimension matrix with the norm of every row.
+``cosine`` backs both the SELECT proximity features and the ~ operator:
+a cell matches a keyword if they are equal, if the keyword is a
+substring of the cell, or failing both, if any token pair sits within
+``SIM_MATCH_THRESHOLD`` of cosine distance. The store is one token x
+dimension matrix with the norm of every row; callers look a token's row
+up once (``rows``, ``known_rows``) and pass rows to ``cosine``.
 
 This module owns the store's binary form too: ``save_store`` writes a
 parsed store as one ``.npz`` archive keyed on the sha256 of the ``.vec``
@@ -17,7 +19,6 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,18 +26,9 @@ from .errors import BadStore, EmptyFile, MalformedLine
 from .textproc import read_lines, read_npz, words
 
 
-@dataclass(frozen=True)
-class SimMatchConfig:
-    """Match threshold for the embedding fallback stage of ~.
-
-    ``threshold`` is a maximum cosine distance (1 - cosine similarity).
-    """
-
-    threshold: float = 0.45
-
-    def __post_init__(self):
-        if not (math.isfinite(self.threshold) and self.threshold > 0):
-            raise ValueError(f"threshold must be finite and positive: {self.threshold}")
+# the embedding stage of ~: the largest cosine distance (1 - cosine
+# similarity) at which a token pair matches
+SIM_MATCH_THRESHOLD = 0.45
 
 
 class EmbeddingStore:
@@ -239,16 +231,6 @@ def load_store(path, sha256: str) -> EmbeddingStore | None:
                        f"{_STORE_REBUILD}") from None
 
 
-def proximity(store: EmbeddingStore, a: str, b: str) -> float | None:
-    """Cosine similarity of two tokens; None when either is out of vocabulary
-    or has a zero-norm vector."""
-    i = store.rows.get(a.lower())
-    j = store.rows.get(b.lower())
-    if i is None or j is None:
-        return None
-    return cosine(store, i, j)
-
-
 def cosine(store: EmbeddingStore, i: int, j: int) -> float | None:
     """Cosine similarity of rows ``i`` and ``j``; None when either has a
     zero norm."""
@@ -259,14 +241,14 @@ def cosine(store: EmbeddingStore, i: int, j: int) -> float | None:
     return float(store.matrix[i] @ store.matrix[j] / (ni * nj))
 
 
-def sim_match(store: EmbeddingStore, cfg: SimMatchConfig, cell: str, keyword: str) -> bool:
+def sim_match(store: EmbeddingStore, cell: str, keyword: str) -> bool:
     """Three-stage cell/keyword match: equality, substring, embedding distance.
 
     Stage 1 compares lowercased trimmed strings. Stage 2 is LIKE-style
     containment of the keyword in the cell. Stage 3 splits both sides
     into ``words`` (the tokens of ``tokenize``, unstemmed) and fires when
-    any (cell token, keyword token) pair is within cfg.threshold cosine
-    distance; out-of-vocabulary pairs never match.
+    any (cell token, keyword token) pair is within SIM_MATCH_THRESHOLD
+    cosine distance; out-of-vocabulary pairs never match.
     """
     cell_norm = cell.strip().lower()
     keyword_norm = keyword.strip().lower()
@@ -278,6 +260,6 @@ def sim_match(store: EmbeddingStore, cfg: SimMatchConfig, cell: str, keyword: st
     for i in store.known_rows(words(cell)):
         for j in keyword_rows:
             sim = cosine(store, i, j)
-            if sim is not None and 1.0 - sim <= cfg.threshold:
+            if sim is not None and 1.0 - sim <= SIM_MATCH_THRESHOLD:
                 return True
     return False

@@ -12,10 +12,11 @@ The pipeline is three stage functions: ``select_source`` (question and
 index to table), ``predict_clauses`` (question and table to SELECT
 columns and WHERE pairs) and ``answer_cells`` (row selection for one row
 mode, intersected with the SELECT columns); ``run_pipeline`` composes
-them. Pipeline evaluation takes each question through every (scope, row
-mode) cell, running each stage once per distinct input and sharing the
-result between the cells that reach it. Stage failures never abort a
-sweep, they score zero and are listed in every cell that used the stage.
+them. Pipeline evaluation takes each question through every cell of the
+full (scope, row mode) grid, running each stage once per distinct input
+and sharing the result between the cells that reach it. Stage failures
+never abort a sweep, they score zero and are listed in every cell that
+used the stage.
 
 Retrieval over all tables ranks against an index the caller passes in:
 ``sweep_pipeline``, ``evaluate_retrieval`` and ``run_pipeline`` build
@@ -25,9 +26,10 @@ workspace (``retrieval.load_index``); a library caller builds one with
 over a few gold tables each, are built here (``split_index``).
 
 ``TableDir`` maps a directory's table ids to its tables and reads each
-file on first access, so a command reads only the tables it reaches;
-``load_corpus`` reads them all. Over a workspace it also checks each
-file against the digest ingest saved for it.
+file on first access, so a command reads only the tables it reaches; it
+joins a file's path only then. ``load_corpus`` reads them all. Over a
+workspace it also checks each file against the digest ingest saved for
+it.
 """
 
 from __future__ import annotations
@@ -161,8 +163,8 @@ class TableDir(Mapping):
     def __init__(self, tables_dir, load_digests=None):
         # file paths, and the errors naming them, spelled as pathlib joins them
         base = str(Path(str(tables_dir)))
-        root = "" if base == "." else base
-        self._files = {stem: (os.path.join(root, name), fmt)
+        self._root = "" if base == "." else base
+        self._files = {stem: (name, fmt)
                        for name, (stem, fmt) in table_files(base).items()}
         self._tables = {}
         self._load_digests = load_digests
@@ -174,7 +176,8 @@ class TableDir(Mapping):
     def __getitem__(self, tid) -> Table:
         table = self._tables.get(tid)
         if table is None:
-            path, fmt = self._files[tid]
+            name, fmt = self._files[tid]
+            path = os.path.join(self._root, name)
             # a table file added since ingest has no digest, and b"" matches none
             sha256 = None if self._load_digests is None else self._digests.get(tid, b"")
             table = self._tables[tid] = load_table(path, fmt, sha256=sha256)
@@ -610,7 +613,7 @@ def _once(memo: dict, key, stage, *args):
     return memo[key]
 
 
-def _entry_outcomes(entry, tables, indexes, bundle, store, scopes, row_modes):
+def _entry_outcomes(entry, tables, indexes, bundle, store):
     """((scope, row mode), outcome) per grid cell for one entry.
 
     The question is parsed once, and each stage runs once per distinct
@@ -619,8 +622,8 @@ def _entry_outcomes(entry, tables, indexes, bundle, store, scopes, row_modes):
     """
     question = parse_question(entry.question)
     sources, clauses, answers = {}, {}, {}
-    for scope in scopes:
-        for row_mode in row_modes:
+    for scope in Scope:
+        for row_mode in RowMode:
             try:
                 if scope is Scope.GOLDEN_TABLE:
                     table = tables[entry.table_id]
@@ -654,8 +657,6 @@ def sweep_pipeline(
     index: TfIdfIndex,
     bundle: ModelBundle,
     store: EmbeddingStore,
-    scopes=tuple(Scope),
-    row_modes=tuple(RowMode),
 ) -> dict[tuple[Scope, RowMode], SweepCell]:
     """Evaluate every (scope, row mode) combination over the entries.
 
@@ -671,10 +672,9 @@ def sweep_pipeline(
     indexes[None] = index
 
     grid = {(scope, row_mode): SweepCell(scope, row_mode, [])
-            for scope in scopes for row_mode in row_modes}
+            for scope in Scope for row_mode in RowMode}
     for entry in entries:
-        for key, outcome in _entry_outcomes(entry, tables, indexes, bundle,
-                                            store, scopes, row_modes):
+        for key, outcome in _entry_outcomes(entry, tables, indexes, bundle, store):
             grid[key].outcomes.append(outcome)
     return grid
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embed import EmbeddingStore, SimMatchConfig, sim_match
+from .embed import EmbeddingStore, sim_match
 from .errors import (
     NonNumericComparison,
     OutOfBounds,
@@ -286,9 +286,9 @@ def _column_index(table: Table, name: str) -> int:
         ) from None
 
 
-def _condition_holds(cond: Condition, cell: str, store, cfg) -> bool:
+def _condition_holds(cond: Condition, cell: str, store) -> bool:
     if cond.operator is Operator.SIM_MATCH:
-        return sim_match(store, cfg, cell, cond.keyword)
+        return sim_match(store, cell, cond.keyword)
     if cond.operator is Operator.LIKE:
         return cond.keyword.lower() in cell.lower()
     if cond.operator is Operator.EQUALS:
@@ -302,12 +302,7 @@ def _condition_holds(cond: Condition, cell: str, store, cfg) -> bool:
     return cell_num > bound if cond.operator is Operator.GREATER else cell_num < bound
 
 
-def execute(
-    q: StructuredQuery,
-    table: Table,
-    store: EmbeddingStore,
-    cfg: SimMatchConfig = SimMatchConfig(),
-) -> CellSet:
+def execute(q: StructuredQuery, table: Table, store: EmbeddingStore) -> CellSet:
     """Cells at (surviving rows x SELECT columns), row indices original."""
     if q.from_table != table.id:
         raise TableMismatch(f"query targets {q.from_table!r}, table is {table.id!r}")
@@ -316,7 +311,7 @@ def execute(
 
     rows = [
         r for r in range(table.n_rows)
-        if all(_condition_holds(c, table.rows[r][ci], store, cfg)
+        if all(_condition_holds(c, table.rows[r][ci], store)
                for ci, c in cond_idx)
     ]
 

@@ -5,7 +5,8 @@ cells, tokenized with stop-word removal and stemming. IDF is computed over
 tables only; questions are vectorized against the table vocabulary.
 
 The index is one sparse table x stem matrix stored by stem (compressed
-sparse columns): scoring a question reads only the postings of the
+sparse columns), with one stem -> column map and the idf values as a
+tuple in column order: scoring a question reads only the postings of the
 question's own stems and computes the similarity to every table as
 whole-array arithmetic. It is built with array operations too: the
 tables' words become integer ids in one pass, each distinct word is
@@ -53,16 +54,17 @@ class TfIdfIndex:
     """Immutable table x stem TF-IDF matrix, shared freely across threads.
 
     Row ``i`` is table ``table_ids[i]``; ids are sorted, so row order is
-    the ranking's tie-break. Column ``j`` is stem ``j`` of ``idf`` (in
-    insertion order, ``columns`` maps the stem back to ``j``). Its postings
-    are ``rows[indptr[j]:indptr[j + 1]]`` with ``weights`` alongside.
+    the ranking's tie-break. ``columns`` maps each stem to its column
+    ``j`` (stems are numbered in insertion order) and ``idf[j]`` is its
+    idf. Its postings are ``rows[indptr[j]:indptr[j + 1]]`` with
+    ``weights`` alongside.
     ``sq_norms`` and ``n_stems`` hold each table's squared norm and
     distinct-stem count.
     """
 
     table_ids: tuple[str, ...]
-    idf: dict[str, float]
     columns: dict[str, int]
+    idf: tuple[float, ...]
     indptr: np.ndarray
     rows: np.ndarray
     weights: np.ndarray
@@ -128,8 +130,8 @@ def build_index(tables: list[Table]) -> TfIdfIndex:
     del keys
     df = np.bincount(cols, minlength=len(columns))
     # ln(N / df) one stem at a time: np.log may round differently
-    idf = dict(zip(columns, map(math.log, (len(tables) / df).tolist())))
-    weights = tf * np.fromiter(idf.values(), dtype=np.float64, count=len(idf))[cols]
+    idf = tuple(map(math.log, (len(tables) / df).tolist()))
+    weights = tf * np.array(idf, dtype=np.float64)[cols]
     del tf
     n_stems = np.bincount(rows, minlength=n_rows)
     # each table's squared weights in its stems' first-occurrence order,
@@ -144,7 +146,7 @@ def build_index(tables: list[Table]) -> TfIdfIndex:
         sq_norms[row] = sum(squares[start:start + counts[row]])
         start += counts[row]
     return TfIdfIndex(
-        table_ids=table_ids, idf=idf, columns=columns,
+        table_ids=table_ids, columns=columns, idf=idf,
         indptr=_frozen(np.concatenate(([0], np.cumsum(df)))),
         rows=_frozen(rows), weights=_frozen(weights),
         sq_norms=_frozen(sq_norms), n_stems=_frozen(n_stems),
@@ -157,9 +159,8 @@ def question_vector(index: TfIdfIndex, stems, text: str) -> dict[str, float]:
     A question with none of them has nothing to rank tables by: it raises
     NoIndexedWord naming the question ``text``, whoever ranks it.
     """
-    counts = Counter(stems)
-    vector = {stem: tf * index.idf[stem] for stem, tf in counts.items()
-              if stem in index.idf}
+    vector = {stem: tf * index.idf[j] for stem, tf in Counter(stems).items()
+              if (j := index.columns.get(stem)) is not None}
     if not vector:
         raise NoIndexedWord(f"question has no indexed word to rank tables by: {text!r}")
     return vector
@@ -254,9 +255,8 @@ def index_bytes(index: TfIdfIndex, digests) -> bytes:
     holds no timestamp."""
     out = io.BytesIO()
     np.savez(out, table_ids=np.array(index.table_ids, dtype=np.str_),
-             stems=np.array(list(index.idf), dtype=np.str_),
-             idf=np.fromiter(index.idf.values(), dtype=np.float64,
-                             count=len(index.idf)),
+             stems=np.array(list(index.columns), dtype=np.str_),
+             idf=np.array(index.idf, dtype=np.float64),
              indptr=index.indptr, rows=index.rows, weights=index.weights,
              sq_norms=index.sq_norms, n_stems=index.n_stems,
              digests=np.array([digests[tid] for tid in index.table_ids],
@@ -349,8 +349,7 @@ def load_index(path, table_ids) -> TfIdfIndex:
                          + ([f"indexes {_few(gone)}, no longer there"] if gone else []))
         raise BadIndex(f"{path}: out of date with the tables: {what}; {_REBUILD}")
     return TfIdfIndex(
-        table_ids=tuple(ids), idf=dict(zip(stems, arrays["idf"].tolist())),
-        columns=columns,
+        table_ids=tuple(ids), columns=columns, idf=tuple(arrays["idf"].tolist()),
         **{name: _frozen(arrays[name])
            for name in ("indptr", "rows", "weights", "sq_norms", "n_stems")},
     )

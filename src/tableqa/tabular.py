@@ -131,9 +131,9 @@ class Table:
         )
 
 
-def load_table(path, fmt: TableFormat, table_id: str | None = None,
-               sha256: bytes | None = None) -> Table:
-    """Read a delimited file into a Table with kind UNKNOWN.
+def load_table(path, fmt: TableFormat, sha256: bytes | None = None) -> Table:
+    """Read a delimited file into a Table with kind UNKNOWN, its id and name
+    the file name without its suffix.
 
     The first record is the header row. Cells are preserved verbatim; only
     the record separator is consumed. An empty file, a header without
@@ -167,9 +167,7 @@ def load_table(path, fmt: TableFormat, table_id: str | None = None,
             start = reader.line_num + 1
     except csv.Error as exc:
         raise MalformedLine(f"{path}:{reader.line_num}: {exc}") from None
-    if table_id is None:
-        stem = path.rsplit("/", 1)[-1]
-        table_id = stem.rsplit(".", 1)[0]
+    table_id = path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
     return Table(id=table_id, name=table_id, headers=headers, rows=records)
 
 

@@ -100,7 +100,7 @@ def reference_read_lines(path):
             raise NotText(_not_utf8(path, fh.read())) from None
 
 
-def reference_load_table(path, fmt, table_id=None):
+def reference_load_table(path, fmt):
     path = str(path)
     with closing(reference_read_lines(path)) as lines:
         reader = csv.reader(lines, delimiter=fmt.value)
@@ -120,9 +120,7 @@ def reference_load_table(path, fmt, table_id=None):
                 start = reader.line_num + 1
         except csv.Error as exc:
             raise MalformedLine(f"{path}:{reader.line_num}: {exc}") from None
-    if table_id is None:
-        stem = path.rsplit("/", 1)[-1]
-        table_id = stem.rsplit(".", 1)[0]
+    table_id = path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
     return Table(id=table_id, name=table_id, headers=headers, rows=records)
 
 

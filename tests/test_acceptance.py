@@ -23,7 +23,7 @@ from tableqa.clauses import (
     parse_question,
     where_candidates,
 )
-from tableqa.embed import SimMatchConfig, load_embeddings, sim_match
+from tableqa.embed import SIM_MATCH_THRESHOLD, cosine, load_embeddings, sim_match
 from tableqa.harness import (
     ModelBundle,
     RowMode,
@@ -292,24 +292,21 @@ class TestSimMatchContract:
     def test_operator_contract(self, fixtures_dir):
         store = load_embeddings(fixtures_dir / "toy.vec")
         start = time.perf_counter()
-        cfg = SimMatchConfig()
         # reflexivity
         for text in ["Washington", "UFC 200", "6' 3''", "anything at all"]:
-            assert sim_match(store, cfg, text, text)
+            assert sim_match(store, text, text)
         # substring fallback
-        assert sim_match(store, cfg, "UFC 200", "UFC")
+        assert sim_match(store, "UFC 200", "UFC")
         # authored toy geometry
-        assert sim_match(store, cfg, "spouse", "husband")
-        assert not sim_match(store, cfg, "capital", "husband")
-        # threshold monotonicity
-        rng = random.Random(3)
-        vocab = ["spouse", "husband", "president", "capital", "zero", "oov"]
-        for _ in range(200):
-            cell, kw = rng.choice(vocab), rng.choice(vocab)
-            low = rng.uniform(0.01, 1.2)
-            high = low + rng.uniform(0.0, 1.0)
-            if sim_match(store, SimMatchConfig(threshold=low), cell, kw):
-                assert sim_match(store, SimMatchConfig(threshold=high), cell, kw)
+        assert sim_match(store, "spouse", "husband")
+        assert not sim_match(store, "capital", "husband")
+        # the embedding stage is the threshold on the rows' cosine distance
+        for a, i in store.rows.items():
+            for b, j in store.rows.items():
+                if a not in b and b not in a:
+                    sim = cosine(store, i, j)
+                    assert sim_match(store, a, b) == (
+                        sim is not None and 1.0 - sim <= SIM_MATCH_THRESHOLD)
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0
         _pass("sim-match-contract", f"{elapsed * 1e3:.0f} ms")

@@ -22,7 +22,7 @@ from tableqa.clauses import (
     predict_where,
     where_candidates,
 )
-from tableqa.embed import load_embeddings, proximity
+from tableqa.embed import cosine, load_embeddings
 from tableqa.errors import EmptyQuestion, UntrainedModel
 from tableqa.harness import gold_select_indices
 from tableqa.nn import init_model
@@ -438,7 +438,9 @@ def reference_proximity_block(question, column_text, store):
         c_tokens = tokenize(column_text, drop_stopwords=drop).tokens
         sims = [
             s for ct in c_tokens for qt in q_tokens
-            if (s := proximity(store, ct, qt)) is not None
+            if (i := store.rows.get(ct)) is not None
+            and (j := store.rows.get(qt)) is not None
+            and (s := cosine(store, i, j)) is not None
         ]
         if sims:
             out[slot] = float(np.mean(sims))

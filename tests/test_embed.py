@@ -1,6 +1,4 @@
-import dataclasses
 import math
-import random
 from dataclasses import dataclass, field
 from unittest import mock
 
@@ -10,18 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tableqa import embed
-from tableqa.embed import (
-    SimMatchConfig,
-    load_embeddings,
-    proximity,
-    sim_match,
-)
+from tableqa.embed import SIM_MATCH_THRESHOLD, cosine, load_embeddings, sim_match
 from tableqa.errors import EmptyFile, MalformedLine, NotText
 
 
 @pytest.fixture(scope="module")
 def toy(fixtures_dir):
     return load_embeddings(fixtures_dir / "toy.vec")
+
+
+def row_cosine(store, a: str, b: str) -> float | None:
+    """``cosine`` of the rows of tokens ``a`` and ``b``, looked up
+    lowercased; None when either is out of vocabulary."""
+    i, j = store.rows.get(a.lower()), store.rows.get(b.lower())
+    return None if i is None or j is None else cosine(store, i, j)
 
 
 class TestLoad:
@@ -68,90 +68,74 @@ class TestLoad:
         assert np.array_equal(toy.lookup("SPOUSE"), toy.lookup("spouse"))
 
 
-class TestProximity:
+class TestCosine:
     def test_self_similarity_is_one(self, toy):
-        assert proximity(toy, "spouse", "spouse") == pytest.approx(1.0)
+        assert row_cosine(toy, "spouse", "spouse") == pytest.approx(1.0)
 
     def test_orthogonal_vectors(self, toy):
-        assert proximity(toy, "president", "capital") == pytest.approx(0.0)
+        assert row_cosine(toy, "president", "capital") == pytest.approx(0.0)
+
+    def test_case_folded_lookup(self, toy):
+        assert row_cosine(toy, "SPOUSE", "Husband") == row_cosine(toy, "spouse", "husband")
 
     def test_out_of_vocabulary_is_absent(self, toy):
-        assert proximity(toy, "spouse", "nonesuch") is None
+        assert row_cosine(toy, "spouse", "nonesuch") is None
+        assert toy.known_rows(["spouse", "nonesuch"]) == [toy.rows["spouse"]]
 
     def test_zero_norm_is_absent(self, toy):
-        assert proximity(toy, "zero", "spouse") is None
+        assert cosine(toy, toy.rows["zero"], toy.rows["spouse"]) is None
 
     def test_symmetry(self, toy):
         tokens = ["spouse", "husband", "president", "capital"]
         for a in tokens:
             for b in tokens:
-                assert proximity(toy, a, b) == pytest.approx(proximity(toy, b, a))
+                assert row_cosine(toy, a, b) == pytest.approx(row_cosine(toy, b, a))
 
     def test_range(self, toy):
         tokens = ["spouse", "husband", "president", "capital"]
         for a in tokens:
             for b in tokens:
-                assert -1.0 - 1e-12 <= proximity(toy, a, b) <= 1.0 + 1e-12
-
-
-class TestTokenDistance:
-    def test_cosine_distance(self, toy):
-        # the embedding stage fires when 1 - cosine similarity is within
-        # the threshold, and not for any threshold below it
-        d = 1.0 - proximity(toy, "spouse", "husband")
-        assert 0.0 < d < 0.45
-        assert sim_match(toy, SimMatchConfig(threshold=d), "spouse", "husband")
-        assert not sim_match(toy, SimMatchConfig(threshold=d * (1 - 1e-9)),
-                             "spouse", "husband")
+                assert -1.0 - 1e-12 <= row_cosine(toy, a, b) <= 1.0 + 1e-12
 
 
 class TestSimMatch:
     def test_exact_match_stage(self, toy):
-        assert sim_match(toy, SimMatchConfig(), "Washington", "Washington")
-        assert sim_match(toy, SimMatchConfig(), "  washington ", "WASHINGTON")
+        assert sim_match(toy, "Washington", "Washington")
+        assert sim_match(toy, "  washington ", "WASHINGTON")
 
     def test_substring_stage(self, toy):
-        assert sim_match(toy, SimMatchConfig(), "UFC 200", "UFC")
+        assert sim_match(toy, "UFC 200", "UFC")
 
     def test_embedding_stage_spouse_husband(self, toy):
-        assert sim_match(toy, SimMatchConfig(), "spouse", "husband")
+        assert sim_match(toy, "spouse", "husband")
 
     def test_distant_tokens_do_not_match(self, toy):
-        assert not sim_match(toy, SimMatchConfig(), "capital", "husband")
+        assert not sim_match(toy, "capital", "husband")
 
     def test_out_of_vocabulary_does_not_match(self, toy):
-        assert not sim_match(toy, SimMatchConfig(), "melania", "wharton")
+        assert not sim_match(toy, "melania", "wharton")
 
     def test_reflexive_for_arbitrary_strings(self, toy):
         for text in ["", "UFC 200", "6' 3''", "not in any vocabulary"]:
-            assert sim_match(toy, SimMatchConfig(), text, text)
+            assert sim_match(toy, text, text)
 
-    def test_threshold_monotonicity(self, toy):
-        cells = ["spouse", "husband", "president", "capital", "zero", "oov"]
-        rng = random.Random(2)
-        for _ in range(100):
-            cell, kw = rng.choice(cells), rng.choice(cells)
-            low = rng.uniform(0.01, 1.0)
-            high = low + rng.uniform(0.0, 1.0)
-            if sim_match(toy, SimMatchConfig(threshold=low), cell, kw):
-                assert sim_match(toy, SimMatchConfig(threshold=high), cell, kw)
+    def test_threshold_is_a_cosine_distance_of_0_45(self):
+        assert SIM_MATCH_THRESHOLD == 0.45
+
+    def test_embedding_stage_is_the_threshold_on_cosine_distance(self, toy):
+        # past the equality and substring stages, a token pair matches
+        # exactly when its cosine distance is within the threshold
+        pairs = [(a, b) for a in toy.rows for b in toy.rows
+                 if a not in b and b not in a]
+        assert pairs
+        for a, b in pairs:
+            sim = row_cosine(toy, a, b)
+            assert sim_match(toy, a, b) == (sim is not None
+                                            and 1.0 - sim <= SIM_MATCH_THRESHOLD), (a, b)
 
     def test_multi_word_keyword_matches_on_any_token(self, toy):
         # "current president" matches a cell containing a president-like token
-        assert sim_match(toy, SimMatchConfig(), "president", "current president")
-
-
-class TestConfig:
-    def test_threshold_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SimMatchConfig(threshold=0.0)
-        with pytest.raises(ValueError):
-            SimMatchConfig(threshold=float("inf"))
-
-    def test_default_is_cosine(self):
-        # the threshold is a cosine distance; there is no other metric
-        assert [f.name for f in dataclasses.fields(SimMatchConfig)] == ["threshold"]
-        assert SimMatchConfig().threshold == pytest.approx(0.45)
+        assert sim_match(toy, "president", "current president")
 
 
 class TestNonFiniteComponents:
@@ -213,8 +197,8 @@ class TestMatrixStore:
 
 
 # ---------------------------------------------------------------------------
-# Reference: the per-line loader and the per-call proximity that the matrix
-# store replaced
+# Reference: the per-line loader and the per-call token cosine that the
+# matrix store replaced
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -288,13 +272,13 @@ def load_both(path):
 
 class TestMatchesReference:
     @pytest.mark.parametrize("name", ["toy.vec", "pipeline.vec"])
-    def test_fixture_store_and_every_proximity(self, fixtures_dir, name):
+    def test_fixture_store_and_every_row_cosine(self, fixtures_dir, name):
         store, want = load_both(fixtures_dir / name)
         assert_store_equals_reference(store, want)
         tokens = list(want.vectors) + ["nonesuch"]
         for a in tokens:
             for b in tokens:
-                got = proximity(store, a.upper(), b)
+                got = row_cosine(store, a.upper(), b)
                 expected = reference_proximity(want, a.upper(), b)
                 assert (got is None) == (expected is None), (a, b)
                 assert got is None or got.hex() == expected.hex(), (a, b)

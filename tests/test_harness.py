@@ -17,7 +17,6 @@ from tableqa.clauses import (
     predict_select,
     predict_where,
 )
-from tableqa.embed import SimMatchConfig
 from tableqa.errors import AllZero, MalformedFile, TableQAError, ValidationFailure
 from tableqa.harness import (
     ModelBundle,
@@ -417,14 +416,12 @@ class TestPipelineWithOracles:
         use_oracles(monkeypatch, manifest)
         monkeypatch.setattr(harness, "predict_select", flaky)
         bundle = ModelBundle(coltype_model=trained_coltype_model)
-        grid = sweep_pipeline(
-            manifest[:10], corpus, corpus_index, bundle, pipeline_store,
-            scopes=(Scope.GOLDEN_TABLE,), row_modes=(RowMode.WORD_MATCH,),
-        )
-        cell = grid[(Scope.GOLDEN_TABLE, RowMode.WORD_MATCH)]
-        assert len(cell.outcomes) == 10
-        assert cell.failures
-        for failure in cell.failures:
+        grid = sweep_pipeline(manifest[:10], corpus, corpus_index, bundle,
+                              pipeline_store)
+        assert all(len(cell.outcomes) == 10 for cell in grid.values())
+        failures = [f for cell in grid.values() for f in cell.failures]
+        assert failures
+        for failure in failures:
             assert failure.f1 == 0.0
             assert "select-clause" in failure.error
 
@@ -471,9 +468,10 @@ class TestNoIndexedWord:
                                           pipeline_store):
         entry = replace(manifest[0], question="the of a")
         grid = sweep_pipeline([entry], corpus, corpus_index, ModelBundle(),
-                              pipeline_store,
-                              scopes=(Scope.INDIVIDUAL_SET, Scope.ALL_SETS))
-        for cell in grid.values():
+                              pipeline_store)
+        for (scope, _), cell in grid.items():
+            if scope is Scope.GOLDEN_TABLE:
+                continue
             assert [(o.qid, o.f1, o.error) for o in cell.outcomes] == \
                 [(entry.qid, 0.0, self.MESSAGE)]
 
@@ -727,7 +725,7 @@ class TestMatchesReferenceLoops:
 # The sweep before its cells shared stage results, verbatim: one
 # run_pipeline call per (scope, row mode, entry).
 
-def reference_entry_outcome(entry, tables, index, bundle, store, cfg, row_mode,
+def reference_entry_outcome(entry, tables, index, bundle, store, row_mode,
                             scope) -> QuestionOutcome:
     golden = tables[entry.table_id] if scope is Scope.GOLDEN_TABLE else None
     try:
@@ -744,21 +742,19 @@ def reference_entry_outcome(entry, tables, index, bundle, store, cfg, row_mode,
     return QuestionOutcome(entry.qid, p, r, f)
 
 
-def reference_sweep_pipeline(entries, tables, index, bundle, store,
-                             cfg=SimMatchConfig(), scopes=tuple(Scope),
-                             row_modes=tuple(RowMode)):
+def reference_sweep_pipeline(entries, tables, index, bundle, store):
     indexes = {split: split_index(entries, tables, split)
                for split in {e.split for e in entries}}
     indexes[None] = index
 
     grid = {}
-    for scope in scopes:
-        for row_mode in row_modes:
+    for scope in Scope:
+        for row_mode in RowMode:
             outcomes = []
             for entry in entries:
                 index = indexes[entry.split if scope is Scope.INDIVIDUAL_SET else None]
                 outcomes.append(reference_entry_outcome(entry, tables, index, bundle,
-                                                        store, cfg, row_mode, scope))
+                                                        store, row_mode, scope))
             grid[(scope, row_mode)] = SweepCell(scope, row_mode, outcomes)
     return grid
 
@@ -829,31 +825,34 @@ class TestMatchesReferenceSweep:
             assert errors
             assert all(e.startswith(f"[{stage}] ") for e in errors)
 
-    def test_single_cell_failing_on_nth_call(self, manifest, corpus, corpus_index,
-                                             pipeline_store, trained_bundle,
-                                             monkeypatch):
-        # one cell calls predict_select once per entry on both paths, so a
-        # failure on every 7th call lands on the same entries
-        def flaky_from_zero():
-            calls = {"n": 0}
+    def test_failing_on_nth_call_reaches_every_cell_sharing_it(
+            self, manifest, corpus, corpus_index, pipeline_store, trained_bundle,
+            monkeypatch):
+        # the sweep predicts SELECT once per (question, table), so a failure
+        # on every 7th of its calls fails every cell that reached that pair,
+        # as failing the pair on each per-cell call does
+        calls, failed = [], set()
 
-            def flaky(table, model, question, types, store):
-                calls["n"] += 1
-                if calls["n"] % 7 == 0:
-                    raise RuntimeError("intermittent")
-                return predict_select(table, model, question, types, store)
-            return flaky
+        def nth(table, model, question, types, store):
+            calls.append(None)
+            if len(calls) % 7 == 0:
+                failed.add((question.tokens, table.id))
+                raise RuntimeError("intermittent")
+            return predict_select(table, model, question, types, store)
 
-        cells = dict(scopes=(Scope.ALL_SETS,), row_modes=(RowMode.EMBEDDING,))
-        monkeypatch.setattr(harness, "predict_select", flaky_from_zero())
+        def replay(table, model, question, types, store):
+            if (question.tokens, table.id) in failed:
+                raise RuntimeError("intermittent")
+            return predict_select(table, model, question, types, store)
+
+        monkeypatch.setattr(harness, "predict_select", nth)
         got = sweep_pipeline(manifest, corpus, corpus_index, trained_bundle,
-                             pipeline_store, **cells)
-        monkeypatch.setattr(harness, "predict_select", flaky_from_zero())
+                             pipeline_store)
+        assert len(failed) == len(calls) // 7 > 0
+        monkeypatch.setattr(harness, "predict_select", replay)
         want = reference_sweep_pipeline(manifest, corpus, corpus_index,
-                                        trained_bundle, pipeline_store, **cells)
+                                        trained_bundle, pipeline_store)
         assert got == want
-        failures = got[(Scope.ALL_SETS, RowMode.EMBEDDING)].failures
-        assert len(failures) == len(manifest) // 7
 
     def test_clauses_predicted_once_per_question_and_table(
             self, manifest, corpus, corpus_index, pipeline_store, trained_bundle,

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tableqa.embed import EmbeddingStore, SimMatchConfig, load_embeddings
+from tableqa.embed import EmbeddingStore, load_embeddings
 from tableqa.errors import (
     NonNumericComparison,
     OutOfBounds,
@@ -255,7 +255,7 @@ class TestExecute:
         t = Table(id="kv", name="kv", headers=["Key", "Value"],
                   rows=[["spouse", "Melania"], ["height", "6' 3''"]])
         q = parse_query("SELECT \"Value\" FROM \"kv\" WHERE \"Key\" ~ 'husband'")
-        assert execute(q, t, store, SimMatchConfig()) == {(0, 1)}
+        assert execute(q, t, store) == {(0, 1)}
 
 
 class TestWordMatchRows:

@@ -64,13 +64,13 @@ class TestBuildIndex:
     def test_stem_in_all_tables_has_zero_idf(self):
         tables = [make_table(f"t{i}", ["shared", f"own{i}"]) for i in range(4)]
         index = build_index(tables)
-        assert index.idf["share"] == pytest.approx(0.0)
+        assert index.idf[index.columns["share"]] == pytest.approx(0.0)
 
     def test_stem_in_one_of_four_tables(self):
         tables = [make_table(f"t{i}", ["shared"] if i else ["shared", "unique"])
                   for i in range(4)]
         index = build_index(tables)
-        assert index.idf["uniqu"] == pytest.approx(math.log(4))
+        assert index.idf[index.columns["uniqu"]] == pytest.approx(math.log(4))
 
     def test_no_tables_rejected(self):
         with pytest.raises(NoTables):
@@ -142,7 +142,7 @@ class TestScore:
     def test_unknown_question_stems_dropped(self):
         index = build_index(disjoint_corpus(2))
         vector = question_vector(index, ("martian", "zuzu1x0"), "martian zuzu1x0")
-        assert vector == {"zuzu1x0": index.idf["zuzu1x0"]}
+        assert vector == {"zuzu1x0": index.idf[index.columns["zuzu1x0"]]}
 
 
 class TestNoIndexedWord:
@@ -249,7 +249,7 @@ def reference_vectors(tables) -> dict[str, dict[str, float]]:
 
 
 def indexes_a_word(index, question) -> bool:
-    return any(s in index.idf for s in tokenize(question, drop_stopwords=True).stems)
+    return any(s in index.columns for s in tokenize(question, drop_stopwords=True).stems)
 
 
 def reference_score(index, vectors, question, sim):
@@ -351,7 +351,7 @@ def reference_build_index(tables: list[Table]) -> TfIdfIndex:
     by_column = np.argsort(cols, kind="stable")
     indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=len(idf)))))
     return TfIdfIndex(
-        table_ids=table_ids, idf=idf, columns=columns, indptr=indptr,
+        table_ids=table_ids, columns=columns, idf=tuple(idf.values()), indptr=indptr,
         rows=np.asarray(rows, dtype=np.int64)[by_column],
         weights=np.asarray(weights, dtype=np.float64)[by_column],
         sq_norms=np.asarray(sq_norms, dtype=np.float64),
@@ -364,13 +364,13 @@ def assert_index_equals_reference(tables):
 
 
 def assert_same_index(got, want):
-    """Equal ids, idf and columns (order included) and arrays (dtype,
-    shape and bytes); ``got``'s arrays are read-only."""
+    """Equal ids, columns (order included), idf (a tuple of floats in
+    column order, bit for bit) and arrays (dtype, shape and bytes);
+    ``got``'s arrays are read-only."""
     assert got.table_ids == want.table_ids
-    for name in ("idf", "columns"):
-        assert list(getattr(got, name)) == list(getattr(want, name)), name
-        assert (np.array(list(getattr(got, name).values())).tobytes()
-                == np.array(list(getattr(want, name).values())).tobytes()), name
+    assert list(got.columns.items()) == list(want.columns.items())
+    assert type(got.idf) is tuple and len(got.idf) == len(got.columns)
+    assert np.array(got.idf).tobytes() == np.array(want.idf).tobytes()
     for name in ("indptr", "rows", "weights", "sq_norms", "n_stems"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a.dtype, a.shape) == (b.dtype, b.shape), name

@@ -11,6 +11,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -93,6 +94,31 @@ class TestIngestSavesTheIndex:
         (ws / "index.npz").unlink()
         assert ingest(fixtures_dir, ws)[0] == 0
         assert (ws / "index.npz").read_bytes() == saved
+
+    @pytest.mark.parametrize("damage", ["no-digests", "garbage", "one-stale-digest"])
+    def test_reingest_repairs_an_unreadable_or_stale_index(
+            self, ws, fixtures_dir, pristine, damage):
+        # an index from before digests, one of garbage bytes and one whose
+        # digest of a table is not its file's are each rebuilt by ingest
+        path = ws / "index.npz"
+        saved = path.read_bytes()
+        if damage == "garbage":
+            path.write_bytes(b"not an index\n" * 64)
+        else:
+            with np.load(path) as archive:
+                arrays = {name: archive[name] for name in archive.files}
+            if damage == "no-digests":
+                del arrays["digests"]
+            else:
+                arrays["digests"][0] = b"\x01" * 32
+            with open(path, "wb") as fh:
+                np.savez(fh, **arrays)
+        argv = commands(ws, fixtures_dir)["ask"]
+        assert run(argv)[0] == 1
+        assert ingest(fixtures_dir, ws)[0] == 0
+        assert path.read_bytes() == saved
+        assert run(argv)[:2] == pristine["ask"]
+        assert pristine["ask"][0] == 0
 
     def test_deleted_table_is_no_longer_ranked(self, fixtures_dir, tmp_path):
         src, ws = tmp_path / "src", tmp_path / "ws"

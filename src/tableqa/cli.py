@@ -16,14 +16,16 @@ Each of these files is written only when its bytes change, so an
 unchanged file keeps its mtime. Ingest makes ``tables/`` mirror the
 corpus: it also removes the table files no table of the corpus wrote.
 Ingest also builds and saves the index (``retrieval.save_index``) unless
-the saved one reads back (``retrieval.load_digests``) with exactly the
-ingested table ids, each with the sha256 of its file's bytes, so an index
-that is missing, damaged or from before digests is rebuilt. Writing or
-removing a table file deletes the old index first, so an ingest cut short
-leaves no stale index behind. ``retrieve``, ``ask``, ``eval --task
-retrieval`` and ``pipeline-eval`` load it (``retrieval.load_index``) instead of
-building one, and read a workspace table only when they reach it; the
-first read of a table checks its bytes against the sha256 ingest saved.
+the saved one passes the check of ``retrieval.load_index``, which every
+command that loads it applies, and holds the sha256 of each table file
+(``retrieval.checked_digests``), so an index that is missing, damaged
+anywhere or from before digests is rebuilt. Writing or removing a table
+file deletes the old index first, so an ingest cut short leaves no stale
+index behind. ``retrieve``, ``ask``, ``eval --task retrieval`` and
+``pipeline-eval`` load it instead of building one, and read a workspace
+table only when they reach it; the first read of a table checks its bytes
+against the sha256 ingest saved. ``ask`` resolves scopes as the sweep does
+(``harness.scope_sources``), so only a question that needs it loads it.
 
 ``train``, ``eval``, ``ask`` and ``pipeline-eval`` take ``--embeddings``
 through ``embeddings.npz`` (``_workspace_store``): when it holds the
@@ -68,7 +70,7 @@ from .harness import (
     parse_manifest,
     rank_sources,
     run_pipeline,
-    split_index,
+    scope_sources,
     sweep_pipeline,
     table_files,
     train_select_model,
@@ -77,8 +79,10 @@ from .harness import (
 )
 from .nn import TrainConfig, load_model, save_model, spec_line
 from .query import print_query
-from .retrieval import Similarity, build_index, load_digests, load_index, save_index
+from .retrieval import (Similarity, build_index, checked_digests, load_digests,
+                        load_index, save_index)
 from .tabular import (
+    Table,
     extract_table_type_features,
     load_table_type_model,
     save_table_type_model,
@@ -107,11 +111,6 @@ def _workspace_tables(ws: Path) -> TableDir:
     if not tables_dir.is_dir():
         raise TableQAError(f"workspace has no tables directory: {tables_dir}")
     return TableDir(tables_dir, lambda: load_digests(_index_path(ws)))
-
-
-def _workspace_index(ws: Path, tables: TableDir):
-    """The index ``ingest`` saved, checked against the tables' ids."""
-    return load_index(_index_path(ws), tables)
 
 
 def _file_sha256(path) -> str:
@@ -266,7 +265,7 @@ def cmd_ingest(args) -> int:
     digests = {files[name].id: hashlib.sha256(text).digest()
                for name, text in texts.items()}
     try:
-        current = load_digests(index_path) == digests
+        current = checked_digests(index_path, digests) == digests
     except BadIndex:
         current = False
     if not current:
@@ -344,7 +343,7 @@ def cmd_train(args) -> int:
 
 def cmd_retrieve(args) -> int:
     ws = Path(args.workspace)
-    index = _workspace_index(ws, _workspace_tables(ws))
+    index = load_index(_index_path(ws), _workspace_tables(ws))
     ranked = rank_sources(parse_question(args.question), index,
                           Similarity(args.sim), k=args.k)
     for rank, (tid, value) in enumerate(ranked, start=1):
@@ -392,7 +391,7 @@ def cmd_eval(args) -> int:
                              args.split)
 
     if args.task == "retrieval":
-        report = evaluate_retrieval(entries, _workspace_index(ws, tables))
+        report = evaluate_retrieval(entries, load_index(_index_path(ws), tables))
         payload = {
             sim.value: {
                 "p_at_k": {f"p@{k}": v for k, v in data["p_at_k"].items()},
@@ -419,54 +418,32 @@ def cmd_eval(args) -> int:
     return 0
 
 
-class _AskSession:
-    """Answers the questions of one `ask` run.
+def cmd_ask(args) -> int:
+    ws = Path(args.workspace)
+    tables = _workspace_tables(ws)
+    store = _workspace_store(ws, args.embeddings)
+    entries = load_manifest(args.manifest, tables, store) if args.manifest else []
+    bundle = _load_bundle(ws)
+    scope, row_mode = Scope(args.scope), RowMode(args.row_mode)
+    sim = Similarity(args.sim)
+    # the workspace index is loaded when a question first needs it
+    source = scope_sources(entries, tables, lambda: load_index(_index_path(ws), tables))
+    by_question = {}    # question text -> its manifest entries
+    for e in entries:
+        by_question.setdefault(e.question, []).append(e)
 
-    Each retrieval index is made the first time a question needs it and
-    kept for the rest of the session: the workspace's index over all
-    tables is loaded, one split's index for the individual scope is built.
-    """
-
-    def __init__(self, ws, tables, entries, bundle, store, scope, row_mode,
-                 similarity):
-        self.ws, self.tables, self.entries = ws, tables, entries
-        self.bundle, self.store = bundle, store
-        self.scope, self.row_mode, self.similarity = scope, row_mode, similarity
-        self.by_question = {}   # question text -> its manifest entries
-        for e in entries:
-            self.by_question.setdefault(e.question, []).append(e)
-        self.indexes = {}   # None (all tables) or a Split -> TfIdfIndex
-
-    def index(self, split):
-        if split not in self.indexes:
-            self.indexes[split] = _workspace_index(self.ws, self.tables) \
-                if split is None else split_index(self.entries, self.tables, split)
-        return self.indexes[split]
-
-    def answer(self, question):
-        tables, scope = self.tables, self.scope
-        matches = self.by_question.get(question, [])
+    def answer(question):
+        matches = by_question.get(question, [])
         if len(matches) > 1:
             qids = ", ".join(e.qid for e in matches)
             raise TableQAError(
                 f"question matches manifest entries {qids}: {question!r}"
             )
         entry = matches[0] if matches else None
-        golden = None
-        index = None
-        if scope is Scope.GOLDEN_TABLE:
-            if entry is None:
-                raise TableQAError(
-                    "golden scope works only for manifest questions; use --scope all"
-                )
-            golden = tables[entry.table_id]
-        elif scope is Scope.INDIVIDUAL_SET and entry is not None:
-            index = self.index(entry.split)
-        else:
-            index = self.index(None)
-        result = run_pipeline(question, tables, index, self.bundle, self.store,
-                              row_mode=self.row_mode,
-                              similarity=self.similarity, golden_table=golden)
+        found = source(scope, entry)
+        index, golden = (None, found) if isinstance(found, Table) else (found, None)
+        result = run_pipeline(question, tables, index, bundle, store, row_mode=row_mode,
+                              similarity=sim, golden_table=golden)
         table = tables[result.table_id]
         print(f"table: {result.table_id}")
         print(f"query: {print_query(result.query)}")
@@ -477,18 +454,8 @@ class _AskSession:
                 and result.table_id == entry.table_id else "differs from gold"
             print(f"gold: {flag}")
 
-
-def cmd_ask(args) -> int:
-    ws = Path(args.workspace)
-    tables = _workspace_tables(ws)
-    store = _workspace_store(ws, args.embeddings)
-    entries = load_manifest(args.manifest, tables, store) if args.manifest else []
-    session = _AskSession(ws, tables, entries, _load_bundle(ws), store,
-                          Scope(args.scope), RowMode(args.row_mode),
-                          Similarity(args.sim))
-
     if args.question:
-        session.answer(args.question)
+        answer(args.question)
     if args.repl:
         print("enter questions, one per line (blank line or EOF to quit)")
         for line in sys.stdin:
@@ -496,7 +463,7 @@ def cmd_ask(args) -> int:
             if not question:
                 break
             try:
-                session.answer(question)
+                answer(question)
             except TableQAError as exc:
                 print(f"error: {exc}", file=sys.stderr)
     elif not args.question:
@@ -511,8 +478,8 @@ def cmd_pipeline_eval(args) -> int:
     entries = _split_entries(load_manifest(args.manifest, tables, store),
                              args.split)
     bundle = _load_bundle(ws)
-    grid = sweep_pipeline(entries, tables, _workspace_index(ws, tables), bundle,
-                          store)
+    grid = sweep_pipeline(entries, tables, load_index(_index_path(ws), tables),
+                          bundle, store)
     payload = {}
     for scope in Scope:
         payload[scope.value] = {}

@@ -11,19 +11,17 @@ on the gold table to exactly the stated cells.
 The pipeline is three stage functions: ``select_source`` (question and
 index to table), ``predict_clauses`` (question and table to SELECT
 columns and WHERE pairs) and ``answer_cells`` (row selection for one row
-mode, intersected with the SELECT columns); ``run_pipeline`` composes
-them. Pipeline evaluation takes each question through every cell of the
-full (scope, row mode) grid, running each stage once per distinct input
-and sharing the result between the cells that reach it. Stage failures
-never abort a sweep, they score zero and are listed in every cell that
-used the stage.
+mode, intersected with the SELECT columns). One function composes them,
+with a memo that runs each stage once per distinct input:
+``run_pipeline`` gives it a fresh memo, pipeline evaluation one per
+question, shared by every cell of the (scope, row mode) grid. Stage
+failures never abort a sweep, they score zero and are listed in every
+cell that used the stage.
 
-Retrieval over all tables ranks against an index the caller passes in:
-``sweep_pipeline``, ``evaluate_retrieval`` and ``run_pipeline`` build
-none. The command line loads the one ``tableqa ingest`` saved in the
-workspace (``retrieval.load_index``); a library caller builds one with
-``retrieval.build_index``. Only the individual scope's per-split indexes,
-over a few gold tables each, are built here (``split_index``).
+``scope_sources`` gives a question's source under a scope, for the sweep
+and ``tableqa ask`` alike: its gold table, its split's index (built on
+first use) or the caller's index over all tables, which the command line
+loads (``retrieval.load_index``) and a library caller builds.
 
 ``TableDir`` maps a directory's table ids to its tables and reads each
 file on first access, so a command reads only the tables it reaches; it
@@ -537,6 +535,50 @@ def answer_cells(table: Table, select_cols, pairs, row_mode: RowMode,
         raise PipelineStageError("row-selection", exc) from exc
 
 
+def _once(memo: dict, stage, key, *args):
+    """``stage(*args)``, run at most once per ``key`` in ``memo``: a later
+    call returns the stored result, or raises the stored stage error."""
+    key = stage, key
+    if key not in memo:
+        try:
+            memo[key] = stage(*args)
+        except PipelineStageError as exc:
+            memo[key] = exc
+    result = memo[key]
+    if isinstance(result, PipelineStageError):
+        raise result
+    return result
+
+
+def _query(table: Table, select_cols, pairs) -> StructuredQuery:
+    """The query the predicted clauses construct over ``table``."""
+    return StructuredQuery(
+        select=tuple(table.headers[c] for c in sorted(select_cols)),
+        from_table=table.id,
+        where=tuple(Condition(column=table.headers[c], keyword=kw,
+                              operator=Operator.SIM_MATCH)
+                    for c, kw in sorted(pairs)),
+    )
+
+
+def _answer(question: ParsedQuestion, source: Table | TfIdfIndex,
+            tables: dict[str, Table], bundle: ModelBundle, store: EmbeddingStore,
+            row_mode: RowMode, similarity: Similarity, memo: dict) -> PipelineResult:
+    """The three stages for one question, from a golden table or an index
+    ranking ``tables``; calls sharing ``memo`` share each stage's results."""
+    if isinstance(source, Table):
+        table = source
+    else:
+        table = _once(memo, select_source, (source, similarity),
+                      question, tables, source, similarity)
+    select_cols, pairs = _once(memo, predict_clauses, table.id,
+                               question, table, bundle, store)
+    cells = _once(memo, answer_cells, (table.id, row_mode),
+                  table, select_cols, pairs, row_mode, store)
+    query = _once(memo, _query, table.id, table, select_cols, pairs)
+    return PipelineResult(query=query, table_id=table.id, cells=cells)
+
+
 def run_pipeline(
     question: str,
     tables: dict[str, Table],
@@ -554,21 +596,9 @@ def run_pipeline(
     their stage name; additive error accounting happens in the sweep.
     ``question_id`` is accepted and ignored (``bench/worker.py`` passes it).
     """
-    parsed = parse_question(question)
-    table = golden_table if golden_table is not None \
-        else select_source(parsed, tables, index, similarity)
-    select_cols, pairs = predict_clauses(parsed, table, bundle, store)
-    cells = answer_cells(table, select_cols, pairs, row_mode, store)
-    query = StructuredQuery(
-        select=tuple(table.headers[c] for c in sorted(select_cols)),
-        from_table=table.id,
-        where=tuple(
-            Condition(column=table.headers[c], keyword=kw,
-                      operator=Operator.SIM_MATCH)
-            for c, kw in sorted(pairs)
-        ),
-    )
-    return PipelineResult(query=query, table_id=table.id, cells=cells)
+    source = golden_table if golden_table is not None else index
+    return _answer(parse_question(question), source, tables, bundle, store,
+                   row_mode, similarity, {})
 
 
 @dataclass
@@ -600,55 +630,32 @@ class SweepCell:
         return [o for o in self.outcomes if o.error is not None]
 
 
-def _once(memo: dict, key, stage, *args):
-    """``stage(*args)``, run at most once per ``key``: a later call returns
-    the stored result, or raises the stored stage error again."""
-    if key not in memo:
-        try:
-            memo[key] = stage(*args)
-        except PipelineStageError as exc:
-            memo[key] = exc
-    if isinstance(memo[key], PipelineStageError):
-        raise memo[key]
-    return memo[key]
-
-
-def _entry_outcomes(entry, tables, indexes, bundle, store):
-    """((scope, row mode), outcome) per grid cell for one entry.
-
-    The question is parsed once, and each stage runs once per distinct
-    input: retrieval per index, clause prediction per table reached, row
-    selection per (table, row mode). A stage error reaches every cell.
-    """
-    question = parse_question(entry.question)
-    sources, clauses, answers = {}, {}, {}
-    for scope in Scope:
-        for row_mode in RowMode:
-            try:
-                if scope is Scope.GOLDEN_TABLE:
-                    table = tables[entry.table_id]
-                else:
-                    split = entry.split if scope is Scope.INDIVIDUAL_SET else None
-                    table = _once(sources, split, select_source,
-                                  question, tables, indexes[split])
-                select_cols, pairs = _once(clauses, table.id, predict_clauses,
-                                           question, table, bundle, store)
-                cells = _once(answers, (table.id, row_mode), answer_cells,
-                              table, select_cols, pairs, row_mode, store)
-            except PipelineStageError as exc:
-                outcome = QuestionOutcome(entry.qid, 0.0, 0.0, 0.0, error=str(exc))
-            else:
-                # a wrong source table has no chance of recovering the gold cells
-                prf = (cell_prf(set(cells), set(entry.gold_cells))
-                       if table.id == entry.table_id else (0.0, 0.0, 0.0))
-                outcome = QuestionOutcome(entry.qid, *prf)
-            yield (scope, row_mode), outcome
-
-
 def split_index(entries, tables: dict[str, Table], split: Split) -> TfIdfIndex:
     """Index over the gold tables of the entries in ``split``."""
     gold = {e.table_id: tables[e.table_id] for e in entries if e.split is split}
     return build_index(list(gold.values()))
+
+
+def scope_sources(entries, tables: dict[str, Table], all_tables_index):
+    """``source(scope, entry)``: the entry's gold table (golden), its
+    split's index (individual) or ``all_tables_index()`` (all, and
+    individual for a question outside the manifest, ``entry`` None). Each
+    index is made on first use and kept."""
+    indexes = {}    # None (all tables) or a Split -> TfIdfIndex
+
+    def source(scope: Scope, entry: ManifestEntry | None) -> Table | TfIdfIndex:
+        if scope is Scope.GOLDEN_TABLE:
+            if entry is None:
+                raise TableQAError("golden scope works only for manifest "
+                                   "questions; use --scope all")
+            return tables[entry.table_id]
+        individual = scope is Scope.INDIVIDUAL_SET and entry is not None
+        split = entry.split if individual else None
+        if split not in indexes:
+            indexes[split] = all_tables_index() if split is None \
+                else split_index(entries, tables, split)
+        return indexes[split]
+    return source
 
 
 def sweep_pipeline(
@@ -660,22 +667,31 @@ def sweep_pipeline(
 ) -> dict[tuple[Scope, RowMode], SweepCell]:
     """Evaluate every (scope, row mode) combination over the entries.
 
-    The entries run one after another, each through every cell; the cells
-    of one entry share its stage results (see ``_entry_outcomes``), so
-    every cell's outcome equals its own ``run_pipeline`` call's. The all
-    scope ranks against ``index``, over all tables; the individual scope
-    ranks each question's tables against an index of its own split's gold
-    tables, built here.
+    The entries run one after another, each through every cell, with one
+    stage memo per entry (see ``_answer``), so every cell's outcome equals
+    its own ``run_pipeline`` call's. The all scope ranks against ``index``,
+    over all tables; the individual scope ranks each question's tables
+    against an index of its own split's gold tables (``scope_sources``).
     """
-    indexes = {split: split_index(entries, tables, split)
-               for split in {e.split for e in entries}}
-    indexes[None] = index
-
+    source = scope_sources(entries, tables, lambda: index)
     grid = {(scope, row_mode): SweepCell(scope, row_mode, [])
             for scope in Scope for row_mode in RowMode}
     for entry in entries:
-        for key, outcome in _entry_outcomes(entry, tables, indexes, bundle, store):
-            grid[key].outcomes.append(outcome)
+        question, memo = parse_question(entry.question), {}
+        for scope in Scope:
+            scope_source = source(scope, entry)
+            for row_mode in RowMode:
+                try:
+                    result = _answer(question, scope_source, tables, bundle, store,
+                                     row_mode, Similarity.INV_EUCLIDEAN, memo)
+                except PipelineStageError as exc:
+                    outcome = QuestionOutcome(entry.qid, 0.0, 0.0, 0.0, error=str(exc))
+                else:
+                    # a wrong source table has no chance of recovering the gold cells
+                    prf = (cell_prf(set(result.cells), set(entry.gold_cells))
+                           if result.table_id == entry.table_id else (0.0, 0.0, 0.0))
+                    outcome = QuestionOutcome(entry.qid, *prf)
+                grid[scope, row_mode].outcomes.append(outcome)
     return grid
 
 

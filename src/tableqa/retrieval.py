@@ -323,15 +323,9 @@ def _few(ids: list[str]) -> str:
     return ", ".join(map(repr, ids[:3])) + more
 
 
-def load_index(path, table_ids) -> TfIdfIndex:
-    """The index saved at ``path``, which must index exactly ``table_ids``
-    (in any order).
-
-    The file is read with no unpickling, and every array's dtype, shape,
-    range and finiteness is checked before the index is built. A missing,
-    damaged or out-of-date file raises BadIndex naming ``path`` and how to
-    rebuild it.
-    """
+def _checked_arrays(path, table_ids) -> tuple[dict[str, np.ndarray], dict[str, int]]:
+    """The arrays saved at ``path`` and their stem -> column map, once every
+    check ``load_index`` names has passed."""
     arrays = _read_index_file(path)
     problem = _array_problem(arrays)
     if problem is not None:
@@ -348,11 +342,31 @@ def load_index(path, table_ids) -> TfIdfIndex:
         what = "; ".join(([f"lacks {_few(unindexed)}"] if unindexed else [])
                          + ([f"indexes {_few(gone)}, no longer there"] if gone else []))
         raise BadIndex(f"{path}: out of date with the tables: {what}; {_REBUILD}")
+    return arrays, columns
+
+
+def load_index(path, table_ids) -> TfIdfIndex:
+    """The index saved at ``path``, which must index exactly ``table_ids``
+    (in any order).
+
+    The file is read with no unpickling, and every array's dtype, shape,
+    range and finiteness is checked before the index is built. A missing,
+    damaged or out-of-date file raises BadIndex naming ``path`` and how to
+    rebuild it.
+    """
+    arrays, columns = _checked_arrays(path, table_ids)
     return TfIdfIndex(
-        table_ids=tuple(ids), columns=columns, idf=tuple(arrays["idf"].tolist()),
+        table_ids=tuple(arrays["table_ids"].tolist()), columns=columns,
+        idf=tuple(arrays["idf"].tolist()),
         **{name: _frozen(arrays[name])
            for name in ("indptr", "rows", "weights", "sq_norms", "n_stems")},
     )
+
+
+def _digest_map(arrays: dict[str, np.ndarray]) -> dict[str, bytes]:
+    # numpy drops the trailing NUL bytes of a digest it hands out one at a time
+    raw, ids = arrays["digests"].tobytes(), arrays["table_ids"].tolist()
+    return {tid: raw[32 * i:32 * i + 32] for i, tid in enumerate(ids)}
 
 
 def load_digests(path) -> dict[str, bytes]:
@@ -366,9 +380,13 @@ def load_digests(path) -> dict[str, bytes]:
         problem = f"array digests has {len(digests)} entries, expected {len(ids)}"
     if problem is not None:
         raise BadIndex(f"{path}: {problem}; {_REBUILD}")
-    # numpy drops the trailing NUL bytes of a digest it hands out one at a time
-    raw = digests.tobytes()
-    return {tid: raw[32 * i:32 * i + 32] for i, tid in enumerate(ids.tolist())}
+    return _digest_map(arrays)
+
+
+def checked_digests(path, table_ids) -> dict[str, bytes]:
+    """``load_digests`` of an index that passes every check of
+    ``load_index`` over ``table_ids``, from one read of the file."""
+    return _digest_map(_checked_arrays(path, table_ids)[0])
 
 
 def precision_at_k(

@@ -254,6 +254,145 @@ class TestAsk:
         assert "gold: match" in captured.out
 
 
+# one manifest question of each split, and one the manifest lacks
+SPLIT_QUESTIONS = {"train": "Who is the husband of Whoopi Goldberg?",
+                   "dev": "What is the capital of Oregon?",
+                   "test": "How tall is the Eiffel Tower?"}
+OUTSIDE_QUESTION = "Who is the spouse of Whoopi Goldberg?"
+
+
+@pytest.fixture(scope="module")
+def reference(cli_workspace, fixtures_dir, pipeline_store):
+    """``reference(question, scope, row_mode)``: the lines `ask` prints
+    before its gold line, from a ``run_pipeline`` call given the golden
+    table, the question's split index or the workspace index."""
+    from tableqa.harness import (
+        ModelBundle, RowMode, TableDir, load_manifest, run_pipeline, split_index)
+    from tableqa.nn import load_model
+    from tableqa.query import print_query
+    from tableqa.retrieval import load_index
+
+    models = cli_workspace / "models"
+    bundle = ModelBundle(select_model=load_model(models / "select.model"),
+                         where_model=load_model(models / "where.model"),
+                         coltype_model=load_model(models / "column-type.model"))
+    tables = TableDir(cli_workspace / "tables")
+    entries = load_manifest(fixtures_dir / "manifest.txt", tables, pipeline_store)
+    by_question = {e.question: e for e in entries}
+    index = load_index(cli_workspace / "index.npz", tables)
+
+    def reference(question, scope, row_mode):
+        entry = by_question.get(question)
+        golden, source = None, index
+        if scope == "golden":
+            golden = tables[entry.table_id]
+        elif scope == "individual" and entry is not None:
+            source = split_index(entries, tables, entry.split)
+        result = run_pipeline(question, tables, source, bundle, pipeline_store,
+                              row_mode=RowMode(row_mode), golden_table=golden)
+        table = tables[result.table_id]
+        return [f"table: {result.table_id}",
+                f"query: {print_query(result.query)}",
+                *(f"cell ({r},{c}) [{table.headers[c]}]: {table.rows[r][c]}"
+                  for r, c in sorted(result.cells))]
+
+    assert {e.split.value for e in entries if e.question in SPLIT_QUESTIONS.values()} \
+        == set(SPLIT_QUESTIONS)
+    assert OUTSIDE_QUESTION not in by_question
+    return reference
+
+
+class TestAskScopes:
+    """`ask` answers as ``run_pipeline`` does from the source its scope
+    names: the golden table, the index of the question's split, or the
+    workspace index over all tables."""
+
+    @staticmethod
+    def _ask(ws, fx, question, scope, row_mode, capsys):
+        code = main(["ask", question, "--workspace", str(ws),
+                     "--embeddings", f"{fx}/pipeline.vec",
+                     "--manifest", f"{fx}/manifest.txt",
+                     "--scope", scope, "--row-mode", row_mode])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        return captured.out.splitlines()
+
+    @pytest.mark.parametrize("row_mode", ["wordmatch", "embedding"])
+    @pytest.mark.parametrize("scope", ["golden", "individual", "all"])
+    @pytest.mark.parametrize("split", sorted(SPLIT_QUESTIONS))
+    def test_manifest_question(self, cli_workspace, fixtures_dir, reference,
+                               capsys, split, scope, row_mode):
+        question = SPLIT_QUESTIONS[split]
+        out = self._ask(cli_workspace, fixtures_dir, question, scope, row_mode,
+                        capsys)
+        assert out[:-1] == reference(question, scope, row_mode)
+        assert out[-1].startswith("gold: ")
+
+    @pytest.mark.parametrize("row_mode", ["wordmatch", "embedding"])
+    def test_question_outside_the_manifest_ranks_all_tables(
+            self, cli_workspace, fixtures_dir, reference, capsys, row_mode):
+        out = self._ask(cli_workspace, fixtures_dir, OUTSIDE_QUESTION,
+                        "individual", row_mode, capsys)
+        assert out == reference(OUTSIDE_QUESTION, "all", row_mode)
+
+    def test_individual_scope_is_not_the_all_tables_one(self, reference):
+        # the cases above tell the split index from the workspace one
+        differ = [q for q in SPLIT_QUESTIONS.values()
+                  if reference(q, "individual", "wordmatch")[0]
+                  != reference(q, "all", "wordmatch")[0]]
+        assert differ
+
+    def test_repl_builds_each_split_index_once(self, cli_workspace, fixtures_dir,
+                                               capsys, monkeypatch):
+        # `--scope all` loading the index once is
+        # TestAsk::test_repl_loads_index_once_and_answers_as_single_runs
+        import sys
+
+        from tableqa import retrieval
+        from tableqa.harness import split_index
+
+        fx = str(fixtures_dir)
+        argv = ["--workspace", str(cli_workspace),
+                "--embeddings", f"{fx}/pipeline.vec",
+                "--manifest", f"{fx}/manifest.txt", "--scope", "individual"]
+        # two train questions, a dev one, one the manifest lacks, repeated
+        questions = ["Who is the husband of Whoopi Goldberg?",
+                     "What is the capital of Louisiana?",
+                     "What is the capital of Oregon?", OUTSIDE_QUESTION] * 2
+        singles = {}
+        for question in questions[:4]:
+            assert main(["ask", question, *argv]) == 0
+            singles[question] = capsys.readouterr().out
+
+        # through every tableqa module's binding of the two
+        built, loaded = [], []
+        real_split, real_load = split_index, retrieval.load_index
+
+        def counting_split(entries, tables, split):
+            built.append(split.value)
+            return real_split(entries, tables, split)
+
+        def counting_load(path, table_ids):
+            loaded.append(path)
+            return real_load(path, table_ids)
+
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] != "tableqa":
+                continue
+            if getattr(module, "split_index", None) is real_split:
+                monkeypatch.setattr(module, "split_index", counting_split)
+            if getattr(module, "load_index", None) is real_load:
+                monkeypatch.setattr(module, "load_index", counting_load)
+
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(questions) + "\n\n"))
+        assert main(["ask", "--repl", *argv]) == 0
+        header = "enter questions, one per line (blank line or EOF to quit)\n"
+        out = capsys.readouterr().out
+        assert out == header + "".join(singles[q] for q in questions)
+        assert built == ["train", "dev"]
+        assert loaded == [cli_workspace / "index.npz"]
+
+
 class TestEval:
     def test_select_json(self, cli_workspace, fixtures_dir, capsys):
         fx = str(fixtures_dir)

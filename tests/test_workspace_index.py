@@ -95,11 +95,13 @@ class TestIngestSavesTheIndex:
         assert ingest(fixtures_dir, ws)[0] == 0
         assert (ws / "index.npz").read_bytes() == saved
 
-    @pytest.mark.parametrize("damage", ["no-digests", "garbage", "one-stale-digest"])
+    @pytest.mark.parametrize("damage", ["no-digests", "garbage", "one-stale-digest",
+                                        "weights"])
     def test_reingest_repairs_an_unreadable_or_stale_index(
             self, ws, fixtures_dir, pristine, damage):
-        # an index from before digests, one of garbage bytes and one whose
-        # digest of a table is not its file's are each rebuilt by ingest
+        # an index from before digests, one of garbage bytes, one whose
+        # digest of a table is not its file's and one whose ids and digests
+        # are sound but whose weights are negated are each rebuilt by ingest
         path = ws / "index.npz"
         saved = path.read_bytes()
         if damage == "garbage":
@@ -109,6 +111,8 @@ class TestIngestSavesTheIndex:
                 arrays = {name: archive[name] for name in archive.files}
             if damage == "no-digests":
                 del arrays["digests"]
+            elif damage == "weights":
+                arrays["weights"] = -arrays["weights"]
             else:
                 arrays["digests"][0] = b"\x01" * 32
             with open(path, "wb") as fh:

@@ -17,18 +17,19 @@ unchanged file keeps its mtime. Ingest makes ``tables/`` mirror the
 corpus: it also removes the table files no table of the corpus wrote.
 Ingest also builds and saves the index (``retrieval.save_index``) unless
 the saved one passes the check of ``retrieval.load_index``, which every
-command that loads it applies, and holds the sha256 of each table file
-(``retrieval.checked_digests``), so an index that is missing, damaged
-anywhere or from before digests is rebuilt. Writing or removing a table
-file deletes the old index first, so an ingest cut short leaves no stale
-index behind. ``retrieve``, ``ask``, ``eval --task retrieval`` and
-``pipeline-eval`` load it instead of building one, and read a workspace
-table only when they reach it; the first read of a table checks its bytes
-against the sha256 ingest saved. ``ask`` resolves scopes as the sweep does
+command that loads it applies, and holds the sha256 of each table file,
+so an index that is missing, damaged anywhere or from before digests is
+rebuilt. Writing or removing a table file deletes the old index first, so
+an ingest cut short leaves no stale index behind. Every other command
+opens one ``Workspace``, which reads each artifact at most once:
+``retrieve``, ``ask``, ``eval --task retrieval`` and ``pipeline-eval``
+load the index instead of building one, and read a workspace table only
+when they reach it; the first read of a table checks its bytes against
+the sha256 ingest saved. ``ask`` resolves scopes as the sweep does
 (``harness.scope_sources``), so only a question that needs it loads it.
 
 ``train``, ``eval``, ``ask`` and ``pipeline-eval`` take ``--embeddings``
-through ``embeddings.npz`` (``_workspace_store``): when it holds the
+through ``embeddings.npz`` (``Workspace.store``): when it holds the
 store of a ``.vec`` with the same sha256, no text is parsed; otherwise
 the ``.vec`` is parsed and the file replaced. A workspace that cannot be
 written is answered from the parsed store.
@@ -48,6 +49,7 @@ import json
 import math
 import os
 import sys
+from functools import cached_property
 from pathlib import Path
 
 from .clauses import SELECT_SPEC, WHERE_SPEC, parse_question
@@ -79,7 +81,7 @@ from .harness import (
 )
 from .nn import TrainConfig, load_model, save_model, spec_line
 from .query import print_query
-from .retrieval import (Similarity, build_index, checked_digests, load_digests,
+from .retrieval import (Similarity, TfIdfIndex, build_index, load_digests,
                         load_index, save_index)
 from .tabular import (
     Table,
@@ -100,19 +102,6 @@ from .typerec import (
 TASKS = ("table-type", "column-type", "select", "where")
 
 
-def _index_path(ws: Path) -> Path:
-    return ws / "index.npz"
-
-
-def _workspace_tables(ws: Path) -> TableDir:
-    """The workspace's tables, each read when first used and checked
-    against the digest ingest saved beside the index."""
-    tables_dir = ws / "tables"
-    if not tables_dir.is_dir():
-        raise TableQAError(f"workspace has no tables directory: {tables_dir}")
-    return TableDir(tables_dir, lambda: load_digests(_index_path(ws)))
-
-
 def _file_sha256(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -121,60 +110,88 @@ def _file_sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _workspace_store(ws: Path, vec_path) -> EmbeddingStore:
-    """The embeddings of ``vec_path``, from ``ws/embeddings.npz`` when it
-    holds the store of these ``.vec`` bytes.
-
-    Otherwise the ``.vec`` is parsed, so its errors name ``<vec>:<line>``,
-    and saved over ``embeddings.npz``, unless its bytes changed while it
-    was parsed or the workspace cannot be written.
-    """
-    sha256 = _file_sha256(vec_path)
-    path = ws / "embeddings.npz"
-    store = load_store(path, sha256)
-    if store is None:
-        store = load_embeddings(vec_path)
-        if _file_sha256(vec_path) == sha256:
-            with contextlib.suppress(OSError):
-                save_store(store, sha256, path)
-    return store
-
-
-def _model_path(ws: Path, task: str) -> Path:
-    return ws / "models" / f"{task}.model"
-
-
 # the network each MLP task's features and classes are shaped for
 _SPECS = {"column-type": COLUMN_TYPE_SPEC, "select": SELECT_SPEC,
           "where": WHERE_SPEC}
 
 
-def _load_task_model(ws: Path, task: str):
-    """The workspace's ``task`` model; a model file of another shape, such
-    as another task's, is an error naming its spec line."""
-    path = _model_path(ws, task)
-    model = load_model(path)
-    if model.spec != _SPECS[task]:
-        raise UntrainedModel(
-            f"{path}:2: expected {spec_line(_SPECS[task])!r} for a {task}"
-            f" model, got {spec_line(model.spec)!r}"
-        )
-    return model
+class Workspace:
+    """A workspace directory as one command reads it: each artifact at its
+    first use, and at most once. The table digests come from the read of
+    ``index`` when that came before the first table read, else from their
+    own read (``load_digests``), which leaves the index's weights unread."""
+
+    def __init__(self, path):
+        self.path = Path(path)
+        self.index_path = self.path / "index.npz"
+        self._read = {}     # "digests": those of the index's read
+
+    @cached_property
+    def tables(self) -> TableDir:
+        tables_dir = self.path / "tables"
+        if not tables_dir.is_dir():
+            raise TableQAError(f"workspace has no tables directory: {tables_dir}")
+        # a loader that refers back to the workspace would make a cycle,
+        # which keeps every artifact alive until the garbage collector runs
+        read, index_path = self._read, self.index_path
+        return TableDir(tables_dir,
+                        lambda: read.get("digests") or load_digests(index_path))
+
+    @cached_property
+    def index(self) -> TfIdfIndex:
+        """The saved index over ``tables``."""
+        index, self._read["digests"] = load_index(self.index_path, self.tables)
+        return index
+
+    def store(self, vec_path) -> EmbeddingStore:
+        """The embeddings of ``vec_path``, from ``embeddings.npz`` when it
+        holds the store of these ``.vec`` bytes.
+
+        Otherwise the ``.vec`` is parsed, so its errors name
+        ``<vec>:<line>``, and saved over ``embeddings.npz``, unless its
+        bytes changed while it was parsed or the workspace cannot be
+        written.
+        """
+        sha256 = _file_sha256(vec_path)
+        path = self.path / "embeddings.npz"
+        store = load_store(path, sha256)
+        if store is None:
+            store = load_embeddings(vec_path)
+            if _file_sha256(vec_path) == sha256:
+                with contextlib.suppress(OSError):
+                    save_store(store, sha256, path)
+        return store
+
+    def model_path(self, task: str) -> Path:
+        return self.path / "models" / f"{task}.model"
+
+    def model(self, task: str):
+        """The ``task`` model; a model file of another shape, such as
+        another task's, is an error naming its spec line."""
+        path = self.model_path(task)
+        model = load_model(path)
+        if model.spec != _SPECS[task]:
+            raise UntrainedModel(
+                f"{path}:2: expected {spec_line(_SPECS[task])!r} for a {task}"
+                f" model, got {spec_line(model.spec)!r}"
+            )
+        return model
+
+    @cached_property
+    def bundle(self) -> ModelBundle:
+        """Every MLP task's model that the workspace holds."""
+        models = {task: self.model(task) for task in _SPECS
+                  if self.model_path(task).exists()}
+        return ModelBundle(select_model=models.get("select"),
+                           where_model=models.get("where"),
+                           coltype_model=models.get("column-type"))
 
 
-def _load_bundle(ws: Path) -> ModelBundle:
-    models = {task: _load_task_model(ws, task) for task in _SPECS
-              if _model_path(ws, task).exists()}
-    return ModelBundle(select_model=models.get("select"),
-                       where_model=models.get("where"),
-                       coltype_model=models.get("column-type"))
-
-
-def _labeled_columns(ws: Path, labels_path):
+def _labeled_columns(ws: Workspace, labels_path):
     """(cells, type) per column-labels entry, each checked against the
     workspace's tables; only the tables the labels name are read."""
     labels = load_column_labels(labels_path)
-    tables = _workspace_tables(ws)
+    tables = ws.tables
     out = []
     for tid, idx, ctype in labels:
         entry = f"{labels_path}: entry {tid} {idx} {ctype.name.lower()}"
@@ -203,11 +220,11 @@ def _split_entries(entries, split: str):
     return [e for e in entries if e.split is Split(split)]
 
 
-def _report(ws: Path, name: str, report: dict, fmt: str) -> None:
-    """Write ``report`` as JSON to ``ws/reports/<name>.json`` and print it
-    in ``fmt``."""
+def _report(ws: Workspace, name: str, report: dict, fmt: str) -> None:
+    """Write ``report`` as JSON to ``reports/<name>.json`` in the workspace
+    and print it in ``fmt``."""
     text = json.dumps(report, indent=2, default=str) + "\n"
-    reports = ws / "reports"
+    reports = ws.path / "reports"
     reports.mkdir(parents=True, exist_ok=True)
     write_if_changed(reports / f"{name}.json", text)
     if fmt == "json":
@@ -247,32 +264,31 @@ def cmd_ingest(args) -> int:
     if not ingested:
         raise NoTables(f"{args.tables}: no table files to ingest")
 
-    ws = Path(args.workspace)
-    tables_dir = ws / "tables"
+    ws = Workspace(args.workspace)
+    tables_dir = ws.path / "tables"
     tables_dir.mkdir(parents=True, exist_ok=True)
-    index_path = _index_path(ws)
     files = {f"{table.id}.csv": table for table in ingested.values()}
     texts = {name: _table_text(table).encode("utf-8") for name, table in files.items()}
     for name, text in texts.items():
         if write_if_changed(tables_dir / name, text):
-            index_path.unlink(missing_ok=True)
+            ws.index_path.unlink(missing_ok=True)
     # tables/ mirrors the corpus: a table file left from an earlier ingest
     # would still be read by every later command
     stale = [name for name in table_files(tables_dir) if name not in files]
     for name in stale:
-        index_path.unlink(missing_ok=True)
+        ws.index_path.unlink(missing_ok=True)
         os.remove(tables_dir / name)
     digests = {files[name].id: hashlib.sha256(text).digest()
                for name, text in texts.items()}
     try:
-        current = checked_digests(index_path, digests) == digests
+        current = load_index(ws.index_path, digests)[1] == digests
     except BadIndex:
         current = False
     if not current:
         # in the order later commands list tables/, which numbers the stems
         save_index(build_index([files[name] for name in sorted(files)]),
-                   digests, index_path)
-    write_if_changed(ws / "table_kinds.txt", "".join(
+                   digests, ws.index_path)
+    write_if_changed(ws.path / "table_kinds.txt", "".join(
         f"{tid}\t{table.kind.value}\n" for tid, table in sorted(raw.items())))
     transposed = sum(1 for tid in raw if raw[tid].kind.value == "key-value")
     summary = f"ingested {len(ingested)} tables into {tables_dir} " \
@@ -290,8 +306,8 @@ def _train_config(args) -> TrainConfig:
 
 
 def cmd_train(args) -> int:
-    ws = Path(args.workspace)
-    out = Path(args.out) if args.out else _model_path(ws, args.task)
+    ws = Workspace(args.workspace)
+    out = Path(args.out) if args.out else ws.model_path(args.task)
     out.parent.mkdir(parents=True, exist_ok=True)
 
     if args.task == "table-type":
@@ -322,9 +338,7 @@ def cmd_train(args) -> int:
         # every entry is validated, so the tables of all splits are read,
         # and no other table
         lines = parse_manifest(args.manifest)
-        tables = _workspace_tables(ws)
-        store = _workspace_store(ws, args.embeddings)
-        bundle = _load_bundle(ws)
+        tables, store, bundle = ws.tables, ws.store(args.embeddings), ws.bundle
         if bundle.coltype_model is None:
             raise TableQAError(
                 "train the column-type model first (its distribution is a feature)"
@@ -342,9 +356,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
-    ws = Path(args.workspace)
-    index = load_index(_index_path(ws), _workspace_tables(ws))
-    ranked = rank_sources(parse_question(args.question), index,
+    ranked = rank_sources(parse_question(args.question),
+                          Workspace(args.workspace).index,
                           Similarity(args.sim), k=args.k)
     for rank, (tid, value) in enumerate(ranked, start=1):
         print(f"{rank:2d}. {tid:<28s} {value:.6f}")
@@ -352,14 +365,14 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    ws = Path(args.workspace)
+    ws = Workspace(args.workspace)
     fmt = args.format
     if args.task == "table-type":
         if not (args.tables and args.kinds):
             raise TableQAError("eval --task table-type needs --tables and --kinds")
         raw = load_corpus(args.tables)
         kinds = load_table_kinds(args.kinds)
-        model = load_table_type_model(_model_path(ws, "table-type"))
+        model = load_table_type_model(ws.model_path("table-type"))
         accuracy, wrong = evaluate_table_type(raw, kinds, model)
         report = {"task": "table-type", "tables": len(raw),
                   "accuracy": accuracy, "misclassified": wrong}
@@ -369,7 +382,7 @@ def cmd_eval(args) -> int:
     if args.task == "column-type":
         if not args.labels:
             raise TableQAError("eval --task column-type needs --labels")
-        model = _load_task_model(ws, "column-type")
+        model = ws.model("column-type")
         held = _labeled_columns(ws, args.labels)[::4]
         if not held:
             raise TableQAError(f"{args.labels}: no labelled columns")
@@ -385,13 +398,13 @@ def cmd_eval(args) -> int:
 
     if not (args.manifest and args.embeddings):
         raise TableQAError(f"eval --task {args.task} needs --manifest and --embeddings")
-    tables = _workspace_tables(ws)
-    store = _workspace_store(ws, args.embeddings)
+    index = ws.index if args.task == "retrieval" else None   # before any table
+    tables, store = ws.tables, ws.store(args.embeddings)
     entries = _split_entries(load_manifest(args.manifest, tables, store),
                              args.split)
 
     if args.task == "retrieval":
-        report = evaluate_retrieval(entries, load_index(_index_path(ws), tables))
+        report = evaluate_retrieval(entries, index)
         payload = {
             sim.value: {
                 "p_at_k": {f"p@{k}": v for k, v in data["p_at_k"].items()},
@@ -406,9 +419,8 @@ def cmd_eval(args) -> int:
         _report(ws, f"retrieval-{args.split}", report, fmt)
         return 0
 
-    bundle = _load_bundle(ws)
     evaluator = evaluate_select if args.task == "select" else evaluate_where
-    m = evaluator(entries, tables, store, bundle)
+    m = evaluator(entries, tables, store, ws.bundle)
     report = {
         "task": args.task, "split": args.split, "questions": len(entries),
         "confusion": {"tp": m.tp, "fp": m.fp, "fn": m.fn, "tn": m.tn},
@@ -419,15 +431,16 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ask(args) -> int:
-    ws = Path(args.workspace)
-    tables = _workspace_tables(ws)
-    store = _workspace_store(ws, args.embeddings)
-    entries = load_manifest(args.manifest, tables, store) if args.manifest else []
-    bundle = _load_bundle(ws)
+    ws = Workspace(args.workspace)
     scope, row_mode = Scope(args.scope), RowMode(args.row_mode)
     sim = Similarity(args.sim)
-    # the workspace index is loaded when a question first needs it
-    source = scope_sources(entries, tables, lambda: load_index(_index_path(ws), tables))
+    if scope is Scope.ALL_SETS:     # each question ranks: read before any table
+        ws.index
+    tables, store = ws.tables, ws.store(args.embeddings)
+    entries = load_manifest(args.manifest, tables, store) if args.manifest else []
+    bundle = ws.bundle
+    # otherwise the index is read when a question first needs it
+    source = scope_sources(entries, tables, lambda: ws.index)
     by_question = {}    # question text -> its manifest entries
     for e in entries:
         by_question.setdefault(e.question, []).append(e)
@@ -472,14 +485,12 @@ def cmd_ask(args) -> int:
 
 
 def cmd_pipeline_eval(args) -> int:
-    ws = Path(args.workspace)
-    tables = _workspace_tables(ws)
-    store = _workspace_store(ws, args.embeddings)
+    ws = Workspace(args.workspace)
+    index = ws.index    # before any table: see Workspace
+    tables, store = ws.tables, ws.store(args.embeddings)
     entries = _split_entries(load_manifest(args.manifest, tables, store),
                              args.split)
-    bundle = _load_bundle(ws)
-    grid = sweep_pipeline(entries, tables, load_index(_index_path(ws), tables),
-                          bundle, store)
+    grid = sweep_pipeline(entries, tables, index, ws.bundle, store)
     payload = {}
     for scope in Scope:
         payload[scope.value] = {}

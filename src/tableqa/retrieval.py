@@ -23,7 +23,8 @@ unpickling anything, checking each array before it builds the index.
 it as ``<workspace>/index.npz``; the commands that rank all tables
 (``retrieve``, ``ask``, ``eval --task retrieval``, ``pipeline-eval``)
 load that file instead of building one, and every command that reads a
-workspace table checks it against its digest (``load_digests``).
+workspace table checks it against its digest, read with the index or,
+in a command that ranks nothing, alone (``load_digests``).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import math
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,6 +72,11 @@ class TfIdfIndex:
     weights: np.ndarray
     sq_norms: np.ndarray
     n_stems: np.ndarray
+
+    @cached_property
+    def n_zero_idf(self) -> int:
+        """The number of stems in every table: of idf, and weight, 0."""
+        return self.idf.count(0.0)
 
 
 def _table_text(table: Table) -> str:
@@ -179,7 +186,8 @@ def _similarities(index: TfIdfIndex, q: dict[str, float],
         # |q - t|^2 = sum over q's stems of (q_s - t_s)^2, which has no
         # cancellation and is exactly 0 where t equals q on them, plus
         # t's mass off q's stems: |t|^2 minus the shared part, exactly 0
-        # when every stem of t is one of q's.
+        # when every stem of t of non-zero weight is one of q's; every
+        # table holds the n_zero_idf stems of weight 0.
         near = np.zeros(n)
         shared_sq = np.zeros(n)
         shared = np.zeros(n, dtype=np.int64)
@@ -188,8 +196,9 @@ def _similarities(index: TfIdfIndex, q: dict[str, float],
             term[rows] = (w - tw) ** 2
             near += term
             shared_sq[rows] += tw * tw
-            shared[rows] += 1
-        off = np.where(shared == index.n_stems, 0.0,
+            if w:
+                shared[rows] += 1
+        off = np.where(shared == index.n_stems - index.n_zero_idf, 0.0,
                        np.maximum(index.sq_norms - shared_sq, 0.0))
         return 1.0 / (1.0 + np.sqrt(near + off))
     dot = np.zeros(n)
@@ -323,9 +332,16 @@ def _few(ids: list[str]) -> str:
     return ", ".join(map(repr, ids[:3])) + more
 
 
-def _checked_arrays(path, table_ids) -> tuple[dict[str, np.ndarray], dict[str, int]]:
-    """The arrays saved at ``path`` and their stem -> column map, once every
-    check ``load_index`` names has passed."""
+def load_index(path, table_ids) -> tuple[TfIdfIndex, dict[str, bytes]]:
+    """The index saved at ``path``, which must index exactly ``table_ids``
+    (in any order), and the digests saved with it (see ``load_digests``),
+    from one read of the file.
+
+    The file is read with no unpickling, and every array's dtype, shape,
+    range and finiteness is checked before the index is built. A missing,
+    damaged or out-of-date file raises BadIndex naming ``path`` and how to
+    rebuild it.
+    """
     arrays = _read_index_file(path)
     problem = _array_problem(arrays)
     if problem is not None:
@@ -342,25 +358,11 @@ def _checked_arrays(path, table_ids) -> tuple[dict[str, np.ndarray], dict[str, i
         what = "; ".join(([f"lacks {_few(unindexed)}"] if unindexed else [])
                          + ([f"indexes {_few(gone)}, no longer there"] if gone else []))
         raise BadIndex(f"{path}: out of date with the tables: {what}; {_REBUILD}")
-    return arrays, columns
-
-
-def load_index(path, table_ids) -> TfIdfIndex:
-    """The index saved at ``path``, which must index exactly ``table_ids``
-    (in any order).
-
-    The file is read with no unpickling, and every array's dtype, shape,
-    range and finiteness is checked before the index is built. A missing,
-    damaged or out-of-date file raises BadIndex naming ``path`` and how to
-    rebuild it.
-    """
-    arrays, columns = _checked_arrays(path, table_ids)
     return TfIdfIndex(
-        table_ids=tuple(arrays["table_ids"].tolist()), columns=columns,
-        idf=tuple(arrays["idf"].tolist()),
+        table_ids=tuple(ids), columns=columns, idf=tuple(arrays["idf"].tolist()),
         **{name: _frozen(arrays[name])
            for name in ("indptr", "rows", "weights", "sq_norms", "n_stems")},
-    )
+    ), _digest_map(arrays)
 
 
 def _digest_map(arrays: dict[str, np.ndarray]) -> dict[str, bytes]:
@@ -381,12 +383,6 @@ def load_digests(path) -> dict[str, bytes]:
     if problem is not None:
         raise BadIndex(f"{path}: {problem}; {_REBUILD}")
     return _digest_map(arrays)
-
-
-def checked_digests(path, table_ids) -> dict[str, bytes]:
-    """``load_digests`` of an index that passes every check of
-    ``load_index`` over ``table_ids``, from one read of the file."""
-    return _digest_map(_checked_arrays(path, table_ids)[0])
 
 
 def precision_at_k(

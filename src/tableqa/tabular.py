@@ -112,7 +112,7 @@ class Table:
         out = []
         for c in range(self.n_columns):
             lengths = [len(cell) for cell in self.column(c) if cell.strip()]
-            out.append(float(np.mean(lengths)) if lengths else 0.0)
+            out.append(sum(lengths) / len(lengths) if lengths else 0.0)
         return tuple(out)
 
     @cached_property

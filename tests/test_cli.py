@@ -279,7 +279,7 @@ def reference(cli_workspace, fixtures_dir, pipeline_store):
     tables = TableDir(cli_workspace / "tables")
     entries = load_manifest(fixtures_dir / "manifest.txt", tables, pipeline_store)
     by_question = {e.question: e for e in entries}
-    index = load_index(cli_workspace / "index.npz", tables)
+    index, _ = load_index(cli_workspace / "index.npz", tables)
 
     def reference(question, scope, row_mode):
         entry = by_question.get(question)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tableqa.errors import BadIndex, NoIndexedWord, NoTables
@@ -311,6 +311,13 @@ def corpora_and_questions(draw):
 class TestMatchesDictReference:
     @settings(max_examples=300, deadline=None)
     @given(corpora_and_questions())
+    # every table holds "appl", whose idf is 0: t3 equals the question on
+    # every stem of non-zero weight, so its inverse-Euclidean score is 1.0
+    @example(([Table(id=f"t{i}", name="apple", headers=[header], rows=rows)
+               for i, (header, rows) in enumerate([
+                   ("apple", []), ("banana", []), ("run", []),
+                   ("banana", [["cherry"], ["run"]])])],
+              "banana run cherry"))
     def test_generated_corpora(self, case):
         tables, question = case
         assert_matches_reference(build_index(tables), reference_vectors(tables),
@@ -508,7 +515,7 @@ class TestSavedIndex:
         # ingest builds it from the tables in memory; a build over the
         # tables read back from the workspace gives the same index
         tables = load_corpus(cli_workspace / "tables")
-        got = load_index(cli_workspace / "index.npz", TableDir(cli_workspace / "tables"))
+        got, _ = load_index(cli_workspace / "index.npz", TableDir(cli_workspace / "tables"))
         assert_same_index(got, build_index(list(tables.values())))
 
     @settings(max_examples=100, deadline=None)
@@ -520,8 +527,8 @@ class TestSavedIndex:
             digests = digests_of(index)
             assert save_index(index, digests, path) is True
             assert save_index(index, digests, path) is False  # same bytes: not rewritten
-            loaded = load_index(path, reversed(index.table_ids))
-            assert load_digests(path) == digests
+            loaded, loaded_digests = load_index(path, reversed(index.table_ids))
+            assert loaded_digests == load_digests(path) == digests
         assert_same_index(loaded, index)
         assert index_bytes(loaded, digests) == index_bytes(index, digests)
 

@@ -520,6 +520,21 @@ class TestCellViews:
                   rows=[["ab", "", "x y"], ["abcd", "  ", "abcd"], ["", " ", " "]])
         assert t.mean_cell_length == (3.0, 0.0, 3.5)
 
+    @settings(max_examples=200, deadline=None)
+    @given(columns=st.lists(st.lists(st.one_of(st.text(" \tab", max_size=12),
+                                               st.text("xy", min_size=30, max_size=200)),
+                                     min_size=1, max_size=40),
+                            min_size=1, max_size=3))
+    def test_mean_cell_length_is_numpys_mean(self, columns):
+        # the sum of lengths is exact, so one division rounds as np.mean's does
+        n_rows = min(map(len, columns))
+        t = Table(id="m", name="m", headers=["h"] * len(columns),
+                  rows=[[column[r] for column in columns] for r in range(n_rows)])
+        for c, got in enumerate(t.mean_cell_length):
+            lengths = [len(cell) for cell in t.column(c) if cell.strip()]
+            want = float(np.mean(lengths)) if lengths else 0.0
+            assert got.hex() == want.hex()
+
 
 class TestTranspose:
     def test_five_key_table_becomes_single_row(self):

@@ -60,7 +60,7 @@ def ws(cli_workspace, fixtures_dir, tmp_path):
     ``pipeline.vec``."""
     copy = tmp_path / "ws"
     shutil.copytree(cli_workspace, copy)
-    cli._workspace_store(copy, fixtures_dir / "pipeline.vec")
+    cli.Workspace(copy).store(fixtures_dir / "pipeline.vec")
     return copy
 
 
@@ -99,11 +99,11 @@ class TestStoreEqualsTheParse:
             vec.write_text(text, encoding="utf-8")
             parsed = load_embeddings(vec)
             # the first call parses and saves, the second loads the save
-            assert_same_store(cli._workspace_store(ws, vec), parsed)
+            assert_same_store(cli.Workspace(ws).store(vec), parsed)
             assert (ws / "embeddings.npz").exists()
             with mock.patch.object(cli, "load_embeddings",
                                    side_effect=AssertionError("parsed again")):
-                assert_same_store(cli._workspace_store(ws, vec), parsed)
+                assert_same_store(cli.Workspace(ws).store(vec), parsed)
 
     def test_equal_stores_give_equal_bytes(self, fixtures_dir, tmp_path):
         vec = fixtures_dir / "pipeline.vec"
@@ -137,7 +137,7 @@ class TestWorkspaceStore:
         pipeline, toy = fixtures_dir / "pipeline.vec", fixtures_dir / "toy.vec"
         assert load_store(path, sha256(pipeline)) is not None
         before = listing(ws)
-        assert_same_store(cli._workspace_store(ws, toy), load_embeddings(toy))
+        assert_same_store(cli.Workspace(ws).store(toy), load_embeddings(toy))
         assert load_store(path, sha256(pipeline)) is None
         assert_same_store(load_store(path, sha256(toy)), load_embeddings(toy))
         assert listing(ws) == before    # no temp file is left behind
@@ -221,7 +221,7 @@ class TestBadStore:
         path = ws / "embeddings.npz"
         _save_arrays(path, **arrays)
         with pytest.raises(BadStore) as exc:
-            cli._workspace_store(ws, vec)
+            cli.Workspace(ws).store(vec)
         message = str(exc.value)
         assert message.startswith(f"{path}: ")
         assert problem in message
@@ -258,7 +258,7 @@ class TestBadStore:
             path = ws / "embeddings.npz"
             path.write_bytes(damaged.encode("utf-8", "surrogateescape"))
             try:
-                store = cli._workspace_store(ws, vec)
+                store = cli.Workspace(ws).store(vec)
             except BadStore as exc:
                 assert str(exc).startswith(f"{path}: ")
                 assert str(exc).endswith(f"; {REBUILD}")

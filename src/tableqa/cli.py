@@ -69,7 +69,6 @@ from .harness import (
     load_corpus,
     load_manifest,
     load_table_kinds,
-    parse_manifest,
     rank_sources,
     run_pipeline,
     scope_sources,
@@ -77,7 +76,6 @@ from .harness import (
     table_files,
     train_select_model,
     train_where_model,
-    validate_manifest,
 )
 from .nn import TrainConfig, load_model, save_model, spec_line
 from .query import print_query
@@ -308,7 +306,6 @@ def _train_config(args) -> TrainConfig:
 def cmd_train(args) -> int:
     ws = Workspace(args.workspace)
     out = Path(args.out) if args.out else ws.model_path(args.task)
-    out.parent.mkdir(parents=True, exist_ok=True)
 
     if args.task == "table-type":
         if not (args.tables and args.kinds):
@@ -322,31 +319,31 @@ def cmd_train(args) -> int:
                 f"{args.kinds}: names no table under {args.tables}"
             )
         model = train_table_type_model(samples)
-        save_table_type_model(model, out)
     elif args.task == "column-type":
         if not args.labels:
             raise TableQAError("train --task column-type needs --labels")
         samples = [(extract_column_type_features(cells), ctype)
                    for cells, ctype in _labeled_columns(ws, args.labels)]
         model = train_column_type_model(samples, _train_config(args))
-        save_model(model, out)
     else:
         if not (args.manifest and args.embeddings):
             raise TableQAError(
                 f"train --task {args.task} needs --manifest and --embeddings"
             )
-        # every entry is validated, so the tables of all splits are read,
-        # and no other table
-        lines = parse_manifest(args.manifest)
         tables, store, bundle = ws.tables, ws.store(args.embeddings), ws.bundle
         if bundle.coltype_model is None:
             raise TableQAError(
                 "train the column-type model first (its distribution is a feature)"
             )
-        entries = _split_entries(validate_manifest(lines, tables, store), "train")
+        # every entry is validated, so the tables of all splits are read,
+        # and no other table
+        entries = _split_entries(load_manifest(args.manifest, tables, store), "train")
         trainer = train_select_model if args.task == "select" else train_where_model
         model = trainer(entries, tables, store, bundle, _train_config(args))
-        save_model(model, out)
+    # made only now, so a command that fails leaves no directory behind
+    out.parent.mkdir(parents=True, exist_ok=True)
+    save = save_table_type_model if args.task == "table-type" else save_model
+    save(model, out)
     # the three MLP tasks report their last epoch loss; the table-type
     # logistic regression keeps no loss history
     history = getattr(model, "loss_history", None)
@@ -383,16 +380,17 @@ def cmd_eval(args) -> int:
         if not args.labels:
             raise TableQAError("eval --task column-type needs --labels")
         model = ws.model("column-type")
-        held = _labeled_columns(ws, args.labels)[::4]
-        if not held:
+        # every labelled column, each of which training fitted: in-sample
+        columns = _labeled_columns(ws, args.labels)
+        if not columns:
             raise TableQAError(f"{args.labels}: no labelled columns")
         hits = sum(
             classify_column_type(extract_column_type_features(cells), model)[0]
             is ctype
-            for cells, ctype in held
+            for cells, ctype in columns
         )
-        report = {"task": "column-type", "held_out_columns": len(held),
-                  "accuracy": hits / len(held)}
+        report = {"task": "column-type", "columns": len(columns),
+                  "accuracy": hits / len(columns)}
         _report(ws, "column-type", report, fmt)
         return 0
 

@@ -5,8 +5,10 @@ The manifest is line-oriented text, one question per line:
     qid <TAB> split <TAB> table_id <TAB> alternates(,-separated or -)
         <TAB> cells(r:c,...) <TAB> question <TAB> gold query
 
-Every entry is validated on load: the gold query must parse and execute
-on the gold table to exactly the stated cells.
+``load_manifest`` reads the file whole, then parses and validates each
+line in one pass: the gold query must parse and execute on the gold
+table to exactly the stated cells. Through a ``TableDir`` it reads each
+gold table when the first entry naming it is checked, and no other.
 
 The pipeline is three stage functions: ``select_source`` (question and
 index to table), ``predict_clauses`` (question and table to SELECT
@@ -36,7 +38,7 @@ import enum
 import os
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -245,89 +247,55 @@ def _parse_cells(text: str) -> frozenset:
     return frozenset(cells)
 
 
-@dataclass(frozen=True)
-class ManifestLine:
-    """One manifest line that is not blank or a comment: its entry, or the
-    reason it has none (``failure`` is ``(qid or "line N", cause)``)."""
-
-    where: str                             # path:line
-    entry: ManifestEntry | None
-    failure: tuple[str, str] | None = None
-
-
-def parse_manifest(path) -> list[ManifestLine]:
-    """The manifest's lines, parsed but not checked against any table."""
-    lines = []
-    for lineno, line in enumerate(read_lines(path), start=1):
+def load_manifest(
+    path,
+    tables: dict[str, Table],
+    store: EmbeddingStore,
+) -> list[ManifestEntry]:
+    """The manifest's entries, each holding its parsed gold query, which
+    must execute on the entry's gold table to exactly the stated cells.
+    Lines that fail to parse or to validate are collected, in file order,
+    into one ValidationFailure, each cause prefixed with ``path:line``."""
+    entries, failures = [], []
+    # read whole first: a file that is not text is reported before any table
+    for lineno, line in enumerate(list(read_lines(path)), start=1):
         line = line.rstrip("\n")
         if not line or line.startswith("#"):
             continue
         where = f"{path}:{lineno}"
         parts = line.split("\t")
         if len(parts) != 7:
-            lines.append(ManifestLine(where, None, (
-                f"line {lineno}", f"{where}: expected 7 fields, got {len(parts)}")))
+            failures.append((f"line {lineno}",
+                             f"{where}: expected 7 fields, got {len(parts)}"))
             continue
         qid, split, table_id, alts, cells_s, question, query_text = parts
         try:
-            entry = ManifestEntry(
-                qid=qid, question=question, table_id=table_id,
-                alternates=tuple(a for a in alts.split(",") if a and a != "-"),
-                gold_query=query_text, gold_cells=_parse_cells(cells_s),
-                split=Split(split),
-            )
+            cells, split = _parse_cells(cells_s), Split(split)
         except ValueError as exc:
-            lines.append(ManifestLine(where, None, (qid, f"{where}: {exc}")))
-            continue
-        lines.append(ManifestLine(where, entry))
-    return lines
-
-
-def validate_manifest(
-    lines: list[ManifestLine],
-    tables: dict[str, Table],
-    store: EmbeddingStore,
-) -> list[ManifestEntry]:
-    """The entries of ``parse_manifest`` whose gold query executes on their
-    gold table to exactly the stated cells, each holding its parsed query.
-    Lines that failed to parse or to validate are collected, in file
-    order, into one ValidationFailure, each cause prefixed with
-    ``path:line``."""
-    entries = []
-    failures = []
-    for line in lines:
-        entry = line.entry
-        if entry is None:
-            failures.append(line.failure)
+            failures.append((qid, f"{where}: {exc}"))
             continue
         # read before the try: a malformed table file is an error of its
         # own, not one of this entry's
-        table = tables.get(entry.table_id)
+        table = tables.get(table_id)
         try:
             if table is None:
-                raise ValueError(f"unknown table {entry.table_id!r}")
-            query = parse_query(entry.gold_query)
+                raise ValueError(f"unknown table {table_id!r}")
+            query = parse_query(query_text)
             got = execute(query, table, store)
-            if got != set(entry.gold_cells):
+            if got != cells:
                 raise ValueError(f"gold query yields {sorted(got)}, manifest "
-                                 f"says {sorted(entry.gold_cells)}")
+                                 f"says {sorted(cells)}")
         except (TableQAError, ValueError) as exc:
-            failures.append((entry.qid, f"{line.where}: {exc}"))
+            failures.append((qid, f"{where}: {exc}"))
             continue
-        entries.append(replace(entry, query=query))
+        entries.append(ManifestEntry(
+            qid=qid, question=question, table_id=table_id,
+            alternates=tuple(a for a in alts.split(",") if a and a != "-"),
+            gold_query=query_text, gold_cells=cells, split=split, query=query,
+        ))
     if failures:
         raise ValidationFailure(failures)
     return entries
-
-
-def load_manifest(
-    path,
-    tables: dict[str, Table],
-    store: EmbeddingStore,
-) -> list[ManifestEntry]:
-    """Parse and validate the manifest (``parse_manifest`` then
-    ``validate_manifest``)."""
-    return validate_manifest(parse_manifest(path), tables, store)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,11 @@ output head, cross-entropy loss and plain SGD, all in numpy float64.
 Training is fully seed-deterministic: initialization, shuffling and
 batch-norm statistics derive from the seed, so identical runs produce
 bit-identical models.
+
+A model is one float64 vector that holds every array of its model file
+in file order (``array_layout``); its weights, biases and batch-norm
+arrays are views into that vector, which ``train`` updates in place and
+``dump_model`` writes out.
 """
 
 from __future__ import annotations
@@ -85,44 +90,85 @@ class BatchNormParams:
     running_var: np.ndarray
 
 
+def array_layout(spec: MlpSpec) -> list[tuple[str, tuple[int, ...]]]:
+    """The name and shape of every array of a model of ``spec``, in file
+    order: each layer's weights and bias, each hidden layer's batch-norm
+    scale and shift (the trainable arrays), then every hidden layer's
+    running mean, then every hidden layer's running variance."""
+    layout = []
+    for i, (fan_in, fan_out) in enumerate(spec.layer_dims):
+        layout += [(f"W{i}", (fan_in, fan_out)), (f"b{i}", (fan_out,))]
+    for i, h in enumerate(spec.hidden):
+        layout += [(f"bn{i}.gamma", (h,)), (f"bn{i}.beta", (h,))]
+    for part in ("mean", "var"):
+        layout += [(f"bn{i}.{part}", (h,)) for i, h in enumerate(spec.hidden)]
+    return layout
+
+
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views into ``flat`` with the given shapes."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[start:start + size].reshape(shape))
+        start += size
+    return views
+
+
+def _split_parameters(spec: MlpSpec, views):
+    """(weights, biases, gammas, betas) from a list in trainable file order."""
+    n_layers = len(spec.layer_dims)
+    head, bn = views[:2 * n_layers], views[2 * n_layers:]
+    return head[0::2], head[1::2], bn[0::2], bn[1::2]
+
+
 @dataclass
 class MlpModel:
+    """A network of ``spec`` held in one float64 vector: ``flat`` holds
+    every array of its model file in file order (``array_layout``), and
+    ``weights``, ``biases`` and ``batchnorms`` are views into it."""
+
     spec: MlpSpec
-    weights: list[np.ndarray]       # one (fan_in, fan_out) matrix per layer
-    biases: list[np.ndarray]
-    batchnorms: list[BatchNormParams]  # one per hidden layer
+    flat: np.ndarray
     loss_history: list[float] = field(default_factory=list)
+
+    def __post_init__(self):
+        views = [a for _, a in self.arrays()]
+        n_trainable = len(views) - 2 * self.n_hidden
+        self.weights, self.biases, gammas, betas = _split_parameters(
+            self.spec, views[:n_trainable])
+        stats = views[n_trainable:]
+        self.batchnorms = [BatchNormParams(*arrays) for arrays in zip(
+            gammas, betas, stats[:self.n_hidden], stats[self.n_hidden:])]
 
     @property
     def n_hidden(self) -> int:
         return len(self.spec.hidden)
 
+    def arrays(self) -> list[tuple[str, np.ndarray]]:
+        """Named views of every array of the model file, in file order."""
+        layout = array_layout(self.spec)
+        return list(zip([name for name, _ in layout],
+                        _views(self.flat, [shape for _, shape in layout])))
+
     def parameter_arrays(self) -> list[tuple[str, np.ndarray]]:
-        """Named views of every trainable array, in a fixed order."""
-        named = []
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            named.append((f"W{i}", w))
-            named.append((f"b{i}", b))
-        for i, bn in enumerate(self.batchnorms):
-            named.append((f"bn{i}.gamma", bn.gamma))
-            named.append((f"bn{i}.beta", bn.beta))
-        return named
+        """Named views of every trainable array, in file order."""
+        arrays = self.arrays()
+        return arrays[:len(arrays) - 2 * self.n_hidden]
 
 
 def init_model(spec: MlpSpec, seed: int) -> MlpModel:
-    # uniform +-sqrt(6 / (fan_in + fan_out)), biases zero
+    # weights uniform +-sqrt(6 / (fan_in + fan_out)); batch-norm scales and
+    # running variances one; biases, shifts and running means zero
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in spec.layer_dims:
+    model = MlpModel(spec, np.zeros(sum(
+        math.prod(shape) for _, shape in array_layout(spec))))
+    for w, (fan_in, fan_out) in zip(model.weights, spec.layer_dims):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    batchnorms = [
-        BatchNormParams(gamma=np.ones(h), beta=np.zeros(h),
-                        running_mean=np.zeros(h), running_var=np.ones(h))
-        for h in spec.hidden
-    ]
-    return MlpModel(spec=spec, weights=weights, biases=biases, batchnorms=batchnorms)
+        w[...] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+    for bn in model.batchnorms:
+        bn.gamma[...] = bn.running_var[...] = 1.0
+    return model
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -153,54 +199,15 @@ def predict_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 #
 # One forward/backward implementation serves train and the gradient check in
-# tests/nn_gradient_check.py. train keeps every trainable array as a view into
-# one parameter vector, writes gradients into a second vector of the same
-# layout and batch statistics into a third, so an SGD step updates all parameters and running statistics in a
-# handful of numpy calls. The float64 operations on each element are those of
-# the plain formulation (numpy's mean and var are add.reduce over the rows
-# divided by the row count), so trained models are bit-identical to it.
+# tests/nn_gradient_check.py. train updates the model's vector in place: its
+# trainable prefix and running-statistics suffix take gradients and batch
+# statistics from a second vector of the same layout, so an SGD step updates
+# all parameters and running statistics in a handful of numpy calls. The
+# float64 operations on each element are those of the plain formulation
+# (numpy's mean and var are add.reduce over the rows divided by the row
+# count), so trained models are bit-identical to it.
 
 _add_reduce = np.add.reduce
-
-
-def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
-    """Consecutive views into ``flat`` with the given shapes."""
-    views, start = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        views.append(flat[start:start + size].reshape(shape))
-        start += size
-    return views
-
-
-def _pack(arrays) -> tuple[np.ndarray, list[np.ndarray]]:
-    """One flat copy of ``arrays`` and views into it shaped like them."""
-    flat = np.concatenate([a.reshape(-1) for a in arrays] or [np.empty(0)])
-    return flat, _views(flat, [a.shape for a in arrays])
-
-
-def _split_parameters(model: MlpModel, views):
-    """(weights, biases, gammas, betas) from a parameter-ordered list."""
-    n_layers = len(model.weights)
-    head, bn = views[:2 * n_layers], views[2 * n_layers:]
-    return head[0::2], head[1::2], bn[0::2], bn[1::2]
-
-
-def _pack_model(model: MlpModel) -> tuple[np.ndarray, np.ndarray]:
-    """Move the model's arrays into two flat vectors; the model keeps views.
-
-    Returns the trainable parameters, in ``parameter_arrays`` order, and the
-    running statistics: every layer's means, then every layer's variances.
-    """
-    bns = model.batchnorms
-    params, views = _pack([a for _, a in model.parameter_arrays()])
-    running, stats = _pack([bn.running_mean for bn in bns]
-                           + [bn.running_var for bn in bns])
-    model.weights, model.biases, gammas, betas = _split_parameters(model, views)
-    for bn, gamma, beta, mean, var in zip(bns, gammas, betas,
-                                          stats[:len(bns)], stats[len(bns):]):
-        bn.gamma, bn.beta, bn.running_mean, bn.running_var = gamma, beta, mean, var
-    return params, running
 
 
 def _blend_running(running, batch) -> None:
@@ -244,7 +251,7 @@ def _backprop(model: MlpModel, probs, onehot, cache, grads) -> None:
     """
     n = probs.shape[0]
     layers, h_last = cache
-    g_w, g_b, g_gamma, g_beta = _split_parameters(model, grads)
+    g_w, g_b, g_gamma, g_beta = _split_parameters(model.spec, grads)
 
     d_logits = probs - onehot
     d_logits /= n
@@ -294,13 +301,13 @@ def train(spec: MlpSpec, data, cfg: TrainConfig) -> MlpModel:
     starts = range(0, n, size)
 
     model = init_model(spec, cfg.seed)
-    params, running = _pack_model(model)
-    grads = np.empty_like(params)
-    grad_views = _views(grads, [a.shape for _, a in model.parameter_arrays()])
-    bns = model.batchnorms
-    batch_stats = np.empty_like(running)
-    stat_views = _views(batch_stats, [bn.running_mean.shape for bn in bns] * 2)
-    means, variances = stat_views[:len(bns)], stat_views[len(bns):]
+    step = MlpModel(spec, np.empty_like(model.flat))   # gradients, batch stats
+    n_params = sum(a.size for _, a in model.parameter_arrays())
+    params, running = model.flat[:n_params], model.flat[n_params:]
+    grads, batch_stats = step.flat[:n_params], step.flat[n_params:]
+    grad_views = [a for _, a in step.parameter_arrays()]
+    means = [bn.running_mean for bn in step.batchnorms]
+    variances = [bn.running_var for bn in step.batchnorms]
 
     x_epoch, onehot_epoch = np.empty_like(x_all), np.empty_like(onehot_all)
     picks, picked = np.empty_like(y_all), np.empty(n)
@@ -350,30 +357,6 @@ def upsample_positives(data, factor: int, seed: int = 0):
 # ---------------------------------------------------------------------------
 
 _MAGIC = "tableqa-mlp v1"
-
-
-def _saved_arrays(model: MlpModel) -> list[tuple[str, np.ndarray]]:
-    """Every array a model file holds, named, in file order."""
-    return model.parameter_arrays() + [
-        (f"bn{i}.mean", bn.running_mean) for i, bn in enumerate(model.batchnorms)
-    ] + [
-        (f"bn{i}.var", bn.running_var) for i, bn in enumerate(model.batchnorms)
-    ]
-
-
-def _saved_shapes(spec: MlpSpec) -> dict[str, tuple[int, ...]]:
-    """The shape of every array a model file of ``spec`` holds, by name, in
-    ``_saved_arrays`` order."""
-    shapes = {}
-    for i, (fan_in, fan_out) in enumerate(spec.layer_dims):
-        shapes[f"W{i}"] = (fan_in, fan_out)
-        shapes[f"b{i}"] = (fan_out,)
-    for i, h in enumerate(spec.hidden):
-        shapes[f"bn{i}.gamma"] = shapes[f"bn{i}.beta"] = (h,)
-    for part in ("mean", "var"):
-        for i, h in enumerate(spec.hidden):
-            shapes[f"bn{i}.{part}"] = (h,)
-    return shapes
 
 
 def format_arrays(arrays) -> list[str]:
@@ -440,7 +423,7 @@ def spec_line(spec: MlpSpec) -> str:
 
 
 def dump_model(model: MlpModel) -> str:
-    lines = [_MAGIC, spec_line(model.spec), *format_arrays(_saved_arrays(model))]
+    lines = [_MAGIC, spec_line(model.spec), *format_arrays(model.arrays())]
     return "\n".join(lines) + "\n"
 
 
@@ -471,16 +454,10 @@ def parse_model(text: str, source: str = "<model>") -> MlpModel:
     if not lines or lines[0] != _MAGIC:
         raise UntrainedModel(f"{source}:1: not a {_MAGIC} model file")
     spec = _parse_spec(lines[1] if len(lines) > 1 else "", f"{source}:2")
-    arrays = parse_arrays(lines, 2, _saved_shapes(spec), source)
-    n_layers = len(spec.layer_dims)
-    return MlpModel(
-        spec=spec,
-        weights=[arrays[f"W{i}"] for i in range(n_layers)],
-        biases=[arrays[f"b{i}"] for i in range(n_layers)],
-        batchnorms=[BatchNormParams(arrays[f"bn{i}.gamma"], arrays[f"bn{i}.beta"],
-                                    arrays[f"bn{i}.mean"], arrays[f"bn{i}.var"])
-                    for i in range(len(spec.hidden))],
-    )
+    layout = array_layout(spec)
+    arrays = parse_arrays(lines, 2, dict(layout), source)
+    return MlpModel(spec, np.concatenate(
+        [arrays[name].reshape(-1) for name, _ in layout]))
 
 
 def load_model(path) -> MlpModel:

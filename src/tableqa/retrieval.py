@@ -53,7 +53,8 @@ class Similarity(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class TfIdfIndex:
-    """Immutable table x stem TF-IDF matrix, shared freely across threads.
+    """Immutable table x stem TF-IDF matrix, built once and read by every
+    question that ranks its tables.
 
     Row ``i`` is table ``table_ids[i]``; ids are sorted, so row order is
     the ranking's tie-break. ``columns`` maps each stem to its column

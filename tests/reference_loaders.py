@@ -15,7 +15,7 @@ import numpy as np
 
 from tableqa.errors import (MalformedFile, MalformedLine, NotText, TableQAError,
                             UntrainedModel)
-from tableqa.nn import _MAGIC, _parse_spec, _saved_arrays, init_model
+from tableqa.nn import _MAGIC, _parse_spec, init_model
 from tableqa.tabular import _TT_MAGIC, FEATURE_DIM, Table, TableTypeModel
 from tableqa.textproc import _not_utf8, read_lines
 
@@ -66,7 +66,7 @@ def reference_parse_model(text, source="<model>"):
         raise UntrainedModel(f"{source}:1: not a {_MAGIC} model file")
     spec = _parse_spec(lines[1] if len(lines) > 1 else "", f"{source}:2")
     model = init_model(spec, seed=0)
-    reference_parse_arrays(lines, 2, dict(_saved_arrays(model)), source)
+    reference_parse_arrays(lines, 2, dict(model.arrays()), source)
     return model
 
 
@@ -134,4 +134,4 @@ def outcome(load, *args):
 
 def model_arrays(model):
     """Every array a model file holds, as (name, dtype, shape, bytes)."""
-    return [(name, a.dtype, a.shape, a.tobytes()) for name, a in _saved_arrays(model)]
+    return [(name, a.dtype, a.shape, a.tobytes()) for name, a in model.arrays()]

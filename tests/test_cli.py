@@ -455,6 +455,20 @@ class TestEval:
         assert code == 1
         assert capsys.readouterr().err == f"error: {labels}: no labelled columns\n"
 
+    def test_column_type_scores_every_labelled_column(self, cli_workspace,
+                                                      fixtures_dir, capsys):
+        # training fits every labelled column, so the report counts them all
+        # and names no held-out set
+        from tableqa.typerec import load_column_labels
+
+        labels = fixtures_dir / "column_labels.txt"
+        code = main(["eval", "--task", "column-type", "--workspace",
+                     str(cli_workspace), "--labels", str(labels), "--format", "json"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {"task", "columns", "accuracy"}
+        assert payload["columns"] == len(load_column_labels(labels)) == 238
+
     def test_table_type_text(self, cli_workspace, fixtures_dir, capsys):
         fx = str(fixtures_dir)
         code = main(["eval", "--task", "table-type",
@@ -858,6 +872,19 @@ class TestTrainingInputErrors:
                      "--out", str(tmp_path / "c.model")])
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {labels}:1: ")
+
+    @pytest.mark.parametrize("task, inputs", [
+        ("select", []),
+        ("column-type", ["--labels", "{fx}/column_labels.txt"]),
+    ], ids=["select-without-manifest", "column-type-without-tables"])
+    def test_failed_train_leaves_no_directory(self, fixtures_dir, tmp_path, capsys,
+                                              task, inputs):
+        ws = tmp_path / "typo"
+        code = main(["train", "--task", task, "--workspace", str(ws)]
+                    + [arg.format(fx=fixtures_dir) for arg in inputs])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not ws.exists()
 
     def test_kinds_naming_no_table_is_error(self, fixtures_dir, tmp_path, capsys):
         kinds = tmp_path / "kinds.txt"

@@ -332,8 +332,8 @@ def reference_forward_train(model: MlpModel, x: np.ndarray, update_running: bool
         z_hat = (z - mu) * inv_std
         cache["bn"].append((mu, var, inv_std, z_hat))
         if update_running:
-            bn.running_mean = _BN_MOMENTUM * bn.running_mean + (1 - _BN_MOMENTUM) * mu
-            bn.running_var = _BN_MOMENTUM * bn.running_var + (1 - _BN_MOMENTUM) * var
+            bn.running_mean[...] = _BN_MOMENTUM * bn.running_mean + (1 - _BN_MOMENTUM) * mu
+            bn.running_var[...] = _BN_MOMENTUM * bn.running_var + (1 - _BN_MOMENTUM) * var
         z = bn.gamma * z_hat + bn.beta
         cache["pre_relu"].append(z)
         h = np.maximum(z, 0.0)
@@ -504,6 +504,45 @@ class TestGradientEntryPoints:
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+
+class TestOneVector:
+    """A model is one float64 vector in file order; its arrays are views."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(head=st.sampled_from([BIN, SOFT7]),
+           input_dim=st.integers(1, 6),
+           hidden=st.lists(st.integers(1, 6), max_size=3).map(tuple),
+           seed=st.integers(0, 2**16))
+    def test_arrays_are_views_in_file_order(self, head, input_dim, hidden, seed):
+        spec = MlpSpec(input_dim, hidden, head)
+        size = init_model(spec, seed).flat.size
+        model = MlpModel(spec, np.random.default_rng(seed).standard_normal(size))
+        by_name = {}
+        for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+            by_name[f"W{i}"], by_name[f"b{i}"] = w, b
+        for i, bn in enumerate(model.batchnorms):
+            by_name.update({f"bn{i}.gamma": bn.gamma, f"bn{i}.beta": bn.beta,
+                            f"bn{i}.mean": bn.running_mean,
+                            f"bn{i}.var": bn.running_var})
+        assert all(np.shares_memory(a, model.flat) for a in by_name.values())
+        assert sum(a.size for a in by_name.values()) == size
+
+        text = dump_model(model)
+        lines = [line.split(" ", 3) for line in text.splitlines()[2:-1]]
+        assert [(name, shape) for _, name, shape, _ in lines] == [
+            (name, ",".join(map(str, a.shape))) for name, a in model.arrays()]
+        assert len(lines) == len(by_name)
+        for _, name, _, values in lines:
+            assert values.split() == [repr(float(v)) for v in by_name[name].ravel()]
+        again = parse_model(text)
+        assert again.flat.dtype == np.float64
+        assert again.flat.tobytes() == model.flat.tobytes()
+
+    @pytest.mark.parametrize("task", ["column-type", "select", "where"])
+    def test_fixture_model_files_dump_as_read(self, cli_workspace, task):
+        path = cli_workspace / "models" / f"{task}.model"
+        assert dump_model(load_model(path)) == path.read_text()
 
 
 class TestModelFileErrors:

@@ -545,10 +545,11 @@ def _ingest_arguments(p):
 def _train_arguments(p):
     p.add_argument("--task", required=True, choices=TASKS)
     p.add_argument("--workspace", required=True)
-    p.add_argument("--seed", type=_non_negative_int, default=0)
-    p.add_argument("--epochs", type=_non_negative_int, default=300)
-    p.add_argument("--lr", type=_positive_float, default=0.01)
-    p.add_argument("--batch-size", type=_positive_int, default=32)
+    note = " (ignored by --task table-type)"
+    p.add_argument("--seed", type=_non_negative_int, default=0, help="seed" + note)
+    p.add_argument("--epochs", type=_non_negative_int, default=300, help="epochs" + note)
+    p.add_argument("--lr", type=_positive_float, default=0.01, help="learning rate" + note)
+    p.add_argument("--batch-size", type=_positive_int, default=32, help="batch size" + note)
     p.add_argument("--out", help="model file (default workspace/models/<task>.model)")
     p.add_argument("--tables", help="raw tables dir (table-type task)")
     p.add_argument("--kinds", help="table kind labels (table-type task)")

@@ -116,7 +116,7 @@ class ManifestEntry:
     gold_query: str
     gold_cells: frozenset
     split: Split
-    query: StructuredQuery | None = None    # gold_query parsed, once validated
+    query: StructuredQuery    # gold_query, parsed
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +348,13 @@ def cell_prf(predicted: set, gold: set) -> tuple[float, float, float]:
 # ---------------------------------------------------------------------------
 
 def gold_select_indices(entry: ManifestEntry, table: Table) -> set[int]:
-    """The columns of a validated entry's gold SELECT clause."""
+    """The columns of an entry's gold SELECT clause."""
     return {table.headers.index(name) for name in entry.query.select}
 
 
 def gold_where_pairs(entry: ManifestEntry, table: Table) -> set[tuple[int, str]]:
-    """(column, lowercased keyword) per condition of a validated entry's
-    gold WHERE clause."""
+    """(column, lowercased keyword) per condition of an entry's gold WHERE
+    clause."""
     return {(table.headers.index(c.column), c.keyword.lower())
             for c in entry.query.where}
 

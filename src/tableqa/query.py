@@ -7,15 +7,20 @@ The mini-grammar (also the manifest's gold-query format):
         [ORDER BY col (ASC | DESC)]
         [LIMIT n]
 
-Identifiers may be double-quoted (internal quotes doubled); keywords are
-single-quoted. OR-disjunctions, sub-queries, aggregate functions and
-EXTERNAL() are deliberately rejected with UnsupportedConstruct so gold
-files containing them are flagged instead of silently miscomputed.
+Whitespace may separate tokens. A bare word (a name, a grammar word in
+any case, or a number) is a run of ASCII letters, digits, ``_``, ``.`` and
+``-``. Identifiers may be double-quoted and keywords are single-quoted; a
+quote inside either is doubled, and the first quote that no second quote
+follows closes it. An unclosed quote or any other character is a
+QuerySyntaxError at its position. OR-disjunctions, sub-queries, aggregate
+functions and EXTERNAL() are deliberately rejected with UnsupportedConstruct
+so gold files containing them are flagged instead of silently miscomputed.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,172 +79,127 @@ _KEYWORDS = {
     "ASC", "DESC", "ASCENDING", "DESCENDING", "LIKE", "EXTERNAL",
 }
 _UNSUPPORTED_WORDS = {"OR", "EXTERNAL", "COUNT", "SUM", "AVG", "JOIN"}
-_SYMBOLS = "~=<>,"
-_WORD_CHARS = set("abcdefghijklmnopqrstuvwxyz"
-                  "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-.")
+# a token and the whitespace before it; the last alternative ends the text
+_TOKEN = re.compile(r"""\s*(?:(?P<WORD>[A-Za-z0-9_.-]+)
+    |(?P<IDENT>"[^"]*(?:""[^"]*)*"(?!"))|(?P<STRING>'[^']*(?:''[^']*)*'(?!'))
+    |(?P<SYM>[~=<>,])|(?P<PAREN>[()])|(?P<UNCLOSED>["'])|(?P<OTHER>.)|\Z)""",
+                    re.VERBOSE | re.DOTALL)
 
 
 def _scan(text: str):
     """Yield (kind, value, position) tokens; kind in WORD/IDENT/STRING/SYM."""
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c == "(" or c == ")":
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "WORD" or kind == "SYM":
+            yield kind, m[kind], m.start(kind)
+        elif kind == "IDENT" or kind == "STRING":
+            quote = m[kind][0]
+            yield kind, m[kind][1:-1].replace(quote * 2, quote), m.start(kind)
+        elif kind == "PAREN":
             raise UnsupportedConstruct(
                 f"parenthesized constructs (OR groups, sub-queries, aggregates, "
-                f"EXTERNAL) are not executable (at position {i})"
-            )
-        if c in _SYMBOLS:
-            yield ("SYM", c, i)
-            i += 1
-            continue
-        if c == '"' or c == "'":
-            quote = c
-            start = i
-            i += 1
-            buf = []
-            while True:
-                if i >= n:
-                    raise QuerySyntaxError(f"unterminated {quote} quote", start)
-                if text[i] == quote:
-                    if i + 1 < n and text[i + 1] == quote:  # doubled quote
-                        buf.append(quote)
-                        i += 2
-                        continue
-                    i += 1
-                    break
-                buf.append(text[i])
-                i += 1
-            yield ("IDENT" if quote == '"' else "STRING", "".join(buf), start)
-            continue
-        if c in _WORD_CHARS:
-            start = i
-            while i < n and text[i] in _WORD_CHARS:
-                i += 1
-            yield ("WORD", text[start:i], start)
-            continue
-        raise QuerySyntaxError(f"unexpected character {c!r}", i)
+                f"EXTERNAL) are not executable (at position {m.start(kind)})")
+        elif kind == "UNCLOSED":
+            raise QuerySyntaxError(f"unterminated {m[kind]} quote", m.start(kind))
+        elif kind == "OTHER":
+            raise QuerySyntaxError(f"unexpected character {m[kind]!r}", m.start(kind))
+
+
+def _refuse_unsupported(kind, value, pos):
+    if kind == "WORD" and value.upper() in _UNSUPPORTED_WORDS:
+        raise UnsupportedConstruct(f"{value.upper()} is not executable (at position {pos})")
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
-        self.tokens = list(_scan(text))
+        # an END token past the last one: the parser never reads past the list
+        self.tokens = [*_scan(text), ("END", "", len(text))]
         self.pos = 0
 
-    def _peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
     def _next(self):
-        tok = self._peek()
-        if tok is None:
-            raise QuerySyntaxError("unexpected end of query", len(self.text))
+        tok = self.tokens[self.pos]
+        if tok[0] == "END":
+            raise QuerySyntaxError("unexpected end of query", tok[2])
         self.pos += 1
         return tok
 
-    def _at_keyword(self, *names) -> bool:
-        tok = self._peek()
-        return tok is not None and tok[0] == "WORD" and tok[1].upper() in names
+    def _accept(self, *names) -> str | None:
+        """The next word, upper-cased and consumed, if it is one of names."""
+        kind, value, _ = self.tokens[self.pos]
+        if kind == "WORD" and value.upper() in names:
+            self.pos += 1
+            return value.upper()
+        return None
 
     def _expect_keyword(self, name: str):
-        tok = self._next()
-        if tok[0] != "WORD" or tok[1].upper() != name:
-            raise QuerySyntaxError(f"expected {name}, got {tok[1]!r}", tok[2])
+        kind, value, pos = self._next()
+        if kind != "WORD" or value.upper() != name:
+            raise QuerySyntaxError(f"expected {name}, got {value!r}", pos)
 
     def _identifier(self) -> str:
-        tok = self._next()
-        kind, value, pos = tok
-        if kind == "IDENT":
-            return value
-        if kind == "WORD":
-            upper = value.upper()
-            if upper in _UNSUPPORTED_WORDS:
-                raise UnsupportedConstruct(
-                    f"{upper} is not executable (at position {pos})"
-                )
-            if upper in _KEYWORDS:
-                raise QuerySyntaxError(f"expected identifier, got keyword {value!r}", pos)
+        kind, value, pos = self._next()
+        _refuse_unsupported(kind, value, pos)
+        if kind == "WORD" and value.upper() in _KEYWORDS:
+            raise QuerySyntaxError(f"expected identifier, got keyword {value!r}", pos)
+        if kind == "WORD" or kind == "IDENT":
             return value
         raise QuerySyntaxError(f"expected identifier, got {value!r}", pos)
 
     def _keyword_value(self) -> str:
-        tok = self._next()
-        kind, value, pos = tok
-        if kind in ("STRING", "IDENT", "WORD"):
-            if kind == "WORD" and value.upper() in _KEYWORDS:
-                raise QuerySyntaxError(f"expected value, got keyword {value!r}", pos)
-            return value
-        raise QuerySyntaxError(f"expected keyword value, got {value!r}", pos)
+        kind, value, pos = self._next()
+        if kind == "SYM":
+            raise QuerySyntaxError(f"expected keyword value, got {value!r}", pos)
+        if kind == "WORD" and value.upper() in _KEYWORDS:
+            raise QuerySyntaxError(f"expected value, got keyword {value!r}", pos)
+        return value
 
     def parse(self) -> StructuredQuery:
         self._expect_keyword("SELECT")
-        if self._at_keyword("FROM"):
-            tok = self._peek()
-            raise QuerySyntaxError("empty SELECT list", tok[2])
+        if self._accept("FROM"):
+            raise QuerySyntaxError("empty SELECT list", self.tokens[self.pos - 1][2])
         select = [self._identifier()]
-        while self._peek() is not None and self._peek()[:2] == ("SYM", ","):
+        while self.tokens[self.pos][:2] == ("SYM", ","):
             self._next()
             select.append(self._identifier())
         self._expect_keyword("FROM")
         from_table = self._identifier()
 
         where = []
-        if self._at_keyword("WHERE"):
-            self._next()
+        if self._accept("WHERE"):
             where.append(self._condition())
-            while self._at_keyword("AND"):
-                self._next()
+            while self._accept("AND"):
                 where.append(self._condition())
-        if self._at_keyword("OR"):
-            tok = self._peek()
-            raise UnsupportedConstruct(f"OR is not executable (at position {tok[2]})")
 
         order_by = None
-        if self._at_keyword("ORDER"):
-            self._next()
+        if self._accept("ORDER"):
             self._expect_keyword("BY")
             column = self._identifier()
-            direction = "ASC"
-            if self._at_keyword("ASC", "ASCENDING", "DESC", "DESCENDING"):
-                word = self._next()[1].upper()
-                direction = "DESC" if word.startswith("DESC") else "ASC"
-            order_by = (column, direction)
+            word = self._accept("ASC", "ASCENDING", "DESC", "DESCENDING") or "ASC"
+            order_by = (column, "DESC" if word.startswith("DESC") else "ASC")
 
         limit = None
-        if self._at_keyword("LIMIT"):
-            self._next()
-            tok = self._next()
-            if tok[0] != "WORD" or not tok[1].isdigit() or int(tok[1]) < 1:
-                raise QuerySyntaxError(f"LIMIT expects a positive integer, got {tok[1]!r}",
-                                       tok[2])
-            limit = int(tok[1])
+        if self._accept("LIMIT"):
+            kind, value, pos = self._next()
+            if kind != "WORD" or not value.isdigit() or int(value) < 1:
+                raise QuerySyntaxError(f"LIMIT expects a positive integer, got {value!r}",
+                                       pos)
+            limit = int(value)
 
-        trailing = self._peek()
-        if trailing is not None:
-            if trailing[0] == "WORD" and trailing[1].upper() in _UNSUPPORTED_WORDS:
-                raise UnsupportedConstruct(
-                    f"{trailing[1].upper()} is not executable "
-                    f"(at position {trailing[2]})"
-                )
-            raise QuerySyntaxError(f"unexpected trailing {trailing[1]!r}", trailing[2])
-        return StructuredQuery(
-            select=tuple(select), from_table=from_table,
-            where=tuple(where), order_by=order_by, limit=limit,
-        )
+        kind, value, pos = self.tokens[self.pos]
+        if kind != "END":
+            _refuse_unsupported(kind, value, pos)
+            raise QuerySyntaxError(f"unexpected trailing {value!r}", pos)
+        return StructuredQuery(select=tuple(select), from_table=from_table,
+                               where=tuple(where), order_by=order_by, limit=limit)
 
     def _condition(self) -> Condition:
         column = self._identifier()
-        tok = self._next()
-        kind, value, pos = tok
-        op = None
-        if kind == "SYM" and value in ("~", "=", ">", "<"):
-            op = Operator(value)
-        elif kind == "WORD" and value.upper() == "LIKE":
+        kind, value, pos = self._next()
+        if kind == "WORD" and value.upper() == "LIKE":
             op = Operator.LIKE
-        if op is None:
+        elif kind == "SYM" and value != ",":
+            op = Operator(value)
+        else:
             raise QuerySyntaxError(f"expected operator (~, LIKE, =, >, <), got {value!r}",
                                    pos)
         return Condition(column=column, keyword=self._keyword_value(), operator=op)

@@ -68,6 +68,28 @@ class TestTrain:
                          "--out", str(out)]) == 0
         assert out1.read_bytes() != out2.read_bytes()
 
+    def test_table_type_ignores_the_sgd_flags(self, cli_workspace, fixtures_dir,
+                                              tmp_path):
+        fx = str(fixtures_dir)
+        outs = []
+        for flags in ([], ["--epochs", "1", "--lr", "5", "--batch-size", "1",
+                           "--seed", "99"]):
+            outs.append(tmp_path / f"{len(outs)}.model")
+            assert main(["train", "--task", "table-type",
+                         "--workspace", str(cli_workspace),
+                         "--tables", f"{fx}/tables",
+                         "--kinds", f"{fx}/table_types.txt",
+                         "--out", str(outs[-1]), *flags]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        # and the help says so, flag by flag
+        code, out, _ = _parse(build_parser(), ["train", "--help"])
+        assert code == 0
+        # one entry per option, from its flag to the next option's
+        options = out.split("options:\n")[1].split("\n  -")
+        for flag in ("--seed", "--epochs", "--lr", "--batch-size"):
+            entry, = [o for o in options if o.startswith(f"{flag[1:]} ")]
+            assert "(ignored by --task table-type)" in " ".join(entry.split()), flag
+
     def test_missing_inputs_is_validation_error(self, cli_workspace, capsys):
         code = main(["train", "--task", "select",
                      "--workspace", str(cli_workspace)])

@@ -1,9 +1,10 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference_query_parser as reference
 from tableqa.embed import EmbeddingStore, load_embeddings
 from tableqa.errors import (
     NonNumericComparison,
@@ -15,9 +16,12 @@ from tableqa.errors import (
     UnsupportedConstruct,
 )
 from tableqa.query import (
+    _KEYWORDS,
+    _UNSUPPORTED_WORDS,
     Condition,
     Operator,
     StructuredQuery,
+    _scan,
     execute,
     intersect_cells,
     parse_query,
@@ -177,6 +181,95 @@ class TestPrintRoundTrip:
             limit=data.draw(st.none() | st.integers(1, 10**6)),
         )
         assert parse_query(print_query(q)) == q
+
+
+def _outcome(function, text):
+    """What ``function(text)`` returns, or its error's class, message and
+    position."""
+    try:
+        return function(text)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+def _mixed_case(word):
+    return st.tuples(*(st.sampled_from([c.lower(), c.upper()]) for c in word)).map("".join)
+
+
+# pieces joined with no separator, so characters meet their neighbours:
+# single characters (Unicode spaces and letters among them), runs of
+# quotes, grammar words in any case, quoted names and values, whitespace
+_PIECES = st.one_of(
+    st.sampled_from(list("aZ9_.-~=<>,()'\";!éßİ")),
+    st.builds(lambda quote, n: quote * n, st.sampled_from("'\""), st.integers(1, 6)),
+    st.sampled_from(sorted(_KEYWORDS | _UNSUPPORTED_WORDS)).flatmap(_mixed_case),
+    st.sampled_from(["name", "x.y-z_1", "42", "0", '"id"', "'v'", "'it''s'",
+                     '"a""b"', "''", '""']),
+    st.sampled_from([" ", "  ", "\t", "\n", "\u2003", "\x1c", "\x85"]),
+)
+
+
+@st.composite
+def _query_like(draw):
+    """Clauses in grammar order, a token now and then swapped for a piece,
+    and tokens sometimes joined with no space between them."""
+    def word(name):
+        return draw(_mixed_case(name))
+
+    names = st.sampled_from(["name", "x.y-z_1", "42", '"id"', '"a""b"', '"x y"', '"FROM"'])
+    values = st.sampled_from(["'v'", "'it''s'", "word", "''", '"id"', "7"])
+    tokens = [word("SELECT"), draw(names)]
+    for _ in range(draw(st.integers(0, 2))):
+        tokens += [",", draw(names)]
+    tokens += [word("FROM"), draw(names)]
+    for i in range(draw(st.integers(0, 3))):
+        tokens += [word("WHERE") if i == 0 else word(draw(st.sampled_from(["AND", "OR"]))),
+                   draw(names), draw(st.sampled_from(["~", "=", "<", ">", "Like", ","])),
+                   draw(values)]
+    if draw(st.booleans()):
+        tokens += [word("ORDER"), word("BY"), draw(names)]
+        tokens += draw(st.sampled_from([[], ["asc"], ["Descending"], ["DESC"]]))
+    if draw(st.booleans()):
+        tokens += [word("LIMIT"), draw(st.sampled_from(["1", "10", "0", "x"]))]
+    tokens += draw(st.lists(_PIECES, max_size=1))
+    return "".join(
+        (draw(_PIECES) if draw(st.sampled_from(range(20))) == 0 else token)
+        + draw(st.sampled_from(["", " ", " ", " ", " ", " ", "  ", "  ", "\n", "\t"]))
+        for token in tokens
+    )
+
+
+_QUERY_TEXTS = st.one_of(
+    _query_like(),
+    st.lists(_PIECES, max_size=16).map("".join),
+    st.lists(_PIECES, max_size=16).map(lambda ps: "SELECT " + "".join(ps)),
+    st.lists(_PIECES, max_size=16).map(lambda ps: " ".join(ps)),
+    st.text(max_size=12),
+)
+
+
+class TestReferenceParser:
+    # the scanner is one pattern where tests/reference_query_parser.py walks
+    # characters; both give the same tokens, the same query or the same error
+
+    @settings(max_examples=600, deadline=None)
+    @given(_QUERY_TEXTS)
+    @example("")
+    @example("'''")
+    @example("''''")
+    @example("'a'''b'")
+    def test_same_tokens_query_or_error(self, text):
+        assert _outcome(lambda t: list(_scan(t)), text) == \
+            _outcome(lambda t: list(reference._scan(t)), text)
+        assert _outcome(parse_query, text) == \
+            _outcome(reference.reference_parse_query, text)
+
+    def test_fixture_gold_queries(self, fixtures_dir):
+        lines = (fixtures_dir / "manifest.txt").read_text(encoding="utf-8").splitlines()
+        queries = [line.split("\t")[6] for line in lines if line and line[0] != "#"]
+        assert len(queries) == 52
+        for text in queries:
+            assert parse_query(text) == reference.reference_parse_query(text), text
 
 
 class TestExecute:

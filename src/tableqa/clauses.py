@@ -17,7 +17,10 @@ column-type distributions beside it, computed once per (question, table).
 Neither featurizer tokenizes: the table side reads the table's own views
 (``Table.cell_tokens``, ``column_tokens``, ``column_vocab``,
 ``mean_cell_length``, ``header_stems`` and ``column_type_features``),
-built on the table's first use.
+built on the table's first use. The SELECT proximity block takes every
+token cosine of a (question, table) from one stacked product, with the
+floats ``embed.cosine`` gives pair by pair (``_proximity_blocks``).
+Each classifier's decisions are one argmax over its probability matrix.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from importlib import resources
 
 import numpy as np
 
-from .embed import EmbeddingStore, cosine
+from .embed import EmbeddingStore
 from .errors import EmptyQuestion, UntrainedModel
 from .nn import MlpModel, MlpSpec, OutputHead, predict_batch
 from .tabular import Table
@@ -183,27 +186,56 @@ def where_candidates(table: Table, question: ParsedQuestion) -> list[tuple[int, 
 # Featurizers: one matrix per (question, table), filled block by block
 # ---------------------------------------------------------------------------
 
-def _proximity_block(column_tokens: tuple[str, ...], q_all: list[int],
-                     q_content: list[int], store: EmbeddingStore) -> list[float]:
-    """avg, avg-sans-stopwords, max, max-sans-stopwords of token cosines;
-    ``q_all``/``q_content`` are the question's rows with and without stop
-    words.
+def _nonzero_rows(tokens, store: EmbeddingStore) -> tuple[np.ndarray, np.ndarray]:
+    """The mask of ``tokens`` in the vocabulary whose row's norm is not
+    zero, and the rows of those tokens, in order."""
+    get = store.rows.get
+    rows = np.array([get(t, -1) for t in tokens], dtype=np.intp)
+    known = rows >= 0
+    known[known] = store.norms[rows[known]] != 0.0
+    return known, rows[known]
 
-    Out-of-vocabulary tokens are dropped before the pair loop, and each
-    token is looked up once; they have no cosine, so the remaining pairs
-    give the same floats in the same (column token, question token) order.
+
+def _proximity_blocks(table: Table, question: ParsedQuestion,
+                      store: EmbeddingStore) -> np.ndarray:
+    """(n_columns, 4): per column, avg, avg-sans-stopwords, max and
+    max-sans-stopwords of the cosines between its tokens and the
+    question's; 0.0 where a column has no pair of known, nonzero rows.
+
+    The floats are ``cosine``'s, from one stacked product per (question,
+    table): zero-norm rows, which have no cosine, are dropped, and one
+    ``(C, 1, 1, d) @ (1, Q, d, 1)`` matmul takes the dot product of every
+    column token with every question token as the vector-vector product
+    of ``cosine``'s ``@``; the pairs without stop words are a subset of
+    those. Each column's pairs are a contiguous run, reduced with
+    ``np.add.reduce(seg) / len(seg)`` and ``np.maximum.reduce(seg)`` as
+    ``np.mean`` and ``np.max`` do; ``np.add.reduceat`` sums a run of
+    three or more in another order, so its means would differ.
     """
-    c_all = store.known_rows(column_tokens)
-    c_content = store.known_rows(t for t in column_tokens if t not in STOPWORDS)
-    out = [0.0] * 4
-    for slot, c_rows, q_rows in ((0, c_all, q_all), (1, c_content, q_content)):
-        sims = [
-            s for i in c_rows for j in q_rows
-            if (s := cosine(store, i, j)) is not None
-        ]
-        if sims:
-            out[slot] = float(np.mean(sims))
-            out[slot + 2] = float(np.max(sims))
+    n = table.n_columns
+    out = np.zeros((n, 4))
+    tokens = [t for column in table.column_tokens for t in column]
+    q_known, q = _nonzero_rows(question.tokens, store)
+    c_known, c = _nonzero_rows(tokens, store)
+    if not len(q) or not len(c):
+        return out
+    matrix, norms = store.matrix, store.norms
+    dots = np.matmul(matrix[c][:, None, None, :], matrix[q][None, :, :, None])
+    sims = dots.reshape(len(c), len(q)) / (norms[c][:, None] * norms[q])
+    lengths = [len(column) for column in table.column_tokens]
+    c_column = np.repeat(np.arange(n), lengths)[c_known]
+    c_content = np.array([t not in STOPWORDS for t in tokens], dtype=bool)[c_known]
+    q_content = np.array([t not in STOPWORDS for t in question.tokens], dtype=bool)[q_known]
+    for slot, block, columns in ((0, sims, c_column),
+                                 (1, sims[c_content][:, q_content], c_column[c_content])):
+        if not block.size:
+            continue
+        stops = np.bincount(columns, minlength=n).cumsum().tolist()
+        for k, (start, stop) in enumerate(zip([0] + stops, stops)):
+            if stop > start:
+                seg = block[start:stop].ravel()
+                out[k, slot] = np.add.reduce(seg) / len(seg)
+                out[k, slot + 2] = np.maximum.reduce(seg)
     return out
 
 
@@ -225,12 +257,10 @@ def featurize_select(table: Table, question: ParsedQuestion,
     out[:, 0] = float(table.n_columns)
     out[:, 5:12] = coltypes
     out[:, 12:23] = question.qtype_onehot
-    q_all = store.known_rows(question.tokens)
-    q_content = store.known_rows(question.tokens[w] for w in question.where_words)
+    out[:, 1:5] = _proximity_blocks(table, question, store)
     patterns = [compile_pattern(stem) for stem in question.content_stems]
-    for c, column_tokens in enumerate(table.column_tokens):
-        out[c, 1:5] = _proximity_block(column_tokens, q_all, q_content, store)
-        out[c, 23:25] = _header_distances(table.header_stems[c], patterns)
+    for c, stems in enumerate(table.header_stems):
+        out[c, 23:25] = _header_distances(stems, patterns)
     return out
 
 
@@ -308,9 +338,9 @@ def predict_select(table: Table, model: MlpModel, question: ParsedQuestion,
     if model is None:
         raise UntrainedModel("no SELECT model supplied")
     probs = predict_batch(model, featurize_select(table, question, coltypes, store))
-    positive = {c for c in range(table.n_columns) if probs[c].argmax() == 1}
-    if positive:
-        return positive
+    positive = np.flatnonzero(probs.argmax(axis=1) == 1)
+    if len(positive):
+        return set(positive.tolist())
     return {int(probs[:, 1].argmax())}
 
 
@@ -330,6 +360,6 @@ def predict_where(table: Table, model: MlpModel, question: ParsedQuestion,
                                                  question, coltypes))
     return {
         (c, question.tokens[w])
-        for (c, w), p in zip(candidates, probs)
-        if p.argmax() == 1
+        for (c, w), positive in zip(candidates, (probs.argmax(axis=1) == 1).tolist())
+        if positive
     }

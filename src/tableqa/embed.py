@@ -1,11 +1,13 @@
 """Word-embedding storage, the cosine of two rows, and the ~ operator.
 
-``cosine`` backs both the SELECT proximity features and the ~ operator:
-a cell matches a keyword if they are equal, if the keyword is a
-substring of the cell, or failing both, if any token pair sits within
-``SIM_MATCH_THRESHOLD`` of cosine distance. The store is one token x
-dimension matrix with the norm of every row; callers look a token's row
-up once (``rows``, ``known_rows``) and pass rows to ``cosine``.
+``cosine`` backs the ~ operator: a cell matches a keyword if they are
+equal, if the keyword is a substring of the cell, or failing both, if
+any token pair sits within ``SIM_MATCH_THRESHOLD`` of cosine distance.
+The SELECT proximity features (``clauses``) take the same floats for
+every token pair of a (question, table) from one stacked product. The
+store is one token x dimension matrix with the norm of every row;
+callers look a token's row up once (``rows``, ``known_rows``) and pass
+rows to ``cosine``.
 
 This module owns the store's binary form too: ``save_store`` writes a
 parsed store as one ``.npz`` archive keyed on the sha256 of the ``.vec``

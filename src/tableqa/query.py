@@ -180,10 +180,14 @@ class _Parser:
         limit = None
         if self._accept("LIMIT"):
             kind, value, pos = self._next()
-            if kind != "WORD" or not value.isdigit() or int(value) < 1:
+            try:
+                limit = int(value) if kind == "WORD" and value.isdigit() else 0
+            except ValueError:      # more digits than Python converts to an int
+                raise QuerySyntaxError("LIMIT expects a positive integer, got one of "
+                                       f"{len(value)} digits", pos) from None
+            if limit < 1:
                 raise QuerySyntaxError(f"LIMIT expects a positive integer, got {value!r}",
                                        pos)
-            limit = int(value)
 
         kind, value, pos = self.tokens[self.pos]
         if kind != "END":

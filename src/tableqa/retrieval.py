@@ -228,11 +228,15 @@ def rank(index: TfIdfIndex, vector: dict[str, float], sim: Similarity,
     table id.
 
     With ``k`` only the first ``k`` of that ranking are built, equal to
-    ``rank(index, vector, sim)[:k]``; the rest are never sorted.
+    ``rank(index, vector, sim)[:k]``; the rest are never sorted. ``k=1``
+    is one argmax: its first maximal row is the table first in id order.
     """
     if k is not None and k < 1:
         raise ValueError(f"k must be positive: {k}")
     values = _similarities(index, vector, sim)
+    if k == 1:
+        top = int(values.argmax())
+        return [(index.table_ids[top], float(values[top]))]
     k = len(values) if k is None else min(k, len(values))
     # the rows scoring at least the k-th largest value, in row order, hold
     # the top k and every table tied with the k-th; a stable sort keeps

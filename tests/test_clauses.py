@@ -22,24 +22,24 @@ from tableqa.clauses import (
     predict_where,
     where_candidates,
 )
-from tableqa.embed import cosine, load_embeddings
+from tableqa.embed import EmbeddingStore, load_embeddings
 from tableqa.errors import EmptyQuestion, UntrainedModel
 from tableqa.harness import gold_select_indices
-from tableqa.nn import init_model
+from tableqa.nn import init_model, predict_batch
 from tableqa.tabular import Table
 from tableqa.textproc import (
     compile_pattern,
-    pattern_distance,
     token_starts,
     tokenize,
 )
-from tableqa.typerec import (
-    COLUMN_TYPE_SPEC,
-    ColumnType,
-    QuestionType,
-    classify_column_type,
-    classify_question,
-    extract_column_type_features,
+from tableqa.typerec import COLUMN_TYPE_SPEC, QuestionType, classify_question
+
+from reference_features import (
+    normalized_distance,
+    reference_column_type_distributions,
+    reference_proximity_block,
+    reference_select,
+    reference_where,
 )
 
 
@@ -416,99 +416,24 @@ class TestPrediction:
         with pytest.raises(UntrainedModel):
             predict_where(t, None, parsed, types, set())
 
+    def test_tied_probabilities(self, store, coltype_model):
+        # zero output weights and biases give [0.5, 0.5] on every row: a
+        # tie is not a positive, so no WHERE pair is kept and SELECT falls
+        # back to the first column of highest positive-class probability
+        from tableqa.clauses import SELECT_SPEC, WHERE_SPEC
 
-# ---------------------------------------------------------------------------
-# Reference featurizer: the feature bodies as they were before the table
-# token views, tokenizing the question and every cell on each call
-# ---------------------------------------------------------------------------
-
-def reference_column_type_distributions(table, model):
-    out = np.zeros((table.n_columns, len(ColumnType)))
-    for c in range(table.n_columns):
-        _, out[c] = classify_column_type(
-            extract_column_type_features(table.column(c)), model
-        )
-    return out
-
-
-def reference_proximity_block(question, column_text, store):
-    out = np.zeros(4)
-    for slot, drop in ((0, False), (2, True)):
-        q_tokens = tokenize(question, drop_stopwords=drop).tokens
-        c_tokens = tokenize(column_text, drop_stopwords=drop).tokens
-        sims = [
-            s for ct in c_tokens for qt in q_tokens
-            if (i := store.rows.get(ct)) is not None
-            and (j := store.rows.get(qt)) is not None
-            and (s := cosine(store, i, j)) is not None
-        ]
-        if sims:
-            out[slot] = float(np.mean(sims))
-            out[slot + 1] = float(np.max(sims))
-    return np.array([out[0], out[2], out[1], out[3]])
-
-
-def reference_header_distance_block(question, header):
-    h_stems = tokenize(header, drop_stopwords=True).stems
-    q_stems = tokenize(question, drop_stopwords=True).stems
-    distances = sorted(
-        pattern_distance(compile_pattern(q), h) for h in h_stems for q in q_stems
-    )
-    if not distances:
-        return np.zeros(2)
-    lowest = distances[0]
-    second = distances[1] if len(distances) > 1 else lowest
-    return np.array([float(lowest), float(second)])
-
-
-def normalized_distance(a, b):
-    """Edit distance over the longer length, for two strings not both empty."""
-    return pattern_distance(compile_pattern(a), b) / max(len(a), len(b))
-
-
-def reference_min_word_column_distance(word, table, column_index):
-    best = 1.0
-    for cell in table.column(column_index):
-        for token in tokenize(cell).tokens:
-            best = min(best, normalized_distance(word, token))
-            if best == 0.0:
-                return 0.0
-    return best
-
-
-def reference_select(question, table, c, coltype, store):
-    _, qtype = classify_question(tokenize(question).tokens)
-    return np.concatenate([
-        np.array([float(table.n_columns)]),
-        reference_proximity_block(question, " ".join(table.column(c)), store),
-        coltype[c],
-        qtype,
-        reference_header_distance_block(question, table.headers[c]),
-    ])
-
-
-def reference_where(question, table, c, w, select_columns, coltype, tags):
-    _, qtype = classify_question(tokenize(question).tokens)
-    word = tokenize(question).tokens[w]
-    non_empty = [cell for cell in table.column(c) if cell.strip()]
-    avg_len = float(np.mean([len(cell) for cell in non_empty])) if non_empty else 0.0
-
-    def onehot(tag, inventory):
-        return np.eye(len(inventory))[inventory.index(tag)]
-
-    return np.concatenate([
-        np.array([
-            reference_min_word_column_distance(word, table, c),
-            avg_len,
-            float(table.n_rows),
-            1.0 if c in select_columns else 0.0,
-        ]),
-        coltype[c],
-        qtype,
-        onehot(tags[w].pos, POS_TAGS),
-        onehot(tags[w].ner, NER_TAGS),
-        onehot(tags[w].dep, DEP_TAGS),
-    ])
+        t = state_capital_table()
+        parsed, types = inputs("What is the capital of Louisiana?", t, coltype_model)
+        select, where = init_model(SELECT_SPEC, seed=0), init_model(WHERE_SPEC, seed=0)
+        for model in (select, where):
+            model.weights[-1][:] = 0.0
+            model.biases[-1][:] = 0.0
+        candidates = where_candidates(t, parsed)
+        for model, x in ((select, featurize_select(t, parsed, types, store)),
+                         (where, featurize_where(t, candidates, {1}, parsed, types))):
+            assert (predict_batch(model, x) == 0.5).all()
+        assert predict_select(t, select, parsed, types, store) == {0}
+        assert predict_where(t, where, parsed, types, {1}) == set()
 
 
 def assert_matches_reference(question, table, model, store, select_columns):
@@ -571,6 +496,84 @@ class TestMatchesReferenceFeaturizer:
             question += " capital"
         table = Table(id="r", name="r", headers=headers, rows=rows)
         assert_matches_reference(question, table, coltype_model, store, {0})
+
+
+# ---------------------------------------------------------------------------
+# The stacked proximity product against one cosine per token pair
+# ---------------------------------------------------------------------------
+
+# in-vocabulary words, stop words in and out of the vocabulary, a number,
+# and words the stores never hold
+_STORE_WORDS = ["spouse", "husband", "capital", "zero", "the", "of", "is", "1946"]
+_PROXIMITY_WORDS = _STORE_WORDS + ["what", "and", "missing", "unknown"]
+
+
+def make_store(vectors: dict) -> EmbeddingStore:
+    return EmbeddingStore(dict(zip(vectors, range(len(vectors)))),
+                          np.array(list(vectors.values()), dtype=np.float64))
+
+
+def assert_proximity_matches_reference(question, table, store):
+    """Each column's proximity block, from one stacked product, is
+    byte-equal to the per-pair ``cosine`` reference's."""
+    got = clauses._proximity_blocks(table, parse_question(question), store)
+    want = np.array([reference_proximity_block(question, " ".join(table.column(c)), store)
+                     for c in range(table.n_columns)])
+    assert got.shape == (table.n_columns, 4)
+    assert got.tobytes() == want.tobytes(), (question, table.rows)
+
+
+@st.composite
+def proximity_stores(draw):
+    """A store of dimension 1 to 8 over _STORE_WORDS; some vectors are zero.
+    Components are 0 or at least 1e-6 in size, so no norm product
+    underflows to zero."""
+    dim = draw(st.integers(1, 8))
+    component = st.floats(-4.0, 4.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-6)
+    vector = st.one_of(st.just([0.0] * dim),
+                       st.lists(component, min_size=dim, max_size=dim))
+    return make_store({w: draw(vector) for w in _STORE_WORDS})
+
+
+class TestProximityBlock:
+    @settings(max_examples=300, deadline=None)
+    @given(proximity_stores(), st.data())
+    def test_generated_stores_and_tables(self, store, data):
+        # repeated tokens, stop words, out-of-vocabulary tokens and empty
+        # columns; a column of up to 18 tokens against up to 8 question
+        # tokens has runs past the 8 pairs where numpy's pairwise sum
+        # starts
+        cell = st.lists(st.sampled_from(_PROXIMITY_WORDS), max_size=3).map(" ".join)
+        n_cols = data.draw(st.integers(1, 4))
+        rows = data.draw(st.lists(st.lists(cell, min_size=n_cols, max_size=n_cols),
+                                  min_size=1, max_size=6))
+        question = " ".join(data.draw(st.lists(st.sampled_from(_PROXIMITY_WORDS),
+                                               max_size=8)))
+        table = Table(id="p", name="p", headers=[f"h{c}" for c in range(n_cols)],
+                      rows=rows)
+        assert_proximity_matches_reference(question, table, store)
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 8, 32])
+    def test_long_runs(self, dim):
+        # 150 column tokens against 6 question tokens: runs of up to 900
+        # pairs, past the 128-element blocks of numpy's pairwise sum
+        rng = np.random.default_rng(dim)
+        store = make_store({w: rng.normal(size=dim) for w in _STORE_WORDS})
+        words = rng.choice(_PROXIMITY_WORDS, size=(50, 3))
+        table = Table(id="p", name="p", headers=["a", "b", "c"],
+                      rows=[list(row) for row in words])
+        question = "what is the capital of 1946 missing husband spouse"
+        assert_proximity_matches_reference(question, table, store)
+        assert_proximity_matches_reference("zero the", table, store)
+
+    def test_columns_without_pairs_are_zero(self):
+        store = make_store({"capital": [1.0, 2.0], "zero": [0.0, 0.0], "the": [3.0, 1.0]})
+        table = Table(id="p", name="p", headers=["a", "b", "c", "d"],
+                      rows=[["", "zero", "missing", "the capital"]])
+        got = clauses._proximity_blocks(table, parse_question("the capital"), store)
+        assert got[:3].tobytes() == np.zeros((3, 4)).tobytes()
+        assert (got[3] != 0.0).all()
+        assert_proximity_matches_reference("the capital", table, store)
 
 
 def _random_store(path, words, seed):

@@ -231,6 +231,19 @@ class TestManifestErrorsNameTheLine:
             load_manifest(p, corpus, pipeline_store)
         assert exc.value.failures == [("q1", f"{p}:2: {message}")]
 
+    @pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+                        reason="int() converts strings of any length")
+    def test_limit_of_more_digits_than_int_converts(self, tmp_path, corpus,
+                                                    pipeline_store):
+        p = tmp_path / "bad.txt"
+        query = 'SELECT "Capital" FROM "state-capitals" LIMIT ' + "9" * 5000
+        p.write_text("# qid split table alternates cells question query\n"
+                     f"q1\ttrain\tstate-capitals\t-\t0:1\tCapitals?\t{query}\n")
+        with pytest.raises(ValidationFailure) as exc:
+            load_manifest(p, corpus, pipeline_store)
+        assert exc.value.failures == [("q1", f"{p}:2: LIMIT expects a positive integer, "
+                                             "got one of 5000 digits (at position 45)")]
+
     def test_every_failing_line_is_named(self, tmp_path, corpus, pipeline_store):
         p = tmp_path / "bad.txt"
         p.write_text(

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -94,6 +95,21 @@ class TestParse:
         with pytest.raises(QuerySyntaxError) as exc:
             parse_query('SELECT "a" FROM "t" LIMIT nope')
         assert exc.value.position == 26
+
+    @pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+                        reason="int() converts strings of any length")
+    def test_limit_of_more_digits_than_int_converts(self):
+        # int() refuses more than 4,300 digits with a bare ValueError, which
+        # the reference parser lets out
+        text = "SELECT a FROM b LIMIT " + "9" * 5000
+        with pytest.raises(QuerySyntaxError) as exc:
+            parse_query(text)
+        assert exc.value.position == 22
+        assert str(exc.value) == ("LIMIT expects a positive integer, got one of "
+                                  "5000 digits (at position 22)")
+        with pytest.raises(ValueError) as exc:
+            reference.reference_parse_query(text)
+        assert not isinstance(exc.value, QuerySyntaxError)
 
     def test_unterminated_quote(self):
         with pytest.raises(QuerySyntaxError):
